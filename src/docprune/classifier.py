@@ -9,6 +9,7 @@ model file format is versioned and byte-stable across save/load.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -24,10 +25,9 @@ from .corpus import Snippet
 
 EPS = 1e-7
 MODEL_MAGIC = "docprune-model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 _EMPTY_TEXT_KEY = "\x00no-tokens"
-_NGRAM_SEP = "\x1f"
 
 
 class ModelFormatError(Exception):
@@ -109,23 +109,121 @@ def _hash64(key: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+_FMIX_C1 = np.uint64(0xFF51AFD7ED558CCD)
+_FMIX_C2 = np.uint64(0xC4CEB9FE1A85EC53)
+_SHIFT33 = np.uint64(33)
+_EMPTY_TEXT_HASH = np.uint64(_hash64(_EMPTY_TEXT_KEY))
+
+
+def _fmix64(h: np.ndarray) -> np.ndarray:
+    """murmur3 finalizer, in place. Without it the low (masked) bits of an
+    n-gram hash depend only on the low bits of its token hashes, so tokens
+    sharing a unigram bucket would share a bucket in every n-gram they
+    appear in."""
+    h ^= h >> _SHIFT33
+    h *= _FMIX_C1
+    h ^= h >> _SHIFT33
+    h *= _FMIX_C2
+    h ^= h >> _SHIFT33
+    return h
+
+
+def _ngram_hashes(
+    texts: Sequence[str], config: FeaturizerConfig, token_hashes: dict[str, int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, 64-bit hash) of every n-gram occurrence in a batch of texts.
+
+    Each distinct token is hashed once with blake2b and memoized in
+    `token_hashes` (by default a memo for this call only); an order-n gram
+    mixes its token hashes as h = h*M ^ tok, starting from h = n so that
+    each order has its own seed, then goes through fmix64. A text without
+    word tokens yields one fallback hash.
+    """
+    memo = {} if token_hashes is None else token_hashes
+    token_lists = [tokenize(text, config) for text in texts]
+    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+    flat = list(itertools.chain.from_iterable(token_lists))
+    new = [t for t in dict.fromkeys(flat) if t not in memo]
+    digests = b"".join(hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest() for t in new)
+    memo.update(zip(new, np.frombuffer(digests, dtype=">u8").tolist()))
+    tok = np.fromiter(map(memo.__getitem__, flat), dtype=np.uint64, count=len(flat))
+    n_tokens = tok.shape[0]
+    row_of_token = np.repeat(np.arange(len(texts), dtype=np.int64), lengths)
+    # Tokens from each position to the end of its text, that position included.
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(n_tokens)
+
+    rows = [np.flatnonzero(lengths == 0)]
+    hashes = [np.full(rows[0].shape[0], _EMPTY_TEXT_HASH, dtype=np.uint64)]
+    for order in config.ngram_orders:
+        span = max(n_tokens - order + 1, 0)  # windows of the flat token array
+        h = np.full(span, order, dtype=np.uint64)
+        for k in range(order):
+            h *= _MIX
+            h ^= tok[k : k + span]
+        inside = left[:span] >= order  # windows that stay within one text
+        rows.append(row_of_token[:span][inside])
+        hashes.append(h[inside])
+    return np.concatenate(rows), _fmix64(np.concatenate(hashes))
+
+
+@dataclass(frozen=True)
+class FeatureBatch:
+    """CSR batch of hashed n-gram counts: row i is
+    indices[offsets[i]:offsets[i+1]] (ascending) with their counts in values."""
+
+    indices: np.ndarray  # int64
+    values: np.ndarray  # float64
+    offsets: np.ndarray  # int64, len(rows) + 1
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def row(self, i: int) -> dict[int, int]:
+        s, e = self.offsets[i], self.offsets[i + 1]
+        return dict(zip(self.indices[s:e].tolist(), self.values[s:e].astype(np.int64).tolist()))
+
+    def take(self, rows: np.ndarray) -> "FeatureBatch":
+        """The sub-batch of the given rows, in the given order."""
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        gather = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+        return FeatureBatch(self.indices[gather], self.values[gather], offsets)
+
+
+def featurize_batch(
+    texts: Sequence[str], config: FeaturizerConfig, token_hashes: dict[str, int] | None = None
+) -> FeatureBatch:
+    """Hashed bag of word n-grams for each text, as one CSR batch; collisions
+    add counts. `token_hashes` is an optional token-hash memo that the caller
+    shares across calls (see `_ngram_hashes`); it never changes the result."""
+    rows, hashes = _ngram_hashes(texts, config, token_hashes)
+    hashes &= np.uint64(config.dim - 1)
+    cells = hashes.view(np.int64)  # masked hashes fit: the feature index
+    rows *= config.dim
+    cells += rows  # row-major cell id: row * dim + index
+    del rows  # freed before np.unique copies the cells
+    cells, counts = np.unique(cells, return_counts=True)
+    offsets = np.searchsorted(cells, np.arange(len(texts) + 1) * config.dim)
+    cells %= config.dim
+    return FeatureBatch(indices=cells, values=counts.astype(np.float64), offsets=offsets)
+
+
 def hash_counts(text: str, config: FeaturizerConfig) -> dict[int, int]:
     """Full 64-bit hashed n-gram counts; project with a mask to get indices.
 
     Hashing once at 64 bits lets capacity sweeps re-project the same counts
     to several hash_bits settings without re-tokenizing.
     """
-    tokens = tokenize(text, config)
-    counts: dict[int, int] = {}
-    if not tokens:
-        counts[_hash64(_EMPTY_TEXT_KEY)] = 1
-        return counts
-    for order in config.ngram_orders:
-        for i in range(len(tokens) - order + 1):
-            key = _NGRAM_SEP.join(tokens[i : i + order])
-            h = _hash64(key)
-            counts[h] = counts.get(h, 0) + 1
-    return counts
+    _, hashes = _ngram_hashes([text], config)
+    uniq, counts = np.unique(hashes, return_counts=True)
+    return dict(zip(uniq.tolist(), counts.tolist()))
 
 
 def project_counts(counts64: dict[int, int], hash_bits: int) -> dict[int, int]:
@@ -138,7 +236,7 @@ def project_counts(counts64: dict[int, int], hash_bits: int) -> dict[int, int]:
 
 
 def featurize_text(text: str, config: FeaturizerConfig) -> dict[int, int]:
-    return project_counts(hash_counts(text, config), config.hash_bits)
+    return featurize_batch([text], config).row(0)
 
 
 def featurize(snippet: Snippet, config: FeaturizerConfig) -> dict[int, int]:
@@ -192,13 +290,23 @@ def _sigmoid(z: float) -> float:
     return 1.0 / (1.0 + math.exp(-z))
 
 
+def _probabilities(batch: FeatureBatch, w: np.ndarray, b: float) -> np.ndarray:
+    """sigmoid(w . x + b) per row, with the logit clipped to [-60, 60]."""
+    lengths = batch.lengths
+    z = np.zeros(len(batch), dtype=np.float64)
+    nonempty = lengths > 0
+    if nonempty.any():
+        prods = w[batch.indices] * batch.values
+        z[nonempty] = np.add.reduceat(prods, batch.offsets[:-1][nonempty])
+    z = np.clip(z + b, -60.0, 60.0)
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 @dataclass
 class _Packed:
-    """CSR-style view of a featurized dataset for fast batched passes."""
+    """A featurized dataset with its targets and per-example class weights."""
 
-    indices: np.ndarray  # int64, concatenated feature indices
-    values: np.ndarray  # float64, concatenated counts
-    offsets: np.ndarray  # int64, per-example [start, end) into indices/values
+    features: FeatureBatch
     targets: np.ndarray  # float64 0/1
     weights: np.ndarray  # float64 per-example class weight
 
@@ -216,30 +324,12 @@ def _pack(examples: Sequence[LabeledExample], class_weights: dict[int, float]) -
         offsets[i + 1] = offsets[i] + len(items)
         targets[i] = ex.target
         weights[i] = class_weights[ex.target]
-    return _Packed(
+    features = FeatureBatch(
         indices=np.concatenate(indices) if indices else np.zeros(0, dtype=np.int64),
         values=np.concatenate(values) if values else np.zeros(0, dtype=np.float64),
         offsets=offsets,
-        targets=targets,
-        weights=weights,
     )
-
-
-def _forward(packed: _Packed, rows: np.ndarray, w: np.ndarray, b: float):
-    """Return (concatenated idx, scaled values, per-row lengths, probabilities)."""
-    starts = packed.offsets[rows]
-    ends = packed.offsets[rows + 1]
-    lengths = ends - starts
-    idx = np.concatenate([packed.indices[s:e] for s, e in zip(starts, ends)])
-    val = np.concatenate([packed.values[s:e] for s, e in zip(starts, ends)])
-    cuts = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=cuts[1:])
-    prods = w[idx] * val
-    z = np.add.reduceat(prods, cuts[:-1]) if len(prods) else np.zeros(len(rows))
-    z[lengths == 0] = 0.0  # reduceat artifacts for empty rows
-    z = np.clip(z + b, -60.0, 60.0)
-    p = 1.0 / (1.0 + np.exp(-z))
-    return idx, val, lengths, p
+    return _Packed(features=features, targets=targets, weights=weights)
 
 
 @dataclass
@@ -324,8 +414,7 @@ def logistic_loss_gradient(
 
 
 def _predictions(packed: _Packed, w: np.ndarray, b: float) -> list[int]:
-    rows = np.arange(len(packed.targets))
-    _, _, _, p = _forward(packed, rows, w, b)
+    p = _probabilities(packed.features, w, b)
     return [1 if prob > 0.5 else 0 for prob in p]
 
 
@@ -369,10 +458,11 @@ def train_classifier(
         rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
             rows = np.array(order[start : start + config.batch_size], dtype=np.int64)
-            idx, val_arr, lengths, p = _forward(packed_train, rows, w, b)
+            batch = packed_train.features.take(rows)
+            p = _probabilities(batch, w, b)
             g = packed_train.weights[rows] * (p - packed_train.targets[rows])
             scale = lr / len(rows)
-            np.subtract.at(w, idx, scale * np.repeat(g, lengths) * val_arr)
+            np.subtract.at(w, batch.indices, scale * np.repeat(g, batch.lengths) * batch.values)
             b -= scale * g.sum()
         epochs_run += 1
         val_f1 = f1(_predictions(packed_val, w, b), gold_val)
@@ -400,17 +490,19 @@ def train_classifier(
     )
 
 
+def score_batch(classifier: QualityClassifier, batch: FeatureBatch) -> np.ndarray:
+    """Quality score in (0, 1) per row: sigmoid of the sparse dot product,
+    clamped to [EPS, 1 - EPS] so the open interval holds in float arithmetic."""
+    p = _probabilities(batch, classifier.weights, classifier.bias)
+    return np.clip(p, EPS, 1.0 - EPS)
+
+
 def score(classifier: QualityClassifier, snippet: Snippet) -> float:
-    """Quality score in (0, 1): sigmoid of the sparse dot product, clamped to
-    [EPS, 1 - EPS] so the open interval holds in float arithmetic."""
+    """Score of one snippet: a one-row score_batch."""
     if not snippet.text:
         raise ValueError("empty snippet")
-    feats = featurize_text(snippet.text, classifier.featurizer)
-    items = sorted(feats.items())
-    idx = np.fromiter((k for k, _ in items), dtype=np.int64, count=len(items))
-    val = np.fromiter((v for _, v in items), dtype=np.float64, count=len(items))
-    z = float(classifier.weights[idx] @ val) + classifier.bias
-    return min(max(_sigmoid(z), EPS), 1.0 - EPS)
+    batch = featurize_batch([snippet.text], classifier.featurizer)
+    return float(score_batch(classifier, batch)[0])
 
 
 def save_model(classifier: QualityClassifier, path: str | Path) -> None:
@@ -451,8 +543,9 @@ def load_model(path: str | Path) -> QualityClassifier:
         version = header.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(
-                f"unsupported model format_version {version!r} "
-                f"(this build reads {MODEL_FORMAT_VERSION})"
+                f"unsupported model format_version {version!r} in {path}: this build "
+                f"reads only format_version {MODEL_FORMAT_VERSION}, whose feature hashing "
+                f"differs; retrain the model with `docprune train`"
             )
         blob = fh.read()
     expected_len = header["weights_len"] * 8

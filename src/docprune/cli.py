@@ -72,6 +72,11 @@ EXIT_DEGENERATE = 5
 
 
 def _out_dir(config: RunConfig, args, command: str) -> Path:
+    """Create the output dir and write the resolved config into it.
+
+    Commands call this only after their inputs are read and validated, so a
+    run that fails on bad input leaves no output directory behind.
+    """
     out = Path(args.out) if args.out else Path(config.run.output_root) / command
     out.mkdir(parents=True, exist_ok=True)
     write_resolved_config(config, out / "resolved-config.ini")
@@ -98,8 +103,8 @@ def _read_snippets(path: Path) -> list[Snippet]:
 
 
 def cmd_sample(config: RunConfig, args) -> int:
-    out = _out_dir(config, args, "sample")
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
+    out = _out_dir(config, args, "sample")
     summary = RunSummary()
     docs = ingest_shards(shard_set, strict=config.corpus.strict, summary=summary)
     sample = reservoir_sample(docs, config.corpus.sample_size, config.run.seed)
@@ -123,12 +128,12 @@ def cmd_sample(config: RunConfig, args) -> int:
 
 
 def cmd_label(config: RunConfig, args) -> int:
-    out = _out_dir(config, args, "label")
     snippets = _read_snippets(Path(args.snippets))
     template = PromptTemplate.for_version(config.labeler.prompt_version)
     demos = (
         read_demonstrations(config.labeler.icl_demos) if config.labeler.icl_demos else []
     )
+    out = _out_dir(config, args, "label")
     transport = MockQualityTransport() if config.labeler.mock else None
     labeler_config = config.labeler.to_labeler_config()
     if config.labeler.mock and not labeler_config.model_name:
@@ -152,9 +157,9 @@ def cmd_label(config: RunConfig, args) -> int:
 
 
 def cmd_train(config: RunConfig, args) -> int:
-    out = _out_dir(config, args, "train")
     labels = read_labels(Path(args.labels))
     snippets = {s.doc_id: s.text for s in _read_snippets(Path(args.snippets))}
+    out = _out_dir(config, args, "train")
     featurizer = FeaturizerConfig(
         ngram_orders=config.distiller.ngram_orders,
         hash_bits=config.distiller.hash_bits,
@@ -202,9 +207,9 @@ def cmd_train(config: RunConfig, args) -> int:
 
 
 def cmd_score(config: RunConfig, args) -> int:
-    out = _out_dir(config, args, "score")
     classifier = load_model(Path(args.model))
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
+    out = _out_dir(config, args, "score")
     score_set = score_corpus(
         shard_set,
         classifier,
@@ -224,13 +229,13 @@ def cmd_score(config: RunConfig, args) -> int:
 
 
 def cmd_select(config: RunConfig, args) -> int:
-    out = _out_dir(config, args, "select")
     score_set = ScoreSet.open(Path(args.scores))
     ratio = config.selector.target_ratio
     if ratio == "from-labels":
         if not args.labels:
             raise ConfigError("--target-ratio from-labels requires --labels")
         ratio = default_ratio_from_labels(read_labels(Path(args.labels)))
+    out = _out_dir(config, args, "select")
     decision = select_cutoff(score_set, float(ratio))
     _write_json(out / "decision.json", decision.as_dict())
     log.info(
@@ -242,10 +247,10 @@ def cmd_select(config: RunConfig, args) -> int:
 
 
 def cmd_filter(config: RunConfig, args) -> int:
-    out = _out_dir(config, args, "filter")
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
     score_set = ScoreSet.open(Path(args.scores))
     decision = SelectionDecision.from_dict(json.loads(Path(args.decision).read_text()))
+    out = _out_dir(config, args, "filter")
     _, manifest = filter_corpus(
         shard_set, score_set, decision, out, workers=config.selector.workers
     )

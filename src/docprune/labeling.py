@@ -15,11 +15,12 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Iterable, Protocol
 
 from .corpus import Snippet
+
+if TYPE_CHECKING:
+    import requests
 
 YES = "Yes"
 NO = "No"
@@ -221,12 +222,18 @@ class HttpChatTransport:
     """
 
     def __init__(self, config: LabelerConfig, session: requests.Session | None = None):
+        # Imported here, not at module level: only this transport needs it,
+        # and the import costs every stage process ~0.1 s.
+        import requests
+
         if not config.endpoint_url:
             raise ValueError("endpoint_url is required for the HTTP transport")
         self.config = config
         self.session = session or requests.Session()
 
     def complete(self, prompt: str) -> str:
+        import requests
+
         cfg = self.config
         body = {
             "model": cfg.model_name,

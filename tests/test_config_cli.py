@@ -223,6 +223,11 @@ class TestCliPipeline:
     def test_missing_corpus_exits_3(self, tmp_path):
         assert run_cli("sample", "--input", tmp_path / "nope") == 3
 
+    def test_failed_input_validation_writes_no_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("sample", "--input", tmp_path / "nope") == 3
+        assert not (tmp_path / "runs").exists()
+
     def test_score_workers_equivalent(self, pipeline_world):
         tmp, corpus, cfg = pipeline_world
         sample_dir, label_dir, train_dir = tmp / "w-s", tmp / "w-l", tmp / "w-t"
