@@ -104,16 +104,17 @@ def tokenize(text: str, config: FeaturizerConfig) -> list[str]:
     return pattern.findall(text)
 
 
-def _hash64(key: str) -> int:
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+def _token_hashes(tokens: Sequence[str]) -> np.ndarray:
+    """64-bit hash of each token: its 8-byte blake2b digest, big-endian."""
+    digests = b"".join(hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest() for t in tokens)
+    return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
 
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 _FMIX_C1 = np.uint64(0xFF51AFD7ED558CCD)
 _FMIX_C2 = np.uint64(0xC4CEB9FE1A85EC53)
 _SHIFT33 = np.uint64(33)
-_EMPTY_TEXT_HASH = np.uint64(_hash64(_EMPTY_TEXT_KEY))
+_EMPTY_TEXT_HASH = _token_hashes([_EMPTY_TEXT_KEY])[0]
 
 
 def _fmix64(h: np.ndarray) -> np.ndarray:
@@ -129,25 +130,20 @@ def _fmix64(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _ngram_hashes(
-    texts: Sequence[str], config: FeaturizerConfig, token_hashes: dict[str, int] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _ngram_hashes(texts: Sequence[str], config: FeaturizerConfig) -> tuple[np.ndarray, np.ndarray]:
     """(row, 64-bit hash) of every n-gram occurrence in a batch of texts.
 
-    Each distinct token is hashed once with blake2b and memoized in
-    `token_hashes` (by default a memo for this call only); an order-n gram
-    mixes its token hashes as h = h*M ^ tok, starting from h = n so that
-    each order has its own seed, then goes through fmix64. A text without
-    word tokens yields one fallback hash.
+    Each distinct token of the batch is hashed once (`_token_hashes`); an
+    order-n gram mixes its token hashes as h = h*M ^ tok, starting from
+    h = n so that each order has its own seed, then goes through fmix64.
+    A text without word tokens yields one fallback hash.
     """
-    memo = {} if token_hashes is None else token_hashes
     token_lists = [tokenize(text, config) for text in texts]
     lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
     flat = list(itertools.chain.from_iterable(token_lists))
-    new = [t for t in dict.fromkeys(flat) if t not in memo]
-    digests = b"".join(hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest() for t in new)
-    memo.update(zip(new, np.frombuffer(digests, dtype=">u8").tolist()))
-    tok = np.fromiter(map(memo.__getitem__, flat), dtype=np.uint64, count=len(flat))
+    distinct = {t: i for i, t in enumerate(dict.fromkeys(flat))}
+    positions = np.fromiter(map(distinct.__getitem__, flat), dtype=np.int64, count=len(flat))
+    tok = _token_hashes(list(distinct))[positions]
     n_tokens = tok.shape[0]
     row_of_token = np.repeat(np.arange(len(texts), dtype=np.int64), lengths)
     # Tokens from each position to the end of its text, that position included.
@@ -197,13 +193,10 @@ class FeatureBatch:
         return FeatureBatch(self.indices[gather], self.values[gather], offsets)
 
 
-def featurize_batch(
-    texts: Sequence[str], config: FeaturizerConfig, token_hashes: dict[str, int] | None = None
-) -> FeatureBatch:
+def featurize_batch(texts: Sequence[str], config: FeaturizerConfig) -> FeatureBatch:
     """Hashed bag of word n-grams for each text, as one CSR batch; collisions
-    add counts. `token_hashes` is an optional token-hash memo that the caller
-    shares across calls (see `_ngram_hashes`); it never changes the result."""
-    rows, hashes = _ngram_hashes(texts, config, token_hashes)
+    add counts."""
+    rows, hashes = _ngram_hashes(texts, config)
     hashes &= np.uint64(config.dim - 1)
     cells = hashes.view(np.int64)  # masked hashes fit: the feature index
     rows *= config.dim

@@ -41,6 +41,7 @@ from .corpus import (
     write_shard_file,
 )
 from .labeling import (
+    HttpChatTransport,
     IclDemonstration,
     LabelRunAborted,
     PromptTemplate,
@@ -74,8 +75,10 @@ EXIT_DEGENERATE = 5
 def _out_dir(config: RunConfig, args, command: str) -> Path:
     """Create the output dir and write the resolved config into it.
 
-    Commands call this only after their inputs are read and validated, so a
-    run that fails on bad input leaves no output directory behind.
+    Commands call this only after the checks they can make up front (inputs
+    read, labels joined to snippets, transport built, model trained, cutoff
+    selected), so a run that fails on bad input leaves no output directory
+    behind. `filter` checks its score join while it streams, after this.
     """
     out = Path(args.out) if args.out else Path(config.run.output_root) / command
     out.mkdir(parents=True, exist_ok=True)
@@ -133,11 +136,14 @@ def cmd_label(config: RunConfig, args) -> int:
     demos = (
         read_demonstrations(config.labeler.icl_demos) if config.labeler.icl_demos else []
     )
-    out = _out_dir(config, args, "label")
-    transport = MockQualityTransport() if config.labeler.mock else None
     labeler_config = config.labeler.to_labeler_config()
-    if config.labeler.mock and not labeler_config.model_name:
-        labeler_config.model_name = "mock-quality"
+    if config.labeler.mock:
+        transport = MockQualityTransport()
+        if not labeler_config.model_name:
+            labeler_config.model_name = "mock-quality"
+    else:
+        transport = HttpChatTransport(labeler_config)  # checks endpoint_url
+    out = _out_dir(config, args, "label")
     try:
         labels, stats = label_documents(
             snippets, labeler_config, template, demos=demos, transport=transport
@@ -159,7 +165,6 @@ def cmd_label(config: RunConfig, args) -> int:
 def cmd_train(config: RunConfig, args) -> int:
     labels = read_labels(Path(args.labels))
     snippets = {s.doc_id: s.text for s in _read_snippets(Path(args.snippets))}
-    out = _out_dir(config, args, "train")
     featurizer = FeaturizerConfig(
         ngram_orders=config.distiller.ngram_orders,
         hash_bits=config.distiller.hash_bits,
@@ -190,6 +195,7 @@ def cmd_train(config: RunConfig, args) -> int:
             patience=config.distiller.patience,
         ),
     )
+    out = _out_dir(config, args, "train")
     save_model(classifier, out / "model.bin")
     yes_train = sum(e.target for e in train) / len(train)
     _write_json(
@@ -235,8 +241,8 @@ def cmd_select(config: RunConfig, args) -> int:
         if not args.labels:
             raise ConfigError("--target-ratio from-labels requires --labels")
         ratio = default_ratio_from_labels(read_labels(Path(args.labels)))
-    out = _out_dir(config, args, "select")
     decision = select_cutoff(score_set, float(ratio))
+    out = _out_dir(config, args, "select")
     _write_json(out / "decision.json", decision.as_dict())
     log.info(
         "cutoff %.6f keeps %d/%d documents (achieved ratio %.4f, target %.4f)",

@@ -35,10 +35,9 @@ from .labeling import QualityLabel, yes_fraction
 
 SCORES_FORMAT_VERSION = 1
 # Scoring works on batches of about this many snippet characters (~11k
-# tokens at 6 chars per token); larger batches raise peak RSS, not speed.
+# tokens at 6 chars per token). Each batch hashes its distinct tokens anew,
+# so larger batches hash less but raise peak RSS.
 SCORE_BATCH_CHARS = 1 << 16
-# Distinct tokens whose blake2b hash one score_documents call keeps.
-SCORE_MEMO_TOKENS = 1 << 16
 
 
 class TieDegeneracyWarning(UserWarning):
@@ -157,21 +156,17 @@ def score_documents(
     """Score documents in memory; returns (records, skipped_empty_count).
 
     Snippets are featurized and scored in batches of about SCORE_BATCH_CHARS
-    characters, and the batches share one token-hash memo of at most
-    SCORE_MEMO_TOKENS entries, so memory stays bounded for any number of
-    documents. A document's score does not depend on its batch.
+    characters, so memory stays bounded for any number of documents. A
+    document's score does not depend on its batch.
     """
     records: list[ScoreRecord] = []
     skipped = 0
     pending: list[Document] = []
     texts: list[str] = []
     chars = 0
-    token_hashes: dict[str, int] = {}
 
     def flush() -> None:
-        if len(token_hashes) > SCORE_MEMO_TOKENS:
-            token_hashes.clear()
-        batch = featurize_batch(texts, classifier.featurizer, token_hashes)
+        batch = featurize_batch(texts, classifier.featurizer)
         scores = score_batch(classifier, batch)
         records.extend(
             ScoreRecord(doc_id=doc.id, score=s, shard=doc.source_shard)

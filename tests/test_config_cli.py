@@ -228,6 +228,23 @@ class TestCliPipeline:
         assert run_cli("sample", "--input", tmp_path / "nope") == 3
         assert not (tmp_path / "runs").exists()
 
+    def test_failed_train_and_label_write_no_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        snippets = tmp_path / "snippets.jsonl"
+        snippets.write_text(json.dumps({
+            "doc_id": "a", "text": "some text", "char_start": 0, "char_end": 9,
+            "approx_token_budget": 1500,
+        }) + "\n")
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(json.dumps({
+            "doc_id": "b", "label": "Yes", "prompt_version": "V1",
+            "labeler_id": "x", "raw_response": "Yes",
+        }) + "\n")
+        # A label without a matching snippet, and HTTP labeling without an endpoint.
+        assert run_cli("train", "--snippets", snippets, "--labels", labels) == 3
+        assert run_cli("label", "--snippets", snippets) == 2
+        assert not (tmp_path / "runs").exists()
+
     def test_score_workers_equivalent(self, pipeline_world):
         tmp, corpus, cfg = pipeline_world
         sample_dir, label_dir, train_dir = tmp / "w-s", tmp / "w-l", tmp / "w-t"

@@ -1,5 +1,6 @@
 """The batched featurizer and scorer, and the one-row views built on them."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -87,6 +88,55 @@ class TestProjection:
         assert sorted(counts.values()) == [1, 2, 2, 2]  # "b a" once; a, b, "a b" twice
 
 
+class TestPinnedHashes:
+    """Saved format-2 models are valid only while the hashing stays bit-exact,
+    so these values are literals: blake2b per token, h = h*M ^ tok from
+    h = n, fmix64, mask."""
+
+    CONFIG = FeaturizerConfig(ngram_orders=(1, 2), hash_bits=12)
+    TEXT = "The cat sat; the cat!"
+
+    def test_hash_counts_literal(self):
+        assert hash_counts(self.TEXT, self.CONFIG) == {
+            7749939372784848752: 1,    # sat
+            8488215002220849844: 1,    # sat the
+            12532833506845578251: 1,   # cat sat
+            13166780544984171432: 2,   # cat
+            14000450838502040949: 2,   # the
+            17066827606666571477: 2,   # the cat
+        }
+        assert hash_counts("!!", self.CONFIG) == {1888564376210761559: 1}
+
+    def test_featurize_text_literal(self):
+        assert featurize_text(self.TEXT, self.CONFIG) == {
+            936: 2, 1035: 1, 1397: 2, 2740: 1, 3797: 2, 3952: 1,
+        }
+
+    def test_matches_reference_scheme(self):
+        u64 = (1 << 64) - 1
+
+        def fmix64(h):
+            h ^= h >> 33
+            h = (h * 0xFF51AFD7ED558CCD) & u64
+            h ^= h >> 33
+            h = (h * 0xC4CEB9FE1A85EC53) & u64
+            return h ^ (h >> 33)
+
+        tokens = [
+            int.from_bytes(hashlib.blake2b(t.encode(), digest_size=8).digest(), "big")
+            for t in ["the", "cat", "sat", "the", "cat"]
+        ]
+        expected: dict[int, int] = {}
+        for n in self.CONFIG.ngram_orders:
+            for i in range(len(tokens) - n + 1):
+                h = n
+                for tok in tokens[i:i + n]:
+                    h = ((h * 0x9E3779B97F4A7C15) & u64) ^ tok
+                h = fmix64(h)
+                expected[h] = expected.get(h, 0) + 1
+        assert hash_counts(self.TEXT, self.CONFIG) == expected
+
+
 class TestBucketIndependence:
     def test_shared_unigram_bucket_does_not_force_shared_bigram_buckets(self):
         # Tokens that land in one unigram bucket must spread their bigrams
@@ -152,7 +202,6 @@ class TestScoreBatch:
         ]
         whole, skipped = score_documents(docs, clf)
         monkeypatch.setattr(selection, "SCORE_BATCH_CHARS", 50)
-        monkeypatch.setattr(selection, "SCORE_MEMO_TOKENS", 4)
         chunked, skipped_chunked = score_documents(docs, clf)
         assert skipped == skipped_chunked == 6
         assert whole == chunked
