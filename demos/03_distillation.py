@@ -1,4 +1,4 @@
-"""Distillation walkthrough: featurize, train, evaluate, serialize.
+"""Distillation walkthrough: train, evaluate, serialize.
 
 Run: python demos/03_distillation.py
 """
@@ -8,7 +8,6 @@ from pathlib import Path
 
 from docprune import (
     FeaturizerConfig,
-    LabeledExample,
     LabelerConfig,
     MockQualityTransport,
     PromptTemplate,
@@ -20,10 +19,8 @@ from docprune import (
     split_train_val,
     train_classifier,
 )
-from docprune.ablation import snippets_of
-from docprune.classifier import featurize_text
+from docprune.ablation import labeled_texts, snippets_of
 from docprune.corpus import snippet_of
-from docprune.labeling import YES
 from docprune.synthetic import SyntheticCorpusSpec, generate_documents
 
 # Mock-label a planted corpus to get (text, Yes/No) training pairs.
@@ -36,14 +33,10 @@ labels, stats = label_documents(
 print(f"training pairs: {stats.labeled}, yes-fraction {stats.yes_fraction:.3f}")
 
 # Features are hashed bags of word 1/2/3-grams; 2**hash_bits is the capacity
-# knob of the cheap classifier.
+# knob of the cheap classifier. Training featurizes the texts itself, in the
+# same batches that scoring uses.
 featurizer = FeaturizerConfig(ngram_orders=(1, 2, 3), hash_bits=16)
-texts = {s.doc_id: s.text for s in snippets}
-examples = [
-    LabeledExample(l.doc_id, featurize_text(texts[l.doc_id], featurizer),
-                   1 if l.label == YES else 0)
-    for l in labels
-]
+examples = labeled_texts(labels, {s.doc_id: s.text for s in snippets})
 
 train, val = split_train_val(examples, val_fraction=0.1, seed=0)
 classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer, seed=0))
@@ -56,10 +49,10 @@ print(f"scores: planted-high {high:.4f}, planted-low {low:.4f}")
 
 # The model file is a one-line JSON header plus raw weights; save/load is
 # byte-stable and version-checked.
-workdir = Path(tempfile.mkdtemp(prefix="docprune-demo-"))
-model_path = workdir / "model.bin"
-save_model(classifier, model_path)
-reloaded = load_model(model_path)
-assert score(reloaded, snippet_of("any text")) == score(classifier, snippet_of("any text"))
-print(f"model written to {model_path} ({model_path.stat().st_size:,} bytes) "
-      f"fingerprint {classifier.fingerprint()}")
+with tempfile.TemporaryDirectory(prefix="docprune-demo-") as workdir:
+    model_path = Path(workdir) / "model.bin"
+    save_model(classifier, model_path)
+    reloaded = load_model(model_path)
+    assert score(reloaded, snippet_of("any text")) == score(classifier, snippet_of("any text"))
+    print(f"model file: {model_path.stat().st_size:,} bytes, "
+          f"fingerprint {classifier.fingerprint()}")

@@ -4,12 +4,10 @@ Run: python demos/05_ablations.py
 """
 
 import tempfile
-from pathlib import Path
 
 from docprune import (
     FeaturizerConfig,
     IclDemonstration,
-    LabeledExample,
     LabelerConfig,
     PromptTemplate,
     TrainConfig,
@@ -22,12 +20,9 @@ from docprune import (
     train_classifier,
 )
 from docprune.ablation import labeled_texts, snippets_of
-from docprune.classifier import featurize_text
-from docprune.labeling import YES
 from docprune.mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
 from docprune.synthetic import SyntheticCorpusSpec, generate_documents, truth_by_doc
 
-workdir = Path(tempfile.mkdtemp(prefix="docprune-demo-"))
 config = LabelerConfig(model_name="mock", max_concurrent_requests=8)
 template = PromptTemplate.for_version("V1")
 
@@ -42,17 +37,11 @@ def mock_labeled(docs):
 docs = generate_documents(SyntheticCorpusSpec(n_docs=3000, high_quality_fraction=0.25, seed=1))
 labels, texts, snips = mock_labeled(docs[:1000])
 featurizer = FeaturizerConfig(hash_bits=16)
-examples = [
-    LabeledExample(l.doc_id, featurize_text(texts[l.doc_id], featurizer),
-                   1 if l.label == YES else 0)
-    for l in labels
-]
-train, val = split_train_val(examples, 0.1, seed=0)
+train, val = split_train_val(labeled_texts(labels, texts), 0.1, seed=0)
 classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer, seed=0))
 
 ratio_report = run_ratio_sweep(docs, classifier)
 print(ratio_report.render_text())
-ratio_report.save(workdir, seed=1)
 
 # --- capacity sweep: hashed capacity vs validation F1 -----------------------
 # The many-phrase task needs bigram features and plenty of buckets, so small
@@ -65,7 +54,6 @@ capacity_report = run_capacity_sweep(
     labeled_texts(many_labels, many_texts), hash_bits_list=(10, 14, 18), seeds=(0, 1, 2)
 )
 print(capacity_report.render_text())
-capacity_report.save(workdir, seed=2)
 
 # --- prompt robustness: label agreement across instruction variants ---------
 sample = snippets_of(docs[:2000])
@@ -74,7 +62,6 @@ prompt_report = run_prompt_robustness(
     sample, config, {v: drifting_labeler for v in ("V1", "V2", "V3")}
 )
 print(prompt_report.render_text())
-prompt_report.save(workdir, seed=1)
 
 # --- in-context learning: a weak labeler with and without demonstrations ----
 strong = truth_by_doc(docs)
@@ -82,6 +69,10 @@ demos = [IclDemonstration(s.text, strong[s.doc_id], "strong-reference") for s in
 weak = FidelityMockTransport({0: 0.60, 5: 0.75})
 icl_report = run_icl_comparison(sample[5:], config, weak, demos, strong)
 print(icl_report.render_text())
-icl_report.save(workdir, seed=1)
 
-print(f"report files in {workdir}")
+# Each report saves as structured records plus the text table above.
+with tempfile.TemporaryDirectory(prefix="docprune-demo-") as workdir:
+    for report, seed in ((ratio_report, 1), (capacity_report, 2), (prompt_report, 1),
+                         (icl_report, 1)):
+        jsonl_path, text_path = report.save(workdir, seed=seed)
+        print(f"wrote {jsonl_path.name} and {text_path.name}")

@@ -16,13 +16,11 @@ from .ablation import (
 from .classifier import (
     DegenerateLabelsError,
     FeaturizerConfig,
-    LabeledExample,
     LabeledText,
     ModelFormatError,
     QualityClassifier,
     TrainConfig,
     f1,
-    featurize,
     load_model,
     save_model,
     score,

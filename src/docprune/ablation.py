@@ -11,7 +11,7 @@ import itertools
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -19,17 +19,13 @@ import numpy as np
 
 from .classifier import (
     FeaturizerConfig,
-    LabeledExample,
     LabeledText,
     QualityClassifier,
     TrainConfig,
-    hash_counts,
-    project_counts,
     split_train_val,
     train_classifier,
-    with_hash_bits,
 )
-from .corpus import Document, Snippet, extract_snippet
+from .corpus import CorpusError, Document, Snippet, extract_snippet
 from .labeling import (
     IclDemonstration,
     LabelerConfig,
@@ -205,19 +201,13 @@ def run_capacity_sweep(
     if len(examples) < 1000:
         raise ValueError("capacity sweep needs at least 1,000 labeled examples")
     base = base_featurizer or FeaturizerConfig()
-    # Hash once at 64 bits; each capacity just re-projects.
-    counts64 = [hash_counts(e.text, base) for e in examples]
     points = []
     medians = []
     for bits in hash_bits_list:
-        feat = with_hash_bits(base, bits)
+        feat = replace(base, hash_bits=bits)
         f1_runs = []
         for seed in seeds:
-            labeled = [
-                LabeledExample(e.doc_id, project_counts(c, bits), e.target)
-                for e, c in zip(examples, counts64)
-            ]
-            train, val = split_train_val(labeled, val_fraction, seed=seed)
+            train, val = split_train_val(examples, val_fraction, seed=seed)
             clf = train_classifier(
                 train,
                 val,
@@ -350,12 +340,13 @@ def run_icl_comparison(
 def labeled_texts(
     labels: Iterable[QualityLabel], texts_by_id: dict[str, str]
 ) -> list[LabeledText]:
-    """Join labels with their snippet texts into training-ready pairs."""
+    """Join labels with their snippet texts into training-ready pairs; a label
+    without a snippet raises CorpusError."""
     out = []
     for lbl in labels:
         text = texts_by_id.get(lbl.doc_id)
         if text is None:
-            raise KeyError(f"label {lbl.doc_id!r} has no matching snippet text")
+            raise CorpusError(f"label {lbl.doc_id!r} has no matching snippet")
         out.append(LabeledText(lbl.doc_id, text, 1 if lbl.label == YES else 0))
     return out
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import random
 import re
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +27,10 @@ MODEL_MAGIC = "docprune-model"
 MODEL_FORMAT_VERSION = 2
 
 _EMPTY_TEXT_KEY = "\x00no-tokens"
+# Texts are featurized in batches of about this many characters (~11k tokens
+# at 6 chars per token), for scoring and training alike. Each batch hashes
+# its distinct tokens anew, so larger batches hash less but raise peak RSS.
+FEATURIZE_BATCH_CHARS = 1 << 16
 
 
 class ModelFormatError(Exception):
@@ -74,17 +77,8 @@ class FeaturizerConfig:
 
 
 @dataclass
-class LabeledExample:
-    """A featurized training instance."""
-
-    doc_id: str
-    features: dict[int, int]
-    target: int
-
-
-@dataclass
 class LabeledText:
-    """A raw (text, target) pair, featurized later (e.g. per capacity setting)."""
+    """A training instance: a snippet's text and its 0/1 target."""
 
     doc_id: str
     text: str
@@ -192,6 +186,16 @@ class FeatureBatch:
         gather = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
         return FeatureBatch(self.indices[gather], self.values[gather], offsets)
 
+    @staticmethod
+    def concat(batches: Sequence["FeatureBatch"]) -> "FeatureBatch":
+        """The rows of every batch, in order, as one batch."""
+        starts = np.cumsum([0] + [b.offsets[-1] for b in batches[:-1]])
+        return FeatureBatch(
+            np.concatenate([b.indices for b in batches]),
+            np.concatenate([b.values for b in batches]),
+            np.concatenate([[0]] + [b.offsets[1:] + s for b, s in zip(batches, starts)]),
+        )
+
 
 def featurize_batch(texts: Sequence[str], config: FeaturizerConfig) -> FeatureBatch:
     """Hashed bag of word n-grams for each text, as one CSR batch; collisions
@@ -208,12 +212,28 @@ def featurize_batch(texts: Sequence[str], config: FeaturizerConfig) -> FeatureBa
     return FeatureBatch(indices=cells, values=counts.astype(np.float64), offsets=offsets)
 
 
-def hash_counts(text: str, config: FeaturizerConfig) -> dict[int, int]:
-    """Full 64-bit hashed n-gram counts; project with a mask to get indices.
+def featurize_chunks(texts: Iterable[str], config: FeaturizerConfig) -> Iterator[FeatureBatch]:
+    """featurize_batch over consecutive runs of about FEATURIZE_BATCH_CHARS
+    characters, so memory stays bounded for any number of texts. Texts are
+    read lazily: when a batch is yielded, exactly its texts have been read.
+    A text's row does not depend on its batch."""
+    chunk: list[str] = []
+    chars = 0
+    for text in texts:
+        chunk.append(text)
+        chars += len(text)
+        if chars >= FEATURIZE_BATCH_CHARS:
+            yield featurize_batch(chunk, config)
+            chunk, chars = [], 0
+    if chunk:
+        yield featurize_batch(chunk, config)
 
-    Hashing once at 64 bits lets capacity sweeps re-project the same counts
-    to several hash_bits settings without re-tokenizing.
-    """
+
+def hash_counts(text: str, config: FeaturizerConfig) -> dict[int, int]:
+    """Full 64-bit hashed n-gram counts of one text, before the mask;
+    `project_counts` masks them into feature indices. One-text views of the
+    batched path, like `featurize_text`, kept for callers that look them up
+    by name; training and scoring use `featurize_chunks`."""
     _, hashes = _ngram_hashes([text], config)
     uniq, counts = np.unique(hashes, return_counts=True)
     return dict(zip(uniq.tolist(), counts.tolist()))
@@ -232,18 +252,11 @@ def featurize_text(text: str, config: FeaturizerConfig) -> dict[int, int]:
     return featurize_batch([text], config).row(0)
 
 
-def featurize(snippet: Snippet, config: FeaturizerConfig) -> dict[int, int]:
-    """Deterministic hashed bag of word n-grams; collisions add counts."""
-    if not snippet.text:
-        raise ValueError("empty snippet")
-    return featurize_text(snippet.text, config)
-
-
 def split_train_val(
-    examples: Sequence[LabeledExample],
+    examples: Sequence[LabeledText],
     val_fraction: float = 0.1,
     seed: int = 0,
-) -> tuple[list[LabeledExample], list[LabeledExample]]:
+) -> tuple[list[LabeledText], list[LabeledText]]:
     """Disjoint, exhaustive, seed-deterministic stratified split."""
     if not 0 < val_fraction < 1:
         raise ValueError("val_fraction must be in (0, 1)")
@@ -278,51 +291,15 @@ def f1(preds: Sequence[int], gold: Sequence[int]) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _sigmoid(z: float) -> float:
-    z = min(max(z, -60.0), 60.0)
-    return 1.0 / (1.0 + math.exp(-z))
-
-
-def _probabilities(batch: FeatureBatch, w: np.ndarray, b: float) -> np.ndarray:
-    """sigmoid(w . x + b) per row, with the logit clipped to [-60, 60]."""
-    lengths = batch.lengths
+def _forward(batch: FeatureBatch, w: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the logit z = w . x + b and sigmoid(z) with z clipped to [-60, 60]."""
     z = np.zeros(len(batch), dtype=np.float64)
-    nonempty = lengths > 0
+    nonempty = batch.lengths > 0
     if nonempty.any():
         prods = w[batch.indices] * batch.values
         z[nonempty] = np.add.reduceat(prods, batch.offsets[:-1][nonempty])
-    z = np.clip(z + b, -60.0, 60.0)
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-@dataclass
-class _Packed:
-    """A featurized dataset with its targets and per-example class weights."""
-
-    features: FeatureBatch
-    targets: np.ndarray  # float64 0/1
-    weights: np.ndarray  # float64 per-example class weight
-
-
-def _pack(examples: Sequence[LabeledExample], class_weights: dict[int, float]) -> _Packed:
-    indices: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    offsets = np.zeros(len(examples) + 1, dtype=np.int64)
-    targets = np.zeros(len(examples), dtype=np.float64)
-    weights = np.zeros(len(examples), dtype=np.float64)
-    for i, ex in enumerate(examples):
-        items = sorted(ex.features.items())  # fixed order => reproducible float sums
-        indices.append(np.fromiter((k for k, _ in items), dtype=np.int64, count=len(items)))
-        values.append(np.fromiter((v for _, v in items), dtype=np.float64, count=len(items)))
-        offsets[i + 1] = offsets[i] + len(items)
-        targets[i] = ex.target
-        weights[i] = class_weights[ex.target]
-    features = FeatureBatch(
-        indices=np.concatenate(indices) if indices else np.zeros(0, dtype=np.int64),
-        values=np.concatenate(values) if values else np.zeros(0, dtype=np.float64),
-        offsets=offsets,
-    )
-    return _Packed(features=features, targets=targets, weights=weights)
+    z += b
+    return z, 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
 
 
 @dataclass
@@ -369,57 +346,36 @@ def class_weight_map(targets: Iterable[int], enabled: bool = True) -> dict[int, 
     return {0: n / (2.0 * n_neg), 1: n / (2.0 * n_pos)}
 
 
-def logistic_loss(
-    weights: np.ndarray,
-    bias: float,
-    examples: Sequence[LabeledExample],
-    class_weights: dict[int, float] | None = None,
-) -> float:
-    """Mean weighted logistic loss (the training objective)."""
-    cw = class_weights or {0: 1.0, 1: 1.0}
-    total = 0.0
-    for ex in examples:
-        items = sorted(ex.features.items())
-        z = sum(weights[k] * v for k, v in items) + bias
-        # log(1 + e^z) - y*z, computed stably
-        total += cw[ex.target] * (np.logaddexp(0.0, z) - ex.target * z)
-    return total / len(examples)
+def loss_and_grad(
+    batch: FeatureBatch,
+    targets: np.ndarray,
+    sample_weights: np.ndarray,
+    w: np.ndarray,
+    b: float,
+) -> tuple[float, np.ndarray, float]:
+    """Mean weighted logistic loss of a batch, and its gradient.
 
-
-def logistic_loss_gradient(
-    weights: np.ndarray,
-    bias: float,
-    examples: Sequence[LabeledExample],
-    class_weights: dict[int, float] | None = None,
-) -> tuple[np.ndarray, float]:
-    """Analytic gradient of logistic_loss wrt (weights, bias)."""
-    cw = class_weights or {0: 1.0, 1: 1.0}
-    grad_w = np.zeros_like(weights)
-    grad_b = 0.0
-    for ex in examples:
-        items = sorted(ex.features.items())
-        z = sum(weights[k] * v for k, v in items) + bias
-        g = cw[ex.target] * (_sigmoid(z) - ex.target)
-        for k, v in items:
-            grad_w[k] += g * v
-        grad_b += g
-    return grad_w / len(examples), grad_b / len(examples)
-
-
-def _predictions(packed: _Packed, w: np.ndarray, b: float) -> list[int]:
-    p = _probabilities(packed.features, w, b)
-    return [1 if prob > 0.5 else 0 for prob in p]
+    The weight gradient is in the batch's sparse layout, one value per stored
+    feature (a feature index may repeat across rows); the last item is the
+    bias gradient.
+    """
+    z, p = _forward(batch, w, b)
+    # log(1 + e^z) - y*z, computed stably
+    loss = float(np.mean(sample_weights * (np.logaddexp(0.0, z) - targets * z)))
+    g = sample_weights * (p - targets) / len(batch)
+    return loss, np.repeat(g, batch.lengths) * batch.values, float(g.sum())
 
 
 def train_classifier(
-    train: Sequence[LabeledExample],
-    val: Sequence[LabeledExample],
+    train: Sequence[LabeledText],
+    val: Sequence[LabeledText],
     config: TrainConfig,
 ) -> QualityClassifier:
     """Minimize logistic loss by seeded mini-batch SGD; early-stop on val F1.
 
-    Deterministic for a fixed seed (single worker). The returned model carries
-    the best-epoch weights; F1 ties resolve toward the earlier epoch.
+    Texts are featurized as scoring does (`featurize_chunks`). Deterministic
+    for a fixed seed (single worker). The returned model carries the
+    best-epoch weights; F1 ties resolve toward the earlier epoch.
     """
     if not train:
         raise DegenerateLabelsError("degenerate label distribution: empty training set")
@@ -429,13 +385,17 @@ def train_classifier(
     if not val:
         raise ValueError("validation set is empty")
 
-    cw = class_weight_map([e.target for e in train], config.class_weighting)
-    dim = config.featurizer.dim
-    packed_train = _pack(train, cw)
-    packed_val = _pack(val, cw)
-    gold_val = [int(t) for t in packed_val.targets]
+    def featurized(examples: Sequence[LabeledText]) -> FeatureBatch:
+        texts = (e.text for e in examples)
+        return FeatureBatch.concat(list(featurize_chunks(texts, config.featurizer)))
 
-    w = np.zeros(dim, dtype=np.float64)
+    cw = class_weight_map([e.target for e in train], config.class_weighting)
+    features, val_features = featurized(train), featurized(val)
+    y = np.array([e.target for e in train], dtype=np.float64)
+    sample_weights = np.array([cw[e.target] for e in train], dtype=np.float64)
+    gold_val = [e.target for e in val]
+
+    w = np.zeros(config.featurizer.dim, dtype=np.float64)
     b = 0.0
     rng = random.Random(f"train:{config.seed}")
     order = list(range(len(train)))
@@ -451,14 +411,13 @@ def train_classifier(
         rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
             rows = np.array(order[start : start + config.batch_size], dtype=np.int64)
-            batch = packed_train.features.take(rows)
-            p = _probabilities(batch, w, b)
-            g = packed_train.weights[rows] * (p - packed_train.targets[rows])
-            scale = lr / len(rows)
-            np.subtract.at(w, batch.indices, scale * np.repeat(g, batch.lengths) * batch.values)
-            b -= scale * g.sum()
+            batch = features.take(rows)
+            _, grad_w, grad_b = loss_and_grad(batch, y[rows], sample_weights[rows], w, b)
+            np.subtract.at(w, batch.indices, lr * grad_w)
+            b -= lr * grad_b
         epochs_run += 1
-        val_f1 = f1(_predictions(packed_val, w, b), gold_val)
+        preds = (_forward(val_features, w, b)[1] > 0.5).astype(int).tolist()
+        val_f1 = f1(preds, gold_val)
         if val_f1 > best_f1:
             best_f1 = val_f1
             best_epoch = epoch
@@ -486,7 +445,7 @@ def train_classifier(
 def score_batch(classifier: QualityClassifier, batch: FeatureBatch) -> np.ndarray:
     """Quality score in (0, 1) per row: sigmoid of the sparse dot product,
     clamped to [EPS, 1 - EPS] so the open interval holds in float arithmetic."""
-    p = _probabilities(batch, classifier.weights, classifier.bias)
+    _, p = _forward(batch, classifier.weights, classifier.bias)
     return np.clip(p, EPS, 1.0 - EPS)
 
 
@@ -557,7 +516,3 @@ def load_model(path: str | Path) -> QualityClassifier:
         format_version=version,
     )
 
-
-def with_hash_bits(config: FeaturizerConfig, hash_bits: int) -> FeaturizerConfig:
-    """Same featurizer at a different capacity."""
-    return replace(config, hash_bits=hash_bits)

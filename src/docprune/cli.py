@@ -17,12 +17,14 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import ablation
-from .classifier import (
+# `featurize_text` is the one-text view of the batched featurizer that
+# training and scoring use; it stays importable here for callers that look
+# it up on this module.
+from .classifier import (  # noqa: F401
     DegenerateLabelsError,
-    FeaturizerConfig,
-    LabeledExample,
+    LabeledText,
     ModelFormatError,
-    TrainConfig,
+    QualityClassifier,
     featurize_text,
     load_model,
     save_model,
@@ -46,7 +48,6 @@ from .labeling import (
     LabelRunAborted,
     PromptTemplate,
     TransportError,
-    YES,
     label_documents,
     read_demonstrations,
     read_labels,
@@ -54,6 +55,7 @@ from .labeling import (
 )
 from .mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
 from .selection import (
+    DuplicateIdError,
     ScoreSet,
     SelectionDecision,
     default_ratio_from_labels,
@@ -162,53 +164,35 @@ def cmd_label(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_train(config: RunConfig, args) -> int:
-    labels = read_labels(Path(args.labels))
-    snippets = {s.doc_id: s.text for s in _read_snippets(Path(args.snippets))}
-    featurizer = FeaturizerConfig(
-        ngram_orders=config.distiller.ngram_orders,
-        hash_bits=config.distiller.hash_bits,
-        lowercase=config.distiller.lowercase,
-        token_pattern=config.distiller.token_pattern,
-    )
-    examples = []
-    for lbl in labels:
-        text = snippets.get(lbl.doc_id)
-        if text is None:
-            raise CorpusError(f"label {lbl.doc_id!r} has no matching snippet")
-        examples.append(
-            LabeledExample(
-                lbl.doc_id, featurize_text(text, featurizer), 1 if lbl.label == YES else 0
-            )
-        )
+def _train(
+    config: RunConfig, labels, snippets
+) -> tuple[QualityClassifier, list[LabeledText]]:
+    """Join labels to their snippets (a label without one is a CorpusError),
+    split, and train with the [distiller] settings; returns the model and
+    its training split."""
+    examples = ablation.labeled_texts(labels, {s.doc_id: s.text for s in snippets})
     train, val = split_train_val(examples, config.distiller.val_fraction, config.run.seed)
-    classifier = train_classifier(
-        train,
-        val,
-        TrainConfig(
-            featurizer=featurizer,
-            epochs=config.distiller.epochs,
-            learning_rate=config.distiller.learning_rate,
-            batch_size=config.distiller.batch_size,
-            seed=config.run.seed,
-            class_weighting=config.distiller.class_weighting,
-            patience=config.distiller.patience,
-        ),
+    return train_classifier(train, val, config.distiller.to_train_config(config.run.seed)), train
+
+
+def cmd_train(config: RunConfig, args) -> int:
+    classifier, train = _train(
+        config, read_labels(Path(args.labels)), _read_snippets(Path(args.snippets))
     )
     out = _out_dir(config, args, "train")
     save_model(classifier, out / "model.bin")
-    yes_train = sum(e.target for e in train) / len(train)
+    meta = classifier.training_meta
     _write_json(
         out / "training-report.json",
         {
-            "train_size": len(train),
-            "val_size": len(val),
-            "val_f1": classifier.training_meta["val_f1"],
-            "epochs_run": classifier.training_meta["epochs"],
-            "yes_fraction_train": yes_train,
+            "train_size": meta["train_size"],
+            "val_size": meta["val_size"],
+            "val_f1": meta["val_f1"],
+            "epochs_run": meta["epochs"],
+            "yes_fraction_train": sum(e.target for e in train) / len(train),
         },
     )
-    log.info("trained classifier: val F1 %.4f", classifier.training_meta["val_f1"])
+    log.info("trained classifier: val F1 %.4f", meta["val_f1"])
     return EXIT_OK
 
 
@@ -280,31 +264,7 @@ def _ablate_classifier(config: RunConfig, docs):
         PromptTemplate.for_version(config.labeler.prompt_version),
         transport=MockQualityTransport(),
     )
-    featurizer = FeaturizerConfig(
-        ngram_orders=config.distiller.ngram_orders,
-        hash_bits=config.distiller.hash_bits,
-        lowercase=config.distiller.lowercase,
-        token_pattern=config.distiller.token_pattern,
-    )
-    texts = {s.doc_id: s.text for s in snippets}
-    examples = [
-        LabeledExample(t.doc_id, featurize_text(t.text, featurizer), t.target)
-        for t in ablation.labeled_texts(labels, texts)
-    ]
-    train, val = split_train_val(examples, config.distiller.val_fraction, config.run.seed)
-    return train_classifier(
-        train,
-        val,
-        TrainConfig(
-            featurizer=featurizer,
-            epochs=config.distiller.epochs,
-            learning_rate=config.distiller.learning_rate,
-            batch_size=config.distiller.batch_size,
-            seed=config.run.seed,
-            class_weighting=config.distiller.class_weighting,
-            patience=config.distiller.patience,
-        ),
-    )
+    return _train(config, labels, snippets)[0]
 
 
 def cmd_ablate(config: RunConfig, args) -> int:
@@ -483,7 +443,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DegenerateLabelsError as exc:
+    except (DegenerateLabelsError, DuplicateIdError) as exc:
         print(f"degenerate data: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (TransportError, LabelRunAborted) as exc:

@@ -10,6 +10,7 @@ import configparser
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .classifier import FeaturizerConfig, TrainConfig
 from .labeling import LabelerConfig
 
 
@@ -39,6 +40,12 @@ def _parse_ratio(raw: str):
     if value == "from-labels":
         return value
     return float(value)
+
+
+def _build(cls, section, **given):
+    """cls from the section's fields of the same names, plus `given`."""
+    taken = {f.name: getattr(section, f.name) for f in fields(cls) if f.name not in given}
+    return cls(**taken, **given)
 
 
 @dataclass
@@ -76,18 +83,7 @@ class LabelerSection:
     mock: bool = False
 
     def to_labeler_config(self) -> LabelerConfig:
-        return LabelerConfig(
-            endpoint_url=self.endpoint_url,
-            model_name=self.model_name,
-            temperature=self.temperature,
-            max_output_tokens=self.max_output_tokens,
-            max_concurrent_requests=self.max_concurrent_requests,
-            max_retries=self.max_retries,
-            backoff_base=self.backoff_base,
-            request_timeout=self.request_timeout,
-            failure_ceiling=self.failure_ceiling,
-            api_key_env=self.api_key_env,
-        )
+        return _build(LabelerConfig, self)
 
 
 @dataclass
@@ -102,6 +98,9 @@ class DistillerSection:
     batch_size: int = 64
     class_weighting: bool = True
     patience: int = 3
+
+    def to_train_config(self, seed: int) -> TrainConfig:
+        return _build(TrainConfig, self, featurizer=_build(FeaturizerConfig, self), seed=seed)
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 
 # `score` is the one-snippet form of the batched path below; it stays
 # importable here for callers that look it up on this module.
-from .classifier import QualityClassifier, featurize_batch, score, score_batch  # noqa: F401
+from .classifier import QualityClassifier, featurize_chunks, score, score_batch  # noqa: F401
 from .corpus import (
     CorpusError,
     Document,
@@ -34,14 +34,14 @@ from .corpus import (
 from .labeling import QualityLabel, yes_fraction
 
 SCORES_FORMAT_VERSION = 1
-# Scoring works on batches of about this many snippet characters (~11k
-# tokens at 6 chars per token). Each batch hashes its distinct tokens anew,
-# so larger batches hash less but raise peak RSS.
-SCORE_BATCH_CHARS = 1 << 16
 
 
 class TieDegeneracyWarning(UserWarning):
     """Ties at the cutoff forced fewer documents than the target ratio."""
+
+
+class DuplicateIdError(ValueError):
+    """A document id occurs more than once in a score set."""
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,24 @@ class ScoreSet:
                     yield ScoreRecord(doc_id=rec["doc_id"], score=rec["score"], shard=source)
 
     def load_scores(self) -> dict[str, float]:
-        return {rec.doc_id: rec.score for rec in self.iter_records()}
+        return _scores_by_id(self.iter_records(), self.iter_records)
+
+
+def _scores_by_id(
+    records: Iterable[ScoreRecord], reread: Callable[[], Iterable[ScoreRecord]]
+) -> dict[str, float]:
+    """doc_id -> score; a repeated id raises DuplicateIdError naming the id and
+    its shards, which `reread` (a second pass over the records) finds."""
+    scores: dict[str, float] = {}
+    for n, rec in enumerate(records, 1):
+        scores[rec.doc_id] = rec.score
+        if len(scores) < n:
+            shards = [r.shard for r in reread() if r.doc_id == rec.doc_id]
+            raise DuplicateIdError(
+                f"document id {rec.doc_id!r} is scored {len(shards)} times, in shards "
+                f"{', '.join(shards)}; document ids must be unique across the corpus"
+            )
+    return scores
 
 
 def _score_shard_path(out_dir: Path, shard: Shard) -> Path:
@@ -155,39 +172,31 @@ def score_documents(
 ) -> tuple[list[ScoreRecord], int]:
     """Score documents in memory; returns (records, skipped_empty_count).
 
-    Snippets are featurized and scored in batches of about SCORE_BATCH_CHARS
-    characters, so memory stays bounded for any number of documents. A
-    document's score does not depend on its batch.
+    Snippets are featurized and scored in `featurize_chunks` batches, so
+    memory stays bounded for any number of documents. A document's score
+    does not depend on its batch.
     """
     records: list[ScoreRecord] = []
     skipped = 0
-    pending: list[Document] = []
-    texts: list[str] = []
-    chars = 0
+    unscored: list[tuple[str, str]] = []  # (id, shard) of each snippet read, in order
 
-    def flush() -> None:
-        batch = featurize_batch(texts, classifier.featurizer)
-        scores = score_batch(classifier, batch)
+    def snippets() -> Iterator[str]:
+        nonlocal skipped
+        for doc in docs:
+            if not doc.text:
+                skipped += 1
+                continue
+            unscored.append((doc.id, doc.source_shard))
+            yield extract_snippet(doc, token_budget, chars_per_token).text
+
+    for batch in featurize_chunks(snippets(), classifier.featurizer):
+        scores = score_batch(classifier, batch).tolist()
+        del batch  # freed before the next batch is built
         records.extend(
-            ScoreRecord(doc_id=doc.id, score=s, shard=doc.source_shard)
-            for doc, s in zip(pending, scores.tolist())
+            ScoreRecord(doc_id=doc_id, score=s, shard=shard)
+            for (doc_id, shard), s in zip(unscored, scores)
         )
-        pending.clear()
-        texts.clear()
-
-    for doc in docs:
-        if not doc.text:
-            skipped += 1
-            continue
-        text = extract_snippet(doc, token_budget, chars_per_token).text
-        pending.append(doc)
-        texts.append(text)
-        chars += len(text)
-        if chars >= SCORE_BATCH_CHARS:
-            flush()
-            chars = 0
-    if pending:
-        flush()
+        unscored.clear()
     return records, skipped
 
 
@@ -254,46 +263,39 @@ def score_corpus(
 
 
 def exact_cutoff(scores: np.ndarray, keep: int) -> float:
-    """Exact (1 - ratio) quantile by full sort.
-
-    This is the desk-scale cutoff strategy; a streaming quantile sketch can be
-    swapped in through the same (scores, keep_count) -> cutoff signature.
-    """
+    """Exact (1 - ratio) quantile by full sort."""
     if keep >= scores.shape[0]:
         return 0.0  # below every score: scores live in (0, 1)
     ordered = np.sort(scores)
     return float(ordered[scores.shape[0] - keep - 1])
 
 
-CutoffStrategy = Callable[[np.ndarray, int], float]
-
-
 def select_cutoff(
     score_set: ScoreSet | Sequence[ScoreRecord],
     target_ratio: float,
-    cutoff_strategy: CutoffStrategy = exact_cutoff,
     classifier_id: str | None = None,
 ) -> SelectionDecision:
     """Pick the cutoff whose strictly-above set best realizes the target ratio.
 
     The kept count is the largest feasible count <= floor(target_ratio * N)
     under the strict-comparison rule; equal-score ties at the cutoff are
-    reported, never silently resolved.
+    reported, never silently resolved. A repeated doc id raises
+    DuplicateIdError.
     """
     if isinstance(score_set, ScoreSet):
-        records = list(score_set.iter_records())
+        scores_by_id = score_set.load_scores()
         if classifier_id is None:
             classifier_id = score_set.classifier_id
     else:
-        records = list(score_set)
-    if not records:
+        scores_by_id = _scores_by_id(score_set, lambda: score_set)
+    if not scores_by_id:
         raise ValueError("empty score set")
     if not 0 < target_ratio <= 1:
         raise ValueError("target_ratio must be in (0, 1]")
-    scores = np.array([r.score for r in records], dtype=np.float64)
+    scores = np.fromiter(scores_by_id.values(), dtype=np.float64, count=len(scores_by_id))
     n = scores.shape[0]
     keep_target = int(math.floor(target_ratio * n + 1e-9))
-    cutoff = cutoff_strategy(scores, keep_target)
+    cutoff = exact_cutoff(scores, keep_target)
     kept = int((scores > cutoff).sum())
     tie_rule = "keep documents scoring strictly above the cutoff; ties at the cutoff drop"
     if kept < keep_target:

@@ -12,7 +12,7 @@ from docprune.ablation import (
     run_ratio_sweep,
     snippets_of,
 )
-from docprune.classifier import FeaturizerConfig, LabeledText, TrainConfig, LabeledExample, split_train_val, train_classifier, featurize_text, f1, score
+from docprune.classifier import FeaturizerConfig, LabeledText, TrainConfig, split_train_val, train_classifier, f1, score
 from docprune.corpus import snippet_of
 from docprune.labeling import IclDemonstration, LabelerConfig, PromptTemplate, label_documents
 from docprune.mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
@@ -33,11 +33,7 @@ def _mock_labeled(docs):
 def _trained_classifier(docs, hash_bits=14, seed=0):
     labels, texts, _ = _mock_labeled(docs)
     config = FeaturizerConfig(hash_bits=hash_bits)
-    examples = [
-        LabeledExample(t.doc_id, featurize_text(t.text, config), t.target)
-        for t in labeled_texts(labels, texts)
-    ]
-    train, val = split_train_val(examples, 0.1, seed=seed)
+    train, val = split_train_val(labeled_texts(labels, texts), 0.1, seed=seed)
     return train_classifier(train, val, TrainConfig(featurizer=config, seed=seed))
 
 
@@ -148,13 +144,9 @@ class TestCapacitySweep:
         texts_by_id = {e.doc_id: e.text for e in shuffled}
         for bits in (10, 14, 18):
             config = FeaturizerConfig(hash_bits=bits)
-            featurized = [
-                LabeledExample(e.doc_id, featurize_text(e.text, config), e.target)
-                for e in shuffled
-            ]
             chances = []
             for seed in (0, 1, 2):
-                train, val = split_train_val(featurized, 0.25, seed=seed)
+                train, val = split_train_val(shuffled, 0.25, seed=seed)
                 clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=seed))
                 scored = [
                     (score(clf, snippet_of(texts_by_id[e.doc_id])), e.target) for e in val
@@ -279,13 +271,10 @@ class TestZeroStrengthChance:
         labels, texts, _ = _mock_labeled(docs)
         stratum = {d.id: 1 if stratum_of(d) else 0 for d in docs}
         config = FeaturizerConfig(hash_bits=14)
-        feats = [
-            LabeledExample(t.doc_id, featurize_text(t.text, config), t.target)
-            for t in labeled_texts(labels, texts)
-        ]
+        examples = labeled_texts(labels, texts)
         chances = []
         for seed in (0, 1, 2):
-            train, val = split_train_val(feats, 0.25, seed=seed)
+            train, val = split_train_val(examples, 0.25, seed=seed)
             clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=seed))
             scored = [
                 (score(clf, snippet_of(texts[e.doc_id])), stratum[e.doc_id]) for e in val

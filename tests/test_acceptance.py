@@ -14,13 +14,10 @@ import pytest
 from docprune.ablation import labeled_texts, run_capacity_sweep, run_icl_comparison, snippets_of
 from docprune.classifier import (
     FeaturizerConfig,
-    LabeledExample,
+    LabeledText,
     TrainConfig,
     class_weight_map,
     f1,
-    featurize_text,
-    logistic_loss,
-    logistic_loss_gradient,
     score,
     split_train_val,
     train_classifier,
@@ -49,6 +46,7 @@ from docprune.selection import (
 )
 from docprune.synthetic import SyntheticCorpusSpec, generate_documents, generate_synthetic_corpus, stratum_of, truth_by_doc
 
+from test_classifier import check_gradient_against_finite_differences, feature_batch
 from test_labeling import FROZEN_INSTRUCTIONS, SAMPLE_PROMPT
 
 MOCK_CONFIG = LabelerConfig(model_name="mock", max_concurrent_requests=8)
@@ -178,29 +176,19 @@ def test_criterion_4_capacity_ordering():
 
 class TestCriterion5ClassifierCorrectness:
     def test_gradient_matches_finite_differences(self):
+        # The gradient the trainer applies (`loss_and_grad`), not a copy of it.
         rng = random.Random(5)
         np_rng = np.random.default_rng(5)
         config = FeaturizerConfig(hash_bits=8)
-        examples = []
-        for i in range(10):
-            features = {rng.randrange(config.dim): rng.randint(1, 4) for _ in range(10)}
-            examples.append(LabeledExample(f"e{i}", features, i % 2))
+        rows = [{rng.randrange(config.dim): rng.randint(1, 4) for _ in range(10)} for _ in range(10)]
+        targets = np.array([i % 2 for i in range(10)], dtype=np.float64)
+        cw = class_weight_map([i % 2 for i in range(10)])
+        sample_weights = np.array([cw[i % 2] for i in range(10)])
         weights = np_rng.normal(0, 0.7, config.dim)
-        bias = -0.2
-        cw = class_weight_map([e.target for e in examples])
-        grad_w, grad_b = logistic_loss_gradient(weights, bias, examples, cw)
-        h = 1e-6
-        for k in sorted({k for e in examples for k in e.features}):
-            wp, wm = weights.copy(), weights.copy()
-            wp[k] += h
-            wm[k] -= h
-            fd = (logistic_loss(wp, bias, examples, cw) - logistic_loss(wm, bias, examples, cw)) / (2 * h)
-            assert abs(fd - grad_w[k]) / max(abs(fd), abs(grad_w[k]), 1e-8) <= 1e-4
-        fd_b = (
-            logistic_loss(weights, bias + h, examples, cw)
-            - logistic_loss(weights, bias - h, examples, cw)
-        ) / (2 * h)
-        assert abs(fd_b - grad_b) / max(abs(fd_b), 1e-8) <= 1e-4
+        check_gradient_against_finite_differences(
+            feature_batch(rows), targets, sample_weights, weights, -0.2,
+            sorted({k for r in rows for k in r}),
+        )
 
     def test_f1_matches_brute_force_exactly(self):
         def brute(preds, gold):
@@ -221,9 +209,7 @@ class TestCriterion5ClassifierCorrectness:
         examples = []
         for doc in docs:
             target = 1 if stratum_of(doc) else 0
-            examples.append(
-                LabeledExample(doc.id, featurize_text(doc.text, config), target)
-            )
+            examples.append(LabeledText(doc.id, doc.text, target))
         train, val = split_train_val(examples, 0.1, seed=0)
         clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=0))
         assert clf.training_meta["val_f1"] >= 0.95
@@ -239,10 +225,7 @@ class TestCriterion5ClassifierCorrectness:
         targets = [1 if stratum_of(d) else 0 for d in docs]
         rng = random.Random(0)
         rng.shuffle(targets)
-        examples = [
-            LabeledExample(d.id, featurize_text(d.text, config), t)
-            for d, t in zip(docs, targets)
-        ]
+        examples = [LabeledText(d.id, d.text, t) for d, t in zip(docs, targets)]
         chances = []
         for seed in (0, 1, 2):
             train, val = split_train_val(examples, 0.25, seed=seed)
@@ -276,12 +259,7 @@ class TestCriterion7DeterminismAndParallelSafety:
         docs = list(ingest_shards(shard_set))
         sample = reservoir_sample(iter(docs), 1_000, seed=3)
         config = FeaturizerConfig(hash_bits=14)
-        examples = [
-            LabeledExample(
-                d.id, featurize_text(d.text, config), 1 if stratum_of(d) else 0
-            )
-            for d in sample
-        ]
+        examples = [LabeledText(d.id, d.text, 1 if stratum_of(d) else 0) for d in sample]
         train, val = split_train_val(examples, 0.1, seed=0)
         clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=0))
 
@@ -316,10 +294,7 @@ class TestCriterion7DeterminismAndParallelSafety:
         assert [d.id for d in a] == [d.id for d in b]
 
         config = FeaturizerConfig(hash_bits=12)
-        examples = [
-            LabeledExample(d.id, featurize_text(d.text, config), 1 if stratum_of(d) else 0)
-            for d in a
-        ]
+        examples = [LabeledText(d.id, d.text, 1 if stratum_of(d) else 0) for d in a]
         train, val = split_train_val(examples, 0.1, seed=1)
         m1 = train_classifier(train, val, TrainConfig(featurizer=config, seed=1))
         m2 = train_classifier(train, val, TrainConfig(featurizer=config, seed=1))

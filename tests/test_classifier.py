@@ -6,18 +6,17 @@ import pytest
 
 from docprune.classifier import (
     DegenerateLabelsError,
+    FeatureBatch,
     FeaturizerConfig,
-    LabeledExample,
+    LabeledText,
     ModelFormatError,
     QualityClassifier,
     TrainConfig,
     class_weight_map,
     f1,
-    featurize,
     featurize_text,
     load_model,
-    logistic_loss,
-    logistic_loss_gradient,
+    loss_and_grad,
     save_model,
     score,
     split_train_val,
@@ -29,7 +28,7 @@ from docprune.corpus import snippet_of
 class TestFeaturize:
     def test_repeated_token_single_index(self):
         config = FeaturizerConfig(ngram_orders=(1,), hash_bits=10)
-        feats = featurize(snippet_of("a a a"), config)
+        feats = featurize_text("a a a", config)
         assert len(feats) == 1
         assert list(feats.values()) == [3]
 
@@ -55,12 +54,8 @@ class TestFeaturize:
 
     def test_no_word_tokens_fallback_feature(self):
         config = FeaturizerConfig()
-        feats = featurize(snippet_of("!!! ???"), config)
+        feats = featurize_text("!!! ???", config)
         assert len(feats) == 1
-
-    def test_empty_snippet_rejected(self):
-        with pytest.raises(ValueError):
-            featurize(snippet_of(""), FeaturizerConfig())
 
     def test_indices_within_dimension(self):
         rng = random.Random(3)
@@ -97,9 +92,7 @@ def _examples(n_pos, n_neg, seed=0, hash_bits=10):
         pos = i < n_pos
         filler = " ".join(f"w{rng.randrange(50)}" for _ in range(10))
         marker = "good" if pos else "bad"
-        out.append(
-            LabeledExample(f"e{i}", featurize_text(f"{filler} {marker}", config), int(pos))
-        )
+        out.append(LabeledText(f"e{i}", f"{filler} {marker}", int(pos)))
     rng.shuffle(out)
     return out, config
 
@@ -186,41 +179,55 @@ class TestF1:
             f1([], [])
 
 
+def feature_batch(rows: list[dict[int, int]]) -> FeatureBatch:
+    """A hand-built CSR batch; each row's indices ascending."""
+    items = [sorted(r.items()) for r in rows]
+    return FeatureBatch(
+        indices=np.array([k for row in items for k, _ in row], dtype=np.int64),
+        values=np.array([v for row in items for _, v in row], dtype=np.float64),
+        offsets=np.cumsum([0] + [len(row) for row in items]).astype(np.int64),
+    )
+
+
+def check_gradient_against_finite_differences(batch, targets, sample_weights, w, b, checked):
+    """loss_and_grad's sparse gradient, summed per index, against central
+    differences of its own loss, at every checked index and at the bias."""
+    _, grad_values, grad_b = loss_and_grad(batch, targets, sample_weights, w, b)
+    grad_w = np.zeros_like(w)
+    np.add.at(grad_w, batch.indices, grad_values)
+
+    def loss(w_, b_):
+        return loss_and_grad(batch, targets, sample_weights, w_, b_)[0]
+
+    h = 1e-6
+    for k in checked:
+        w_plus, w_minus = w.copy(), w.copy()
+        w_plus[k] += h
+        w_minus[k] -= h
+        fd = (loss(w_plus, b) - loss(w_minus, b)) / (2 * h)
+        denom = max(abs(fd), abs(grad_w[k]), 1e-8)
+        assert abs(fd - grad_w[k]) / denom <= 1e-4, f"index {k}"
+    fd_b = (loss(w, b + h) - loss(w, b - h)) / (2 * h)
+    assert abs(fd_b - grad_b) / max(abs(fd_b), 1e-8) <= 1e-4
+
+
 class TestGradient:
     def test_analytic_gradient_matches_finite_differences(self):
         rng = random.Random(9)
         np_rng = np.random.default_rng(9)
-        config = FeaturizerConfig(hash_bits=8)
-        dim = config.dim
-        examples = []
-        for i in range(12):
-            features = {rng.randrange(dim): rng.randint(1, 3) for _ in range(10)}
-            examples.append(LabeledExample(f"g{i}", features, rng.randint(0, 1)))
+        dim = FeaturizerConfig(hash_bits=8).dim
+        rows = [{rng.randrange(dim): rng.randint(1, 3) for _ in range(10)} for _ in range(12)]
+        targets = np.array([rng.randint(0, 1) for _ in rows], dtype=np.float64)
         # both classes present for the weighted variant
-        examples[0].target, examples[1].target = 0, 1
+        targets[0], targets[1] = 0, 1
+        cw = class_weight_map(targets.astype(int).tolist())
+        sample_weights = np.array([cw[int(t)] for t in targets])
         weights = np_rng.normal(0, 0.5, size=dim)
-        bias = 0.3
-        cw = class_weight_map([e.target for e in examples])
-
-        grad_w, grad_b = logistic_loss_gradient(weights, bias, examples, cw)
-        h = 1e-6
-        active = sorted({k for e in examples for k in e.features})
+        active = sorted({k for r in rows for k in r})
         checked = active[:40] + [d for d in range(5) if d not in active]
-        for k in checked:
-            w_plus, w_minus = weights.copy(), weights.copy()
-            w_plus[k] += h
-            w_minus[k] -= h
-            fd = (
-                logistic_loss(w_plus, bias, examples, cw)
-                - logistic_loss(w_minus, bias, examples, cw)
-            ) / (2 * h)
-            denom = max(abs(fd), abs(grad_w[k]), 1e-8)
-            assert abs(fd - grad_w[k]) / denom <= 1e-4, f"index {k}"
-        fd_b = (
-            logistic_loss(weights, bias + h, examples, cw)
-            - logistic_loss(weights, bias - h, examples, cw)
-        ) / (2 * h)
-        assert abs(fd_b - grad_b) / max(abs(fd_b), 1e-8) <= 1e-4
+        check_gradient_against_finite_differences(
+            feature_batch(rows), targets, sample_weights, weights, 0.3, checked
+        )
 
 
 class TestTraining:
@@ -238,6 +245,19 @@ class TestTraining:
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
         assert a.training_meta == b.training_meta
+
+    def test_featurize_batch_size_does_not_change_model(self, monkeypatch):
+        import docprune.classifier as classifier
+
+        examples, config = _examples(60, 60, seed=5)
+        train, val = split_train_val(examples, 0.2, seed=0)
+        whole = train_classifier(train, val, TrainConfig(featurizer=config, seed=2))
+        # ~45-character texts: batches of one or two texts each
+        monkeypatch.setattr(classifier, "FEATURIZE_BATCH_CHARS", 50)
+        chunked = train_classifier(train, val, TrainConfig(featurizer=config, seed=2))
+        assert np.array_equal(whole.weights, chunked.weights)
+        assert whole.bias == chunked.bias
+        assert whole.training_meta == chunked.training_meta
 
     def test_single_class_rejected(self):
         examples, config = _examples(20, 20)
@@ -266,10 +286,7 @@ class TestTraining:
         ]
         targets = [i % 2 for i in range(1200)]
         rng.shuffle(targets)
-        examples = [
-            LabeledExample(str(i), featurize_text(t, config), y)
-            for i, (t, y) in enumerate(zip(texts, targets))
-        ]
+        examples = [LabeledText(str(i), t, y) for i, (t, y) in enumerate(zip(texts, targets))]
         train, val = split_train_val(examples, 0.25, seed=0)
         clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=0))
         val_scores = np.array([score(clf, snippet_of(texts[int(e.doc_id)])) for e in val])
@@ -402,7 +419,7 @@ class TestHeldOutSeparation:
         for doc in train_docs:
             snip = extract_snippet(doc)
             target = 1 if mock_label(snip) == "Yes" else 0
-            examples.append(LabeledExample(doc.id, featurize_text(snip.text, config), target))
+            examples.append(LabeledText(doc.id, snip.text, target))
         train, val = split_train_val(examples, 0.1, seed=0)
         clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=0))
         held_high = [d for d in held if stratum_of(d)][:1000]

@@ -1,9 +1,19 @@
 import json
+from dataclasses import MISSING, fields
 
+import numpy as np
 import pytest
 
+from docprune.classifier import FeaturizerConfig, QualityClassifier, TrainConfig, save_model
 from docprune.cli import main
-from docprune.config import ConfigError, load_config, write_resolved_config
+from docprune.config import (
+    ConfigError,
+    DistillerSection,
+    LabelerSection,
+    load_config,
+    write_resolved_config,
+)
+from docprune.labeling import LabelerConfig
 from docprune.corpus import ShardSet, ingest_shards
 from docprune.labeling import read_labels
 from docprune.selection import Manifest
@@ -65,6 +75,36 @@ class TestConfigFile:
         back = load_config(out)
         assert back.run.seed == 42
         assert back.distiller.ngram_orders == (1, 2)
+
+
+class TestSectionsMatchLibrary:
+    @pytest.mark.parametrize("section, library", [
+        (LabelerSection, LabelerConfig),
+        (DistillerSection, FeaturizerConfig),
+        (DistillerSection, TrainConfig),
+    ])
+    def test_section_defaults_equal_library_defaults(self, section, library):
+        section_defaults = {f.name: f.default for f in fields(section)}
+        shared = [f for f in fields(library) if f.name in section_defaults]
+        assert shared
+        for f in shared:
+            assert f.default is not MISSING, f.name
+            assert section_defaults[f.name] == f.default, f.name
+
+    def test_sections_build_every_library_field(self):
+        labeler = LabelerSection(model_name="m", temperature=0.7).to_labeler_config()
+        assert labeler == LabelerConfig(model_name="m", temperature=0.7)
+        train = DistillerSection(hash_bits=12, epochs=4).to_train_config(seed=9)
+        assert train == TrainConfig(featurizer=FeaturizerConfig(hash_bits=12), epochs=4, seed=9)
+
+    def test_bad_temperature_exits_2(self, tmp_path):
+        snippets = tmp_path / "snippets.jsonl"
+        snippets.write_text("")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[labeler]\ntemperature = -1\nmock = true\n")
+        assert run_cli("label", "--config", cfg, "--snippets", snippets,
+                       "--out", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +284,33 @@ class TestCliPipeline:
         assert run_cli("train", "--snippets", snippets, "--labels", labels) == 3
         assert run_cli("label", "--snippets", snippets) == 2
         assert not (tmp_path / "runs").exists()
+
+    def test_repeated_doc_id_exits_5(self, tmp_path, capsys):
+        from conftest import corpus_dir
+
+        corpus = corpus_dir(tmp_path, {
+            "s0.jsonl": [{"id": "a", "text": "one text"}, {"id": "dup", "text": "two"}],
+            "s1.jsonl": [{"id": "dup", "text": "three"}, {"id": "b", "text": "four"}],
+        }).shards[0].path.parent
+        config = FeaturizerConfig(hash_bits=8)
+        weights = np.random.default_rng(0).normal(0, 1, config.dim)
+        save_model(QualityClassifier(config, weights, 0.0, {}), tmp_path / "model.bin")
+        scores = tmp_path / "scores"
+        assert run_cli("score", "--input", corpus, "--model", tmp_path / "model.bin",
+                       "--out", scores) == 0
+        capsys.readouterr()
+        assert run_cli("select", "--scores", scores, "--target-ratio", 0.5,
+                       "--out", tmp_path / "select") == 5
+        assert "'dup' is scored 2 times, in shards s0.jsonl, s1.jsonl" in capsys.readouterr().err
+        assert not (tmp_path / "select").exists()
+        decision = tmp_path / "decision.json"
+        decision.write_text(json.dumps({
+            "cutoff": 0.5, "target_ratio": 0.5, "achieved_ratio": 0.5, "kept": 2,
+            "dropped": 2,
+        }))
+        assert run_cli("filter", "--input", corpus, "--scores", scores,
+                       "--decision", decision, "--out", tmp_path / "filter") == 5
+        assert "'dup'" in capsys.readouterr().err
 
     def test_score_workers_equivalent(self, pipeline_world):
         tmp, corpus, cfg = pipeline_world

@@ -193,7 +193,7 @@ class TestScoreBatch:
         assert score_batch(cold, batch).tolist() == [1e-7, 1e-7]
 
     def test_score_documents_batching_does_not_change_scores(self, monkeypatch):
-        import docprune.selection as selection
+        import docprune.classifier as classifier
 
         clf = _classifier()
         docs = [
@@ -201,7 +201,7 @@ class TestScoreBatch:
             for i in range(40)
         ]
         whole, skipped = score_documents(docs, clf)
-        monkeypatch.setattr(selection, "SCORE_BATCH_CHARS", 50)
+        monkeypatch.setattr(classifier, "FEATURIZE_BATCH_CHARS", 50)
         chunked, skipped_chunked = score_documents(docs, clf)
         assert skipped == skipped_chunked == 6
         assert whole == chunked

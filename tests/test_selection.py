@@ -2,13 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from docprune.classifier import FeaturizerConfig, TrainConfig, LabeledExample, split_train_val, train_classifier
-from docprune.classifier import featurize_text
+from docprune.classifier import FeaturizerConfig, LabeledText, TrainConfig, split_train_val, train_classifier
 from docprune.corpus import CorpusError, ingest_shards
 from docprune.labeling import NO, YES, DegenerateLabelerWarning, QualityLabel
 from docprune.mocks import mock_label
 from docprune.selection import (
+    DuplicateIdError,
     ScoreRecord,
     ScoreSet,
     SelectionDecision,
@@ -82,6 +84,30 @@ class TestSelectCutoff:
             with pytest.raises(ValueError):
                 select_cutoff(recs, bad)
 
+    @pytest.mark.filterwarnings("ignore::docprune.selection.TieDegeneracyWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scores=st.lists(
+            st.one_of(st.sampled_from([0.2, 0.5, 0.7]), st.floats(1e-7, 1 - 1e-7)),
+            min_size=1, max_size=40,
+        ),
+        data=st.data(),
+    )
+    def test_kept_is_largest_strict_count_within_target(self, scores, data):
+        keep_target = data.draw(st.integers(1, len(scores)))
+        decision = select_cutoff(records(scores), keep_target / len(scores))
+        # Counts a strict cutoff can keep: above each score, or everything.
+        feasible = {sum(s > c for s in scores) for c in scores} | {len(scores)}
+        assert decision.kept == sum(s > decision.cutoff for s in scores)
+        assert decision.kept == max(k for k in feasible if k <= keep_target)
+        assert decision.kept + decision.dropped == len(scores)
+
+    def test_repeated_id_rejected_naming_its_shards(self):
+        recs = [ScoreRecord("a", 0.1, "s0"), ScoreRecord("b", 0.5, "s0"),
+                ScoreRecord("a", 0.9, "s1")]
+        with pytest.raises(DuplicateIdError, match=r"'a'.*2 times.*s0, s1"):
+            select_cutoff(recs, 0.5)
+
 
 class TestDefaultRatio:
     def make_labels(self, yes, no):
@@ -116,7 +142,7 @@ def small_world(tmp_path_factory):
     for doc in docs[:800]:
         snip = extract_snippet(doc)
         target = 1 if mock_label(snip) == YES else 0
-        examples.append(LabeledExample(doc.id, featurize_text(snip.text, config), target))
+        examples.append(LabeledText(doc.id, snip.text, target))
     train, val = split_train_val(examples, 0.1, seed=0)
     clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=0))
     return tmp, shard_set, docs, clf
