@@ -9,13 +9,13 @@ from pathlib import Path
 from docprune import (
     FeaturizerConfig,
     TrainConfig,
-    default_ratio_from_labels,
     filter_corpus,
     ingest_shards,
     score_corpus,
     select_cutoff,
     split_train_val,
     train_classifier,
+    yes_fraction,
 )
 from docprune.ablation import labeled_texts, snippets_of
 from docprune.labeling import LabelerConfig, PromptTemplate, label_documents
@@ -50,7 +50,7 @@ with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:
           f"at {score_set.report.docs_per_second:,.0f} docs/s")
 
     # The labeler's yes-fraction is the rule-of-thumb keep ratio.
-    suggested = default_ratio_from_labels(labels)
+    suggested = yes_fraction(labels)
     print(f"suggested keep ratio from labels: {suggested:.3f}")
 
     # Cutoffs are exact quantiles; documents scoring strictly above are kept.

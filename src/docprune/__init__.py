@@ -70,7 +70,6 @@ from .selection import (
     ScoreSet,
     SelectionDecision,
     TieDegeneracyWarning,
-    default_ratio_from_labels,
     filter_corpus,
     score_corpus,
     select_cutoff,

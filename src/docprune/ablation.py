@@ -8,7 +8,6 @@ only as context prose, never as assertions.
 from __future__ import annotations
 
 import itertools
-import json
 import statistics
 import time
 from dataclasses import dataclass, field, replace
@@ -25,7 +24,7 @@ from .classifier import (
     split_train_val,
     train_classifier,
 )
-from .corpus import CorpusError, Document, Snippet, extract_snippet
+from .corpus import CorpusError, Document, Snippet, atomic_open, extract_snippet, write_jsonl
 from .labeling import (
     IclDemonstration,
     LabelerConfig,
@@ -120,17 +119,15 @@ class SweepReport:
         deterministic for fixed inputs.
         """
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if timestamp is None:
             timestamp = time.strftime("%Y%m%dT%H%M%S")
         seed_part = f"-seed{seed}" if seed is not None else ""
         stem = f"{self.axis}{seed_part}-{timestamp}"
         jsonl_path = out_dir / f"{stem}.jsonl"
         text_path = out_dir / f"{stem}.txt"
-        with open(jsonl_path, "w", encoding="utf-8") as fh:
-            for rec in self.to_records():
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        text_path.write_text(self.render_text(), encoding="utf-8")
+        write_jsonl(jsonl_path, self.to_records())
+        with atomic_open(text_path, "w") as fh:
+            fh.write(self.render_text())
         return jsonl_path, text_path
 
 

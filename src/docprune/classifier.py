@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Snippet
+from .corpus import Snippet, atomic_open
 
 EPS = 1e-7
 MODEL_MAGIC = "docprune-model"
@@ -38,7 +38,8 @@ class ModelFormatError(Exception):
 
 
 class DegenerateLabelsError(ValueError):
-    """Training data contains a single class."""
+    """Labels too one-sided to use: training data of a single class, or a
+    from-labels keep-ratio from a degenerate labeler."""
 
 
 @dataclass(frozen=True)
@@ -60,20 +61,6 @@ class FeaturizerConfig:
     @property
     def dim(self) -> int:
         return 1 << self.hash_bits
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["ngram_orders"] = list(self.ngram_orders)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeaturizerConfig":
-        return cls(
-            ngram_orders=tuple(d["ngram_orders"]),
-            hash_bits=d["hash_bits"],
-            lowercase=d["lowercase"],
-            token_pattern=d["token_pattern"],
-        )
 
 
 @dataclass
@@ -327,7 +314,7 @@ class QualityClassifier:
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
-        h.update(json.dumps(self.featurizer.as_dict(), sort_keys=True).encode())
+        h.update(json.dumps(asdict(self.featurizer), sort_keys=True).encode())
         h.update(np.ascontiguousarray(self.weights, dtype="<f8").tobytes())
         h.update(struct.pack("<d", self.bias))
         return h.hexdigest()[:16]
@@ -463,20 +450,18 @@ def save_model(classifier: QualityClassifier, path: str | Path) -> None:
     The byte layout is fully deterministic, so save(load(save(m))) is
     byte-identical.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     blob = np.ascontiguousarray(classifier.weights, dtype="<f8").tobytes()
     header = {
         "magic": MODEL_MAGIC,
         "format_version": classifier.format_version,
-        "featurizer": classifier.featurizer.as_dict(),
+        "featurizer": asdict(classifier.featurizer),
         "bias": classifier.bias,
         "training_meta": classifier.training_meta,
         "weights_len": int(classifier.weights.shape[0]),
         "weights_dtype": "<f8",
         "weights_sha256": hashlib.sha256(blob).hexdigest(),
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         fh.write(blob)
 
@@ -509,7 +494,7 @@ def load_model(path: str | Path) -> QualityClassifier:
         raise ModelFormatError("weight checksum mismatch: file is corrupt")
     weights = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     return QualityClassifier(
-        featurizer=FeaturizerConfig.from_dict(header["featurizer"]),
+        featurizer=FeaturizerConfig(**header["featurizer"]),
         weights=weights,
         bias=float(header["bias"]),
         training_meta=header["training_meta"],

@@ -2,14 +2,13 @@
 
 Stages communicate only through files (snippets, labels, model, score set,
 decision), so each can run at its own scale and cadence. Every command writes
-its resolved configuration next to its outputs. Exit codes: 0 success,
-2 config error, 3 I/O error, 4 endpoint failure, 5 degenerate data.
+its resolved configuration next to its outputs. Exit codes: 0 success, 2 config
+error, 3 I/O error or malformed stage file, 4 endpoint failure, 5 degenerate data.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 import time
@@ -39,10 +38,15 @@ from .corpus import (
     Snippet,
     extract_snippet,
     ingest_shards,
+    read_json,
+    read_records,
     reservoir_sample,
+    write_json,
+    write_jsonl,
     write_shard_file,
 )
 from .labeling import (
+    YES_FRACTION_RANGE,
     HttpChatTransport,
     IclDemonstration,
     LabelRunAborted,
@@ -52,13 +56,13 @@ from .labeling import (
     read_demonstrations,
     read_labels,
     write_labels,
+    yes_fraction,
 )
 from .mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
 from .selection import (
     DuplicateIdError,
     ScoreSet,
     SelectionDecision,
-    default_ratio_from_labels,
     filter_corpus,
     score_corpus,
     select_cutoff,
@@ -88,25 +92,6 @@ def _out_dir(config: RunConfig, args, command: str) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _write_snippets(snippets, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in snippets:
-            fh.write(json.dumps(asdict(s), ensure_ascii=False, sort_keys=True) + "\n")
-
-
-def _read_snippets(path: Path) -> list[Snippet]:
-    snippets = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                snippets.append(Snippet(**json.loads(line)))
-    return snippets
-
-
 def cmd_sample(config: RunConfig, args) -> int:
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
     out = _out_dir(config, args, "sample")
@@ -123,8 +108,8 @@ def cmd_sample(config: RunConfig, args) -> int:
             extract_snippet(doc, config.corpus.token_budget, config.corpus.chars_per_token)
         )
     write_shard_file(sample, out / "sampled-docs.jsonl")
-    _write_snippets(snippets, out / "snippets.jsonl")
-    _write_json(out / "run-summary.json", {**summary.as_dict(), "empty_documents": empties})
+    write_jsonl(out / "snippets.jsonl", snippets)
+    write_json(out / "run-summary.json", {**asdict(summary), "empty_documents": empties})
     log.info(
         "sampled %d documents (%d snippets) from %d records",
         len(sample), len(snippets), summary.records_read,
@@ -133,11 +118,10 @@ def cmd_sample(config: RunConfig, args) -> int:
 
 
 def cmd_label(config: RunConfig, args) -> int:
-    snippets = _read_snippets(Path(args.snippets))
+    snippets = list(read_records(args.snippets, Snippet))
     template = PromptTemplate.for_version(config.labeler.prompt_version)
-    demos = (
-        read_demonstrations(config.labeler.icl_demos) if config.labeler.icl_demos else []
-    )
+    icl_demos = config.labeler.icl_demos
+    demos = read_demonstrations(icl_demos) if icl_demos else []
     labeler_config = config.labeler.to_labeler_config()
     if config.labeler.mock:
         transport = MockQualityTransport()
@@ -152,11 +136,11 @@ def cmd_label(config: RunConfig, args) -> int:
         )
     except LabelRunAborted as exc:
         write_labels(exc.labels, out / "labels.jsonl")
-        _write_json(out / "label-stats.json", exc.stats.as_dict())
+        write_json(out / "label-stats.json", exc.stats)
         log.error("labeling aborted: %s (partial labels preserved)", exc)
         return EXIT_ENDPOINT
     write_labels(labels, out / "labels.jsonl")
-    _write_json(out / "label-stats.json", stats.as_dict())
+    write_json(out / "label-stats.json", stats)
     log.info(
         "labeled %d/%d snippets, yes-fraction %.3f",
         stats.labeled, stats.requested, stats.yes_fraction,
@@ -177,12 +161,12 @@ def _train(
 
 def cmd_train(config: RunConfig, args) -> int:
     classifier, train = _train(
-        config, read_labels(Path(args.labels)), _read_snippets(Path(args.snippets))
+        config, read_labels(args.labels), read_records(args.snippets, Snippet)
     )
     out = _out_dir(config, args, "train")
     save_model(classifier, out / "model.bin")
     meta = classifier.training_meta
-    _write_json(
+    write_json(
         out / "training-report.json",
         {
             "train_size": meta["train_size"],
@@ -208,7 +192,7 @@ def cmd_score(config: RunConfig, args) -> int:
         token_budget=config.corpus.token_budget,
         chars_per_token=config.corpus.chars_per_token,
     )
-    _write_json(out / "scoring-report.json", score_set.report.as_dict())
+    write_json(out / "scoring-report.json", score_set.report)
     log.info(
         "scored %d documents across %d shards (%.0f docs/s)",
         score_set.report.total_records,
@@ -219,15 +203,21 @@ def cmd_score(config: RunConfig, args) -> int:
 
 
 def cmd_select(config: RunConfig, args) -> int:
-    score_set = ScoreSet.open(Path(args.scores))
+    score_set = ScoreSet.open(args.scores)
     ratio = config.selector.target_ratio
     if ratio == "from-labels":
         if not args.labels:
             raise ConfigError("--target-ratio from-labels requires --labels")
-        ratio = default_ratio_from_labels(read_labels(Path(args.labels)))
+        ratio = yes_fraction(read_labels(args.labels))  # the labeler's keep-ratio
+        lo, hi = YES_FRACTION_RANGE
+        if not lo <= ratio <= hi:
+            raise DegenerateLabelsError(
+                f"from-labels: the labels' yes-fraction {ratio:.3f} is outside "
+                f"[{lo}, {hi}]; pass a numeric --target-ratio instead"
+            )
     decision = select_cutoff(score_set, float(ratio))
     out = _out_dir(config, args, "select")
-    _write_json(out / "decision.json", decision.as_dict())
+    write_json(out / "decision.json", decision)
     log.info(
         "cutoff %.6f keeps %d/%d documents (achieved ratio %.4f, target %.4f)",
         decision.cutoff, decision.kept, decision.kept + decision.dropped,
@@ -238,8 +228,8 @@ def cmd_select(config: RunConfig, args) -> int:
 
 def cmd_filter(config: RunConfig, args) -> int:
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
-    score_set = ScoreSet.open(Path(args.scores))
-    decision = SelectionDecision.from_dict(json.loads(Path(args.decision).read_text()))
+    score_set = ScoreSet.open(args.scores)
+    decision = read_json(args.decision, SelectionDecision)
     out = _out_dir(config, args, "filter")
     _, manifest = filter_corpus(
         shard_set, score_set, decision, out, workers=config.selector.workers
@@ -249,22 +239,6 @@ def cmd_filter(config: RunConfig, args) -> int:
         manifest.output_documents, manifest.input_documents,
     )
     return EXIT_OK
-
-
-def _ablate_classifier(config: RunConfig, docs):
-    """Mini-pipeline for sweeps that need a trained classifier."""
-    ab = config.ablation
-    sample = reservoir_sample(iter(docs), min(ab.sample_size, len(docs)), config.run.seed)
-    snippets = ablation.snippets_of(
-        sample, config.corpus.token_budget, config.corpus.chars_per_token
-    )
-    labels, _ = label_documents(
-        snippets,
-        config.labeler.to_labeler_config(),
-        PromptTemplate.for_version(config.labeler.prompt_version),
-        transport=MockQualityTransport(),
-    )
-    return _train(config, labels, snippets)[0]
 
 
 def cmd_ablate(config: RunConfig, args) -> int:
@@ -278,27 +252,31 @@ def cmd_ablate(config: RunConfig, args) -> int:
         marker_style=ab.marker_style,
     )
     docs = generate_documents(spec)
+    sample = reservoir_sample(iter(docs), min(ab.sample_size, len(docs)), config.run.seed)
     labeler_config = config.labeler.to_labeler_config()
     timestamp = time.strftime("%Y%m%dT%H%M%S")
 
+    def snippets_of(docs):
+        corpus = config.corpus
+        return ablation.snippets_of(docs, corpus.token_budget, corpus.chars_per_token)
+
+    def mock_labels(snippets):
+        template = PromptTemplate.for_version(config.labeler.prompt_version)
+        return label_documents(
+            snippets, labeler_config, template, transport=MockQualityTransport()
+        )[0]
+
     if args.sweep == "ratio":
-        classifier = _ablate_classifier(config, docs)
+        snippets = snippets_of(sample)
+        classifier = _train(config, mock_labels(snippets), snippets)[0]
         report = ablation.run_ratio_sweep(
             docs, classifier, ab.ratios,
             config.corpus.token_budget, config.corpus.chars_per_token,
         )
     elif args.sweep == "capacity":
-        snippets = ablation.snippets_of(
-            docs, config.corpus.token_budget, config.corpus.chars_per_token
-        )
-        labels, _ = label_documents(
-            snippets, labeler_config,
-            PromptTemplate.for_version(config.labeler.prompt_version),
-            transport=MockQualityTransport(),
-        )
-        texts = {s.doc_id: s.text for s in snippets}
+        snippets = snippets_of(docs)
         report = ablation.run_capacity_sweep(
-            ablation.labeled_texts(labels, texts),
+            ablation.labeled_texts(mock_labels(snippets), {s.doc_id: s.text for s in snippets}),
             hash_bits_list=ab.hash_bits_list,
             seeds=ab.seeds,
             val_fraction=config.distiller.val_fraction,
@@ -306,24 +284,16 @@ def cmd_ablate(config: RunConfig, args) -> int:
             learning_rate=config.distiller.learning_rate,
         )
     elif args.sweep == "prompt":
-        sample = reservoir_sample(iter(docs), min(ab.sample_size, len(docs)), config.run.seed)
-        snippets = ablation.snippets_of(
-            sample, config.corpus.token_budget, config.corpus.chars_per_token
-        )
         transport = VersionFlipTransport(flip_rate=ab.flip_rate)
         report = ablation.run_prompt_robustness(
-            snippets, labeler_config, {v: transport for v in ("V1", "V2", "V3")}
+            snippets_of(sample), labeler_config, {v: transport for v in ("V1", "V2", "V3")}
         )
     elif args.sweep == "icl":
-        sample = reservoir_sample(iter(docs), min(ab.sample_size, len(docs)), config.run.seed)
-        snippets = ablation.snippets_of(
-            sample, config.corpus.token_budget, config.corpus.chars_per_token
-        )
+        snippets = snippets_of(sample)
         strong_by_doc = truth_by_doc(sample)
-        demo_snips = snippets[:5]
         demos = [
             IclDemonstration(s.text, strong_by_doc[s.doc_id], "strong-reference")
-            for s in demo_snips
+            for s in snippets[:5]
         ]
         weak = FidelityMockTransport({0: ab.fidelity_0shot, 5: ab.fidelity_5shot})
         report = ablation.run_icl_comparison(
@@ -338,30 +308,23 @@ def cmd_ablate(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
+# Flags that override a config key: argument -> (section, key).
+_OVERRIDES = {
+    "seed": ("run", "seed"), "input": ("corpus", "input_dir"), "n": ("corpus", "sample_size"),
+    "prompt_version": ("labeler", "prompt_version"), "icl_demos": ("labeler", "icl_demos"),
+    "mock": ("labeler", "mock"), "endpoint_url": ("labeler", "endpoint_url"),
+    "model_name": ("labeler", "model_name"), "hash_bits": ("distiller", "hash_bits"),
+    "workers": ("selector", "workers"), "target_ratio": ("selector", "target_ratio"),
+}
+
+
 def _apply_overrides(config: RunConfig, args) -> None:
-    if getattr(args, "seed", None) is not None:
-        config.run.seed = args.seed
-    if getattr(args, "input", None):
-        config.corpus.input_dir = args.input
-    if getattr(args, "n", None) is not None:
-        config.corpus.sample_size = args.n
-    if getattr(args, "prompt_version", None):
-        config.labeler.prompt_version = args.prompt_version
-    if getattr(args, "icl_demos", None):
-        config.labeler.icl_demos = args.icl_demos
-    if getattr(args, "mock", False):
-        config.labeler.mock = True
-    if getattr(args, "endpoint_url", None):
-        config.labeler.endpoint_url = args.endpoint_url
-    if getattr(args, "model_name", None):
-        config.labeler.model_name = args.model_name
-    if getattr(args, "hash_bits", None) is not None:
-        config.distiller.hash_bits = args.hash_bits
-    if getattr(args, "workers", None) is not None:
-        config.selector.workers = args.workers
-    if getattr(args, "target_ratio", None) is not None:
-        raw = args.target_ratio
-        config.selector.target_ratio = raw if raw == "from-labels" else float(raw)
+    for arg, (section, key) in _OVERRIDES.items():
+        value = getattr(args, arg, None)
+        if value is not None and value != "":
+            if arg == "target_ratio" and value != "from-labels":
+                value = float(value)
+            setattr(getattr(config, section), key, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snippets", required=True, help="snippets.jsonl from `sample`")
     p.add_argument("--prompt-version", choices=["v1", "v2", "v3", "V1", "V2", "V3"])
     p.add_argument("--icl-demos", help="demonstrations file (exactly 5 records)")
-    p.add_argument("--mock", action="store_true", help="use the offline mock labeler")
+    p.add_argument("--mock", action="store_true", default=None,
+                   help="use the offline mock labeler")
     p.add_argument("--endpoint-url")
     p.add_argument("--model-name")
     p.set_defaults(handler=cmd_label)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .classifier import FeaturizerConfig, TrainConfig
+from .corpus import atomic_open
 from .labeling import LabelerConfig
 
 
@@ -135,14 +136,7 @@ class RunConfig:
     ablation: AblationSection = field(default_factory=AblationSection)
 
 
-_SECTIONS = {
-    "run": RunSection,
-    "corpus": CorpusSection,
-    "labeler": LabelerSection,
-    "distiller": DistillerSection,
-    "selector": SelectorSection,
-    "ablation": AblationSection,
-}
+_SECTIONS = [f.name for f in fields(RunConfig)]
 
 # Field-specific parsers where the dataclass default's type is not enough.
 _SPECIAL_PARSERS = {
@@ -212,12 +206,10 @@ def _render_value(value) -> str:
 def write_resolved_config(config: RunConfig, path: str | Path) -> None:
     """Snapshot the fully resolved configuration as INI next to run outputs."""
     parser = configparser.ConfigParser(interpolation=None)
-    for section_name, _ in _SECTIONS.items():
+    for section_name in _SECTIONS:
         target = getattr(config, section_name)
         parser[section_name] = {
             f.name: _render_value(getattr(target, f.name)) for f in fields(target)
         }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w") as fh:
         parser.write(fh)

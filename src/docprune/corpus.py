@@ -1,4 +1,6 @@
-"""Sharded document corpus I/O: ingest, sample, slice, and write.
+"""Sharded document corpus I/O, and the stage-file layer: every file a stage
+writes goes through `atomic_open`, and stage files are read back through
+`read_jsonl`/`read_records`/`read_json`, which name the file:line of a bad record.
 
 A corpus is a directory of newline-delimited JSON shards. Every record needs
 a "text" field; "id" and "meta" are optional. A ".gz" suffix marks a
@@ -8,13 +10,18 @@ order so that every seeded operation downstream sees one canonical stream.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import gzip
 import json
+import os
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 FORMAT_VERSION = 1
 
@@ -47,7 +54,6 @@ class ShardSet:
     """An ordered collection of shard files (lexicographic by path)."""
 
     shards: list[Shard]
-    format_version: int = FORMAT_VERSION
 
     @classmethod
     def from_dir(cls, root: str | Path) -> "ShardSet":
@@ -76,9 +82,6 @@ class RunSummary:
     records_skipped: int = 0
     shards: int = 0
     duration: float = 0.0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -221,24 +224,132 @@ def snippet_of(text: str, doc_id: str = "") -> Snippet:
                    approx_token_budget=0)
 
 
-def _write_records(docs: Iterable[Document], path: Path, compress: bool) -> int:
-    fh: IO[bytes] = gzip.open(path, "wb") if compress else open(path, "wb")
+@contextlib.contextmanager
+def atomic_open(path: str | Path, mode: str = "w", compress: bool = False) -> Iterator[IO]:
+    """Open `path` for writing ("w" text, "wb" binary; compress gzips binary)
+    through the temp file ".<name>.<random>.tmp" beside it, which no shard or
+    score glob matches. On success `os.replace` moves it into place; on any
+    exception it is removed and `path` keeps its old bytes. No fsync: a crash
+    leaves no partial file, but power-loss durability is not promised."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    text = "b" not in mode
+    try:
+        with open(tmp, "x" if text else "xb", encoding="utf-8" if text else None) as fh:
+            if compress:  # the gzip header names `path`, not the temp file
+                with gzip.GzipFile(filename=str(path), mode="wb", fileobj=fh) as gz:
+                    yield gz
+            else:
+                yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+_JSONL = json.JSONEncoder(ensure_ascii=False, sort_keys=True)  # built once, not per line
+
+
+def _plain(record) -> dict:
+    return asdict(record) if is_dataclass(record) else record
+
+
+def write_jsonl(path: str | Path, records: Iterable, compress: bool = False) -> int:
+    """Atomically write dicts or dataclasses, one JSON object per line (UTF-8,
+    sorted keys); returns the record count."""
     count = 0
-    with fh:
-        for doc in docs:
-            rec = {"id": doc.id, "text": doc.text, "meta": doc.meta}
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True).encode("utf-8"))
+    with atomic_open(path, "wb", compress=compress) as fh:
+        for count, rec in enumerate(records, 1):
+            fh.write(_JSONL.encode(_plain(rec)).encode())
             fh.write(b"\n")
-            count += 1
     return count
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Atomically write one dict or dataclass as indented JSON with sorted keys."""
+    with atomic_open(path, "w") as fh:
+        fh.write(json.dumps(_plain(obj), indent=2, sort_keys=True))
+
+
+def _parse(raw: bytes, path: Path, line: int) -> dict:
+    """The JSON object in `raw`, which starts at `line` of `path`."""
+    try:
+        rec = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line += raw.count(b"\n", 0, exc.start)
+        raise CorpusError(f"{path}:{line}: bad UTF-8: {exc.reason}") from exc
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}:{line + exc.lineno - 1}: bad JSON: {exc.msg}") from exc
+    if not isinstance(rec, dict):
+        raise CorpusError(f"{path}:{line}: record is not a JSON object")
+    return rec
+
+
+def _numbered(path: Path) -> Iterator[tuple[int, dict]]:
+    with open(path, "rb") as fh:
+        for n, raw in enumerate(fh, 1):
+            if raw.strip():
+                yield n, _parse(raw, path, n)
+
+
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    """Lazily yield the JSON objects of a JSONL file, skipping blank lines; a
+    line that is not UTF-8 JSON of an object raises CorpusError naming it."""
+    return (rec for _, rec in _numbered(Path(path)))
+
+
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(cls: type) -> tuple[frozenset, frozenset, tuple]:
+    """(field names, required names, (name, JSON type) checks) of a dataclass."""
+    fs = fields(cls)
+    required = {f.name for f in fs if f.default is MISSING and f.default_factory is MISSING}
+    checks = tuple((f.name, _JSON_TYPES[f.type]) for f in fs if f.type in _JSON_TYPES)
+    return frozenset(f.name for f in fs), frozenset(required), checks
+
+
+def _as_record(cls: type[T], rec: dict, path: Path, line: int) -> T:
+    names, required, checks = _schema(cls)
+    if not required <= rec.keys() <= names:
+        raise CorpusError(
+            f"{path}:{line}: not a {cls.__name__} record (missing fields "
+            f"{sorted(required - rec.keys())}, unexpected fields {sorted(rec.keys() - names)})"
+        )
+    for name, kind in checks:
+        if name in rec and not isinstance(rec[name], kind):
+            raise CorpusError(f"{path}:{line}: {cls.__name__} field {name!r} has the wrong type")
+    try:
+        return cls(**rec)
+    except (TypeError, ValueError) as exc:
+        raise CorpusError(f"{path}:{line}: {exc}") from exc
+
+
+def read_records(path: str | Path, cls: type[T], header: type | None = None) -> Iterator:
+    """Lazily read a JSONL file as `cls` dataclasses, as `read_jsonl` does; a
+    missing or unexpected field, or a value `cls` rejects, raises CorpusError
+    naming the file and line. With `header`, the first record is read (and
+    yielded) as that dataclass instead."""
+    path = Path(path)
+    for n, rec in _numbered(path):
+        yield _as_record(header or cls, rec, path, n)
+        header = None
+
+
+def read_json(path: str | Path, cls: type[T]) -> T:
+    """Read a JSON file written by `write_json` back as `cls`, validated as
+    `read_records` validates a record."""
+    path = Path(path)
+    return _as_record(cls, _parse(path.read_bytes(), path, 1), path, 1)
 
 
 def write_shard_file(docs: Iterable[Document], path: str | Path, *, compress: bool = False) -> Shard:
     """Write one shard file (used by write_shards and by corpus filtering)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    count = _write_records(docs, path, compress)
-    return Shard(path=path, compressed=compress, record_count=count)
+    records = ({"id": d.id, "text": d.text, "meta": d.meta} for d in docs)
+    count = write_jsonl(path, records, compress)
+    return Shard(path=Path(path), compressed=compress, record_count=count)
 
 
 def write_shards(
@@ -272,12 +383,8 @@ def write_shards(
                 "partial_shards": [s.path.name for s in shards],
                 "note": "partial output; clean up before reuse",
             }
-            try:
-                (out_dir / "manifest.json").write_text(
-                    json.dumps(note, indent=2, sort_keys=True)
-                )
-            except OSError:
-                pass
+            with contextlib.suppress(OSError):
+                write_json(out_dir / "manifest.json", note)
             raise CorpusError(f"write failed for {path}: {exc}") from exc
         buffer.clear()
 
@@ -288,7 +395,7 @@ def write_shards(
     if buffer:
         flush()
 
-    manifest = {
+    write_json(out_dir / "manifest.json", {
         "status": "complete",
         "format_version": FORMAT_VERSION,
         "total_records": sum(s.record_count or 0 for s in shards),
@@ -296,6 +403,5 @@ def write_shards(
             {"path": s.path.name, "records": s.record_count, "compressed": s.compressed}
             for s in shards
         ],
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    })
     return ShardSet(shards=shards)

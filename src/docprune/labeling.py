@@ -7,17 +7,16 @@ surface live in docprune.mocks.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Protocol
 
-from .corpus import Snippet
+from .corpus import Snippet, read_records, write_jsonl
 
 if TYPE_CHECKING:
     import requests
@@ -27,6 +26,9 @@ NO = "No"
 AMBIGUOUS = "Ambiguous"
 
 PROMPT_VERSIONS = ("V1", "V2", "V3")
+
+# A labeler whose yes-fraction falls outside this range is degenerate.
+YES_FRACTION_RANGE = (0.05, 0.95)
 
 # Instruction texts are part of the external contract and must not be edited.
 INSTRUCTIONS = {
@@ -155,9 +157,6 @@ class LabelRunStats:
     transport_failures: int = 0
     yes_fraction: float = 0.0
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 class Transport(Protocol):
     def complete(self, prompt: str) -> str: ...
@@ -204,9 +203,10 @@ def yes_fraction(labels: list[QualityLabel]) -> float:
     if not labels:
         raise ValueError("no labels")
     frac = sum(1 for lbl in labels if lbl.label == YES) / len(labels)
-    if frac < 0.05 or frac > 0.95:
+    lo, hi = YES_FRACTION_RANGE
+    if not lo <= frac <= hi:
         warnings.warn(
-            f"degenerate labeler: yes-fraction {frac:.3f} outside [0.05, 0.95]",
+            f"degenerate labeler: yes-fraction {frac:.3f} outside [{lo}, {hi}]",
             DegenerateLabelerWarning,
             stacklevel=2,
         )
@@ -346,49 +346,21 @@ def label_documents(
 
 
 def write_labels(labels: Iterable[QualityLabel], path: str | Path) -> int:
-    """Write labels as newline-delimited JSON records."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for lbl in labels:
-            fh.write(json.dumps(asdict(lbl), ensure_ascii=False, sort_keys=True) + "\n")
-            count += 1
-    return count
+    """Write labels as newline-delimited JSON records; returns the count."""
+    return write_jsonl(path, labels)
 
 
 def read_labels(path: str | Path) -> list[QualityLabel]:
-    labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            labels.append(QualityLabel(**rec))
-    return labels
+    return list(read_records(path, QualityLabel))
 
 
 def read_demonstrations(path: str | Path) -> list[IclDemonstration]:
     """Read ICL demonstrations from newline-delimited JSON."""
-    demos = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            demos.append(IclDemonstration(**rec))
-    return demos
+    return list(read_records(path, IclDemonstration))
 
 
 def write_demonstrations(demos: Iterable[IclDemonstration], path: str | Path) -> int:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for demo in demos:
-            fh.write(json.dumps(asdict(demo), ensure_ascii=False, sort_keys=True) + "\n")
-            count += 1
-    return count
+    return write_jsonl(path, demos)
 
 
 def build_demonstrations(

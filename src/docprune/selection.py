@@ -8,12 +8,12 @@ Cutoff selection is a single reduction over the completed score set.
 from __future__ import annotations
 
 import datetime
-import json
+import itertools
 import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -29,9 +29,11 @@ from .corpus import (
     ShardSet,
     extract_snippet,
     ingest_shards,
+    read_records,
+    write_json,
+    write_jsonl,
     write_shard_file,
 )
-from .labeling import QualityLabel, yes_fraction
 
 SCORES_FORMAT_VERSION = 1
 
@@ -63,13 +65,6 @@ class SelectionDecision:
     classifier_id: str = ""
     tie_rule: str = "keep documents scoring strictly above the cutoff; ties at the cutoff drop"
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SelectionDecision":
-        return cls(**d)
-
 
 @dataclass
 class ShardScoreStats:
@@ -87,22 +82,43 @@ class ScoringReport:
     seconds: float = 0.0
     docs_per_second: float = 0.0
 
-    def as_dict(self) -> dict:
-        return asdict(self)
+
+@dataclass(frozen=True)
+class ScoreHeader:
+    """First record of a score shard; {doc_id, score} rows follow."""
+
+    classifier_id: str
+    format_version: int
+    source_shard: str
+
+
+@dataclass
+class _ScoreRow:
+    doc_id: str
+    score: float
+
+
+def _read_score_shard(path: Path) -> tuple[ScoreHeader, Iterator[_ScoreRow]]:
+    """A score shard's header and a lazy iterator over its rows."""
+    records = read_records(path, _ScoreRow, header=ScoreHeader)
+    header = next(records, None)
+    if header is None or header.format_version != SCORES_FORMAT_VERSION:
+        raise CorpusError(f"{path}:1: expected a score header of format_version "
+                          f"{SCORES_FORMAT_VERSION}, found {header or 'an empty file'}")
+    return header, records
 
 
 @dataclass
 class ScoreSet:
     """Handle on a directory of sharded score records.
 
-    Each score shard starts with a header record {classifier_id,
+    Each score shard starts with a ScoreHeader record {classifier_id,
     format_version, source_shard} followed by {doc_id, score} records.
     """
 
     directory: Path
     shard_paths: list[Path]
     classifier_id: str
-    format_version: int = SCORES_FORMAT_VERSION
     report: ScoringReport | None = None
 
     @classmethod
@@ -113,11 +129,7 @@ class ScoreSet:
         paths = sorted(directory.glob("scores-*.jsonl"), key=str)
         if not paths:
             raise CorpusError(f"no score shards in {directory}")
-        classifier_ids = set()
-        for p in paths:
-            with open(p, "r", encoding="utf-8") as fh:
-                header = json.loads(fh.readline())
-            classifier_ids.add(header.get("classifier_id", ""))
+        classifier_ids = {_read_score_shard(p)[0].classifier_id for p in paths}
         if len(classifier_ids) != 1:
             raise CorpusError(
                 f"score shards in {directory} mix classifier ids: {sorted(classifier_ids)}"
@@ -126,14 +138,9 @@ class ScoreSet:
 
     def iter_records(self) -> Iterator[ScoreRecord]:
         for path in self.shard_paths:
-            with open(path, "r", encoding="utf-8") as fh:
-                header = json.loads(fh.readline())
-                source = header.get("source_shard", path.name)
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    rec = json.loads(line)
-                    yield ScoreRecord(doc_id=rec["doc_id"], score=rec["score"], shard=source)
+            header, rows = _read_score_shard(path)
+            for row in rows:
+                yield ScoreRecord(doc_id=row.doc_id, score=row.score, shard=header.source_shard)
 
     def load_scores(self) -> dict[str, float]:
         return _scores_by_id(self.iter_records(), self.iter_records)
@@ -154,14 +161,6 @@ def _scores_by_id(
                 f"{', '.join(shards)}; document ids must be unique across the corpus"
             )
     return scores
-
-
-def _score_shard_path(out_dir: Path, shard: Shard) -> Path:
-    stem = shard.path.name
-    for suffix in (".gz", ".jsonl"):
-        if stem.endswith(suffix):
-            stem = stem[: -len(suffix)]
-    return out_dir / f"scores-{stem}.jsonl"
 
 
 def score_documents(
@@ -212,7 +211,9 @@ def score_corpus(
     """Score every document, one output score shard per input shard.
 
     Empty-text documents are skipped and counted. The written score set is
-    identical for any worker count.
+    identical for any worker count. A doc id that occurs twice, explicit or
+    synthesized ("<shard>#<index>"), raises DuplicateIdError once every shard
+    is written.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -220,46 +221,46 @@ def score_corpus(
     out_dir.mkdir(parents=True, exist_ok=True)
     classifier_id = classifier.fingerprint()
 
-    def score_one(shard: Shard) -> tuple[Path, ShardScoreStats]:
+    def score_one(shard: Shard) -> tuple[Path, ShardScoreStats, list[str]]:
         t0 = time.monotonic()
         records, skipped = score_documents(
             ingest_shards(ShardSet(shards=[shard])), classifier, token_budget, chars_per_token
         )
-        path = _score_shard_path(out_dir, shard)
-        with open(path, "w", encoding="utf-8") as fh:
-            header = {
-                "classifier_id": classifier_id,
-                "format_version": SCORES_FORMAT_VERSION,
-                "source_shard": shard.path.name,
-            }
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for rec in records:
-                fh.write(json.dumps({"doc_id": rec.doc_id, "score": rec.score}) + "\n")
+        stem = shard.path.name.removesuffix(".gz").removesuffix(".jsonl")
+        path = out_dir / f"scores-{stem}.jsonl"
+        header = ScoreHeader(classifier_id, SCORES_FORMAT_VERSION, shard.path.name)
+        rows = ({"doc_id": rec.doc_id, "score": rec.score} for rec in records)
+        write_jsonl(path, itertools.chain([header], rows))
         stats = ShardScoreStats(
             shard=shard.path.name,
             records=len(records),
             skipped=skipped,
             seconds=time.monotonic() - t0,
         )
-        return path, stats
+        return path, stats, [rec.doc_id for rec in records]
 
     t0 = time.monotonic()
     report = ScoringReport()
     paths: list[Path] = []
+    doc_ids: list[str] = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for path, stats in pool.map(score_one, shard_set.shards):
+        for path, stats, shard_ids in pool.map(score_one, shard_set.shards):
             paths.append(path)
             report.per_shard.append(stats)
             report.total_records += stats.records
             report.total_skipped += stats.skipped
+            doc_ids.extend(shard_ids)
     report.seconds = time.monotonic() - t0
     report.docs_per_second = report.total_records / report.seconds if report.seconds else 0.0
-    return ScoreSet(
+    score_set = ScoreSet(
         directory=out_dir,
         shard_paths=paths,
         classifier_id=classifier_id,
         report=report,
     )
+    if len(set(doc_ids)) < len(doc_ids):
+        score_set.load_scores()  # raises DuplicateIdError naming the id and its shards
+    return score_set
 
 
 def exact_cutoff(scores: np.ndarray, keep: int) -> float:
@@ -317,13 +318,6 @@ def select_cutoff(
     )
 
 
-def default_ratio_from_labels(labels: Sequence[QualityLabel]) -> float:
-    """The labeler's yes-fraction, the rule-of-thumb target keep-ratio."""
-    if not labels:
-        raise ValueError("no labels")
-    return yes_fraction(list(labels))
-
-
 @dataclass
 class Manifest:
     """Audit record of one filtering run."""
@@ -339,16 +333,6 @@ class Manifest:
     output_documents: int
     started_at: str
     finished_at: str
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.as_dict(), indent=2, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Manifest":
-        return cls(**json.loads(Path(path).read_text()))
 
 
 def filter_corpus(
@@ -419,5 +403,5 @@ def filter_corpus(
         started_at=started,
         finished_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
-    manifest.save(out_dir / "filter-manifest.json")
+    write_json(out_dir / "filter-manifest.json", manifest)
     return ShardSet(shards=out_shards), manifest

@@ -35,11 +35,11 @@ from docprune.labeling import (
     QualityLabel,
     build_prompt,
     label_documents,
+    yes_fraction,
 )
 from docprune.mocks import DegenerateMockTransport, FidelityMockTransport, MockQualityTransport
 from docprune.selection import (
     ScoreRecord,
-    default_ratio_from_labels,
     filter_corpus,
     score_corpus,
     select_cutoff,
@@ -141,7 +141,7 @@ def test_criterion_3_drop_rule_consistency():
     labels = [
         QualityLabel(f"y{i}", YES, "V1", "m", YES) for i in range(2_500)
     ] + [QualityLabel(f"n{i}", NO, "V1", "m", NO) for i in range(7_500)]
-    ratio = default_ratio_from_labels(labels)
+    ratio = yes_fraction(labels)
     assert ratio == 0.25
 
     rng = np.random.default_rng(11)
@@ -314,14 +314,14 @@ def test_criterion_8_degenerate_labeler_detection():
         )
     assert abs(stats.yes_fraction - 0.98) <= 0.005
     with pytest.warns(DegenerateLabelerWarning):
-        ratio = default_ratio_from_labels(labels)
+        ratio = yes_fraction(labels)
     assert abs(ratio - 0.98) <= 0.005
 
     # exact-count variant: 98 Yes + 2 No surfaces exactly 0.98
     exact = [QualityLabel(f"y{i}", YES, "V1", "m", YES) for i in range(98)]
     exact += [QualityLabel(f"n{i}", NO, "V1", "m", NO) for i in range(2)]
     with pytest.warns(DegenerateLabelerWarning):
-        assert default_ratio_from_labels(exact) == 0.98
+        assert yes_fraction(exact) == 0.98
 
 
 def test_criterion_9_icl_proxy():

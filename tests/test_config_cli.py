@@ -14,7 +14,7 @@ from docprune.config import (
     write_resolved_config,
 )
 from docprune.labeling import LabelerConfig
-from docprune.corpus import ShardSet, ingest_shards
+from docprune.corpus import ShardSet, ingest_shards, read_json
 from docprune.labeling import read_labels
 from docprune.selection import Manifest
 from docprune.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus, stratum_of
@@ -185,7 +185,7 @@ class TestCliPipeline:
             "filter", "--config", cfg, "--scores", score_dir,
             "--decision", select_dir / "decision.json", "--out", filter_dir,
         ) == 0
-        manifest = Manifest.load(filter_dir / "filter-manifest.json")
+        manifest = read_json(filter_dir / "filter-manifest.json", Manifest)
         kept_docs = list(ingest_shards(ShardSet.from_dir(filter_dir)))
         assert len(kept_docs) == manifest.output_documents == decision["kept"]
         precision = sum(1 for d in kept_docs if stratum_of(d)) / len(kept_docs)
@@ -297,8 +297,8 @@ class TestCliPipeline:
         save_model(QualityClassifier(config, weights, 0.0, {}), tmp_path / "model.bin")
         scores = tmp_path / "scores"
         assert run_cli("score", "--input", corpus, "--model", tmp_path / "model.bin",
-                       "--out", scores) == 0
-        capsys.readouterr()
+                       "--out", scores) == 5
+        assert "'dup' is scored 2 times, in shards s0.jsonl, s1.jsonl" in capsys.readouterr().err
         assert run_cli("select", "--scores", scores, "--target-ratio", 0.5,
                        "--out", tmp_path / "select") == 5
         assert "'dup' is scored 2 times, in shards s0.jsonl, s1.jsonl" in capsys.readouterr().err
@@ -421,3 +421,116 @@ class TestCliIclDemos:
         ) == 0
         labels = read_labels(out / "labels.jsonl")
         assert {l.icl_shots for l in labels} == {5}
+
+
+def jsonl(path, records, cut: int = 0):
+    """Write records one per line; `cut` drops that many trailing characters."""
+    text = "".join(json.dumps(r) + "\n" for r in records)
+    path.write_text(text[: len(text) - cut])
+    return path
+
+
+SNIPPET = {"doc_id": "a", "text": "some text", "char_start": 0, "char_end": 9,
+           "approx_token_budget": 1500}
+LABEL = {"doc_id": "a", "label": "Yes", "prompt_version": "V1", "labeler_id": "m",
+         "raw_response": "Yes", "icl_shots": 0}
+HEADER = {"classifier_id": "c", "format_version": 1, "source_shard": "s0.jsonl"}
+
+
+class TestMalformedStageFiles:
+    """Each stage file a command reads fails with exit 3 naming file:line."""
+
+    def scores(self, tmp_path, records):
+        directory = tmp_path / "scores"
+        directory.mkdir()
+        jsonl(directory / "scores-s0.jsonl", records)
+        return directory
+
+    def assert_exit_3(self, capsys, argv, where):
+        assert run_cli(*argv) == 3
+        err = capsys.readouterr().err
+        assert f"{where}:" in err and "Traceback" not in err, err
+
+    def test_snippets_cut_mid_line(self, tmp_path, capsys):
+        snippets = jsonl(tmp_path / "snippets.jsonl", [SNIPPET, SNIPPET], cut=5)
+        self.assert_exit_3(capsys, ["label", "--mock", "--snippets", snippets,
+                                    "--out", tmp_path / "out"], f"{snippets}:2")
+        assert not (tmp_path / "out").exists()
+
+    def test_labels_cut_mid_line(self, tmp_path, capsys):
+        snippets = jsonl(tmp_path / "snippets.jsonl", [SNIPPET])
+        labels = jsonl(tmp_path / "labels.jsonl", [LABEL, {**LABEL, "doc_id": "b"}], cut=9)
+        self.assert_exit_3(capsys, ["train", "--snippets", snippets, "--labels", labels,
+                                    "--out", tmp_path / "out"], f"{labels}:2")
+
+    def test_label_missing_a_field(self, tmp_path, capsys):
+        snippets = jsonl(tmp_path / "snippets.jsonl", [SNIPPET])
+        label = {k: v for k, v in LABEL.items() if k != "label"}
+        labels = jsonl(tmp_path / "labels.jsonl", [label])
+        self.assert_exit_3(capsys, ["train", "--snippets", snippets, "--labels", labels,
+                                    "--out", tmp_path / "out"], f"{labels}:1")
+
+    def test_decision_with_unknown_key(self, tmp_path, capsys):
+        from conftest import corpus_dir
+
+        corpus = corpus_dir(tmp_path, {"s0.jsonl": [{"id": "a", "text": "x"}]})
+        scores = self.scores(tmp_path, [HEADER, {"doc_id": "a", "score": 0.5}])
+        decision = tmp_path / "decision.json"
+        decision.write_text(json.dumps({
+            "cutoff": 0.1, "target_ratio": 1.0, "achieved_ratio": 1.0, "kept": 1,
+            "dropped": 0, "keep_everything": True,
+        }, indent=2))
+        self.assert_exit_3(capsys, ["filter", "--input", corpus.shards[0].path.parent,
+                                    "--scores", scores, "--decision", decision,
+                                    "--out", tmp_path / "out"], f"{decision}:1")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("records, line", [
+        ([], 1),                                                   # empty shard
+        ([HEADER, {"doc_id": "a", "score": 0.5}, {"doc_id": "b"}], 3),   # row without score
+        ([{**HEADER, "format_version": 2}, {"doc_id": "a", "score": 0.5}], 1),
+    ])
+    def test_bad_score_shard(self, tmp_path, capsys, records, line):
+        scores = self.scores(tmp_path, records)
+        self.assert_exit_3(capsys, ["select", "--scores", scores, "--target-ratio", 0.5,
+                                    "--out", tmp_path / "out"],
+                           f"{scores / 'scores-s0.jsonl'}:{line}")
+        assert not (tmp_path / "out").exists()
+
+
+class TestScoreTimeChecks:
+    def test_synthesized_id_colliding_with_explicit_id_exits_5(self, tmp_path, capsys):
+        from conftest import corpus_dir
+
+        corpus = corpus_dir(tmp_path, {
+            "s0.jsonl": [{"text": "no id here"}],
+            "s1.jsonl": [{"id": "s0.jsonl#0", "text": "an explicit id"}],
+        }).shards[0].path.parent
+        config = FeaturizerConfig(hash_bits=8)
+        save_model(QualityClassifier(config, np.zeros(config.dim), 0.0, {}),
+                   tmp_path / "model.bin")
+        assert run_cli("score", "--input", corpus, "--model", tmp_path / "model.bin",
+                       "--out", tmp_path / "scores") == 5
+        assert "'s0.jsonl#0' is scored 2 times, in shards s0.jsonl, s1.jsonl" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("yes, code", [(98, 5), (2, 5), (25, 0)])
+    def test_from_labels_with_degenerate_yes_fraction_exits_5(self, tmp_path, capsys,
+                                                               yes, code):
+        scores = tmp_path / "scores"
+        scores.mkdir()
+        jsonl(scores / "scores-s0.jsonl",
+              [HEADER] + [{"doc_id": f"d{i}", "score": i / 200 + 0.1} for i in range(100)])
+        labels = jsonl(tmp_path / "labels.jsonl", [
+            {**LABEL, "doc_id": f"d{i}", "label": "Yes" if i < yes else "No"}
+            for i in range(100)
+        ])
+        argv = ["select", "--scores", scores, "--labels", labels, "--out", tmp_path / "out"]
+        assert run_cli(*argv, "--target-ratio", "from-labels") == code
+        if code == 5:
+            err = capsys.readouterr().err
+            assert f"yes-fraction {yes / 100:.3f}" in err and "--target-ratio" in err
+            assert not (tmp_path / "out").exists()
+            # A numeric ratio is the override.
+            assert run_cli(*argv, "--target-ratio", 0.5) == 0

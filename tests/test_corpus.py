@@ -227,16 +227,16 @@ class TestWriteFailure:
     def test_partial_output_noted_in_manifest(self, tmp_path, monkeypatch):
         import docprune.corpus as corpus_mod
 
-        real = corpus_mod._write_records
+        real = corpus_mod.write_jsonl
         calls = {"n": 0}
 
-        def flaky(docs, path, compress):
+        def flaky(path, records, compress=False):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise OSError("disk full")
-            return real(docs, path, compress)
+            return real(path, records, compress)
 
-        monkeypatch.setattr(corpus_mod, "_write_records", flaky)
+        monkeypatch.setattr(corpus_mod, "write_jsonl", flaky)
         with pytest.raises(CorpusError, match="write failed"):
             write_shards(make_docs(10), tmp_path / "out", records_per_shard=4)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())

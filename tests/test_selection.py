@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from docprune.classifier import FeaturizerConfig, LabeledText, TrainConfig, split_train_val, train_classifier
 from docprune.corpus import CorpusError, ingest_shards
-from docprune.labeling import NO, YES, DegenerateLabelerWarning, QualityLabel
+from docprune.labeling import NO, YES, DegenerateLabelerWarning, QualityLabel, yes_fraction
 from docprune.mocks import mock_label
 from docprune.selection import (
     DuplicateIdError,
@@ -15,7 +15,6 @@ from docprune.selection import (
     ScoreSet,
     SelectionDecision,
     TieDegeneracyWarning,
-    default_ratio_from_labels,
     filter_corpus,
     score_corpus,
     select_cutoff,
@@ -116,18 +115,18 @@ class TestDefaultRatio:
         return labels
 
     def test_quarter_yes(self):
-        assert default_ratio_from_labels(self.make_labels(25, 75)) == 0.25
+        assert yes_fraction(self.make_labels(25, 75)) == 0.25
 
     def test_500_of_2000(self):
-        assert default_ratio_from_labels(self.make_labels(500, 1500)) == 0.25
+        assert yes_fraction(self.make_labels(500, 1500)) == 0.25
 
     def test_all_yes_warns(self):
         with pytest.warns(DegenerateLabelerWarning):
-            assert default_ratio_from_labels(self.make_labels(10, 0)) == 1.0
+            assert yes_fraction(self.make_labels(10, 0)) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            default_ratio_from_labels([])
+            yes_fraction([])
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +292,7 @@ class TestFilterCorpus:
 
     def test_manifest_roundtrip(self, tmp_path):
         from conftest import corpus_dir
+        from docprune.corpus import read_json
         from docprune.selection import Manifest
 
         shard_set = corpus_dir(tmp_path, {"s.jsonl": [{"id": "a", "text": "x"}]})
@@ -300,5 +300,5 @@ class TestFilterCorpus:
             cutoff=0.1, target_ratio=1.0, achieved_ratio=1.0, kept=1, dropped=0
         )
         _, manifest = filter_corpus(shard_set, {"a": 0.9}, decision, tmp_path / "out")
-        loaded = Manifest.load(tmp_path / "out" / "filter-manifest.json")
+        loaded = read_json(tmp_path / "out" / "filter-manifest.json", Manifest)
         assert loaded == manifest
