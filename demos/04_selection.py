@@ -53,14 +53,16 @@ with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:
     suggested = yes_fraction(labels)
     print(f"suggested keep ratio from labels: {suggested:.3f}")
 
-    # Cutoffs are exact quantiles; documents scoring strictly above are kept.
+    # Cutoffs are exact quantiles over one doc_id -> score map; documents
+    # scoring strictly above are kept.
+    scores = score_set.load_scores()
     for ratio in (0.20, suggested, 0.50, 1.00):
-        decision = select_cutoff(score_set, ratio)
+        decision = select_cutoff(scores, ratio)
         print(f"  target {ratio:.3f}: cutoff {decision.cutoff:.6f} "
               f"keeps {decision.kept} (achieved {decision.achieved_ratio:.3f})")
 
-    decision = select_cutoff(score_set, suggested)
-    filtered_set, manifest = filter_corpus(shard_set, score_set, decision, workdir / "filtered")
+    decision = select_cutoff(scores, suggested, score_set.classifier_id)
+    filtered_set, manifest = filter_corpus(shard_set, scores, decision, workdir / "filtered")
     kept = list(ingest_shards(filtered_set))
     precision = sum(1 for d in kept if stratum_of(d)) / len(kept)
     print(f"filtered corpus: {manifest.output_documents}/{manifest.input_documents} kept, "

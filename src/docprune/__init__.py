@@ -66,7 +66,6 @@ from .mocks import (
 )
 from .selection import (
     Manifest,
-    ScoreRecord,
     ScoreSet,
     SelectionDecision,
     TieDegeneracyWarning,

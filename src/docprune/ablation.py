@@ -150,12 +150,13 @@ def run_ratio_sweep(
     chars_per_token: int = 4,
 ) -> SweepReport:
     """Kept-set precision/recall against planted truth across keep ratios."""
-    records, _ = score_documents(docs, classifier, token_budget, chars_per_token)
+    ids, scores, _ = score_documents(docs, classifier, token_budget, chars_per_token)
+    by_id = dict(zip(ids, scores.tolist()))
     high_ids = {doc.id for doc in docs if stratum_of(doc)}
     points = []
     for ratio in ratios:
-        decision = select_cutoff(records, ratio, classifier_id=classifier.fingerprint())
-        kept_ids = {r.doc_id for r in records if r.score > decision.cutoff}
+        decision = select_cutoff(by_id, ratio, classifier_id=classifier.fingerprint())
+        kept_ids = {i for i, s in by_id.items() if s > decision.cutoff}
         kept_high = len(kept_ids & high_ids)
         precision = kept_high / len(kept_ids) if kept_ids else 0.0
         recall = kept_high / len(high_ids) if high_ids else 0.0
@@ -175,7 +176,7 @@ def run_ratio_sweep(
         metadata={
             "proxy_note": PROXY_NOTE,
             "context": RATIO_CONTEXT,
-            "n_docs": len(records),
+            "n_docs": len(by_id),
             "classifier_id": classifier.fingerprint(),
         },
     )

@@ -56,7 +56,7 @@ from .labeling import (
     read_demonstrations,
     read_labels,
     write_labels,
-    yes_fraction,
+    yes_share,
 )
 from .mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
 from .selection import (
@@ -83,8 +83,8 @@ def _out_dir(config: RunConfig, args, command: str) -> Path:
 
     Commands call this only after the checks they can make up front (inputs
     read, labels joined to snippets, transport built, model trained, cutoff
-    selected), so a run that fails on bad input leaves no output directory
-    behind. `filter` checks its score join while it streams, after this.
+    selected, score set checked against the corpus), so a run that fails on
+    bad input leaves no output directory behind.
     """
     out = Path(args.out) if args.out else Path(config.run.output_root) / command
     out.mkdir(parents=True, exist_ok=True)
@@ -208,14 +208,14 @@ def cmd_select(config: RunConfig, args) -> int:
     if ratio == "from-labels":
         if not args.labels:
             raise ConfigError("--target-ratio from-labels requires --labels")
-        ratio = yes_fraction(read_labels(args.labels))  # the labeler's keep-ratio
+        ratio = yes_share(read_labels(args.labels))  # the labeler's keep-ratio
         lo, hi = YES_FRACTION_RANGE
         if not lo <= ratio <= hi:
             raise DegenerateLabelsError(
                 f"from-labels: the labels' yes-fraction {ratio:.3f} is outside "
                 f"[{lo}, {hi}]; pass a numeric --target-ratio instead"
             )
-    decision = select_cutoff(score_set, float(ratio))
+    decision = select_cutoff(score_set.load_scores(), float(ratio), score_set.classifier_id)
     out = _out_dir(config, args, "select")
     write_json(out / "decision.json", decision)
     log.info(
@@ -230,9 +230,18 @@ def cmd_filter(config: RunConfig, args) -> int:
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
     score_set = ScoreSet.open(args.scores)
     decision = read_json(args.decision, SelectionDecision)
+    corpus_shards = {s.path.name for s in shard_set.shards}
+    scored_shards = set(score_set.source_shards)
+    if corpus_shards != scored_shards:
+        raise CorpusError(
+            f"score set {args.scores} does not cover the corpus: corpus shards without "
+            f"scores {sorted(corpus_shards - scored_shards)}, scored shards not in the "
+            f"corpus {sorted(scored_shards - corpus_shards)}"
+        )
+    scores = score_set.load_scores()
     out = _out_dir(config, args, "filter")
     _, manifest = filter_corpus(
-        shard_set, score_set, decision, out, workers=config.selector.workers
+        shard_set, scores, decision, out, workers=config.selector.workers
     )
     log.info(
         "filtered corpus: kept %d of %d documents",

@@ -136,39 +136,37 @@ def ingest_shards(
         summary = RunSummary()
     summary.shards = len(shard_set.shards)
     t0 = time.monotonic()
-    for shard in shard_set.shards:
-        name = shard.path.name
-        try:
-            fh = _open_shard(shard)
-        except OSError as exc:
-            raise CorpusError(f"unreadable shard {shard.path}: {exc}") from exc
-        with fh:
-            index = 0
-            while True:
-                try:
-                    raw = fh.readline()
-                except (OSError, EOFError) as exc:
-                    raise CorpusError(f"unreadable shard {shard.path}: {exc}") from exc
-                if not raw:
-                    break
-                if not raw.strip():
-                    continue
-                try:
-                    doc = _parse_record(raw, name, index)
-                except (UnicodeDecodeError, ValueError) as exc:
-                    summary.records_skipped += 1
-                    if strict:
-                        raise CorpusError(
-                            f"malformed record {name}#{index}: {exc}"
-                        ) from exc
+    try:
+        for shard in shard_set.shards:
+            name = shard.path.name
+            try:
+                fh = _open_shard(shard)
+            except OSError as exc:
+                raise CorpusError(f"unreadable shard {shard.path}: {exc}") from exc
+            with fh:
+                index = 0
+                while True:
+                    try:
+                        raw = fh.readline()
+                    except (OSError, EOFError) as exc:
+                        raise CorpusError(f"unreadable shard {shard.path}: {exc}") from exc
+                    if not raw:
+                        break
+                    if not raw.strip():
+                        continue
+                    try:
+                        doc = _parse_record(raw, name, index)
+                    except (UnicodeDecodeError, ValueError) as exc:
+                        summary.records_skipped += 1
+                        if strict:
+                            raise CorpusError(f"malformed record {name}#{index}: {exc}") from exc
+                        index += 1
+                        continue
                     index += 1
-                    summary.duration = time.monotonic() - t0
-                    continue
-                index += 1
-                summary.records_read += 1
-                summary.duration = time.monotonic() - t0
-                yield doc
-    summary.duration = time.monotonic() - t0
+                    summary.records_read += 1
+                    yield doc
+    finally:
+        summary.duration = time.monotonic() - t0
 
 
 def reservoir_sample(docs: Iterable[Document], n: int, seed: int) -> list[Document]:

@@ -198,11 +198,16 @@ def parse_label(raw_response: str) -> str:
     return AMBIGUOUS
 
 
-def yes_fraction(labels: list[QualityLabel]) -> float:
-    """Fraction of Yes labels; warns when the labeler looks degenerate."""
+def yes_share(labels: list[QualityLabel]) -> float:
+    """Fraction of Yes labels, without yes_fraction's degenerate-labeler warning."""
     if not labels:
         raise ValueError("no labels")
-    frac = sum(1 for lbl in labels if lbl.label == YES) / len(labels)
+    return sum(1 for lbl in labels if lbl.label == YES) / len(labels)
+
+
+def yes_fraction(labels: list[QualityLabel]) -> float:
+    """Fraction of Yes labels; warns when the labeler looks degenerate."""
+    frac = yes_share(labels)
     lo, hi = YES_FRACTION_RANGE
     if not lo <= frac <= hi:
         warnings.warn(
@@ -314,11 +319,7 @@ def label_documents(
                     for f in futures:
                         f.cancel()
                     stats.labeled = len(labels)
-                    stats.yes_fraction = (
-                        sum(1 for lbl in labels if lbl.label == YES) / len(labels)
-                        if labels
-                        else 0.0
-                    )
+                    stats.yes_fraction = yes_share(labels) if labels else 0.0
                     raise LabelRunAborted(
                         f"{stats.transport_failures} transport failures exceeded "
                         f"ceiling {config.failure_ceiling:.0%} of {stats.requested}",

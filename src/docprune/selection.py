@@ -15,7 +15,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -44,13 +44,6 @@ class TieDegeneracyWarning(UserWarning):
 
 class DuplicateIdError(ValueError):
     """A document id occurs more than once in a score set."""
-
-
-@dataclass(frozen=True)
-class ScoreRecord:
-    doc_id: str
-    score: float
-    shard: str = ""
 
 
 @dataclass
@@ -114,11 +107,13 @@ class ScoreSet:
 
     Each score shard starts with a ScoreHeader record {classifier_id,
     format_version, source_shard} followed by {doc_id, score} records.
+    `source_shards` holds the headers' corpus shard names, in shard order.
     """
 
     directory: Path
     shard_paths: list[Path]
     classifier_id: str
+    source_shards: list[str]
     report: ScoringReport | None = None
 
     @classmethod
@@ -129,38 +124,34 @@ class ScoreSet:
         paths = sorted(directory.glob("scores-*.jsonl"), key=str)
         if not paths:
             raise CorpusError(f"no score shards in {directory}")
-        classifier_ids = {_read_score_shard(p)[0].classifier_id for p in paths}
+        headers = [_read_score_shard(p)[0] for p in paths]
+        classifier_ids = {h.classifier_id for h in headers}
         if len(classifier_ids) != 1:
             raise CorpusError(
                 f"score shards in {directory} mix classifier ids: {sorted(classifier_ids)}"
             )
-        return cls(directory=directory, shard_paths=paths, classifier_id=classifier_ids.pop())
+        return cls(directory, paths, classifier_ids.pop(), [h.source_shard for h in headers])
 
-    def iter_records(self) -> Iterator[ScoreRecord]:
+    def iter_records(self) -> Iterator[tuple[str, float, str]]:
+        """(doc_id, score, source_shard) per row, in shard order."""
         for path in self.shard_paths:
             header, rows = _read_score_shard(path)
             for row in rows:
-                yield ScoreRecord(doc_id=row.doc_id, score=row.score, shard=header.source_shard)
+                yield row.doc_id, row.score, header.source_shard
 
     def load_scores(self) -> dict[str, float]:
-        return _scores_by_id(self.iter_records(), self.iter_records)
-
-
-def _scores_by_id(
-    records: Iterable[ScoreRecord], reread: Callable[[], Iterable[ScoreRecord]]
-) -> dict[str, float]:
-    """doc_id -> score; a repeated id raises DuplicateIdError naming the id and
-    its shards, which `reread` (a second pass over the records) finds."""
-    scores: dict[str, float] = {}
-    for n, rec in enumerate(records, 1):
-        scores[rec.doc_id] = rec.score
-        if len(scores) < n:
-            shards = [r.shard for r in reread() if r.doc_id == rec.doc_id]
-            raise DuplicateIdError(
-                f"document id {rec.doc_id!r} is scored {len(shards)} times, in shards "
-                f"{', '.join(shards)}; document ids must be unique across the corpus"
-            )
-    return scores
+        """doc_id -> score; a repeated id raises DuplicateIdError naming the id
+        and its shards, which a second pass over the rows finds."""
+        scores: dict[str, float] = {}
+        for n, (doc_id, score, _) in enumerate(self.iter_records(), 1):
+            scores[doc_id] = score
+            if len(scores) < n:
+                shards = [shard for i, _, shard in self.iter_records() if i == doc_id]
+                raise DuplicateIdError(
+                    f"document id {doc_id!r} is scored {len(shards)} times, in shards "
+                    f"{', '.join(shards)}; document ids must be unique across the corpus"
+                )
+        return scores
 
 
 def score_documents(
@@ -168,16 +159,17 @@ def score_documents(
     classifier: QualityClassifier,
     token_budget: int = 1500,
     chars_per_token: int = 4,
-) -> tuple[list[ScoreRecord], int]:
-    """Score documents in memory; returns (records, skipped_empty_count).
+) -> tuple[list[str], np.ndarray, int]:
+    """Score documents in memory; returns (ids, float64 scores in the same
+    order, skipped_empty_count).
 
     Snippets are featurized and scored in `featurize_chunks` batches, so
     memory stays bounded for any number of documents. A document's score
     does not depend on its batch.
     """
-    records: list[ScoreRecord] = []
+    ids: list[str] = []
+    chunks: list[np.ndarray] = []
     skipped = 0
-    unscored: list[tuple[str, str]] = []  # (id, shard) of each snippet read, in order
 
     def snippets() -> Iterator[str]:
         nonlocal skipped
@@ -185,18 +177,13 @@ def score_documents(
             if not doc.text:
                 skipped += 1
                 continue
-            unscored.append((doc.id, doc.source_shard))
+            ids.append(doc.id)
             yield extract_snippet(doc, token_budget, chars_per_token).text
 
     for batch in featurize_chunks(snippets(), classifier.featurizer):
-        scores = score_batch(classifier, batch).tolist()
+        chunks.append(score_batch(classifier, batch))
         del batch  # freed before the next batch is built
-        records.extend(
-            ScoreRecord(doc_id=doc_id, score=s, shard=shard)
-            for (doc_id, shard), s in zip(unscored, scores)
-        )
-        unscored.clear()
-    return records, skipped
+    return ids, np.concatenate(chunks) if chunks else np.empty(0), skipped
 
 
 def score_corpus(
@@ -223,21 +210,21 @@ def score_corpus(
 
     def score_one(shard: Shard) -> tuple[Path, ShardScoreStats, list[str]]:
         t0 = time.monotonic()
-        records, skipped = score_documents(
+        ids, scores, skipped = score_documents(
             ingest_shards(ShardSet(shards=[shard])), classifier, token_budget, chars_per_token
         )
         stem = shard.path.name.removesuffix(".gz").removesuffix(".jsonl")
         path = out_dir / f"scores-{stem}.jsonl"
         header = ScoreHeader(classifier_id, SCORES_FORMAT_VERSION, shard.path.name)
-        rows = ({"doc_id": rec.doc_id, "score": rec.score} for rec in records)
+        rows = ({"doc_id": i, "score": s} for i, s in zip(ids, scores.tolist()))
         write_jsonl(path, itertools.chain([header], rows))
         stats = ShardScoreStats(
             shard=shard.path.name,
-            records=len(records),
+            records=len(ids),
             skipped=skipped,
             seconds=time.monotonic() - t0,
         )
-        return path, stats, [rec.doc_id for rec in records]
+        return path, stats, ids
 
     t0 = time.monotonic()
     report = ScoringReport()
@@ -252,52 +239,34 @@ def score_corpus(
             doc_ids.extend(shard_ids)
     report.seconds = time.monotonic() - t0
     report.docs_per_second = report.total_records / report.seconds if report.seconds else 0.0
-    score_set = ScoreSet(
-        directory=out_dir,
-        shard_paths=paths,
-        classifier_id=classifier_id,
-        report=report,
-    )
+    sources = [stats.shard for stats in report.per_shard]
+    score_set = ScoreSet(out_dir, paths, classifier_id, sources, report)
     if len(set(doc_ids)) < len(doc_ids):
         score_set.load_scores()  # raises DuplicateIdError naming the id and its shards
     return score_set
 
 
-def exact_cutoff(scores: np.ndarray, keep: int) -> float:
-    """Exact (1 - ratio) quantile by full sort."""
-    if keep >= scores.shape[0]:
-        return 0.0  # below every score: scores live in (0, 1)
-    ordered = np.sort(scores)
-    return float(ordered[scores.shape[0] - keep - 1])
-
-
 def select_cutoff(
-    score_set: ScoreSet | Sequence[ScoreRecord],
-    target_ratio: float,
-    classifier_id: str | None = None,
+    scores: Mapping[str, float], target_ratio: float, classifier_id: str = ""
 ) -> SelectionDecision:
-    """Pick the cutoff whose strictly-above set best realizes the target ratio.
+    """Pick the cutoff over a doc_id -> score map whose strictly-above set
+    best realizes the target ratio.
 
     The kept count is the largest feasible count <= floor(target_ratio * N)
     under the strict-comparison rule; equal-score ties at the cutoff are
-    reported, never silently resolved. A repeated doc id raises
-    DuplicateIdError.
+    reported, never silently resolved.
     """
-    if isinstance(score_set, ScoreSet):
-        scores_by_id = score_set.load_scores()
-        if classifier_id is None:
-            classifier_id = score_set.classifier_id
-    else:
-        scores_by_id = _scores_by_id(score_set, lambda: score_set)
-    if not scores_by_id:
+    if not scores:
         raise ValueError("empty score set")
     if not 0 < target_ratio <= 1:
         raise ValueError("target_ratio must be in (0, 1]")
-    scores = np.fromiter(scores_by_id.values(), dtype=np.float64, count=len(scores_by_id))
-    n = scores.shape[0]
+    n = len(scores)
+    values = np.fromiter(scores.values(), dtype=np.float64, count=n)
     keep_target = int(math.floor(target_ratio * n + 1e-9))
-    cutoff = exact_cutoff(scores, keep_target)
-    kept = int((scores > cutoff).sum())
+    # The exact (1 - ratio) quantile; 0.0 lies below every score in (0, 1).
+    rank = n - keep_target - 1
+    cutoff = float(np.partition(values, rank)[rank]) if rank >= 0 else 0.0
+    kept = int((values > cutoff).sum())
     tie_rule = "keep documents scoring strictly above the cutoff; ties at the cutoff drop"
     if kept < keep_target:
         warnings.warn(
@@ -313,7 +282,7 @@ def select_cutoff(
         achieved_ratio=kept / n,
         kept=kept,
         dropped=n - kept,
-        classifier_id=classifier_id or "",
+        classifier_id=classifier_id,
         tie_rule=tie_rule,
     )
 
@@ -337,21 +306,22 @@ class Manifest:
 
 def filter_corpus(
     shard_set: ShardSet,
-    score_set: ScoreSet | dict[str, float],
+    scores: Mapping[str, float],
     decision: SelectionDecision,
     out_dir: str | Path,
     workers: int = 1,
 ) -> tuple[ShardSet, Manifest]:
     """Materialize the kept documents, preserving shard boundaries and order.
 
-    Every corpus document must have a score (fail-fast join by doc_id). Output
-    shards reuse the input shard file names; a shard may shrink or empty.
+    Every corpus document with text must have a score in the doc_id -> score
+    map (fail-fast join); empty-text documents, which `score_corpus` skips,
+    are dropped. Output shards reuse the input shard file names; a shard may
+    shrink or empty.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scores = score_set if isinstance(score_set, dict) else score_set.load_scores()
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     def filter_one(shard: Shard) -> tuple[Shard, dict]:
@@ -359,6 +329,8 @@ def filter_corpus(
         kept_docs: list[Document] = []
         for doc in ingest_shards(ShardSet(shards=[shard])):
             read += 1
+            if not doc.text:
+                continue
             if doc.id not in scores:
                 raise CorpusError(
                     f"join integrity: document {doc.id!r} in {shard.path.name} has no score"

@@ -39,7 +39,6 @@ from docprune.labeling import (
 )
 from docprune.mocks import DegenerateMockTransport, FidelityMockTransport, MockQualityTransport
 from docprune.selection import (
-    ScoreRecord,
     filter_corpus,
     score_corpus,
     select_cutoff,
@@ -123,14 +122,14 @@ def test_criterion_2_ratio_fidelity():
     rng = np.random.default_rng(7)
     n = 10_000
     scores = rng.permutation(np.linspace(0.0001, 0.9999, n))
-    records = [ScoreRecord(f"d{i}", float(s), "s") for i, s in enumerate(scores)]
+    records = {f"d{i}": float(s) for i, s in enumerate(scores)}
     previous = set()
     for ratio in (0.20, 0.25, 0.30, 0.40, 0.50, 1.00):
         decision = select_cutoff(records, ratio)
         assert abs(decision.achieved_ratio - ratio) <= 1.0 / n + 1e-12, (
             f"ratio {ratio}: achieved {decision.achieved_ratio}"
         )
-        kept = {r.doc_id for r in records if r.score > decision.cutoff}
+        kept = {doc_id for doc_id, s in records.items() if s > decision.cutoff}
         assert previous <= kept, f"kept sets not nested at ratio {ratio}"
         previous = kept
 
@@ -146,7 +145,7 @@ def test_criterion_3_drop_rule_consistency():
 
     rng = np.random.default_rng(11)
     scores = rng.permutation(np.linspace(0.0001, 0.9999, 10_000))
-    records = [ScoreRecord(f"d{i}", float(s), "s") for i, s in enumerate(scores)]
+    records = {f"d{i}": float(s) for i, s in enumerate(scores)}
     decision = select_cutoff(records, ratio)
     drop_fraction = decision.dropped / (decision.kept + decision.dropped)
     assert abs(drop_fraction - 0.75) <= 0.01, f"drop fraction {drop_fraction}"
@@ -271,11 +270,11 @@ class TestCriterion7DeterminismAndParallelSafety:
         for p1, p4 in zip(sets[1].shard_paths, sets[4].shard_paths):
             assert p1.read_bytes() == p4.read_bytes()
 
-        decision = select_cutoff(sets[1], 0.25)
+        decision = select_cutoff(sets[1].load_scores(), 0.25)
         outs = {}
         for workers in (1, 4):
             outs[workers], _ = filter_corpus(
-                shard_set, sets[workers], decision,
+                shard_set, sets[workers].load_scores(), decision,
                 tmp_path / f"filtered-w{workers}", workers=workers,
             )
         for s1, s4 in zip(outs[1].shards, outs[4].shards):

@@ -15,7 +15,7 @@ from docprune.config import (
 )
 from docprune.labeling import LabelerConfig
 from docprune.corpus import ShardSet, ingest_shards, read_json
-from docprune.labeling import read_labels
+from docprune.labeling import DegenerateLabelerWarning, read_labels
 from docprune.selection import Manifest
 from docprune.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus, stratum_of
 
@@ -311,6 +311,37 @@ class TestCliPipeline:
         assert run_cli("filter", "--input", corpus, "--scores", scores,
                        "--decision", decision, "--out", tmp_path / "filter") == 5
         assert "'dup'" in capsys.readouterr().err
+        assert not (tmp_path / "filter").exists()
+
+    def test_empty_text_document_is_dropped_by_filter(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        generate_synthetic_corpus(
+            SyntheticCorpusSpec(n_docs=400, high_quality_fraction=0.25, seed=5), corpus
+        )
+        with open(corpus / "shard-00000.jsonl", "a") as fh:
+            fh.write(json.dumps({"id": "empty-1", "text": ""}) + "\n")
+        out = tmp_path / "runs"
+        assert run_cli("sample", "--input", corpus, "--out", out / "sample") == 0
+        snippets = out / "sample" / "snippets.jsonl"
+        assert run_cli("label", "--mock", "--snippets", snippets, "--out", out / "label") == 0
+        labels = out / "label" / "labels.jsonl"
+        assert run_cli("train", "--snippets", snippets, "--labels", labels,
+                       "--hash-bits", 12, "--out", out / "train") == 0
+        assert run_cli("score", "--input", corpus, "--model", out / "train" / "model.bin",
+                       "--out", out / "score") == 0
+        report = json.loads((out / "score" / "scoring-report.json").read_text())
+        assert report["total_skipped"] == 1
+        assert run_cli("select", "--scores", out / "score", "--target-ratio", 0.25,
+                       "--out", out / "select") == 0
+        assert run_cli("filter", "--input", corpus, "--scores", out / "score",
+                       "--decision", out / "select" / "decision.json",
+                       "--out", out / "filter") == 0
+        kept = {d.id for d in ingest_shards(ShardSet.from_dir(out / "filter"))}
+        assert kept and "empty-1" not in kept
+        manifest = read_json(out / "filter" / "filter-manifest.json", Manifest)
+        assert manifest.input_documents == 401
+        first = manifest.per_shard[0]
+        assert first["read"] == 101 and first["dropped"] == first["read"] - first["kept"]
 
     def test_score_workers_equivalent(self, pipeline_world):
         tmp, corpus, cfg = pipeline_world
@@ -498,6 +529,58 @@ class TestMalformedStageFiles:
         assert not (tmp_path / "out").exists()
 
 
+class TestScoreSetCoverage:
+    """`filter` needs a score set made over exactly the corpus's shards."""
+
+    def world(self, tmp_path, low_shard_scores):
+        """Four corpus shards of 100 docs, their score set, and a decision
+        keeping 25% of the 400 scores: shard s3's docs, or with
+        `low_shard_scores` shard s2's, while s3's all score below the cutoff."""
+        from conftest import corpus_dir
+
+        corpus = corpus_dir(tmp_path, {
+            f"s{k}.jsonl": [{"id": f"s{k}-{i}", "text": f"doc {i}"} for i in range(100)]
+            for k in range(4)
+        }).shards[0].path.parent
+        scores = tmp_path / "scores"
+        scores.mkdir()
+        for k in range(4):
+            rows = [{"doc_id": f"s{k}-{i}", "score": 0.001 * (i + 1) + 0.2 * k}
+                    for i in range(100)]
+            if k == 3 and low_shard_scores:
+                rows = [{**row, "score": 0.0001} for row in rows]
+            jsonl(scores / f"scores-s{k}.jsonl",
+                  [{**HEADER, "source_shard": f"s{k}.jsonl"}] + rows)
+        assert run_cli("select", "--scores", scores, "--target-ratio", 0.25,
+                       "--out", tmp_path / "select") == 0
+        return corpus, scores, tmp_path / "select" / "decision.json"
+
+    @pytest.mark.parametrize("low_shard_scores", [False, True])
+    def test_score_set_with_a_shard_the_corpus_lacks_exits_3(self, tmp_path, capsys,
+                                                               low_shard_scores):
+        corpus, scores, decision = self.world(tmp_path, low_shard_scores)
+        (corpus / "s3.jsonl").unlink()
+        assert run_cli("filter", "--input", corpus, "--scores", scores,
+                       "--decision", decision, "--out", tmp_path / "filter") == 3
+        assert "s3.jsonl" in capsys.readouterr().err
+        assert not (tmp_path / "filter").exists()
+
+    def test_corpus_shard_without_scores_exits_3(self, tmp_path, capsys):
+        corpus, scores, decision = self.world(tmp_path, False)
+        jsonl(corpus / "s4.jsonl", [{"id": "s4-0", "text": "doc 0"}])
+        assert run_cli("filter", "--input", corpus, "--scores", scores,
+                       "--decision", decision, "--out", tmp_path / "filter") == 3
+        assert "s4.jsonl" in capsys.readouterr().err
+        assert not (tmp_path / "filter").exists()
+
+    def test_covering_score_set_filters(self, tmp_path):
+        corpus, scores, decision = self.world(tmp_path, True)
+        assert run_cli("filter", "--input", corpus, "--scores", scores,
+                       "--decision", decision, "--out", tmp_path / "filter") == 0
+        manifest = read_json(tmp_path / "filter" / "filter-manifest.json", Manifest)
+        assert (manifest.output_documents, manifest.input_documents) == (100, 400)
+
+
 class TestScoreTimeChecks:
     def test_synthesized_id_colliding_with_explicit_id_exits_5(self, tmp_path, capsys):
         from conftest import corpus_dir
@@ -516,7 +599,7 @@ class TestScoreTimeChecks:
         )
 
     @pytest.mark.parametrize("yes, code", [(98, 5), (2, 5), (25, 0)])
-    def test_from_labels_with_degenerate_yes_fraction_exits_5(self, tmp_path, capsys,
+    def test_from_labels_with_degenerate_yes_fraction_exits_5(self, tmp_path, capsys, recwarn,
                                                                yes, code):
         scores = tmp_path / "scores"
         scores.mkdir()
@@ -528,6 +611,8 @@ class TestScoreTimeChecks:
         ])
         argv = ["select", "--scores", scores, "--labels", labels, "--out", tmp_path / "out"]
         assert run_cli(*argv, "--target-ratio", "from-labels") == code
+        # The exit-5 message says it once; no DegenerateLabelerWarning repeats it.
+        assert not [w for w in recwarn if issubclass(w.category, DegenerateLabelerWarning)]
         if code == 5:
             err = capsys.readouterr().err
             assert f"yes-fraction {yes / 100:.3f}" in err and "--target-ratio" in err

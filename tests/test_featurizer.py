@@ -200,14 +200,13 @@ class TestScoreBatch:
             Document(id=f"d{i}", text=("" if i % 7 == 0 else f"w{i % 5} body {i} text"))
             for i in range(40)
         ]
-        whole, skipped = score_documents(docs, clf)
+        ids, whole, skipped = score_documents(docs, clf)
         monkeypatch.setattr(classifier, "FEATURIZE_BATCH_CHARS", 50)
-        chunked, skipped_chunked = score_documents(docs, clf)
+        ids_chunked, chunked, skipped_chunked = score_documents(docs, clf)
         assert skipped == skipped_chunked == 6
-        assert whole == chunked
-        assert [r.score for r in whole] == [
-            score(clf, snippet_of(d.text)) for d in docs if d.text
-        ]
+        assert ids == ids_chunked == [d.id for d in docs if d.text]
+        assert whole.dtype == np.float64 and whole.tolist() == chunked.tolist()
+        assert whole.tolist() == [score(clf, snippet_of(d.text)) for d in docs if d.text]
 
 
 def _v1_model_file(path):

@@ -11,7 +11,6 @@ from docprune.labeling import NO, YES, DegenerateLabelerWarning, QualityLabel, y
 from docprune.mocks import mock_label
 from docprune.selection import (
     DuplicateIdError,
-    ScoreRecord,
     ScoreSet,
     SelectionDecision,
     TieDegeneracyWarning,
@@ -24,7 +23,7 @@ from docprune.corpus import extract_snippet
 
 
 def records(scores):
-    return [ScoreRecord(f"d{i}", s, "shard") for i, s in enumerate(scores)]
+    return {f"d{i}": s for i, s in enumerate(scores)}
 
 
 class TestSelectCutoff:
@@ -33,7 +32,7 @@ class TestSelectCutoff:
         recs = records([round(0.1 * i, 1) for i in range(1, 11)])
         decision = select_cutoff(recs, 0.30)
         assert 0.7 <= decision.cutoff < 0.8
-        kept = {r.doc_id for r in recs if r.score > decision.cutoff}
+        kept = {doc_id for doc_id, s in recs.items() if s > decision.cutoff}
         assert kept == {"d7", "d8", "d9"}
         assert decision.kept == 3
         assert decision.achieved_ratio == pytest.approx(0.3)
@@ -43,7 +42,7 @@ class TestSelectCutoff:
         decision = select_cutoff(recs, 1.0)
         assert decision.kept == 10
         assert decision.achieved_ratio == 1.0
-        assert decision.cutoff < min(r.score for r in recs)
+        assert decision.cutoff < min(recs.values())
 
     def test_all_equal_scores_tie_degeneracy(self):
         recs = records([0.6] * 12)
@@ -69,13 +68,13 @@ class TestSelectCutoff:
         previous = set()
         for ratio in (0.2, 0.25, 0.3, 0.4, 0.5, 1.0):
             decision = select_cutoff(recs, ratio)
-            kept = {r.doc_id for r in recs if r.score > decision.cutoff}
+            kept = {doc_id for doc_id, s in recs.items() if s > decision.cutoff}
             assert previous <= kept
             previous = kept
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            select_cutoff([], 0.5)
+            select_cutoff({}, 0.5)
 
     def test_ratio_bounds(self):
         recs = records([0.5])
@@ -101,11 +100,15 @@ class TestSelectCutoff:
         assert decision.kept == max(k for k in feasible if k <= keep_target)
         assert decision.kept + decision.dropped == len(scores)
 
-    def test_repeated_id_rejected_naming_its_shards(self):
-        recs = [ScoreRecord("a", 0.1, "s0"), ScoreRecord("b", 0.5, "s0"),
-                ScoreRecord("a", 0.9, "s1")]
+    def test_repeated_id_rejected_naming_its_shards(self, tmp_path):
+        for i, rows in enumerate([[("a", 0.1), ("b", 0.5)], [("a", 0.9)]]):
+            with open(tmp_path / f"scores-s{i}.jsonl", "w") as fh:
+                header = {"classifier_id": "c", "format_version": 1, "source_shard": f"s{i}"}
+                fh.write(json.dumps(header) + "\n")
+                for doc_id, score in rows:
+                    fh.write(json.dumps({"doc_id": doc_id, "score": score}) + "\n")
         with pytest.raises(DuplicateIdError, match=r"'a'.*2 times.*s0, s1"):
-            select_cutoff(recs, 0.5)
+            ScoreSet.open(tmp_path).load_scores()
 
 
 class TestDefaultRatio:
@@ -220,8 +223,7 @@ class TestFilterCorpus:
             {"s.jsonl": [{"id": f"d{i}", "text": f"doc {i}"} for i in range(10)]},
         )
         scores = {f"d{i}": round(0.1 * (i + 1), 1) for i in range(10)}
-        recs = [ScoreRecord(k, v, "s.jsonl") for k, v in scores.items()]
-        decision = select_cutoff(recs, 0.30)
+        decision = select_cutoff(scores, 0.30)
         out_set, manifest = filter_corpus(shard_set, scores, decision, tmp_path / "out")
         kept = [d.id for d in ingest_shards(out_set)]
         assert kept == ["d7", "d8", "d9"]
@@ -233,8 +235,9 @@ class TestFilterCorpus:
         _, shard_set, docs, clf = small_world
         score_dir = tmp_path / "scores"
         score_set = score_corpus(shard_set, clf, out_dir=score_dir)
-        decision = select_cutoff(score_set, 1.0)
-        out_set, manifest = filter_corpus(shard_set, score_set, decision, tmp_path / "out")
+        scores = score_set.load_scores()
+        decision = select_cutoff(scores, 1.0)
+        out_set, manifest = filter_corpus(shard_set, scores, decision, tmp_path / "out")
         out_docs = list(ingest_shards(out_set))
         assert [(d.id, d.text, d.meta) for d in out_docs] == [
             (d.id, d.text, d.meta) for d in docs
@@ -265,17 +268,19 @@ class TestFilterCorpus:
     def test_worker_independence(self, tmp_path, small_world):
         _, shard_set, docs, clf = small_world
         score_set = score_corpus(shard_set, clf, out_dir=tmp_path / "scores")
-        decision = select_cutoff(score_set, 0.25)
-        out1, _ = filter_corpus(shard_set, score_set, decision, tmp_path / "f1", workers=1)
-        out4, _ = filter_corpus(shard_set, score_set, decision, tmp_path / "f4", workers=4)
+        scores = score_set.load_scores()
+        decision = select_cutoff(scores, 0.25)
+        out1, _ = filter_corpus(shard_set, scores, decision, tmp_path / "f1", workers=1)
+        out4, _ = filter_corpus(shard_set, scores, decision, tmp_path / "f4", workers=4)
         for s1, s4 in zip(out1.shards, out4.shards):
             assert s1.path.read_bytes() == s4.path.read_bytes()
 
     def test_shard_boundaries_preserved(self, tmp_path, small_world):
         _, shard_set, docs, clf = small_world
         score_set = score_corpus(shard_set, clf, out_dir=tmp_path / "scores")
-        decision = select_cutoff(score_set, 0.25)
-        out_set, manifest = filter_corpus(shard_set, score_set, decision, tmp_path / "out")
+        scores = score_set.load_scores()
+        decision = select_cutoff(scores, 0.25)
+        out_set, manifest = filter_corpus(shard_set, scores, decision, tmp_path / "out")
         assert [s.path.name for s in out_set.shards] == [
             s.path.name for s in shard_set.shards
         ]
@@ -284,8 +289,9 @@ class TestFilterCorpus:
     def test_planted_precision_after_training(self, tmp_path, small_world):
         _, shard_set, docs, clf = small_world
         score_set = score_corpus(shard_set, clf, out_dir=tmp_path / "scores")
-        decision = select_cutoff(score_set, 0.25)
-        out_set, _ = filter_corpus(shard_set, score_set, decision, tmp_path / "out")
+        scores = score_set.load_scores()
+        decision = select_cutoff(scores, 0.25)
+        out_set, _ = filter_corpus(shard_set, scores, decision, tmp_path / "out")
         kept_docs = list(ingest_shards(out_set))
         precision = sum(1 for d in kept_docs if stratum_of(d)) / len(kept_docs)
         assert precision >= 0.9
