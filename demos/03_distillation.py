@@ -39,7 +39,7 @@ featurizer = FeaturizerConfig(ngram_orders=(1, 2, 3), hash_bits=16)
 examples = labeled_texts(labels, {s.doc_id: s.text for s in snippets})
 
 train, val = split_train_val(examples, val_fraction=0.1, seed=0)
-classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer, seed=0))
+classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer), seed=0)
 print("training meta:", classifier.training_meta)
 
 # Scores are sigmoid outputs clamped into the open interval (0, 1).

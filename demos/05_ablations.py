@@ -38,7 +38,7 @@ docs = generate_documents(SyntheticCorpusSpec(n_docs=3000, high_quality_fraction
 labels, texts, snips = mock_labeled(docs[:1000])
 featurizer = FeaturizerConfig(hash_bits=16)
 train, val = split_train_val(labeled_texts(labels, texts), 0.1, seed=0)
-classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer, seed=0))
+classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer), seed=0)
 
 ratio_report = run_ratio_sweep(docs, classifier)
 print(ratio_report.render_text())

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .classifier import (
-    FeaturizerConfig,
     LabeledText,
     QualityClassifier,
     TrainConfig,
@@ -184,38 +183,27 @@ def run_ratio_sweep(
 
 def run_capacity_sweep(
     examples: Sequence[LabeledText],
+    config: TrainConfig | None = None,
     hash_bits_list: Sequence[int] = DEFAULT_HASH_BITS,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    base_featurizer: FeaturizerConfig | None = None,
-    val_fraction: float = 0.1,
-    epochs: int = 20,
-    learning_rate: float = 0.5,
 ) -> SweepReport:
-    """Validation F1 per hashed capacity, median over seeds.
+    """Validation F1 per hashed capacity, median over seeds: `config` (default
+    TrainConfig()) with each hash_bits, split and trained at each seed.
 
     Does not raise on a non-monotone ordering (chance-level inputs are a
     legitimate use); the report carries `monotone_nondecreasing` instead.
     """
     if len(examples) < 1000:
         raise ValueError("capacity sweep needs at least 1,000 labeled examples")
-    base = base_featurizer or FeaturizerConfig()
+    config = config or TrainConfig()
     points = []
     medians = []
     for bits in hash_bits_list:
-        feat = replace(base, hash_bits=bits)
+        at_bits = replace(config, featurizer=replace(config.featurizer, hash_bits=bits))
         f1_runs = []
         for seed in seeds:
-            train, val = split_train_val(examples, val_fraction, seed=seed)
-            clf = train_classifier(
-                train,
-                val,
-                TrainConfig(
-                    featurizer=feat,
-                    epochs=epochs,
-                    learning_rate=learning_rate,
-                    seed=seed,
-                ),
-            )
+            train, val = split_train_val(examples, config.val_fraction, seed=seed)
+            clf = train_classifier(train, val, at_bits, seed=seed)
             f1_runs.append(clf.training_meta["val_f1"])
         median = statistics.median(f1_runs)
         medians.append(median)

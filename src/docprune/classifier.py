@@ -291,15 +291,20 @@ def _forward(batch: FeatureBatch, w: np.ndarray, b: float) -> tuple[np.ndarray, 
 
 @dataclass
 class TrainConfig:
-    """Mini-batch SGD settings; single-worker by contract for determinism."""
+    """Featurizer, validation split and mini-batch SGD settings: the
+    [distiller] section. Single-worker by contract for determinism."""
 
     featurizer: FeaturizerConfig = field(default_factory=FeaturizerConfig)
+    val_fraction: float = 0.1
     epochs: int = 20
     learning_rate: float = 0.5
     batch_size: int = 64
-    seed: int = 0
     class_weighting: bool = True
     patience: int = 3
+
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be at least 1")
 
 
 @dataclass
@@ -357,6 +362,7 @@ def train_classifier(
     train: Sequence[LabeledText],
     val: Sequence[LabeledText],
     config: TrainConfig,
+    seed: int = 0,
 ) -> QualityClassifier:
     """Minimize logistic loss by seeded mini-batch SGD; early-stop on val F1.
 
@@ -384,7 +390,7 @@ def train_classifier(
 
     w = np.zeros(config.featurizer.dim, dtype=np.float64)
     b = 0.0
-    rng = random.Random(f"train:{config.seed}")
+    rng = random.Random(f"train:{seed}")
     order = list(range(len(train)))
     lr = config.learning_rate
 
@@ -414,7 +420,7 @@ def train_classifier(
             break
 
     meta = {
-        "seed": config.seed,
+        "seed": seed,
         "epochs": epochs_run,
         "best_epoch": best_epoch + 1,
         "learning_rate": config.learning_rate,

@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import ablation
@@ -67,7 +66,7 @@ from .selection import (
     score_corpus,
     select_cutoff,
 )
-from .synthetic import SyntheticCorpusSpec, generate_documents, truth_by_doc
+from .synthetic import generate_documents, truth_by_doc
 
 log = logging.getLogger("docprune")
 
@@ -81,10 +80,11 @@ EXIT_DEGENERATE = 5
 def _out_dir(config: RunConfig, args, command: str) -> Path:
     """Create the output dir and write the resolved config into it.
 
-    Commands call this only after the checks they can make up front (inputs
+    `load_config` has checked every config value before a command runs, and
+    commands call this only after the checks they can make up front (inputs
     read, labels joined to snippets, transport built, model trained, cutoff
-    selected, score set checked against the corpus), so a run that fails on
-    bad input leaves no output directory behind.
+    selected, score set checked against the corpus, sweep run), so a run that
+    fails on bad input leaves no output directory behind.
     """
     out = Path(args.out) if args.out else Path(config.run.output_root) / command
     out.mkdir(parents=True, exist_ok=True)
@@ -119,20 +119,18 @@ def cmd_sample(config: RunConfig, args) -> int:
 
 def cmd_label(config: RunConfig, args) -> int:
     snippets = list(read_records(args.snippets, Snippet))
-    template = PromptTemplate.for_version(config.labeler.prompt_version)
-    icl_demos = config.labeler.icl_demos
-    demos = read_demonstrations(icl_demos) if icl_demos else []
-    labeler_config = config.labeler.to_labeler_config()
-    if config.labeler.mock:
+    labeler = config.labeler
+    template = PromptTemplate.for_version(labeler.prompt_version)
+    demos = read_demonstrations(labeler.icl_demos) if labeler.icl_demos else []
+    if labeler.mock:
         transport = MockQualityTransport()
-        if not labeler_config.model_name:
-            labeler_config.model_name = "mock-quality"
+        labeler = replace(labeler, model_name=labeler.model_name or "mock-quality")
     else:
-        transport = HttpChatTransport(labeler_config)  # checks endpoint_url
+        transport = HttpChatTransport(labeler)  # checks endpoint_url
     out = _out_dir(config, args, "label")
     try:
         labels, stats = label_documents(
-            snippets, labeler_config, template, demos=demos, transport=transport
+            snippets, labeler, template, demos=demos, transport=transport
         )
     except LabelRunAborted as exc:
         write_labels(exc.labels, out / "labels.jsonl")
@@ -156,7 +154,7 @@ def _train(
     its training split."""
     examples = ablation.labeled_texts(labels, {s.doc_id: s.text for s in snippets})
     train, val = split_train_val(examples, config.distiller.val_fraction, config.run.seed)
-    return train_classifier(train, val, config.distiller.to_train_config(config.run.seed)), train
+    return train_classifier(train, val, config.distiller, seed=config.run.seed), train
 
 
 def cmd_train(config: RunConfig, args) -> int:
@@ -251,19 +249,9 @@ def cmd_filter(config: RunConfig, args) -> int:
 
 
 def cmd_ablate(config: RunConfig, args) -> int:
-    out = _out_dir(config, args, "ablate")
     ab = config.ablation
-    spec = SyntheticCorpusSpec(
-        n_docs=ab.n_docs,
-        high_quality_fraction=ab.high_quality_fraction,
-        signal_strength=ab.signal_strength,
-        seed=config.run.seed,
-        marker_style=ab.marker_style,
-    )
-    docs = generate_documents(spec)
+    docs = generate_documents(ab.corpus_spec(config.run.seed))
     sample = reservoir_sample(iter(docs), min(ab.sample_size, len(docs)), config.run.seed)
-    labeler_config = config.labeler.to_labeler_config()
-    timestamp = time.strftime("%Y%m%dT%H%M%S")
 
     def snippets_of(docs):
         corpus = config.corpus
@@ -272,7 +260,7 @@ def cmd_ablate(config: RunConfig, args) -> int:
     def mock_labels(snippets):
         template = PromptTemplate.for_version(config.labeler.prompt_version)
         return label_documents(
-            snippets, labeler_config, template, transport=MockQualityTransport()
+            snippets, config.labeler, template, transport=MockQualityTransport()
         )[0]
 
     if args.sweep == "ratio":
@@ -286,16 +274,12 @@ def cmd_ablate(config: RunConfig, args) -> int:
         snippets = snippets_of(docs)
         report = ablation.run_capacity_sweep(
             ablation.labeled_texts(mock_labels(snippets), {s.doc_id: s.text for s in snippets}),
-            hash_bits_list=ab.hash_bits_list,
-            seeds=ab.seeds,
-            val_fraction=config.distiller.val_fraction,
-            epochs=config.distiller.epochs,
-            learning_rate=config.distiller.learning_rate,
+            config.distiller, ab.hash_bits_list, ab.seeds,
         )
     elif args.sweep == "prompt":
         transport = VersionFlipTransport(flip_rate=ab.flip_rate)
         report = ablation.run_prompt_robustness(
-            snippets_of(sample), labeler_config, {v: transport for v in ("V1", "V2", "V3")}
+            snippets_of(sample), config.labeler, {v: transport for v in ("V1", "V2", "V3")}
         )
     elif args.sweep == "icl":
         snippets = snippets_of(sample)
@@ -306,12 +290,13 @@ def cmd_ablate(config: RunConfig, args) -> int:
         ]
         weak = FidelityMockTransport({0: ab.fidelity_0shot, 5: ab.fidelity_5shot})
         report = ablation.run_icl_comparison(
-            snippets[5:], labeler_config, weak, demos, strong_by_doc
+            snippets[5:], config.labeler, weak, demos, strong_by_doc
         )
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown sweep {args.sweep!r}")
 
-    jsonl_path, text_path = report.save(out, seed=config.run.seed, timestamp=timestamp)
+    out = _out_dir(config, args, "ablate")
+    jsonl_path, text_path = report.save(out, seed=config.run.seed)
     log.info("wrote %s and %s", jsonl_path, text_path)
     print(report.render_text())
     return EXIT_OK
@@ -327,13 +312,10 @@ _OVERRIDES = {
 }
 
 
-def _apply_overrides(config: RunConfig, args) -> None:
-    for arg, (section, key) in _OVERRIDES.items():
-        value = getattr(args, arg, None)
-        if value is not None and value != "":
-            if arg == "target_ratio" and value != "from-labels":
-                value = float(value)
-            setattr(getattr(config, section), key, value)
+def _overrides(args) -> dict[tuple[str, str], str]:
+    """The flags given, as (section, key) -> value string for load_config."""
+    given = {key: getattr(args, arg, None) for arg, key in _OVERRIDES.items()}
+    return {key: str(value) for key, value in given.items() if value not in (None, "")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,12 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="INI config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="override [run] seed")
+        p.add_argument("--seed", help="override [run] seed")
 
     p = sub.add_parser("sample", help="reservoir-sample documents and slice snippets")
     common(p)
     p.add_argument("--input", help="corpus directory of .jsonl[.gz] shards")
-    p.add_argument("--n", type=int, help="sample size")
+    p.add_argument("--n", help="sample size")
     p.set_defaults(handler=cmd_sample)
 
     p = sub.add_parser("label", help="label snippets via endpoint or mock")
@@ -370,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--snippets", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--hash-bits", type=int)
+    p.add_argument("--hash-bits")
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("score", help="score a whole corpus shard-parallel")
     common(p)
     p.add_argument("--input", help="corpus directory")
     p.add_argument("--model", required=True, help="model file from `train`")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers")
     p.set_defaults(handler=cmd_score)
 
     p = sub.add_parser("select", help="choose the cutoff for a target keep-ratio")
@@ -392,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="corpus directory")
     p.add_argument("--scores", required=True)
     p.add_argument("--decision", required=True, help="decision.json from `select`")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers")
     p.set_defaults(handler=cmd_filter)
 
     p = sub.add_parser("ablate", help="run a desk-scale sweep on synthetic data")
@@ -406,10 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        _apply_overrides(config, args)
+        config = load_config(args.config, _overrides(args))
         logging.basicConfig(
-            level=getattr(logging, config.run.log_level.upper(), logging.INFO),
+            level=config.run.log_level.upper(),
             format="%(levelname)s %(name)s: %(message)s",
         )
         return args.handler(config, args)

@@ -1,18 +1,26 @@
-"""Run configuration: one INI file with typed, schema-checked sections.
+"""Run configuration: one INI file, one dataclass per section.
 
-Unknown sections or keys are rejected. Each CLI command writes its resolved
+Each section is the dataclass its stage consumes: [labeler] is
+`labeling.LabelerConfig` and [distiller] is `classifier.TrainConfig`, whose
+featurizer keys sit in the same section. `load_config` parses every value,
+from the file or from a command-line flag, and checks it by building those
+dataclasses, so a bad value fails before a command writes anything. Unknown
+sections or keys are rejected. Each CLI command writes its resolved
 configuration next to its outputs for auditability.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+import logging
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import Mapping
 
-from .classifier import FeaturizerConfig, TrainConfig
+from .classifier import TrainConfig
 from .corpus import atomic_open
 from .labeling import LabelerConfig
+from .synthetic import SyntheticCorpusSpec
 
 
 class ConfigError(Exception):
@@ -28,25 +36,23 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
+def _parse(key: str, raw: str, default):
+    """An INI value as the type of its key's default; a tuple is a comma list."""
+    if key == "target_ratio" and raw.strip() == "from-labels":
+        return "from-labels"
+    if isinstance(default, tuple):
+        return tuple(_parse(key, part, default[0]) for part in raw.split(",") if part.strip())
+    if isinstance(default, bool):
+        return _parse_bool(raw)
+    if isinstance(default, (int, float)):
+        return type(default)(raw)
+    return raw
 
 
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
-
-
-def _parse_ratio(raw: str):
-    value = raw.strip()
-    if value == "from-labels":
-        return value
-    return float(value)
-
-
-def _build(cls, section, **given):
-    """cls from the section's fields of the same names, plus `given`."""
-    taken = {f.name: getattr(section, f.name) for f in fields(cls) if f.name not in given}
-    return cls(**taken, **given)
+def _at_least_1(**values: int) -> None:
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -55,59 +61,33 @@ class RunSection:
     output_root: str = "runs"
     log_level: str = "INFO"
 
+    def __post_init__(self):
+        if self.log_level.upper() not in logging.getLevelNamesMapping():
+            raise ValueError(f"log_level {self.log_level!r} is not a logging level")
+
 
 @dataclass
 class CorpusSection:
     input_dir: str = ""
     sample_size: int = 2000
-    records_per_shard: int = 1000
-    compress: bool = False
     token_budget: int = 1500
     chars_per_token: int = 4
     strict: bool = False
 
-
-@dataclass
-class LabelerSection:
-    endpoint_url: str = ""
-    model_name: str = ""
-    temperature: float = 0.2
-    max_output_tokens: int = 16
-    max_concurrent_requests: int = 4
-    max_retries: int = 3
-    backoff_base: float = 0.5
-    request_timeout: float = 30.0
-    failure_ceiling: float = 0.05
-    api_key_env: str = "DOCPRUNE_API_KEY"
-    prompt_version: str = "v1"
-    icl_demos: str = ""
-    mock: bool = False
-
-    def to_labeler_config(self) -> LabelerConfig:
-        return _build(LabelerConfig, self)
-
-
-@dataclass
-class DistillerSection:
-    ngram_orders: tuple[int, ...] = (1, 2, 3)
-    hash_bits: int = 18
-    lowercase: bool = True
-    token_pattern: str = r"\w+"
-    val_fraction: float = 0.1
-    epochs: int = 20
-    learning_rate: float = 0.5
-    batch_size: int = 64
-    class_weighting: bool = True
-    patience: int = 3
-
-    def to_train_config(self, seed: int) -> TrainConfig:
-        return _build(TrainConfig, self, featurizer=_build(FeaturizerConfig, self), seed=seed)
+    def __post_init__(self):
+        _at_least_1(sample_size=self.sample_size, token_budget=self.token_budget,
+                    chars_per_token=self.chars_per_token)
 
 
 @dataclass
 class SelectorSection:
-    target_ratio: object = 0.25  # float, or the string "from-labels"
+    target_ratio: float | str = 0.25  # or the string "from-labels"
     workers: int = 1
+
+    def __post_init__(self):
+        if self.target_ratio != "from-labels" and not 0 < self.target_ratio <= 1:
+            raise ValueError('target_ratio must be in (0, 1] or "from-labels"')
+        _at_least_1(workers=self.workers)
 
 
 @dataclass
@@ -116,7 +96,6 @@ class AblationSection:
     high_quality_fraction: float = 0.25
     signal_strength: float = 1.0
     marker_style: str = "few"
-    n_shards: int = 4
     sample_size: int = 1000
     seeds: tuple[int, ...] = (0, 1, 2)
     hash_bits_list: tuple[int, ...] = (10, 14, 18)
@@ -125,74 +104,97 @@ class AblationSection:
     fidelity_0shot: float = 0.60
     fidelity_5shot: float = 0.75
 
+    def __post_init__(self):
+        self.corpus_spec(seed=0)  # checks the corpus shape
+
+    def corpus_spec(self, seed: int) -> SyntheticCorpusSpec:
+        return SyntheticCorpusSpec(
+            n_docs=self.n_docs,
+            high_quality_fraction=self.high_quality_fraction,
+            signal_strength=self.signal_strength,
+            seed=seed,
+            marker_style=self.marker_style,
+        )
+
 
 @dataclass
 class RunConfig:
     run: RunSection = field(default_factory=RunSection)
     corpus: CorpusSection = field(default_factory=CorpusSection)
-    labeler: LabelerSection = field(default_factory=LabelerSection)
-    distiller: DistillerSection = field(default_factory=DistillerSection)
+    labeler: LabelerConfig = field(default_factory=LabelerConfig)
+    distiller: TrainConfig = field(default_factory=TrainConfig)
     selector: SelectorSection = field(default_factory=SelectorSection)
     ablation: AblationSection = field(default_factory=AblationSection)
 
 
-_SECTIONS = [f.name for f in fields(RunConfig)]
-
-# Field-specific parsers where the dataclass default's type is not enough.
-_SPECIAL_PARSERS = {
-    ("selector", "target_ratio"): _parse_ratio,
-    ("distiller", "ngram_orders"): _parse_int_list,
-    ("ablation", "seeds"): _parse_int_list,
-    ("ablation", "hash_bits_list"): _parse_int_list,
-    ("ablation", "ratios"): _parse_float_list,
-}
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
-def _parser_for(section: str, name: str, default) -> callable:
-    special = _SPECIAL_PARSERS.get((section, name))
-    if special is not None:
-        return special
-    if isinstance(default, bool):
-        return _parse_bool
-    if isinstance(default, int):
-        return int
-    if isinstance(default, float):
-        return float
-    return str
+def _flat(section) -> dict:
+    """A section's INI keys and values; a field that holds a dataclass gives
+    its own fields in its place."""
+    values = {}
+    for f in fields(section):
+        value = getattr(section, f.name)
+        values.update(_flat(value) if is_dataclass(value) else {f.name: value})
+    return values
 
 
-def load_config(path: str | Path | None = None) -> RunConfig:
-    """Read an INI file into a RunConfig; missing file fields use defaults."""
-    config = RunConfig()
-    if path is None:
-        return config
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+def _construct(cls, values: dict):
+    """cls from flat values, as `_flat` lays them out; missing keys keep
+    their defaults."""
+    kwargs = {}
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            kwargs[f.name] = _construct(f.default_factory, values)
+        elif f.name in values:
+            kwargs[f.name] = values[f.name]
+    return cls(**kwargs)
+
+
+def _build(name: str, raw: dict[str, str]):
+    """Section `name` from its raw INI strings, parsed and checked."""
+    cls = _SECTIONS[name]
+    defaults = _flat(cls())
+    values = {}
+    for key, text in raw.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown key {key!r} in section [{name}]")
+        try:
+            values[key] = _parse(key, text, defaults[key])
+        except ValueError as exc:
+            raise ConfigError(f"bad value for [{name}] {key} = {text!r}: {exc}") from exc
     try:
-        parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    for section_name in parser.sections():
-        if section_name not in _SECTIONS:
-            raise ConfigError(
-                f"unknown config section [{section_name}] "
-                f"(expected one of {sorted(_SECTIONS)})"
-            )
-        target = getattr(config, section_name)
-        known = {f.name: getattr(target, f.name) for f in fields(target)}
-        for key, raw in parser.items(section_name):
-            if key not in known:
-                raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
-            parse = _parser_for(section_name, key, known[key])
-            try:
-                setattr(target, key, parse(raw))
-            except ValueError as exc:
+        return _construct(cls, values)
+    except ValueError as exc:
+        raise ConfigError(f"bad value in [{name}]: {exc}") from exc
+
+
+def load_config(
+    path: str | Path | None = None, overrides: Mapping[tuple[str, str], str] | None = None
+) -> RunConfig:
+    """The RunConfig of an INI file (None: every default), with `overrides`,
+    (section, key) -> value string as it would appear in the file, laid over
+    the file's values. Every value is parsed and checked here."""
+    raw: dict[str, dict[str, str]] = {name: {} for name in _SECTIONS}
+    if path is not None:
+        path = Path(path)
+        if not path.is_file():
+            raise ConfigError(f"config file not found: {path}")
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            parser.read(path, encoding="utf-8")
+        except configparser.Error as exc:
+            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        for name in parser.sections():
+            if name not in raw:
                 raise ConfigError(
-                    f"bad value for [{section_name}] {key} = {raw!r}: {exc}"
-                ) from exc
-    return config
+                    f"unknown config section [{name}] (expected one of {sorted(raw)})"
+                )
+            raw[name].update(parser.items(name))
+    for (name, key), value in (overrides or {}).items():
+        raw[name][key] = value
+    return RunConfig(**{name: _build(name, values) for name, values in raw.items()})
 
 
 def _render_value(value) -> str:
@@ -206,10 +208,7 @@ def _render_value(value) -> str:
 def write_resolved_config(config: RunConfig, path: str | Path) -> None:
     """Snapshot the fully resolved configuration as INI next to run outputs."""
     parser = configparser.ConfigParser(interpolation=None)
-    for section_name in _SECTIONS:
-        target = getattr(config, section_name)
-        parser[section_name] = {
-            f.name: _render_value(getattr(target, f.name)) for f in fields(target)
-        }
+    for name in _SECTIONS:
+        parser[name] = {k: _render_value(v) for k, v in _flat(getattr(config, name)).items()}
     with atomic_open(path, "w") as fh:
         parser.write(fh)

@@ -56,7 +56,9 @@ INSTRUCTIONS = {
     ),
 }
 
-DEFAULT_PREAMBLE = "[Document]\n\n<{snippet}>\n\n[Instruction] "
+# A prompt block is _DOC_OPEN + snippet + _DOC_CLOSE + instruction text.
+_DOC_OPEN = "[Document]\n\n<"
+_DOC_CLOSE = ">\n\n[Instruction] "
 
 
 class TransportError(Exception):
@@ -82,11 +84,6 @@ class PromptTemplate:
 
     version: str
     instruction_text: str
-    preamble_format: str = DEFAULT_PREAMBLE
-
-    def __post_init__(self):
-        if "{snippet}" not in self.preamble_format:
-            raise ValueError("preamble_format needs a {snippet} placeholder")
 
     @classmethod
     def for_version(cls, version: str) -> "PromptTemplate":
@@ -96,10 +93,7 @@ class PromptTemplate:
         return cls(version=v, instruction_text=INSTRUCTIONS[v])
 
     def render(self, snippet_text: str) -> str:
-        # Placeholder substitution by split, not str.format: document text may
-        # contain braces.
-        pre, _, post = self.preamble_format.partition("{snippet}")
-        return pre + snippet_text + post + self.instruction_text
+        return _DOC_OPEN + snippet_text + _DOC_CLOSE + self.instruction_text
 
 
 @dataclass(frozen=True)
@@ -117,7 +111,8 @@ class IclDemonstration:
 
 @dataclass
 class LabelerConfig:
-    """Endpoint and run-shape settings for a labeling pass."""
+    """Endpoint and run-shape settings for a labeling pass: the [labeler]
+    section. Only the `label` command reads the last three."""
 
     endpoint_url: str = ""
     model_name: str = ""
@@ -129,12 +124,16 @@ class LabelerConfig:
     request_timeout: float = 30.0
     failure_ceiling: float = 0.05
     api_key_env: str = "DOCPRUNE_API_KEY"
+    prompt_version: str = "v1"
+    icl_demos: str = ""  # demonstrations file, or "" for 0-shot prompts
+    mock: bool = False  # label with the offline MockQualityTransport
 
     def __post_init__(self):
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.max_concurrent_requests < 1:
             raise ValueError("max_concurrent_requests must be >= 1")
+        PromptTemplate.for_version(self.prompt_version)  # rejects an unknown version
 
 
 @dataclass
@@ -180,6 +179,24 @@ def build_prompt(
     blocks = [template.render(d.snippet_text) + "\n\n" + d.label for d in demos]
     blocks.append(template.render(snippet.text))
     return "\n\n".join(blocks)
+
+
+def parse_prompt(prompt: str) -> tuple[str, int, str]:
+    """(instruction version, demonstration count, query snippet text) of a
+    prompt that `build_prompt` rendered.
+
+    Each block ends with _DOC_CLOSE plus the whole instruction text, so the
+    blocks are found by that closing; snippet texts may hold any other text,
+    the framing markers included.
+    """
+    for version, text in INSTRUCTIONS.items():
+        closing = _DOC_CLOSE + text
+        if prompt.endswith(closing):
+            # The first part is the first block's opening and snippet; every
+            # later part is "\n\n<answer>\n\n" + the next block's.
+            parts = prompt[: -len(closing)].split(closing)
+            return version, len(parts) - 1, parts[-1].partition(_DOC_OPEN)[2]
+    raise ValueError("prompt carries no known instruction text")
 
 
 _FIRST_ALPHA = re.compile(r"[A-Za-z]+")

@@ -1,9 +1,10 @@
 """Deterministic offline labelers with the endpoint transport's surface.
 
-Every mock answers by parsing the rendered prompt itself (query snippet, shot
-count, instruction version), so the offline path exercises the same
-prompt-build/response-parse loop as a hosted model. All randomness is content
-hashing: identical input always yields the identical answer, across processes.
+Every mock answers by parsing the rendered prompt itself with
+`labeling.parse_prompt` (query snippet, shot count, instruction version), so
+the offline path exercises the same prompt-build/response-parse loop as a
+hosted model. All randomness is content hashing: identical input always
+yields the identical answer, across processes.
 """
 
 from __future__ import annotations
@@ -11,11 +12,8 @@ from __future__ import annotations
 import hashlib
 
 from .corpus import Snippet
-from .labeling import INSTRUCTIONS, NO, YES
+from .labeling import NO, YES, parse_prompt
 from .synthetic import marker_truth
-
-_DOC_OPEN = "[Document]\n\n<"
-_DOC_CLOSE = ">\n\n[Instruction]"
 
 
 def hash01(key: str) -> float:
@@ -25,21 +23,8 @@ def hash01(key: str) -> float:
 
 
 def query_snippet(prompt: str) -> str:
-    """The query document text: contents of the last document block."""
-    tail = prompt[prompt.rindex(_DOC_OPEN) + len(_DOC_OPEN):]
-    return tail[: tail.rindex(_DOC_CLOSE)]
-
-
-def shot_count(prompt: str) -> int:
-    """How many answered demonstrations precede the query block."""
-    return prompt.count(_DOC_OPEN) - 1
-
-
-def prompt_version_of(prompt: str) -> str:
-    for version, text in INSTRUCTIONS.items():
-        if text in prompt:
-            return version
-    raise ValueError("prompt carries no known instruction text")
+    """The query document text of a rendered prompt."""
+    return parse_prompt(prompt)[2]
 
 
 def lexical_richness(text: str) -> float:
@@ -57,11 +42,11 @@ def mock_label(snippet: Snippet) -> str:
     return _label_text(snippet.text)
 
 
-def _label_text(text: str, lexical_threshold: float = 0.2) -> str:
+def _label_text(text: str) -> str:
     verdict = marker_truth(text)
     if verdict is not None:
         return verdict
-    return YES if lexical_richness(text) >= lexical_threshold else NO
+    return YES if lexical_richness(text) >= 0.2 else NO
 
 
 def _flip(label: str) -> str:
@@ -71,11 +56,8 @@ def _flip(label: str) -> str:
 class MockQualityTransport:
     """Offline stand-in for the hosted labeler: marker/lexical verdicts."""
 
-    def __init__(self, lexical_threshold: float = 0.2):
-        self.lexical_threshold = lexical_threshold
-
     def complete(self, prompt: str) -> str:
-        return _label_text(query_snippet(prompt), self.lexical_threshold)
+        return _label_text(query_snippet(prompt))
 
 
 class DegenerateMockTransport:
@@ -85,62 +67,45 @@ class DegenerateMockTransport:
     diagnostic.
     """
 
-    def __init__(self, yes_rate: float = 0.98, salt: str = "degenerate"):
+    def __init__(self, yes_rate: float = 0.98):
         self.yes_rate = yes_rate
-        self.salt = salt
 
     def complete(self, prompt: str) -> str:
-        text = query_snippet(prompt)
-        return YES if hash01(f"{self.salt}|{text}") < self.yes_rate else NO
+        return YES if hash01(f"degenerate|{query_snippet(prompt)}") < self.yes_rate else NO
 
 
 class FidelityMockTransport:
     """Agreement with ground truth is a dial, and rises with demonstration shots.
 
-    truth_fn maps a snippet text to Yes/No (defaults to the planted-marker
-    rule with the lexical fallback). The answer agrees with the truth with
-    probability fidelity_by_shots[shots].
+    The truth is the planted-marker rule with the lexical fallback; the
+    answer agrees with it with probability fidelity_by_shots[shots].
     """
 
-    def __init__(
-        self,
-        fidelity_by_shots: dict[int, float] | None = None,
-        truth_fn=None,
-        salt: str = "fidelity",
-    ):
+    def __init__(self, fidelity_by_shots: dict[int, float] | None = None):
         self.fidelity_by_shots = fidelity_by_shots or {0: 0.60, 5: 0.75}
-        self.truth_fn = truth_fn or _label_text
-        self.salt = salt
 
     def complete(self, prompt: str) -> str:
-        shots = shot_count(prompt)
+        _, shots, text = parse_prompt(prompt)
         if shots not in self.fidelity_by_shots:
             raise ValueError(f"no fidelity configured for {shots}-shot prompts")
-        fidelity = self.fidelity_by_shots[shots]
-        text = query_snippet(prompt)
-        truth = self.truth_fn(text)
-        agree = hash01(f"{self.salt}|{shots}|{text}") < fidelity
+        truth = _label_text(text)
+        agree = hash01(f"fidelity|{shots}|{text}") < self.fidelity_by_shots[shots]
         return truth if agree else _flip(truth)
 
 
 class VersionFlipTransport:
-    """Flips the base verdict at a fixed rate for non-reference prompt versions.
+    """Flips the base verdict at a fixed rate for prompt versions other than V1.
 
     Models a labeler whose judgments drift between semantically equivalent
     instructions; flip_rate 0 makes it version-independent.
     """
 
-    def __init__(self, flip_rate: float = 0.05, reference_version: str = "V1",
-                 salt: str = "prompt-flip"):
+    def __init__(self, flip_rate: float = 0.05):
         self.flip_rate = flip_rate
-        self.reference_version = reference_version
-        self.salt = salt
 
     def complete(self, prompt: str) -> str:
-        text = query_snippet(prompt)
+        version, _, text = parse_prompt(prompt)
         verdict = _label_text(text)
-        version = prompt_version_of(prompt)
-        if version != self.reference_version:
-            if hash01(f"{self.salt}|{version}|{text}") < self.flip_rate:
-                verdict = _flip(verdict)
+        if version != "V1" and hash01(f"prompt-flip|{version}|{text}") < self.flip_rate:
+            verdict = _flip(verdict)
         return verdict

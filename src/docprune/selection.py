@@ -35,7 +35,7 @@ from .corpus import (
     write_shard_file,
 )
 
-SCORES_FORMAT_VERSION = 1
+SCORES_FORMAT_VERSION = 2
 
 
 class TieDegeneracyWarning(UserWarning):
@@ -78,11 +78,19 @@ class ScoringReport:
 
 @dataclass(frozen=True)
 class ScoreHeader:
-    """First record of a score shard; {doc_id, score} rows follow."""
+    """First record of a score shard; `rows` {doc_id, score} rows follow."""
 
     classifier_id: str
     format_version: int
     source_shard: str
+    rows: int = -1  # absent only from format_version 1 headers
+
+    def __post_init__(self):
+        if self.format_version != SCORES_FORMAT_VERSION or self.rows < 0:
+            raise ValueError(
+                f"not a format_version {SCORES_FORMAT_VERSION} score header with a row count "
+                f"(format_version {self.format_version}); re-run `docprune score`"
+            )
 
 
 @dataclass
@@ -95,9 +103,8 @@ def _read_score_shard(path: Path) -> tuple[ScoreHeader, Iterator[_ScoreRow]]:
     """A score shard's header and a lazy iterator over its rows."""
     records = read_records(path, _ScoreRow, header=ScoreHeader)
     header = next(records, None)
-    if header is None or header.format_version != SCORES_FORMAT_VERSION:
-        raise CorpusError(f"{path}:1: expected a score header of format_version "
-                          f"{SCORES_FORMAT_VERSION}, found {header or 'an empty file'}")
+    if header is None:
+        raise CorpusError(f"{path}:1: expected a score header, found an empty file")
     return header, records
 
 
@@ -106,8 +113,9 @@ class ScoreSet:
     """Handle on a directory of sharded score records.
 
     Each score shard starts with a ScoreHeader record {classifier_id,
-    format_version, source_shard} followed by {doc_id, score} records.
-    `source_shards` holds the headers' corpus shard names, in shard order.
+    format_version, source_shard, rows} followed by `rows` {doc_id, score}
+    records. `source_shards` holds the headers' corpus shard names, in shard
+    order.
     """
 
     directory: Path
@@ -133,11 +141,18 @@ class ScoreSet:
         return cls(directory, paths, classifier_ids.pop(), [h.source_shard for h in headers])
 
     def iter_records(self) -> Iterator[tuple[str, float, str]]:
-        """(doc_id, score, source_shard) per row, in shard order."""
+        """(doc_id, score, source_shard) per row, in shard order. A shard
+        whose row count differs from its header's raises CorpusError at its end."""
         for path in self.shard_paths:
             header, rows = _read_score_shard(path)
-            for row in rows:
+            count = 0
+            for count, row in enumerate(rows, 1):
                 yield row.doc_id, row.score, header.source_shard
+            if count != header.rows:
+                raise CorpusError(
+                    f"{path}: the header gives {header.rows} rows, the file holds {count}; "
+                    f"the shard was cut or edited, re-run `docprune score`"
+                )
 
     def load_scores(self) -> dict[str, float]:
         """doc_id -> score; a repeated id raises DuplicateIdError naming the id
@@ -215,7 +230,7 @@ def score_corpus(
         )
         stem = shard.path.name.removesuffix(".gz").removesuffix(".jsonl")
         path = out_dir / f"scores-{stem}.jsonl"
-        header = ScoreHeader(classifier_id, SCORES_FORMAT_VERSION, shard.path.name)
+        header = ScoreHeader(classifier_id, SCORES_FORMAT_VERSION, shard.path.name, len(ids))
         rows = ({"doc_id": i, "score": s} for i, s in zip(ids, scores.tolist()))
         write_jsonl(path, itertools.chain([header], rows))
         stats = ShardScoreStats(

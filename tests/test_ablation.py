@@ -34,7 +34,7 @@ def _trained_classifier(docs, hash_bits=14, seed=0):
     labels, texts, _ = _mock_labeled(docs)
     config = FeaturizerConfig(hash_bits=hash_bits)
     train, val = split_train_val(labeled_texts(labels, texts), 0.1, seed=seed)
-    return train_classifier(train, val, TrainConfig(featurizer=config, seed=seed))
+    return train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ class TestCapacitySweep:
         report = run_capacity_sweep(
             labeled_texts(labels, texts),
             hash_bits_list=(10, 14, 18),
-            base_featurizer=FeaturizerConfig(ngram_orders=(1,)),
+            config=TrainConfig(featurizer=FeaturizerConfig(ngram_orders=(1,))),
         )
         assert all(p["median_f1"] >= 0.95 for p in report.points)
         assert report.metadata["saturated"] is True
@@ -147,7 +147,7 @@ class TestCapacitySweep:
             chances = []
             for seed in (0, 1, 2):
                 train, val = split_train_val(shuffled, 0.25, seed=seed)
-                clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=seed))
+                clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
                 scored = [
                     (score(clf, snippet_of(texts_by_id[e.doc_id])), e.target) for e in val
                 ]
@@ -275,7 +275,7 @@ class TestZeroStrengthChance:
         chances = []
         for seed in (0, 1, 2):
             train, val = split_train_val(examples, 0.25, seed=seed)
-            clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=seed))
+            clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
             scored = [
                 (score(clf, snippet_of(texts[e.doc_id])), stratum[e.doc_id]) for e in val
             ]

@@ -210,7 +210,7 @@ class TestCriterion5ClassifierCorrectness:
             target = 1 if stratum_of(doc) else 0
             examples.append(LabeledText(doc.id, doc.text, target))
         train, val = split_train_val(examples, 0.1, seed=0)
-        clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=0))
+        clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
         assert clf.training_meta["val_f1"] >= 0.95
 
     def test_shuffled_labels_fall_to_chance(self):
@@ -228,7 +228,7 @@ class TestCriterion5ClassifierCorrectness:
         chances = []
         for seed in (0, 1, 2):
             train, val = split_train_val(examples, 0.25, seed=seed)
-            clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=seed))
+            clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
             scored = [(score(clf, snippet_of(texts[e.doc_id])), e.target) for e in val]
             scored.sort(key=lambda t: -t[0])
             k = sum(t for _, t in scored)
@@ -260,7 +260,7 @@ class TestCriterion7DeterminismAndParallelSafety:
         config = FeaturizerConfig(hash_bits=14)
         examples = [LabeledText(d.id, d.text, 1 if stratum_of(d) else 0) for d in sample]
         train, val = split_train_val(examples, 0.1, seed=0)
-        clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=0))
+        clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
 
         sets = {}
         for workers in (1, 4):
@@ -295,8 +295,8 @@ class TestCriterion7DeterminismAndParallelSafety:
         config = FeaturizerConfig(hash_bits=12)
         examples = [LabeledText(d.id, d.text, 1 if stratum_of(d) else 0) for d in a]
         train, val = split_train_val(examples, 0.1, seed=1)
-        m1 = train_classifier(train, val, TrainConfig(featurizer=config, seed=1))
-        m2 = train_classifier(train, val, TrainConfig(featurizer=config, seed=1))
+        m1 = train_classifier(train, val, TrainConfig(featurizer=config), seed=1)
+        m2 = train_classifier(train, val, TrainConfig(featurizer=config), seed=1)
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
 

@@ -234,14 +234,14 @@ class TestTraining:
     def test_separable_data_high_f1(self):
         examples, config = _examples(150, 450, seed=2)
         train, val = split_train_val(examples, 0.2, seed=0)
-        clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=0))
+        clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
         assert clf.training_meta["val_f1"] >= 0.95
 
     def test_deterministic_weights(self):
         examples, config = _examples(100, 100, seed=4)
         train, val = split_train_val(examples, 0.2, seed=0)
-        a = train_classifier(train, val, TrainConfig(featurizer=config, seed=3))
-        b = train_classifier(train, val, TrainConfig(featurizer=config, seed=3))
+        a = train_classifier(train, val, TrainConfig(featurizer=config), seed=3)
+        b = train_classifier(train, val, TrainConfig(featurizer=config), seed=3)
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
         assert a.training_meta == b.training_meta
@@ -251,10 +251,10 @@ class TestTraining:
 
         examples, config = _examples(60, 60, seed=5)
         train, val = split_train_val(examples, 0.2, seed=0)
-        whole = train_classifier(train, val, TrainConfig(featurizer=config, seed=2))
+        whole = train_classifier(train, val, TrainConfig(featurizer=config), seed=2)
         # ~45-character texts: batches of one or two texts each
         monkeypatch.setattr(classifier, "FEATURIZE_BATCH_CHARS", 50)
-        chunked = train_classifier(train, val, TrainConfig(featurizer=config, seed=2))
+        chunked = train_classifier(train, val, TrainConfig(featurizer=config), seed=2)
         assert np.array_equal(whole.weights, chunked.weights)
         assert whole.bias == chunked.bias
         assert whole.training_meta == chunked.training_meta
@@ -268,7 +268,7 @@ class TestTraining:
     def test_training_meta_recorded(self):
         examples, config = _examples(80, 120, seed=6)
         train, val = split_train_val(examples, 0.1, seed=0)
-        clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=1))
+        clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=1)
         meta = clf.training_meta
         assert meta["train_size"] == len(train)
         assert meta["val_size"] == len(val)
@@ -288,7 +288,7 @@ class TestTraining:
         rng.shuffle(targets)
         examples = [LabeledText(str(i), t, y) for i, (t, y) in enumerate(zip(texts, targets))]
         train, val = split_train_val(examples, 0.25, seed=0)
-        clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=0))
+        clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
         val_scores = np.array([score(clf, snippet_of(texts[int(e.doc_id)])) for e in val])
         gold = [e.target for e in val]
         k = sum(gold)
@@ -335,7 +335,7 @@ class TestModelIO:
     def make_classifier(self, seed=0):
         examples, config = _examples(60, 60, seed=seed)
         train, val = split_train_val(examples, 0.2, seed=0)
-        return train_classifier(train, val, TrainConfig(featurizer=config, seed=0))
+        return train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
 
     def test_roundtrip_scores_identical(self, tmp_path):
         clf = self.make_classifier()
@@ -421,7 +421,7 @@ class TestHeldOutSeparation:
             target = 1 if mock_label(snip) == "Yes" else 0
             examples.append(LabeledText(doc.id, snip.text, target))
         train, val = split_train_val(examples, 0.1, seed=0)
-        clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=0))
+        clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
         held_high = [d for d in held if stratum_of(d)][:1000]
         assert len(held_high) == 1000
         above = sum(1 for d in held_high if score(clf, extract_snippet(d)) > 0.5)

@@ -1,18 +1,13 @@
 import json
-from dataclasses import MISSING, fields
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from docprune.classifier import FeaturizerConfig, QualityClassifier, TrainConfig, save_model
 from docprune.cli import main
-from docprune.config import (
-    ConfigError,
-    DistillerSection,
-    LabelerSection,
-    load_config,
-    write_resolved_config,
-)
+from docprune.config import ConfigError, load_config, write_resolved_config
 from docprune.labeling import LabelerConfig
 from docprune.corpus import ShardSet, ingest_shards, read_json
 from docprune.labeling import DegenerateLabelerWarning, read_labels
@@ -25,7 +20,7 @@ class TestConfigFile:
         config = load_config(None)
         assert config.run.seed == 0
         assert config.labeler.temperature == 0.2
-        assert config.distiller.ngram_orders == (1, 2, 3)
+        assert config.distiller.featurizer.ngram_orders == (1, 2, 3)
         assert config.ablation.ratios == (0.20, 0.25, 0.30, 0.40, 0.50, 1.00)
 
     def test_file_values_parsed(self, tmp_path):
@@ -40,8 +35,8 @@ class TestConfigFile:
         assert config.run.seed == 11
         assert config.labeler.temperature == 0.7
         assert config.labeler.mock is True
-        assert config.distiller.hash_bits == 12
-        assert config.distiller.ngram_orders == (1, 2)
+        assert config.distiller.featurizer.hash_bits == 12
+        assert config.distiller.featurizer.ngram_orders == (1, 2)
         assert config.selector.target_ratio == "from-labels"
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -69,34 +64,36 @@ class TestConfigFile:
     def test_resolved_snapshot_roundtrips(self, tmp_path):
         config = load_config(None)
         config.run.seed = 42
-        config.distiller.ngram_orders = (1, 2)
+        config.distiller.featurizer = replace(config.distiller.featurizer, ngram_orders=(1, 2))
         out = tmp_path / "resolved.ini"
         write_resolved_config(config, out)
         back = load_config(out)
         assert back.run.seed == 42
-        assert back.distiller.ngram_orders == (1, 2)
+        assert back == config
+
+    def test_sections_are_the_stage_configs(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[labeler]\nmodel_name = m\n\n[distiller]\nhash_bits = 12\nepochs = 4\n")
+        config = load_config(cfg, {("distiller", "val_fraction"): "0.2"})
+        assert config.labeler == LabelerConfig(model_name="m")
+        assert config.distiller == TrainConfig(
+            featurizer=FeaturizerConfig(hash_bits=12), val_fraction=0.2, epochs=4
+        )
+
+    @pytest.mark.parametrize("key, value, section", [
+        (("selector", "target_ratio"), "1.5", "selector"),
+        (("selector", "target_ratio"), "0", "selector"),
+        (("labeler", "prompt_version"), "v9", "labeler"),
+        (("distiller", "hash_bits"), "30", "distiller"),
+        (("distiller", "batch_size"), "0", "distiller"),
+        (("corpus", "chars_per_token"), "0", "corpus"),
+    ])
+    def test_bad_override_names_its_section(self, key, value, section):
+        with pytest.raises(ConfigError, match=rf"\[{section}\]"):
+            load_config(None, {key: value})
 
 
 class TestSectionsMatchLibrary:
-    @pytest.mark.parametrize("section, library", [
-        (LabelerSection, LabelerConfig),
-        (DistillerSection, FeaturizerConfig),
-        (DistillerSection, TrainConfig),
-    ])
-    def test_section_defaults_equal_library_defaults(self, section, library):
-        section_defaults = {f.name: f.default for f in fields(section)}
-        shared = [f for f in fields(library) if f.name in section_defaults]
-        assert shared
-        for f in shared:
-            assert f.default is not MISSING, f.name
-            assert section_defaults[f.name] == f.default, f.name
-
-    def test_sections_build_every_library_field(self):
-        labeler = LabelerSection(model_name="m", temperature=0.7).to_labeler_config()
-        assert labeler == LabelerConfig(model_name="m", temperature=0.7)
-        train = DistillerSection(hash_bits=12, epochs=4).to_train_config(seed=9)
-        assert train == TrainConfig(featurizer=FeaturizerConfig(hash_bits=12), epochs=4, seed=9)
-
     def test_bad_temperature_exits_2(self, tmp_path):
         snippets = tmp_path / "snippets.jsonl"
         snippets.write_text("")
@@ -407,6 +404,20 @@ class TestCliAblate:
         assert "monotone_nondecreasing" in header
         assert len([r for r in records if r["record"] == "point"]) == 2
 
+    def test_capacity_sweep_trains_with_the_distiller_section(self, tmp_path):
+        medians = []
+        for distiller in ("", "[distiller]\nngram_orders = 1\n"):
+            cfg = self.make_config(
+                tmp_path, n_docs=1200, high_quality_fraction=0.5, marker_style="many",
+                hash_bits_list="10, 14", seeds=0,
+            )
+            cfg.write_text("[run]\nseed = 3\n\n" + cfg.read_text() + distiller)
+            out = tmp_path / f"out{len(medians)}"
+            assert run_cli("ablate", "--config", cfg, "--sweep", "capacity", "--out", out) == 0
+            records = map(json.loads, next(out.glob("capacity-*.jsonl")).read_text().splitlines())
+            medians.append([r["median_f1"] for r in records if r["record"] == "point"])
+        assert len(medians[0]) == 2 and medians[1] != medians[0]
+
     def test_prompt_sweep_has_aggregate(self, tmp_path):
         cfg = self.make_config(tmp_path, n_docs=500, sample_size=400)
         out = tmp_path / "out"
@@ -465,7 +476,7 @@ SNIPPET = {"doc_id": "a", "text": "some text", "char_start": 0, "char_end": 9,
            "approx_token_budget": 1500}
 LABEL = {"doc_id": "a", "label": "Yes", "prompt_version": "V1", "labeler_id": "m",
          "raw_response": "Yes", "icl_shots": 0}
-HEADER = {"classifier_id": "c", "format_version": 1, "source_shard": "s0.jsonl"}
+HEADER = {"classifier_id": "c", "format_version": 2, "source_shard": "s0.jsonl", "rows": 1}
 
 
 class TestMalformedStageFiles:
@@ -519,7 +530,8 @@ class TestMalformedStageFiles:
     @pytest.mark.parametrize("records, line", [
         ([], 1),                                                   # empty shard
         ([HEADER, {"doc_id": "a", "score": 0.5}, {"doc_id": "b"}], 3),   # row without score
-        ([{**HEADER, "format_version": 2}, {"doc_id": "a", "score": 0.5}], 1),
+        ([{"classifier_id": "c", "format_version": 1, "source_shard": "s0.jsonl"},
+          {"doc_id": "a", "score": 0.5}], 1),                     # format_version 1
     ])
     def test_bad_score_shard(self, tmp_path, capsys, records, line):
         scores = self.scores(tmp_path, records)
@@ -550,7 +562,7 @@ class TestScoreSetCoverage:
             if k == 3 and low_shard_scores:
                 rows = [{**row, "score": 0.0001} for row in rows]
             jsonl(scores / f"scores-s{k}.jsonl",
-                  [{**HEADER, "source_shard": f"s{k}.jsonl"}] + rows)
+                  [{**HEADER, "source_shard": f"s{k}.jsonl", "rows": 100}] + rows)
         assert run_cli("select", "--scores", scores, "--target-ratio", 0.25,
                        "--out", tmp_path / "select") == 0
         return corpus, scores, tmp_path / "select" / "decision.json"
@@ -604,7 +616,8 @@ class TestScoreTimeChecks:
         scores = tmp_path / "scores"
         scores.mkdir()
         jsonl(scores / "scores-s0.jsonl",
-              [HEADER] + [{"doc_id": f"d{i}", "score": i / 200 + 0.1} for i in range(100)])
+              [{**HEADER, "rows": 100}]
+              + [{"doc_id": f"d{i}", "score": i / 200 + 0.1} for i in range(100)])
         labels = jsonl(tmp_path / "labels.jsonl", [
             {**LABEL, "doc_id": f"d{i}", "label": "Yes" if i < yes else "No"}
             for i in range(100)
@@ -619,3 +632,99 @@ class TestScoreTimeChecks:
             assert not (tmp_path / "out").exists()
             # A numeric ratio is the override.
             assert run_cli(*argv, "--target-ratio", 0.5) == 0
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A 400-doc corpus in 4 shards and every stage file of one run over it."""
+    tmp = tmp_path_factory.mktemp("small-run")
+    corpus = tmp / "corpus"
+    generate_synthetic_corpus(SyntheticCorpusSpec(n_docs=400, seed=5), corpus)
+    snippets, labels = tmp / "sample" / "snippets.jsonl", tmp / "label" / "labels.jsonl"
+    model, scores = tmp / "train" / "model.bin", tmp / "score"
+    assert run_cli("sample", "--input", corpus, "--out", tmp / "sample") == 0
+    assert run_cli("label", "--mock", "--snippets", snippets, "--out", tmp / "label") == 0
+    assert run_cli("train", "--snippets", snippets, "--labels", labels, "--hash-bits", 12,
+                   "--out", tmp / "train") == 0
+    assert run_cli("score", "--input", corpus, "--model", model, "--out", scores) == 0
+    assert run_cli("select", "--scores", scores, "--target-ratio", 0.25,
+                   "--out", tmp / "select") == 0
+    return {
+        "sample": ["sample", "--input", corpus],
+        "train": ["train", "--snippets", snippets, "--labels", labels],
+        "score": ["score", "--input", corpus, "--model", model],
+        "select": ["select", "--scores", scores, "--target-ratio", 0.25],
+        "filter": ["filter", "--input", corpus, "--scores", scores,
+                   "--decision", tmp / "select" / "decision.json"],
+        "ablate": ["ablate", "--sweep", "capacity"],
+    }
+
+
+class TestLoadTimeChecks:
+    """A bad value, from a flag or from the file, exits 2 naming its section
+    before the command creates its output dir."""
+
+    @pytest.mark.parametrize("command, flags, ini, section", [
+        ("score", ["--workers", 0], "", "selector"),
+        ("score", [], "[selector]\nworkers = 0\n", "selector"),
+        ("filter", ["--workers", 0], "", "selector"),
+        ("filter", [], "[selector]\nworkers = 0\n", "selector"),
+        ("sample", ["--n", 0], "", "corpus"),
+        ("sample", [], "[corpus]\nsample_size = 0\n", "corpus"),
+        ("sample", [], "[corpus]\ntoken_budget = 0\n", "corpus"),
+        ("ablate", [], "[ablation]\nn_docs = 50\n", "ablation"),
+        ("train", [], "[distiller]\nepochs = 0\n", "distiller"),
+        ("sample", [], "[run]\nlog_level = LOUD\n", "run"),
+    ], ids=["score-flag", "score-file", "filter-flag", "filter-file", "sample-flag",
+            "sample_size", "token_budget", "n_docs", "epochs", "log_level"])
+    def test_bad_value_exits_2_without_output(self, small_run, tmp_path, capsys,
+                                              command, flags, ini, section):
+        argv = small_run[command] + flags + ["--out", tmp_path / "out"]
+        if ini:
+            (tmp_path / "run.ini").write_text(ini)
+            argv += ["--config", tmp_path / "run.ini"]
+        assert run_cli(*argv) == 2
+        assert f"[{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+    def test_failed_sweep_writes_no_output_dir(self, tmp_path, capsys):
+        (tmp_path / "run.ini").write_text("[ablation]\nn_docs = 500\n")
+        assert run_cli("ablate", "--sweep", "capacity", "--config", tmp_path / "run.ini",
+                       "--out", tmp_path / "out") == 2
+        assert "1,000 labeled examples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestScoreRowCount:
+    """Each score shard's header carries its row count, so a cut shard fails
+    `select` and `filter` before they create their output dir."""
+
+    def test_headers_count_their_rows(self, small_run):
+        scores = small_run["select"][2]
+        for path in sorted(scores.glob("scores-*.jsonl")):
+            lines = path.read_text().splitlines()
+            assert json.loads(lines[0])["rows"] == len(lines) - 1 == 100
+
+    @pytest.mark.parametrize("command", ["select", "filter"])
+    def test_shard_cut_at_a_record_boundary_exits_3(self, small_run, tmp_path, capsys,
+                                                    command):
+        scores = shutil.copytree(small_run["select"][2], tmp_path / "scores")
+        shard = scores / "scores-shard-00001.jsonl"
+        shard.write_text("".join(shard.read_text().splitlines(keepends=True)[:-1]))
+        argv = [scores if a == small_run["select"][2] else a for a in small_run[command]]
+        assert run_cli(*argv, "--out", tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert f"{shard}: the header gives 100 rows, the file holds 99" in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_version_1_score_set_asks_to_rescore(self, tmp_path, capsys):
+        scores = tmp_path / "scores"
+        scores.mkdir()
+        jsonl(scores / "scores-s0.jsonl", [
+            {"classifier_id": "c", "format_version": 1, "source_shard": "s0.jsonl"},
+            {"doc_id": "a", "score": 0.5},
+        ])
+        assert run_cli("select", "--scores", scores, "--target-ratio", 0.5,
+                       "--out", tmp_path / "out") == 3
+        assert "re-run `docprune score`" in capsys.readouterr().err

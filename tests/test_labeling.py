@@ -5,6 +5,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docprune.corpus import snippet_of
 from docprune.labeling import (
@@ -24,11 +26,12 @@ from docprune.labeling import (
     build_prompt,
     label_documents,
     parse_label,
+    parse_prompt,
     read_labels,
     write_labels,
     yes_fraction,
 )
-from docprune.mocks import MockQualityTransport
+from docprune.mocks import FidelityMockTransport, MockQualityTransport, query_snippet
 
 # The canonical rendered prompt for the documented sample snippet. The three
 # instruction texts below are frozen copies; the package constants must match
@@ -130,6 +133,36 @@ class TestPromptRendering:
     def test_demo_label_validated(self):
         with pytest.raises(ValueError):
             IclDemonstration("t", "Maybe")
+
+
+# Snippet texts made of the prompt's own framing markers, braces and other text.
+FRAMED_TEXT = st.lists(
+    st.sampled_from(["[Document]", "[Instruction]", "<", ">", "{", "}", "{snippet}", "\n",
+                     " ", "Yes", "No"]) | st.text(max_size=4),
+    max_size=12,
+).map("".join)
+
+
+class TestParsePrompt:
+    @settings(max_examples=300, deadline=None)
+    @given(version=st.sampled_from(["V1", "V2", "V3"]), query=FRAMED_TEXT.filter(bool),
+           demo_texts=st.just([]) | st.lists(FRAMED_TEXT, min_size=5, max_size=5))
+    def test_round_trips_build_prompt(self, version, query, demo_texts):
+        demos = [IclDemonstration(t, YES if i % 2 else NO) for i, t in enumerate(demo_texts)]
+        prompt = build_prompt(snippet_of(query), PromptTemplate.for_version(version), demos)
+        assert parse_prompt(prompt) == (version, len(demos), query)
+
+    def test_query_holding_the_framing(self):
+        text = "before [Document]\n\n< inner >\n\n[Instruction] after"
+        prompt = build_prompt(snippet_of(text), PromptTemplate.for_version("V2"))
+        assert parse_prompt(prompt) == ("V2", 0, text)
+        assert query_snippet(prompt) == text
+        # a 0-shot prompt is answered at 0-shot fidelity, not as a 1-shot one
+        assert FidelityMockTransport({0: 1.0}).complete(prompt) in (YES, NO)
+
+    def test_unknown_instruction_rejected(self):
+        with pytest.raises(ValueError, match="instruction"):
+            parse_prompt("[Document]\n\n<text>\n\n[Instruction] Is it good?")
 
 
 class TestParseLabel:

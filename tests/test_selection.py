@@ -103,7 +103,8 @@ class TestSelectCutoff:
     def test_repeated_id_rejected_naming_its_shards(self, tmp_path):
         for i, rows in enumerate([[("a", 0.1), ("b", 0.5)], [("a", 0.9)]]):
             with open(tmp_path / f"scores-s{i}.jsonl", "w") as fh:
-                header = {"classifier_id": "c", "format_version": 1, "source_shard": f"s{i}"}
+                header = {"classifier_id": "c", "format_version": 2, "source_shard": f"s{i}",
+                          "rows": len(rows)}
                 fh.write(json.dumps(header) + "\n")
                 for doc_id, score in rows:
                     fh.write(json.dumps({"doc_id": doc_id, "score": score}) + "\n")
@@ -146,7 +147,7 @@ def small_world(tmp_path_factory):
         target = 1 if mock_label(snip) == YES else 0
         examples.append(LabeledText(doc.id, snip.text, target))
     train, val = split_train_val(examples, 0.1, seed=0)
-    clf = train_classifier(train, val, TrainConfig(featurizer=config, seed=0))
+    clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
     return tmp, shard_set, docs, clf
 
 
@@ -208,7 +209,8 @@ class TestScoreCorpus:
         scores_dir.mkdir()
         for i, cid in enumerate(["aaa", "bbb"]):
             with open(scores_dir / f"scores-{i}.jsonl", "w") as fh:
-                fh.write(json.dumps({"classifier_id": cid, "format_version": 1}) + "\n")
+                fh.write(json.dumps({"classifier_id": cid, "format_version": 2,
+                                     "source_shard": f"{i}.jsonl", "rows": 1}) + "\n")
                 fh.write(json.dumps({"doc_id": f"d{i}", "score": 0.5}) + "\n")
         with pytest.raises(CorpusError, match="mix"):
             ScoreSet.open(scores_dir)
