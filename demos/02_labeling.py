@@ -6,7 +6,6 @@ Run: python demos/02_labeling.py
 from docprune import (
     IclDemonstration,
     LabelerConfig,
-    PromptTemplate,
     MockQualityTransport,
     build_prompt,
     label_documents,
@@ -16,9 +15,9 @@ from docprune.corpus import snippet_of
 from docprune.synthetic import SyntheticCorpusSpec, generate_documents
 from docprune.ablation import snippets_of
 
-# Three fixed instruction variants; V1 is the default.
-template = PromptTemplate.for_version("V1")
-prompt = build_prompt(snippet_of("I am a document."), template)
+# Three fixed instruction variants, V1-V3; [labeler] prompt_version picks
+# one, and V1 is the default.
+prompt = build_prompt(snippet_of("I am a document."), "V1")
 print("--- zero-shot prompt ---")
 print(prompt)
 print()
@@ -32,7 +31,7 @@ demos = [
     IclDemonstration("click here click here click here", "No", "strong"),
     IclDemonstration("A study guide for organic chemistry.", "Yes", "strong"),
 ]
-five_shot = build_prompt(snippet_of("I am a document."), template, demos)
+five_shot = build_prompt(snippet_of("I am a document."), "V1", demos)
 print(f"five-shot prompt has {five_shot.count('[Document]')} document blocks")
 print()
 
@@ -49,7 +48,6 @@ snippets = snippets_of(docs)
 labels, stats = label_documents(
     snippets,
     LabelerConfig(model_name="mock-quality"),
-    template,
     transport=MockQualityTransport(),
 )
 print(f"labeled {stats.labeled}/{stats.requested} snippets")
@@ -57,5 +55,6 @@ print(f"yes-fraction {stats.yes_fraction:.3f} (planted high-quality fraction was
 print(f"ambiguous dropped: {stats.ambiguous_dropped}, transport failures: {stats.transport_failures}")
 
 # The same call reaches a real chat-completion endpoint when given a
-# LabelerConfig with endpoint_url/model_name and no transport override;
-# credentials come from the DOCPRUNE_API_KEY environment variable.
+# LabelerConfig with endpoint_url/model_name and
+# transport=HttpChatTransport(config); credentials come from the
+# DOCPRUNE_API_KEY environment variable.

@@ -10,7 +10,6 @@ from docprune import (
     FeaturizerConfig,
     LabelerConfig,
     MockQualityTransport,
-    PromptTemplate,
     TrainConfig,
     label_documents,
     load_model,
@@ -27,8 +26,7 @@ from docprune.synthetic import SyntheticCorpusSpec, generate_documents
 docs = generate_documents(SyntheticCorpusSpec(n_docs=2000, high_quality_fraction=0.25, seed=3))
 snippets = snippets_of(docs)
 labels, stats = label_documents(
-    snippets, LabelerConfig(model_name="mock"), PromptTemplate.for_version("V1"),
-    transport=MockQualityTransport(),
+    snippets, LabelerConfig(model_name="mock"), transport=MockQualityTransport()
 )
 print(f"training pairs: {stats.labeled}, yes-fraction {stats.yes_fraction:.3f}")
 

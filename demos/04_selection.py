@@ -18,7 +18,7 @@ from docprune import (
     yes_fraction,
 )
 from docprune.ablation import labeled_texts, snippets_of
-from docprune.labeling import LabelerConfig, PromptTemplate, label_documents
+from docprune.labeling import LabelerConfig, label_documents
 from docprune.mocks import MockQualityTransport
 from docprune.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus, stratum_of
 
@@ -36,8 +36,7 @@ with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:
     docs = list(ingest_shards(shard_set))
     snippets = snippets_of(docs[:1000])
     labels, stats = label_documents(
-        snippets, LabelerConfig(model_name="mock"), PromptTemplate.for_version("V1"),
-        transport=MockQualityTransport(),
+        snippets, LabelerConfig(model_name="mock"), transport=MockQualityTransport()
     )
     featurizer = FeaturizerConfig(hash_bits=16)
     examples = labeled_texts(labels, {s.doc_id: s.text for s in snippets})

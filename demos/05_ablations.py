@@ -9,7 +9,6 @@ from docprune import (
     FeaturizerConfig,
     IclDemonstration,
     LabelerConfig,
-    PromptTemplate,
     TrainConfig,
     label_documents,
     run_capacity_sweep,
@@ -24,12 +23,11 @@ from docprune.mocks import FidelityMockTransport, MockQualityTransport, VersionF
 from docprune.synthetic import SyntheticCorpusSpec, generate_documents, truth_by_doc
 
 config = LabelerConfig(model_name="mock", max_concurrent_requests=8)
-template = PromptTemplate.for_version("V1")
 
 
 def mock_labeled(docs):
     snips = snippets_of(docs)
-    labels, _ = label_documents(snips, config, template, transport=MockQualityTransport())
+    labels, _ = label_documents(snips, config, transport=MockQualityTransport())
     return labels, {s.doc_id: s.text for s in snips}, snips
 
 

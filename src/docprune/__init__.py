@@ -49,7 +49,6 @@ from .labeling import (
     LabelRunAborted,
     LabelRunStats,
     LabelerConfig,
-    PromptTemplate,
     QualityLabel,
     TransportError,
     build_prompt,

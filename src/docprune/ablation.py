@@ -27,7 +27,6 @@ from .corpus import CorpusError, Document, Snippet, atomic_open, extract_snippet
 from .labeling import (
     IclDemonstration,
     LabelerConfig,
-    PromptTemplate,
     QualityLabel,
     Transport,
     YES,
@@ -242,9 +241,8 @@ def run_prompt_robustness(
     yes_fracs: dict[str, float] = {}
     points = []
     for version in versions:
-        template = PromptTemplate.for_version(version)
         labels, stats = label_documents(
-            snippets, config, template, transport=transports[version]
+            snippets, replace(config, prompt_version=version), transport=transports[version]
         )
         labels_by_version[version] = {l.doc_id: l.label for l in labels}
         yes_fracs[version] = stats.yes_fraction
@@ -285,20 +283,16 @@ def run_icl_comparison(
     weak_transport: Transport,
     demos: Sequence[IclDemonstration],
     strong_by_doc: dict[str, str],
-    version: str = "V1",
 ) -> SweepReport:
-    """Weak labeler at 0-shot vs 5-shot: yes-fraction and agreement with the
-    strong labeler's judgments."""
+    """Weak labeler at 0-shot vs 5-shot, prompted with config.prompt_version:
+    yes-fraction and agreement with the strong labeler's judgments."""
     demos = list(demos)
     if len(demos) != 5:
         raise ValueError(f"exactly 5 demonstrations required, got {len(demos)}")
-    template = PromptTemplate.for_version(version)
     points = []
     agreements = []
     for shots, demo_list in ((0, []), (5, demos)):
-        labels, stats = label_documents(
-            snippets, config, template, demos=demo_list, transport=weak_transport
-        )
+        labels, stats = label_documents(snippets, config, demo_list, transport=weak_transport)
         scored = [l for l in labels if l.doc_id in strong_by_doc]
         same = sum(1 for l in scored if l.label == strong_by_doc[l.doc_id])
         agreement = same / len(scored) if scored else 0.0

@@ -49,7 +49,6 @@ from .labeling import (
     HttpChatTransport,
     IclDemonstration,
     LabelRunAborted,
-    PromptTemplate,
     TransportError,
     label_documents,
     read_demonstrations,
@@ -64,6 +63,7 @@ from .selection import (
     SelectionDecision,
     filter_corpus,
     score_corpus,
+    score_shard_names,
     select_cutoff,
 )
 from .synthetic import generate_documents, truth_by_doc
@@ -120,7 +120,6 @@ def cmd_sample(config: RunConfig, args) -> int:
 def cmd_label(config: RunConfig, args) -> int:
     snippets = list(read_records(args.snippets, Snippet))
     labeler = config.labeler
-    template = PromptTemplate.for_version(labeler.prompt_version)
     demos = read_demonstrations(labeler.icl_demos) if labeler.icl_demos else []
     if labeler.mock:
         transport = MockQualityTransport()
@@ -129,9 +128,7 @@ def cmd_label(config: RunConfig, args) -> int:
         transport = HttpChatTransport(labeler)  # checks endpoint_url
     out = _out_dir(config, args, "label")
     try:
-        labels, stats = label_documents(
-            snippets, labeler, template, demos=demos, transport=transport
-        )
+        labels, stats = label_documents(snippets, labeler, demos, transport=transport)
     except LabelRunAborted as exc:
         write_labels(exc.labels, out / "labels.jsonl")
         write_json(out / "label-stats.json", exc.stats)
@@ -181,6 +178,7 @@ def cmd_train(config: RunConfig, args) -> int:
 def cmd_score(config: RunConfig, args) -> int:
     classifier = load_model(Path(args.model))
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
+    score_shard_names(shard_set)  # two corpus shards with one score shard exit 3
     out = _out_dir(config, args, "score")
     score_set = score_corpus(
         shard_set,
@@ -189,6 +187,7 @@ def cmd_score(config: RunConfig, args) -> int:
         out_dir=out,
         token_budget=config.corpus.token_budget,
         chars_per_token=config.corpus.chars_per_token,
+        strict=config.corpus.strict,
     )
     write_json(out / "scoring-report.json", score_set.report)
     log.info(
@@ -237,9 +236,17 @@ def cmd_filter(config: RunConfig, args) -> int:
             f"corpus {sorted(scored_shards - corpus_shards)}"
         )
     scores = score_set.load_scores()
+    selected_on = (decision.classifier_id, decision.kept + decision.dropped)
+    if selected_on != (score_set.classifier_id, len(scores)):
+        raise CorpusError(
+            f"decision {args.decision} was selected over {selected_on[1]} scores of classifier "
+            f"{selected_on[0]!r}, but score set {args.scores} holds {len(scores)} scores of "
+            f"classifier {score_set.classifier_id!r}; re-run `docprune select` on this score set"
+        )
     out = _out_dir(config, args, "filter")
     _, manifest = filter_corpus(
-        shard_set, scores, decision, out, workers=config.selector.workers
+        shard_set, scores, decision, out,
+        workers=config.selector.workers, strict=config.corpus.strict,
     )
     log.info(
         "filtered corpus: kept %d of %d documents",
@@ -258,10 +265,7 @@ def cmd_ablate(config: RunConfig, args) -> int:
         return ablation.snippets_of(docs, corpus.token_budget, corpus.chars_per_token)
 
     def mock_labels(snippets):
-        template = PromptTemplate.for_version(config.labeler.prompt_version)
-        return label_documents(
-            snippets, config.labeler, template, transport=MockQualityTransport()
-        )[0]
+        return label_documents(snippets, config.labeler, transport=MockQualityTransport())[0]
 
     if args.sweep == "ratio":
         snippets = snippets_of(sample)

@@ -78,22 +78,12 @@ class LabelRunAborted(Exception):
         self.stats = stats
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    """One of the fixed instruction variants plus the document framing."""
-
-    version: str
-    instruction_text: str
-
-    @classmethod
-    def for_version(cls, version: str) -> "PromptTemplate":
-        v = version.strip().upper()
-        if v not in INSTRUCTIONS:
-            raise ValueError(f"unknown prompt version {version!r}; expected one of {PROMPT_VERSIONS}")
-        return cls(version=v, instruction_text=INSTRUCTIONS[v])
-
-    def render(self, snippet_text: str) -> str:
-        return _DOC_OPEN + snippet_text + _DOC_CLOSE + self.instruction_text
+def canonical_version(version: str) -> str:
+    """The name (V1-V3) of a prompt version given in any case."""
+    v = version.strip().upper()
+    if v not in INSTRUCTIONS:
+        raise ValueError(f"unknown prompt version {version!r}; expected one of {PROMPT_VERSIONS}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -133,7 +123,7 @@ class LabelerConfig:
             raise ValueError("temperature must be >= 0")
         if self.max_concurrent_requests < 1:
             raise ValueError("max_concurrent_requests must be >= 1")
-        PromptTemplate.for_version(self.prompt_version)  # rejects an unknown version
+        canonical_version(self.prompt_version)  # rejects an unknown version
 
 
 @dataclass
@@ -163,10 +153,11 @@ class Transport(Protocol):
 
 def build_prompt(
     snippet: Snippet,
-    template: PromptTemplate,
+    version: str,
     demos: Iterable[IclDemonstration] = (),
 ) -> str:
-    """Render the labeling prompt; 0 or 5 answered demonstrations may precede the query.
+    """Render the labeling prompt of a version (V1-V3, any case); 0 or 5
+    answered demonstrations may precede the query.
 
     Each demonstration is the full document/instruction block followed by its
     answer, so the trailing query block looks exactly like the zero-shot prompt.
@@ -176,8 +167,9 @@ def build_prompt(
         raise ValueError(f"demonstrations must number 0 or 5, got {len(demos)}")
     if not snippet.text:
         raise ValueError("empty snippet")
-    blocks = [template.render(d.snippet_text) + "\n\n" + d.label for d in demos]
-    blocks.append(template.render(snippet.text))
+    closing = _DOC_CLOSE + INSTRUCTIONS[canonical_version(version)]
+    blocks = [_DOC_OPEN + d.snippet_text + closing + "\n\n" + d.label for d in demos]
+    blocks.append(_DOC_OPEN + snippet.text + closing)
     return "\n\n".join(blocks)
 
 
@@ -295,19 +287,19 @@ class HttpChatTransport:
 def label_documents(
     snippets: Iterable[Snippet],
     config: LabelerConfig,
-    template: PromptTemplate,
     demos: Iterable[IclDemonstration] = (),
-    transport: Transport | None = None,
+    *,
+    transport: Transport,
 ) -> tuple[list[QualityLabel], LabelRunStats]:
-    """Label snippets concurrently; ambiguous responses retry once, then drop.
+    """Label snippets concurrently with the prompt of config.prompt_version;
+    ambiguous responses retry once, then drop.
 
     At most config.max_concurrent_requests requests are in flight at any
     instant; results are assembled in input order regardless of completion
     order. The run aborts (LabelRunAborted, carrying partial labels) as soon
     as transport failures exceed failure_ceiling * total requested.
     """
-    if transport is None:
-        transport = HttpChatTransport(config)
+    version = canonical_version(config.prompt_version)
     demos = list(demos)
     labeler_id = config.model_name or type(transport).__name__
     shots = len(demos)
@@ -315,7 +307,7 @@ def label_documents(
     stats = LabelRunStats(requested=len(snippets))
 
     def call(snippet: Snippet) -> tuple[str, str]:
-        prompt = build_prompt(snippet, template, demos)
+        prompt = build_prompt(snippet, version, demos)
         raw = transport.complete(prompt)
         verdict = parse_label(raw)
         if verdict == AMBIGUOUS:
@@ -351,7 +343,7 @@ def label_documents(
                 QualityLabel(
                     doc_id=snippet.doc_id,
                     label=verdict,
-                    prompt_version=template.version,
+                    prompt_version=version,
                     labeler_id=labeler_id,
                     raw_response=raw,
                     icl_shots=shots,
@@ -380,35 +372,3 @@ def read_demonstrations(path: str | Path) -> list[IclDemonstration]:
 def write_demonstrations(demos: Iterable[IclDemonstration], path: str | Path) -> int:
     return write_jsonl(path, demos)
 
-
-def build_demonstrations(
-    labels: Iterable[QualityLabel],
-    snippet_texts: dict[str, str],
-    k: int = 5,
-) -> list[IclDemonstration]:
-    """Pick k demonstrations from a stronger labeler's output, class-balanced
-    when possible (3 Yes / 2 No for k=5)."""
-    labels = list(labels)
-    want_yes = (k + 1) // 2
-    chosen: list[QualityLabel] = []
-    for target, quota in ((YES, want_yes), (NO, k - want_yes)):
-        picked = [l for l in labels if l.label == target and l.doc_id in snippet_texts]
-        chosen.extend(picked[:quota])
-    if len(chosen) < k:  # one-class labeler: fall back to the first k usable
-        seen = {l.doc_id for l in chosen}
-        for l in labels:
-            if len(chosen) >= k:
-                break
-            if l.doc_id in snippet_texts and l.doc_id not in seen:
-                chosen.append(l)
-                seen.add(l.doc_id)
-    if len(chosen) < k:
-        raise ValueError(f"not enough labeled snippets to build {k} demonstrations")
-    return [
-        IclDemonstration(
-            snippet_text=snippet_texts[l.doc_id],
-            label=l.label,
-            source_labeler=l.labeler_id,
-        )
-        for l in chosen[:k]
-    ]

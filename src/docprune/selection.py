@@ -201,6 +201,35 @@ def score_documents(
     return ids, np.concatenate(chunks) if chunks else np.empty(0), skipped
 
 
+def score_shard_names(shard_set: ShardSet) -> dict[str, str]:
+    """Corpus shard name -> the score shard it is scored into,
+    `scores-<stem>.jsonl`; two corpus shards with one stem (`a.jsonl` and
+    `a.jsonl.gz`) raise CorpusError."""
+    owner: dict[str, str] = {}  # score shard -> corpus shard
+    for shard in shard_set.shards:
+        name = f"scores-{shard.path.name.removesuffix('.gz').removesuffix('.jsonl')}.jsonl"
+        if name in owner:
+            raise CorpusError(
+                f"corpus shards {owner[name]} and {shard.path.name} would both be scored "
+                f"into {name}; rename one of them"
+            )
+        owner[name] = shard.path.name
+    return {corpus: score for score, corpus in owner.items()}
+
+
+def _map_shards(fn, shard_set: ShardSet, workers: int, strict: bool) -> list:
+    """fn(shard, its documents) for every shard on `workers` threads, in shard
+    order; `strict` makes a malformed corpus record a CorpusError."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+
+    def one(shard: Shard):
+        return fn(shard, ingest_shards(ShardSet(shards=[shard]), strict=strict))
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, shard_set.shards))
+
+
 def score_corpus(
     shard_set: ShardSet,
     classifier: QualityClassifier,
@@ -209,49 +238,44 @@ def score_corpus(
     out_dir: str | Path,
     token_budget: int = 1500,
     chars_per_token: int = 4,
+    strict: bool = False,
 ) -> ScoreSet:
     """Score every document, one output score shard per input shard.
 
     Empty-text documents are skipped and counted. The written score set is
-    identical for any worker count. A doc id that occurs twice, explicit or
+    identical for any worker count. A shard that fails (unreadable, or a
+    malformed record under `strict`) removes every score shard of this run
+    before the error propagates. A doc id that occurs twice, explicit or
     synthesized ("<shard>#<index>"), raises DuplicateIdError once every shard
     is written.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    names = score_shard_names(shard_set)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     classifier_id = classifier.fingerprint()
 
-    def score_one(shard: Shard) -> tuple[Path, ShardScoreStats, list[str]]:
+    def score_one(shard: Shard, docs: Iterator[Document]):
         t0 = time.monotonic()
-        ids, scores, skipped = score_documents(
-            ingest_shards(ShardSet(shards=[shard])), classifier, token_budget, chars_per_token
-        )
-        stem = shard.path.name.removesuffix(".gz").removesuffix(".jsonl")
-        path = out_dir / f"scores-{stem}.jsonl"
+        ids, scores, skipped = score_documents(docs, classifier, token_budget, chars_per_token)
+        path = out_dir / names[shard.path.name]
         header = ScoreHeader(classifier_id, SCORES_FORMAT_VERSION, shard.path.name, len(ids))
         rows = ({"doc_id": i, "score": s} for i, s in zip(ids, scores.tolist()))
         write_jsonl(path, itertools.chain([header], rows))
-        stats = ShardScoreStats(
-            shard=shard.path.name,
-            records=len(ids),
-            skipped=skipped,
-            seconds=time.monotonic() - t0,
-        )
+        stats = ShardScoreStats(shard.path.name, len(ids), skipped, time.monotonic() - t0)
         return path, stats, ids
 
     t0 = time.monotonic()
-    report = ScoringReport()
-    paths: list[Path] = []
-    doc_ids: list[str] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for path, stats, shard_ids in pool.map(score_one, shard_set.shards):
-            paths.append(path)
-            report.per_shard.append(stats)
-            report.total_records += stats.records
-            report.total_skipped += stats.skipped
-            doc_ids.extend(shard_ids)
+    try:
+        results = _map_shards(score_one, shard_set, workers, strict)
+    except BaseException:
+        for name in names.values():
+            (out_dir / name).unlink(missing_ok=True)
+        raise
+    paths = [path for path, _, _ in results]
+    report = ScoringReport(per_shard=[stats for _, stats, _ in results])
+    report.total_records = sum(stats.records for stats in report.per_shard)
+    report.total_skipped = sum(stats.skipped for stats in report.per_shard)
+    doc_ids = [doc_id for _, _, shard_ids in results for doc_id in shard_ids]
     report.seconds = time.monotonic() - t0
     report.docs_per_second = report.total_records / report.seconds if report.seconds else 0.0
     sources = [stats.shard for stats in report.per_shard]
@@ -325,24 +349,24 @@ def filter_corpus(
     decision: SelectionDecision,
     out_dir: str | Path,
     workers: int = 1,
+    *,
+    strict: bool = False,
 ) -> tuple[ShardSet, Manifest]:
     """Materialize the kept documents, preserving shard boundaries and order.
 
     Every corpus document with text must have a score in the doc_id -> score
     map (fail-fast join); empty-text documents, which `score_corpus` skips,
     are dropped. Output shards reuse the input shard file names; a shard may
-    shrink or empty.
+    shrink or empty. `strict` makes a malformed corpus record a CorpusError.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    def filter_one(shard: Shard) -> tuple[Shard, dict]:
+    def filter_one(shard: Shard, docs: Iterator[Document]) -> tuple[Shard, dict]:
         read = 0
         kept_docs: list[Document] = []
-        for doc in ingest_shards(ShardSet(shards=[shard])):
+        for doc in docs:
             read += 1
             if not doc.text:
                 continue
@@ -363,12 +387,9 @@ def filter_corpus(
         }
         return out_shard, counts
 
-    out_shards: list[Shard] = []
-    per_shard: list[dict] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for out_shard, counts in pool.map(filter_one, shard_set.shards):
-            out_shards.append(out_shard)
-            per_shard.append(counts)
+    results = _map_shards(filter_one, shard_set, workers, strict)
+    out_shards = [out_shard for out_shard, _ in results]
+    per_shard = [counts for _, counts in results]
 
     total_read = sum(c["read"] for c in per_shard)
     total_kept = sum(c["kept"] for c in per_shard)

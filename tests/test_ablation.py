@@ -14,7 +14,7 @@ from docprune.ablation import (
 )
 from docprune.classifier import FeaturizerConfig, LabeledText, TrainConfig, split_train_val, train_classifier, f1, score
 from docprune.corpus import snippet_of
-from docprune.labeling import IclDemonstration, LabelerConfig, PromptTemplate, label_documents
+from docprune.labeling import IclDemonstration, LabelerConfig, label_documents
 from docprune.mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
 from docprune.synthetic import SyntheticCorpusSpec, generate_documents, truth_by_doc
 
@@ -23,9 +23,7 @@ CONFIG = LabelerConfig(model_name="mock", max_concurrent_requests=8)
 
 def _mock_labeled(docs):
     snips = snippets_of(docs)
-    labels, _ = label_documents(
-        snips, CONFIG, PromptTemplate.for_version("V1"), transport=MockQualityTransport()
-    )
+    labels, _ = label_documents(snips, CONFIG, transport=MockQualityTransport())
     texts = {s.doc_id: s.text for s in snips}
     return labels, texts, snips
 

@@ -31,7 +31,6 @@ from docprune.labeling import (
     DegenerateLabelerWarning,
     IclDemonstration,
     LabelerConfig,
-    PromptTemplate,
     QualityLabel,
     build_prompt,
     label_documents,
@@ -160,10 +159,7 @@ def test_criterion_4_capacity_ordering():
         )
     )
     snips = snippets_of(docs)
-    labels, _ = label_documents(
-        snips, MOCK_CONFIG, PromptTemplate.for_version("V1"),
-        transport=MockQualityTransport(),
-    )
+    labels, _ = label_documents(snips, MOCK_CONFIG, transport=MockQualityTransport())
     texts = {s.doc_id: s.text for s in snips}
     report = run_capacity_sweep(
         labeled_texts(labels, texts), hash_bits_list=(10, 14, 18), seeds=(0, 1, 2)
@@ -241,10 +237,7 @@ class TestCriterion5ClassifierCorrectness:
 
 class TestCriterion6PromptFidelity:
     def test_v1_prompt_byte_equal_for_sample_snippet(self):
-        rendered = build_prompt(
-            snippet_of("I am a document.", doc_id="sample"),
-            PromptTemplate.for_version("V1"),
-        )
+        rendered = build_prompt(snippet_of("I am a document.", doc_id="sample"), "V1")
         assert rendered == SAMPLE_PROMPT
 
     @pytest.mark.parametrize("version", ["V1", "V2", "V3"])
@@ -308,8 +301,7 @@ def test_criterion_8_degenerate_labeler_detection():
     snips = snippets_of(docs)
     with pytest.warns(DegenerateLabelerWarning):
         labels, stats = label_documents(
-            snips, MOCK_CONFIG, PromptTemplate.for_version("V1"),
-            transport=DegenerateMockTransport(yes_rate=0.98),
+            snips, MOCK_CONFIG, transport=DegenerateMockTransport(yes_rate=0.98)
         )
     assert abs(stats.yes_fraction - 0.98) <= 0.005
     with pytest.warns(DegenerateLabelerWarning):

@@ -1,6 +1,8 @@
+import gzip
 import json
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from docprune.config import ConfigError, load_config, write_resolved_config
 from docprune.labeling import LabelerConfig
 from docprune.corpus import ShardSet, ingest_shards, read_json
 from docprune.labeling import DegenerateLabelerWarning, read_labels
-from docprune.selection import Manifest
+from docprune.selection import Manifest, ScoreSet, SelectionDecision
 from docprune.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus, stratum_of
 
 
@@ -38,6 +40,15 @@ class TestConfigFile:
         assert config.distiller.featurizer.hash_bits == 12
         assert config.distiller.featurizer.ngram_orders == (1, 2)
         assert config.selector.target_ratio == "from-labels"
+
+    def test_readme_config_loads(self, tmp_path):
+        """The README's minimal config must keep loading as the keys change."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (tmp_path / "run.ini").write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        config = load_config(tmp_path / "run.ini")
+        assert config.labeler.model_name == "my-chat-model"
+        assert config.distiller.featurizer.hash_bits == 18
+        assert (config.selector.target_ratio, config.selector.workers) == ("from-labels", 4)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -728,3 +739,90 @@ class TestScoreRowCount:
         assert run_cli("select", "--scores", scores, "--target-ratio", 0.5,
                        "--out", tmp_path / "out") == 3
         assert "re-run `docprune score`" in capsys.readouterr().err
+
+
+class TestCorpusAndScoreSetChecks:
+    """`[corpus] strict` holds in `score` and `filter`; a failed `score`
+    leaves no score shards; `filter` takes only a decision selected on its
+    score set; `score` rejects two corpus shards with one score shard name."""
+
+    STRICT = "[corpus]\nstrict = true\n"
+
+    def corpus_copy(self, small_run, tmp_path):
+        return shutil.copytree(small_run["score"][2], tmp_path / "corpus")
+
+    def run_with(self, small_run, command, tmp_path, corpus, ini=""):
+        argv = [corpus if a == small_run["score"][2] else a for a in small_run[command]]
+        (tmp_path / "run.ini").write_text(ini)
+        return run_cli(*argv, "--config", tmp_path / "run.ini", "--out", tmp_path / command)
+
+    def assert_no_score_set(self, small_run, tmp_path, capsys):
+        assert not list((tmp_path / "score").glob("scores-*.jsonl"))
+        capsys.readouterr()
+        assert run_cli("select", "--scores", tmp_path / "score", "--target-ratio", 0.25,
+                       "--out", tmp_path / "select") == 3
+        assert "no score shards" in capsys.readouterr().err
+        assert not (tmp_path / "select").exists()
+
+    def append_malformed(self, corpus):
+        with open(corpus / "shard-00001.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("{not json\n[1, 2]\n")
+
+    def test_strict_score_exits_3_and_leaves_no_score_shards(self, small_run, tmp_path,
+                                                             capsys):
+        corpus = self.corpus_copy(small_run, tmp_path)
+        self.append_malformed(corpus)
+        assert self.run_with(small_run, "score", tmp_path, corpus, self.STRICT) == 3
+        assert "malformed record shard-00001.jsonl#100" in capsys.readouterr().err
+        self.assert_no_score_set(small_run, tmp_path, capsys)
+
+    def test_strict_filter_exits_3(self, small_run, tmp_path, capsys):
+        corpus = self.corpus_copy(small_run, tmp_path)
+        self.append_malformed(corpus)
+        assert self.run_with(small_run, "filter", tmp_path, corpus, self.STRICT) == 3
+        assert "malformed record shard-00001.jsonl#100" in capsys.readouterr().err
+
+    def test_cut_gzip_shard_exits_3_and_leaves_no_score_shards(self, small_run, tmp_path,
+                                                              capsys):
+        corpus = self.corpus_copy(small_run, tmp_path)
+        shard = corpus / "shard-00001.jsonl"
+        data = gzip.compress(shard.read_bytes())
+        (corpus / "shard-00001.jsonl.gz").write_bytes(data[: len(data) // 2])
+        shard.unlink()
+        assert self.run_with(small_run, "score", tmp_path, corpus) == 3
+        assert "shard-00001.jsonl.gz" in capsys.readouterr().err
+        self.assert_no_score_set(small_run, tmp_path, capsys)
+
+    @pytest.mark.parametrize("ratio", [0.25, 1])
+    def test_decision_from_another_score_set_exits_3(self, small_run, tmp_path, capsys,
+                                                     ratio):
+        """A decision selected on one model's scores, filtered with another's."""
+        train = small_run["train"] + ["--hash-bits", 12, "--seed", 9]
+        assert run_cli(*train, "--out", tmp_path / "train") == 0
+        score = small_run["score"][:4] + [tmp_path / "train" / "model.bin"]
+        assert run_cli(*score, "--out", tmp_path / "scores") == 0
+        assert run_cli(*small_run["select"][:3], "--target-ratio", ratio,
+                       "--out", tmp_path / "select") == 0
+        decision = read_json(tmp_path / "select" / "decision.json", SelectionDecision)
+        other = ScoreSet.open(tmp_path / "scores").classifier_id
+        assert other != decision.classifier_id
+        capsys.readouterr()
+        assert run_cli("filter", "--input", small_run["score"][2], "--scores",
+                       tmp_path / "scores", "--decision", tmp_path / "select" / "decision.json",
+                       "--out", tmp_path / "filter") == 3
+        err = capsys.readouterr().err
+        assert decision.classifier_id in err and other in err, err
+        assert not (tmp_path / "filter").exists()
+
+    def test_two_shards_with_one_score_shard_name_exit_3(self, small_run, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        docs = [json.dumps({"id": f"d{i}", "text": f"doc {i}"}) for i in range(200)]
+        (corpus / "part.jsonl").write_text("\n".join(docs[:100]) + "\n")
+        (corpus / "part.jsonl.gz").write_bytes(gzip.compress(
+            ("\n".join(docs[100:]) + "\n").encode()))
+        argv = [corpus if a == small_run["score"][2] else a for a in small_run["score"]]
+        assert run_cli(*argv, "--workers", 2, "--out", tmp_path / "score") == 3
+        assert ("corpus shards part.jsonl and part.jsonl.gz would both be scored into "
+                "scores-part.jsonl") in capsys.readouterr().err
+        assert not (tmp_path / "score").exists()

@@ -19,11 +19,10 @@ from docprune.labeling import (
     IclDemonstration,
     LabelRunAborted,
     LabelerConfig,
-    PromptTemplate,
     QualityLabel,
     TransportError,
-    build_demonstrations,
     build_prompt,
+    canonical_version,
     label_documents,
     parse_label,
     parse_prompt,
@@ -81,7 +80,7 @@ def snippets(n, text="some snippet text"):
 class TestPromptRendering:
     def test_v1_matches_canonical_sample_prompt(self):
         snip = snippet_of("I am a document.", doc_id="sample")
-        rendered = build_prompt(snip, PromptTemplate.for_version("V1"))
+        rendered = build_prompt(snip, "V1")
         assert rendered == SAMPLE_PROMPT
 
     @pytest.mark.parametrize("version", ["V1", "V2", "V3"])
@@ -91,23 +90,22 @@ class TestPromptRendering:
     @pytest.mark.parametrize("version", ["V1", "V2", "V3"])
     def test_snippet_verbatim_exactly_once(self, version):
         text = 'odd {braces} and "quotes" 世界'
-        rendered = build_prompt(snippet_of(text), PromptTemplate.for_version(version))
+        rendered = build_prompt(snippet_of(text), version)
         assert rendered.count(text) == 1
         assert rendered.index("[Document]") < rendered.index(text) < rendered.index("[Instruction]")
         assert rendered.endswith(INSTRUCTIONS[version])
 
     def test_case_insensitive_version_lookup(self):
-        assert PromptTemplate.for_version("v2").version == "V2"
+        assert canonical_version("v2") == "V2"
         with pytest.raises(ValueError):
-            PromptTemplate.for_version("v9")
+            canonical_version("v9")
 
     def test_five_shot_structure(self):
-        template = PromptTemplate.for_version("V1")
         demos = [
             IclDemonstration(f"demo text {i}", YES if i % 2 == 0 else NO, "strong")
             for i in range(5)
         ]
-        rendered = build_prompt(snippet_of("the query"), template, demos)
+        rendered = build_prompt(snippet_of("the query"), "V1", demos)
         blocks = rendered.split("[Document]\n\n<")
         assert blocks[0] == ""
         assert len(blocks) == 7  # leading empty + 5 answered demos + 1 query
@@ -117,18 +115,18 @@ class TestPromptRendering:
         assert blocks[6].startswith("the query>")
         assert blocks[6].endswith(INSTRUCTIONS["V1"])
         # the query block is exactly the zero-shot rendering
-        zero_shot = build_prompt(snippet_of("the query"), template)
+        zero_shot = build_prompt(snippet_of("the query"), "V1")
         assert rendered.endswith(zero_shot)
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 6])
     def test_demo_count_must_be_zero_or_five(self, count):
         demos = [IclDemonstration("t", YES)] * count
         with pytest.raises(ValueError, match="0 or 5"):
-            build_prompt(snippet_of("q"), PromptTemplate.for_version("V1"), demos)
+            build_prompt(snippet_of("q"), "V1", demos)
 
     def test_empty_snippet_rejected(self):
         with pytest.raises(ValueError):
-            build_prompt(snippet_of(""), PromptTemplate.for_version("V1"))
+            build_prompt(snippet_of(""), "V1")
 
     def test_demo_label_validated(self):
         with pytest.raises(ValueError):
@@ -149,12 +147,12 @@ class TestParsePrompt:
            demo_texts=st.just([]) | st.lists(FRAMED_TEXT, min_size=5, max_size=5))
     def test_round_trips_build_prompt(self, version, query, demo_texts):
         demos = [IclDemonstration(t, YES if i % 2 else NO) for i, t in enumerate(demo_texts)]
-        prompt = build_prompt(snippet_of(query), PromptTemplate.for_version(version), demos)
+        prompt = build_prompt(snippet_of(query), version, demos)
         assert parse_prompt(prompt) == (version, len(demos), query)
 
     def test_query_holding_the_framing(self):
         text = "before [Document]\n\n< inner >\n\n[Instruction] after"
-        prompt = build_prompt(snippet_of(text), PromptTemplate.for_version("V2"))
+        prompt = build_prompt(snippet_of(text), "V2")
         assert parse_prompt(prompt) == ("V2", 0, text)
         assert query_snippet(prompt) == text
         # a 0-shot prompt is answered at 0-shot fidelity, not as a 1-shot one
@@ -263,8 +261,7 @@ class TestLabelDocuments:
 
     def test_mock_run_is_complete_and_deterministic(self):
         snips = snippets(100)
-        template = PromptTemplate.for_version("V1")
-        run = lambda: label_documents(snips, self.config(), template, transport=MockQualityTransport())
+        run = lambda: label_documents(snips, self.config(), transport=MockQualityTransport())
         labels_a, stats_a = run()
         labels_b, stats_b = run()
         assert stats_a.requested == 100
@@ -276,8 +273,7 @@ class TestLabelDocuments:
     def test_labels_carry_provenance(self):
         snips = snippets(3)
         labels, _ = label_documents(
-            snips, self.config(), PromptTemplate.for_version("V2"),
-            transport=MockQualityTransport(),
+            snips, self.config(prompt_version="v2"), transport=MockQualityTransport()
         )
         assert {l.prompt_version for l in labels} == {"V2"}
         assert {l.labeler_id for l in labels} == {"mock"}
@@ -287,7 +283,7 @@ class TestLabelDocuments:
         snips = snippets(100)
         transport = ScriptedTransport({"snippet": ["maybe"]})
         labels, stats = label_documents(
-            snips, self.config(), PromptTemplate.for_version("V1"), transport=transport
+            snips, self.config(), transport=transport
         )
         assert labels == []
         assert stats.ambiguous_dropped == 100
@@ -297,7 +293,7 @@ class TestLabelDocuments:
         snips = snippets(1)
         transport = ScriptedTransport({"snippet": ["hmm", "Yes"]})
         labels, stats = label_documents(
-            snips, self.config(), PromptTemplate.for_version("V1"), transport=transport
+            snips, self.config(), transport=transport
         )
         assert len(labels) == 1
         assert labels[0].label == YES
@@ -308,7 +304,7 @@ class TestLabelDocuments:
         snips = snippets(100)
         transport = FailingTransport(fail_fragments=["text 17"])
         labels, stats = label_documents(
-            snips, self.config(), PromptTemplate.for_version("V1"), transport=transport
+            snips, self.config(), transport=transport
         )
         assert stats.transport_failures == 1
         assert stats.labeled == 99
@@ -318,8 +314,7 @@ class TestLabelDocuments:
         snips = snippets(40)
         with pytest.raises(LabelRunAborted) as excinfo:
             label_documents(
-                snips, self.config(failure_ceiling=0.05),
-                PromptTemplate.for_version("V1"), transport=FailingTransport(),
+                snips, self.config(failure_ceiling=0.05), transport=FailingTransport()
             )
         stats = excinfo.value.stats
         assert stats.transport_failures == 3  # ceiling 5% of 40 = 2 -> abort at 3
@@ -343,39 +338,17 @@ class TestLabelDocuments:
 
         transport = InstrumentedTransport()
         label_documents(
-            snippets(30), self.config(max_concurrent_requests=3),
-            PromptTemplate.for_version("V1"), transport=transport,
+            snippets(30), self.config(max_concurrent_requests=3), transport=transport
         )
         assert 1 <= transport.max_in_flight <= 3
 
     def test_label_store_roundtrip(self, tmp_path):
         labels, _ = label_documents(
-            snippets(20), self.config(), PromptTemplate.for_version("V3"),
-            transport=MockQualityTransport(),
+            snippets(20), self.config(prompt_version="v3"), transport=MockQualityTransport()
         )
         path = tmp_path / "labels.jsonl"
         assert write_labels(labels, path) == 20
         assert read_labels(path) == labels
-
-
-class TestBuildDemonstrations:
-    def test_class_balanced_selection(self):
-        labels = [_label(YES, i) for i in range(6)] + [_label(NO, i + 6) for i in range(6)]
-        texts = {f"d{i}": f"text {i}" for i in range(12)}
-        demos = build_demonstrations(labels, texts, k=5)
-        assert len(demos) == 5
-        assert sum(1 for d in demos if d.label == YES) == 3
-        assert sum(1 for d in demos if d.label == NO) == 2
-
-    def test_falls_back_when_one_class(self):
-        labels = [_label(YES, i) for i in range(7)]
-        texts = {f"d{i}": f"text {i}" for i in range(7)}
-        demos = build_demonstrations(labels, texts, k=5)
-        assert len(demos) == 5
-
-    def test_insufficient_labels_rejected(self):
-        with pytest.raises(ValueError):
-            build_demonstrations([_label(YES, 0)], {"d0": "t"}, k=5)
 
 
 class _Endpoint(BaseHTTPRequestHandler):

@@ -119,14 +119,13 @@ class TestMockYesFractionAtScale:
         # 10,000 docs at strength 1.0: the mock's yes-fraction equals the
         # planted high-quality fraction (tolerance +-0.02).
         from docprune.ablation import snippets_of
-        from docprune.labeling import LabelerConfig, PromptTemplate, label_documents
+        from docprune.labeling import LabelerConfig, label_documents
         from docprune.mocks import MockQualityTransport
 
         docs = generate_documents(SyntheticCorpusSpec(n_docs=10_000, seed=18))
         _, stats = label_documents(
             snippets_of(docs),
             LabelerConfig(model_name="mock", max_concurrent_requests=8),
-            PromptTemplate.for_version("V1"),
             transport=MockQualityTransport(),
         )
         assert abs(stats.yes_fraction - 0.25) <= 0.02
