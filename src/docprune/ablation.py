@@ -14,8 +14,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .classifier import (
     LabeledText,
     QualityClassifier,
@@ -136,8 +134,7 @@ def _fmt(value) -> str:
 
 
 def _mean_std(values: Sequence[float]) -> dict:
-    arr = np.array(values, dtype=np.float64)
-    return {"mean": _r(arr.mean()), "std": _r(arr.std())}
+    return {"mean": _r(statistics.fmean(values)), "std": _r(statistics.pstdev(values))}
 
 
 def run_ratio_sweep(
@@ -149,7 +146,7 @@ def run_ratio_sweep(
 ) -> SweepReport:
     """Kept-set precision/recall against planted truth across keep ratios."""
     ids, scores, _ = score_documents(docs, classifier, token_budget, chars_per_token)
-    by_id = dict(zip(ids, scores.tolist()))
+    by_id = dict(zip(ids, scores))
     high_ids = {doc.id for doc in docs if stratum_of(doc)}
     points = []
     for ratio in ratios:

@@ -3,7 +3,9 @@
 This is the cheap distillation target that stands in for a fine-tuned
 language-model scorer behind the same contract: scores are sigmoid outputs in
 (0, 1) and the feature dimension (2**hash_bits) is the capacity knob. The
-model file format is versioned and byte-stable across save/load.
+model file format is versioned and byte-stable across save/load. numpy is
+imported inside the functions that use it, so stages that never featurize
+(sample, label, select, filter) start without its ~0.18 s import.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import re
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .corpus import Snippet, atomic_open
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EPS = 1e-7
 MODEL_MAGIC = "docprune-model"
@@ -87,15 +90,10 @@ def tokenize(text: str, config: FeaturizerConfig) -> list[str]:
 
 def _token_hashes(tokens: Sequence[str]) -> np.ndarray:
     """64-bit hash of each token: its 8-byte blake2b digest, big-endian."""
+    import numpy as np
+
     digests = b"".join(hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest() for t in tokens)
     return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
-
-
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-_FMIX_C1 = np.uint64(0xFF51AFD7ED558CCD)
-_FMIX_C2 = np.uint64(0xC4CEB9FE1A85EC53)
-_SHIFT33 = np.uint64(33)
-_EMPTY_TEXT_HASH = _token_hashes([_EMPTY_TEXT_KEY])[0]
 
 
 def _fmix64(h: np.ndarray) -> np.ndarray:
@@ -103,11 +101,13 @@ def _fmix64(h: np.ndarray) -> np.ndarray:
     n-gram hash depend only on the low bits of its token hashes, so tokens
     sharing a unigram bucket would share a bucket in every n-gram they
     appear in."""
-    h ^= h >> _SHIFT33
-    h *= _FMIX_C1
-    h ^= h >> _SHIFT33
-    h *= _FMIX_C2
-    h ^= h >> _SHIFT33
+    import numpy as np
+
+    h ^= h >> np.uint64(33)
+    h *= np.uint64(0xFF51AFD7ED558CCD)
+    h ^= h >> np.uint64(33)
+    h *= np.uint64(0xC4CEB9FE1A85EC53)
+    h ^= h >> np.uint64(33)
     return h
 
 
@@ -119,6 +119,8 @@ def _ngram_hashes(texts: Sequence[str], config: FeaturizerConfig) -> tuple[np.nd
     h = n so that each order has its own seed, then goes through fmix64.
     A text without word tokens yields one fallback hash.
     """
+    import numpy as np
+
     token_lists = [tokenize(text, config) for text in texts]
     lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
     flat = list(itertools.chain.from_iterable(token_lists))
@@ -131,12 +133,12 @@ def _ngram_hashes(texts: Sequence[str], config: FeaturizerConfig) -> tuple[np.nd
     left = np.repeat(np.cumsum(lengths), lengths) - np.arange(n_tokens)
 
     rows = [np.flatnonzero(lengths == 0)]
-    hashes = [np.full(rows[0].shape[0], _EMPTY_TEXT_HASH, dtype=np.uint64)]
+    hashes = [np.full(rows[0].shape[0], _token_hashes([_EMPTY_TEXT_KEY])[0], dtype=np.uint64)]
     for order in config.ngram_orders:
         span = max(n_tokens - order + 1, 0)  # windows of the flat token array
         h = np.full(span, order, dtype=np.uint64)
         for k in range(order):
-            h *= _MIX
+            h *= np.uint64(0x9E3779B97F4A7C15)
             h ^= tok[k : k + span]
         inside = left[:span] >= order  # windows that stay within one text
         rows.append(row_of_token[:span][inside])
@@ -158,14 +160,16 @@ class FeatureBatch:
 
     @property
     def lengths(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return self.offsets[1:] - self.offsets[:-1]
 
     def row(self, i: int) -> dict[int, int]:
         s, e = self.offsets[i], self.offsets[i + 1]
-        return dict(zip(self.indices[s:e].tolist(), self.values[s:e].astype(np.int64).tolist()))
+        return dict(zip(self.indices[s:e].tolist(), self.values[s:e].astype("int64").tolist()))
 
     def take(self, rows: np.ndarray) -> "FeatureBatch":
         """The sub-batch of the given rows, in the given order."""
+        import numpy as np
+
         starts = self.offsets[rows]
         lengths = self.offsets[rows + 1] - starts
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
@@ -176,6 +180,8 @@ class FeatureBatch:
     @staticmethod
     def concat(batches: Sequence["FeatureBatch"]) -> "FeatureBatch":
         """The rows of every batch, in order, as one batch."""
+        import numpy as np
+
         starts = np.cumsum([0] + [b.offsets[-1] for b in batches[:-1]])
         return FeatureBatch(
             np.concatenate([b.indices for b in batches]),
@@ -187,6 +193,8 @@ class FeatureBatch:
 def featurize_batch(texts: Sequence[str], config: FeaturizerConfig) -> FeatureBatch:
     """Hashed bag of word n-grams for each text, as one CSR batch; collisions
     add counts."""
+    import numpy as np
+
     rows, hashes = _ngram_hashes(texts, config)
     hashes &= np.uint64(config.dim - 1)
     cells = hashes.view(np.int64)  # masked hashes fit: the feature index
@@ -221,6 +229,8 @@ def hash_counts(text: str, config: FeaturizerConfig) -> dict[int, int]:
     `project_counts` masks them into feature indices. One-text views of the
     batched path, like `featurize_text`, kept for callers that look them up
     by name; training and scoring use `featurize_chunks`."""
+    import numpy as np
+
     _, hashes = _ngram_hashes([text], config)
     uniq, counts = np.unique(hashes, return_counts=True)
     return dict(zip(uniq.tolist(), counts.tolist()))
@@ -280,6 +290,8 @@ def f1(preds: Sequence[int], gold: Sequence[int]) -> float:
 
 def _forward(batch: FeatureBatch, w: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the logit z = w . x + b and sigmoid(z) with z clipped to [-60, 60]."""
+    import numpy as np
+
     z = np.zeros(len(batch), dtype=np.float64)
     nonempty = batch.lengths > 0
     if nonempty.any():
@@ -320,7 +332,7 @@ class QualityClassifier:
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         h.update(json.dumps(asdict(self.featurizer), sort_keys=True).encode())
-        h.update(np.ascontiguousarray(self.weights, dtype="<f8").tobytes())
+        h.update(self.weights.astype("<f8", copy=False).tobytes())
         h.update(struct.pack("<d", self.bias))
         return h.hexdigest()[:16]
 
@@ -351,6 +363,8 @@ def loss_and_grad(
     feature (a feature index may repeat across rows); the last item is the
     bias gradient.
     """
+    import numpy as np
+
     z, p = _forward(batch, w, b)
     # log(1 + e^z) - y*z, computed stably
     loss = float(np.mean(sample_weights * (np.logaddexp(0.0, z) - targets * z)))
@@ -370,6 +384,8 @@ def train_classifier(
     for a fixed seed (single worker). The returned model carries the
     best-epoch weights; F1 ties resolve toward the earlier epoch.
     """
+    import numpy as np
+
     if not train:
         raise DegenerateLabelsError("degenerate label distribution: empty training set")
     targets = {e.target for e in train}
@@ -439,7 +455,7 @@ def score_batch(classifier: QualityClassifier, batch: FeatureBatch) -> np.ndarra
     """Quality score in (0, 1) per row: sigmoid of the sparse dot product,
     clamped to [EPS, 1 - EPS] so the open interval holds in float arithmetic."""
     _, p = _forward(batch, classifier.weights, classifier.bias)
-    return np.clip(p, EPS, 1.0 - EPS)
+    return p.clip(EPS, 1.0 - EPS)
 
 
 def score(classifier: QualityClassifier, snippet: Snippet) -> float:
@@ -456,7 +472,7 @@ def save_model(classifier: QualityClassifier, path: str | Path) -> None:
     The byte layout is fully deterministic, so save(load(save(m))) is
     byte-identical.
     """
-    blob = np.ascontiguousarray(classifier.weights, dtype="<f8").tobytes()
+    blob = classifier.weights.astype("<f8", copy=False).tobytes()
     header = {
         "magic": MODEL_MAGIC,
         "format_version": classifier.format_version,
@@ -474,6 +490,8 @@ def save_model(classifier: QualityClassifier, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> QualityClassifier:
     """Load a model container; reject unknown versions and corrupt files."""
+    import numpy as np
+
     path = Path(path)
     with open(path, "rb") as fh:
         header_line = fh.readline()

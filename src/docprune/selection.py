@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-import numpy as np
-
 # `score` is the one-snippet form of the batched path below; it stays
 # importable here for callers that look it up on this module.
 from .classifier import QualityClassifier, featurize_chunks, score, score_batch  # noqa: F401
 from .corpus import (
     CorpusError,
     Document,
+    RunSummary,
     Shard,
     ShardSet,
     extract_snippet,
@@ -64,6 +63,7 @@ class ShardScoreStats:
     shard: str
     records: int
     skipped: int
+    malformed: int
     seconds: float
 
 
@@ -72,6 +72,7 @@ class ScoringReport:
     per_shard: list[ShardScoreStats] = field(default_factory=list)
     total_records: int = 0
     total_skipped: int = 0
+    total_malformed: int = 0
     seconds: float = 0.0
     docs_per_second: float = 0.0
 
@@ -97,6 +98,10 @@ class ScoreHeader:
 class _ScoreRow:
     doc_id: str
     score: float
+
+    def __post_init__(self):
+        if not 0.0 < self.score < 1.0:  # NaN fails this too
+            raise ValueError(f"score {self.score!r} is not in (0, 1)")
 
 
 def _read_score_shard(path: Path) -> tuple[ScoreHeader, Iterator[_ScoreRow]]:
@@ -174,16 +179,16 @@ def score_documents(
     classifier: QualityClassifier,
     token_budget: int = 1500,
     chars_per_token: int = 4,
-) -> tuple[list[str], np.ndarray, int]:
-    """Score documents in memory; returns (ids, float64 scores in the same
-    order, skipped_empty_count).
+) -> tuple[list[str], list[float], int]:
+    """Score documents in memory; returns (ids, scores in the same order,
+    skipped_empty_count).
 
     Snippets are featurized and scored in `featurize_chunks` batches, so
     memory stays bounded for any number of documents. A document's score
     does not depend on its batch.
     """
     ids: list[str] = []
-    chunks: list[np.ndarray] = []
+    scores: list[float] = []
     skipped = 0
 
     def snippets() -> Iterator[str]:
@@ -196,9 +201,9 @@ def score_documents(
             yield extract_snippet(doc, token_budget, chars_per_token).text
 
     for batch in featurize_chunks(snippets(), classifier.featurizer):
-        chunks.append(score_batch(classifier, batch))
+        scores.extend(score_batch(classifier, batch).tolist())
         del batch  # freed before the next batch is built
-    return ids, np.concatenate(chunks) if chunks else np.empty(0), skipped
+    return ids, scores, skipped
 
 
 def score_shard_names(shard_set: ShardSet) -> dict[str, str]:
@@ -218,13 +223,16 @@ def score_shard_names(shard_set: ShardSet) -> dict[str, str]:
 
 
 def _map_shards(fn, shard_set: ShardSet, workers: int, strict: bool) -> list:
-    """fn(shard, its documents) for every shard on `workers` threads, in shard
-    order; `strict` makes a malformed corpus record a CorpusError."""
+    """fn(shard, its documents, its RunSummary) for every shard on `workers`
+    threads, in shard order. Once `fn` has read every document, the summary
+    counts the shard's malformed records; `strict` makes one a CorpusError."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
     def one(shard: Shard):
-        return fn(shard, ingest_shards(ShardSet(shards=[shard]), strict=strict))
+        summary = RunSummary()
+        return fn(shard, ingest_shards(ShardSet(shards=[shard]), strict=strict, summary=summary),
+                  summary)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, shard_set.shards))
@@ -242,26 +250,28 @@ def score_corpus(
 ) -> ScoreSet:
     """Score every document, one output score shard per input shard.
 
-    Empty-text documents are skipped and counted. The written score set is
-    identical for any worker count. A shard that fails (unreadable, or a
-    malformed record under `strict`) removes every score shard of this run
-    before the error propagates. A doc id that occurs twice, explicit or
-    synthesized ("<shard>#<index>"), raises DuplicateIdError once every shard
-    is written.
+    Empty-text documents are skipped and counted, and so are malformed
+    records unless `strict`. The written score set is identical for any
+    worker count. A shard that fails (unreadable, or a malformed record
+    under `strict`) removes every score shard of this run before the error
+    propagates. A doc id that occurs twice, explicit or synthesized
+    ("<shard>#<index>"), raises DuplicateIdError once every shard is written.
     """
     names = score_shard_names(shard_set)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     classifier_id = classifier.fingerprint()
 
-    def score_one(shard: Shard, docs: Iterator[Document]):
+    def score_one(shard: Shard, docs: Iterator[Document], summary: RunSummary):
         t0 = time.monotonic()
         ids, scores, skipped = score_documents(docs, classifier, token_budget, chars_per_token)
         path = out_dir / names[shard.path.name]
         header = ScoreHeader(classifier_id, SCORES_FORMAT_VERSION, shard.path.name, len(ids))
-        rows = ({"doc_id": i, "score": s} for i, s in zip(ids, scores.tolist()))
+        rows = ({"doc_id": i, "score": s} for i, s in zip(ids, scores))
         write_jsonl(path, itertools.chain([header], rows))
-        stats = ShardScoreStats(shard.path.name, len(ids), skipped, time.monotonic() - t0)
+        stats = ShardScoreStats(
+            shard.path.name, len(ids), skipped, summary.records_skipped, time.monotonic() - t0
+        )
         return path, stats, ids
 
     t0 = time.monotonic()
@@ -275,6 +285,7 @@ def score_corpus(
     report = ScoringReport(per_shard=[stats for _, stats, _ in results])
     report.total_records = sum(stats.records for stats in report.per_shard)
     report.total_skipped = sum(stats.skipped for stats in report.per_shard)
+    report.total_malformed = sum(stats.malformed for stats in report.per_shard)
     doc_ids = [doc_id for _, _, shard_ids in results for doc_id in shard_ids]
     report.seconds = time.monotonic() - t0
     report.docs_per_second = report.total_records / report.seconds if report.seconds else 0.0
@@ -300,12 +311,12 @@ def select_cutoff(
     if not 0 < target_ratio <= 1:
         raise ValueError("target_ratio must be in (0, 1]")
     n = len(scores)
-    values = np.fromiter(scores.values(), dtype=np.float64, count=n)
+    values = sorted(scores.values())
     keep_target = int(math.floor(target_ratio * n + 1e-9))
     # The exact (1 - ratio) quantile; 0.0 lies below every score in (0, 1).
     rank = n - keep_target - 1
-    cutoff = float(np.partition(values, rank)[rank]) if rank >= 0 else 0.0
-    kept = int((values > cutoff).sum())
+    cutoff = values[rank] if rank >= 0 else 0.0
+    kept = sum(v > cutoff for v in values)
     tie_rule = "keep documents scoring strictly above the cutoff; ties at the cutoff drop"
     if kept < keep_target:
         warnings.warn(
@@ -339,6 +350,7 @@ class Manifest:
     per_shard: list[dict]
     input_documents: int
     output_documents: int
+    malformed: int
     started_at: str
     finished_at: str
 
@@ -357,13 +369,14 @@ def filter_corpus(
     Every corpus document with text must have a score in the doc_id -> score
     map (fail-fast join); empty-text documents, which `score_corpus` skips,
     are dropped. Output shards reuse the input shard file names; a shard may
-    shrink or empty. `strict` makes a malformed corpus record a CorpusError.
+    shrink or empty. Malformed corpus records are skipped and counted, or
+    with `strict` raise CorpusError.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    def filter_one(shard: Shard, docs: Iterator[Document]) -> tuple[Shard, dict]:
+    def filter_one(shard: Shard, docs: Iterator[Document], summary: RunSummary):
         read = 0
         kept_docs: list[Document] = []
         for doc in docs:
@@ -384,6 +397,7 @@ def filter_corpus(
             "read": read,
             "kept": len(kept_docs),
             "dropped": read - len(kept_docs),
+            "malformed": summary.records_skipped,
         }
         return out_shard, counts
 
@@ -408,6 +422,7 @@ def filter_corpus(
         per_shard=per_shard,
         input_documents=total_read,
         output_documents=total_kept,
+        malformed=sum(c["malformed"] for c in per_shard),
         started_at=started,
         finished_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )

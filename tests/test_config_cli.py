@@ -543,6 +543,9 @@ class TestMalformedStageFiles:
         ([HEADER, {"doc_id": "a", "score": 0.5}, {"doc_id": "b"}], 3),   # row without score
         ([{"classifier_id": "c", "format_version": 1, "source_shard": "s0.jsonl"},
           {"doc_id": "a", "score": 0.5}], 1),                     # format_version 1
+        ([HEADER, {"doc_id": "a", "score": 0.5}, {"doc_id": "b", "score": float("nan")}],
+         3),                                                      # NaN score
+        ([HEADER, {"doc_id": "a", "score": 1.5}], 2),             # score outside (0, 1)
     ])
     def test_bad_score_shard(self, tmp_path, capsys, records, line):
         scores = self.scores(tmp_path, records)
@@ -781,6 +784,19 @@ class TestCorpusAndScoreSetChecks:
         self.append_malformed(corpus)
         assert self.run_with(small_run, "filter", tmp_path, corpus, self.STRICT) == 3
         assert "malformed record shard-00001.jsonl#100" in capsys.readouterr().err
+
+    def test_malformed_records_are_counted_by_score_and_filter(self, small_run, tmp_path):
+        corpus = self.corpus_copy(small_run, tmp_path)
+        self.append_malformed(corpus)
+        assert self.run_with(small_run, "score", tmp_path, corpus) == 0
+        report = json.loads((tmp_path / "score" / "scoring-report.json").read_text())
+        assert report["total_malformed"] == 2
+        assert [s["malformed"] for s in report["per_shard"]] == [0, 2, 0, 0]
+        assert self.run_with(small_run, "filter", tmp_path, corpus) == 0
+        manifest = read_json(tmp_path / "filter" / "filter-manifest.json", Manifest)
+        assert manifest.malformed == 2
+        assert [s["malformed"] for s in manifest.per_shard] == [0, 2, 0, 0]
+        assert manifest.input_documents == 400
 
     def test_cut_gzip_shard_exits_3_and_leaves_no_score_shards(self, small_run, tmp_path,
                                                               capsys):

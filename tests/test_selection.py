@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +101,30 @@ class TestSelectCutoff:
         assert decision.kept == sum(s > decision.cutoff for s in scores)
         assert decision.kept == max(k for k in feasible if k <= keep_target)
         assert decision.kept + decision.dropped == len(scores)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scores=st.lists(
+            st.one_of(st.integers(1, 4).map(lambda k: k / 5), st.floats(1e-7, 1 - 1e-7)),
+            min_size=1, max_size=60,
+        ),
+        data=st.data(),
+    )
+    def test_cutoff_contract_under_heavy_ties(self, scores, data):
+        n = len(scores)
+        ratio = data.draw(st.floats(1 / n, 1.0))
+        # The 1e-9 absorbs float error in ratio * n, as in 0.29 * 100.
+        target = math.floor(ratio * n + 1e-9)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            decision = select_cutoff(records(scores), ratio)
+        kept = decision.kept
+        assert kept == sum(s > decision.cutoff for s in scores)
+        assert kept <= target
+        # No strict cutoff at a distinct score keeps more than `kept` within the target.
+        assert not [v for v in set(scores) if kept < sum(s > v for s in scores) <= target]
+        tie_warnings = [w for w in caught if issubclass(w.category, TieDegeneracyWarning)]
+        assert len(tie_warnings) == (kept < target)
 
     def test_repeated_id_rejected_naming_its_shards(self, tmp_path):
         for i, rows in enumerate([[("a", 0.1), ("b", 0.5)], [("a", 0.9)]]):
