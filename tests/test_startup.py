@@ -31,11 +31,10 @@ print("numpy" in sys.modules)
 
 
 def numpy_loaded(cwd, module, *argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, module, *map(str, argv)],
-        cwd=cwd, env=env, capture_output=True, text=True, check=True,
+        cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
     )
     return proc.stdout.strip().splitlines()[-1] == "True"
 
