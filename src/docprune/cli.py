@@ -83,8 +83,9 @@ def _out_dir(config: RunConfig, args, command: str) -> Path:
     `load_config` has checked every config value before a command runs, and
     commands call this only after the checks they can make up front (inputs
     read, labels joined to snippets, transport built, model trained, cutoff
-    selected, score set checked against the corpus, sweep run), so a run that
-    fails on bad input leaves no output directory behind.
+    selected, score set checked against the corpus, a strict corpus read
+    through, sweep run), so a run that fails on bad input leaves no output
+    directory behind.
     """
     out = Path(args.out) if args.out else Path(config.run.output_root) / command
     out.mkdir(parents=True, exist_ok=True)
@@ -243,11 +244,11 @@ def cmd_filter(config: RunConfig, args) -> int:
             f"{selected_on[0]!r}, but score set {args.scores} holds {len(scores)} scores of "
             f"classifier {score_set.classifier_id!r}; re-run `docprune select` on this score set"
         )
+    if config.corpus.strict:  # a malformed record exits 3 before the output dir exists
+        for _ in ingest_shards(shard_set, strict=True):
+            pass
     out = _out_dir(config, args, "filter")
-    _, manifest = filter_corpus(
-        shard_set, scores, decision, out,
-        workers=config.selector.workers, strict=config.corpus.strict,
-    )
+    _, manifest = filter_corpus(shard_set, scores, decision, out, strict=config.corpus.strict)
     log.info(
         "filtered corpus: kept %d of %d documents",
         manifest.output_documents, manifest.input_documents,
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--input", help="corpus directory")
     p.add_argument("--model", required=True, help="model file from `train`")
-    p.add_argument("--workers")
+    p.add_argument("--workers", help="override [selector] workers: forked scoring processes")
     p.set_defaults(handler=cmd_score)
 
     p = sub.add_parser("select", help="choose the cutoff for a target keep-ratio")
@@ -378,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="corpus directory")
     p.add_argument("--scores", required=True)
     p.add_argument("--decision", required=True, help="decision.json from `select`")
-    p.add_argument("--workers")
     p.set_defaults(handler=cmd_filter)
 
     p = sub.add_parser("ablate", help="run a desk-scale sweep on synthetic data")

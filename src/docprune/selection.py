@@ -1,8 +1,9 @@
 """Corpus-scale scoring, cutoff selection, and filtering with a manifest.
 
-Scoring and filtering run one shard per worker; outputs are byte-identical
-for any worker count because each shard's output depends only on that shard.
-Cutoff selection is a single reduction over the completed score set.
+Scoring runs one shard per forked worker process; its output is
+byte-identical for any worker count because each shard's output depends only
+on that shard. Filtering runs its shards in order. Cutoff selection is a
+single reduction over the completed score set.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import itertools
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -65,14 +65,19 @@ class ShardScoreStats:
     skipped: int
     malformed: int
     seconds: float
+    cpu_seconds: float  # CPU time of the process that scored the shard
 
 
 @dataclass
 class ScoringReport:
+    """Per-shard and total counts and times of one `score_corpus` run;
+    total_cpu_seconds / seconds is the run's parallelism."""
+
     per_shard: list[ShardScoreStats] = field(default_factory=list)
     total_records: int = 0
     total_skipped: int = 0
     total_malformed: int = 0
+    total_cpu_seconds: float = 0.0
     seconds: float = 0.0
     docs_per_second: float = 0.0
 
@@ -222,10 +227,27 @@ def score_shard_names(shard_set: ShardSet) -> dict[str, str]:
     return {corpus: score for score, corpus in owner.items()}
 
 
+# A forked worker's per-shard call, set by the pool's initializer. Fork hands
+# it to the worker as is, so neither it nor the model it closes over is pickled.
+_shard_call = None
+
+
+def _set_shard_call(call) -> None:
+    global _shard_call
+    _shard_call = call
+
+
+def _call_shard(shard: Shard):
+    return _shard_call(shard)
+
+
 def _map_shards(fn, shard_set: ShardSet, workers: int, strict: bool) -> list:
-    """fn(shard, its documents, its RunSummary) for every shard on `workers`
-    threads, in shard order. Once `fn` has read every document, the summary
-    counts the shard's malformed records; `strict` makes one a CorpusError."""
+    """fn(shard, its documents, its RunSummary) for every shard, in shard
+    order. Once `fn` has read every document, the summary counts the shard's
+    malformed records; `strict` makes one a CorpusError. With one worker or
+    one shard the shards run in this process; otherwise on min(workers,
+    shards) forked processes, and fn's results must pickle. Every worker has
+    stopped before an error propagates."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
@@ -234,8 +256,17 @@ def _map_shards(fn, shard_set: ShardSet, workers: int, strict: bool) -> list:
         return fn(shard, ingest_shards(ShardSet(shards=[shard]), strict=strict, summary=summary),
                   summary)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, shard_set.shards))
+    shards = shard_set.shards
+    if workers == 1 or len(shards) < 2:
+        return [one(shard) for shard in shards]
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        min(workers, len(shards)), mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_shard_call, initargs=(one,),
+    ) as pool:
+        return list(pool.map(_call_shard, shards))
 
 
 def score_corpus(
@@ -250,11 +281,12 @@ def score_corpus(
 ) -> ScoreSet:
     """Score every document, one output score shard per input shard.
 
-    Empty-text documents are skipped and counted, and so are malformed
-    records unless `strict`. The written score set is identical for any
-    worker count. A shard that fails (unreadable, or a malformed record
-    under `strict`) removes every score shard of this run before the error
-    propagates. A doc id that occurs twice, explicit or synthesized
+    Shards run on `workers` forked processes (see `_map_shards`). Empty-text
+    documents are skipped and counted, and so are malformed records unless
+    `strict`. The written score set is identical for any worker count. A
+    shard that fails (unreadable, or a malformed record under `strict`), or
+    a worker that dies, removes every score shard of this run before the
+    error propagates. A doc id that occurs twice, explicit or synthesized
     ("<shard>#<index>"), raises DuplicateIdError once every shard is written.
     """
     names = score_shard_names(shard_set)
@@ -263,14 +295,15 @@ def score_corpus(
     classifier_id = classifier.fingerprint()
 
     def score_one(shard: Shard, docs: Iterator[Document], summary: RunSummary):
-        t0 = time.monotonic()
+        t0, cpu0 = time.monotonic(), time.process_time()
         ids, scores, skipped = score_documents(docs, classifier, token_budget, chars_per_token)
         path = out_dir / names[shard.path.name]
         header = ScoreHeader(classifier_id, SCORES_FORMAT_VERSION, shard.path.name, len(ids))
         rows = ({"doc_id": i, "score": s} for i, s in zip(ids, scores))
         write_jsonl(path, itertools.chain([header], rows))
         stats = ShardScoreStats(
-            shard.path.name, len(ids), skipped, summary.records_skipped, time.monotonic() - t0
+            shard.path.name, len(ids), skipped, summary.records_skipped,
+            time.monotonic() - t0, time.process_time() - cpu0,
         )
         return path, stats, ids
 
@@ -286,6 +319,7 @@ def score_corpus(
     report.total_records = sum(stats.records for stats in report.per_shard)
     report.total_skipped = sum(stats.skipped for stats in report.per_shard)
     report.total_malformed = sum(stats.malformed for stats in report.per_shard)
+    report.total_cpu_seconds = sum(stats.cpu_seconds for stats in report.per_shard)
     doc_ids = [doc_id for _, _, shard_ids in results for doc_id in shard_ids]
     report.seconds = time.monotonic() - t0
     report.docs_per_second = report.total_records / report.seconds if report.seconds else 0.0
@@ -360,7 +394,6 @@ def filter_corpus(
     scores: Mapping[str, float],
     decision: SelectionDecision,
     out_dir: str | Path,
-    workers: int = 1,
     *,
     strict: bool = False,
 ) -> tuple[ShardSet, Manifest]:
@@ -370,7 +403,8 @@ def filter_corpus(
     map (fail-fast join); empty-text documents, which `score_corpus` skips,
     are dropped. Output shards reuse the input shard file names; a shard may
     shrink or empty. Malformed corpus records are skipped and counted, or
-    with `strict` raise CorpusError.
+    with `strict` raise CorpusError. Shards run one after another in this
+    process: per shard, filtering costs less than starting a worker process.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -401,7 +435,7 @@ def filter_corpus(
         }
         return out_shard, counts
 
-    results = _map_shards(filter_one, shard_set, workers, strict)
+    results = _map_shards(filter_one, shard_set, 1, strict)
     out_shards = [out_shard for out_shard, _ in results]
     per_shard = [counts for _, counts in results]
 

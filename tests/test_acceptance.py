@@ -268,7 +268,7 @@ class TestCriterion7DeterminismAndParallelSafety:
         for workers in (1, 4):
             outs[workers], _ = filter_corpus(
                 shard_set, sets[workers].load_scores(), decision,
-                tmp_path / f"filtered-w{workers}", workers=workers,
+                tmp_path / f"filtered-w{workers}",
             )
         for s1, s4 in zip(outs[1].shards, outs[4].shards):
             assert s1.path.read_bytes() == s4.path.read_bytes()

@@ -681,7 +681,6 @@ class TestLoadTimeChecks:
     @pytest.mark.parametrize("command, flags, ini, section", [
         ("score", ["--workers", 0], "", "selector"),
         ("score", [], "[selector]\nworkers = 0\n", "selector"),
-        ("filter", ["--workers", 0], "", "selector"),
         ("filter", [], "[selector]\nworkers = 0\n", "selector"),
         ("sample", ["--n", 0], "", "corpus"),
         ("sample", [], "[corpus]\nsample_size = 0\n", "corpus"),
@@ -689,7 +688,7 @@ class TestLoadTimeChecks:
         ("ablate", [], "[ablation]\nn_docs = 50\n", "ablation"),
         ("train", [], "[distiller]\nepochs = 0\n", "distiller"),
         ("sample", [], "[run]\nlog_level = LOUD\n", "run"),
-    ], ids=["score-flag", "score-file", "filter-flag", "filter-file", "sample-flag",
+    ], ids=["score-flag", "score-file", "filter-file", "sample-flag",
             "sample_size", "token_budget", "n_docs", "epochs", "log_level"])
     def test_bad_value_exits_2_without_output(self, small_run, tmp_path, capsys,
                                               command, flags, ini, section):
@@ -754,10 +753,11 @@ class TestCorpusAndScoreSetChecks:
     def corpus_copy(self, small_run, tmp_path):
         return shutil.copytree(small_run["score"][2], tmp_path / "corpus")
 
-    def run_with(self, small_run, command, tmp_path, corpus, ini=""):
+    def run_with(self, small_run, command, tmp_path, corpus, ini="", *flags):
         argv = [corpus if a == small_run["score"][2] else a for a in small_run[command]]
         (tmp_path / "run.ini").write_text(ini)
-        return run_cli(*argv, "--config", tmp_path / "run.ini", "--out", tmp_path / command)
+        return run_cli(*argv, *flags, "--config", tmp_path / "run.ini",
+                       "--out", tmp_path / command)
 
     def assert_no_score_set(self, small_run, tmp_path, capsys):
         assert not list((tmp_path / "score").glob("scores-*.jsonl"))
@@ -771,11 +771,13 @@ class TestCorpusAndScoreSetChecks:
         with open(corpus / "shard-00001.jsonl", "a", encoding="utf-8") as fh:
             fh.write("{not json\n[1, 2]\n")
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_strict_score_exits_3_and_leaves_no_score_shards(self, small_run, tmp_path,
-                                                             capsys):
+                                                             capsys, workers):
         corpus = self.corpus_copy(small_run, tmp_path)
         self.append_malformed(corpus)
-        assert self.run_with(small_run, "score", tmp_path, corpus, self.STRICT) == 3
+        assert self.run_with(small_run, "score", tmp_path, corpus, self.STRICT,
+                             "--workers", workers) == 3
         assert "malformed record shard-00001.jsonl#100" in capsys.readouterr().err
         self.assert_no_score_set(small_run, tmp_path, capsys)
 
@@ -784,6 +786,7 @@ class TestCorpusAndScoreSetChecks:
         self.append_malformed(corpus)
         assert self.run_with(small_run, "filter", tmp_path, corpus, self.STRICT) == 3
         assert "malformed record shard-00001.jsonl#100" in capsys.readouterr().err
+        assert not (tmp_path / "filter").exists()
 
     def test_malformed_records_are_counted_by_score_and_filter(self, small_run, tmp_path):
         corpus = self.corpus_copy(small_run, tmp_path)

@@ -1,14 +1,19 @@
 import json
 import math
+import os
+import tempfile
 import warnings
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from docprune.classifier import FeaturizerConfig, LabeledText, TrainConfig, split_train_val, train_classifier
 from docprune.corpus import CorpusError, ingest_shards
+from docprune import selection
 from docprune.labeling import NO, YES, DegenerateLabelerWarning, QualityLabel, yes_fraction
 from docprune.mocks import mock_label
 from docprune.selection import (
@@ -298,8 +303,8 @@ class TestFilterCorpus:
         score_set = score_corpus(shard_set, clf, out_dir=tmp_path / "scores")
         scores = score_set.load_scores()
         decision = select_cutoff(scores, 0.25)
-        out1, _ = filter_corpus(shard_set, scores, decision, tmp_path / "f1", workers=1)
-        out4, _ = filter_corpus(shard_set, scores, decision, tmp_path / "f4", workers=4)
+        out1, _ = filter_corpus(shard_set, scores, decision, tmp_path / "f1")
+        out4, _ = filter_corpus(shard_set, scores, decision, tmp_path / "f4")
         for s1, s4 in zip(out1.shards, out4.shards):
             assert s1.path.read_bytes() == s4.path.read_bytes()
 
@@ -336,3 +341,67 @@ class TestFilterCorpus:
         _, manifest = filter_corpus(shard_set, {"a": 0.9}, decision, tmp_path / "out")
         loaded = read_json(tmp_path / "out" / "filter-manifest.json", Manifest)
         assert loaded == manifest
+
+
+# A shard is a list of document texts; "" is an empty-text document.
+SHARD_TEXTS = st.lists(
+    st.lists(st.sampled_from(["alpha", "beta", "gamma", "delta"]), max_size=6).map(" ".join),
+    max_size=5,
+)
+
+
+class TestScoringProcesses:
+    """`score_corpus` on forked worker processes: the bytes of one worker,
+    and no score shards left behind when a worker fails or dies."""
+
+    @settings(max_examples=8, deadline=None)  # every example forks
+    @given(workers=st.integers(1, 4), shards=st.lists(SHARD_TEXTS, min_size=1, max_size=6))
+    @example(workers=4, shards=[[], ["", "alpha beta"]])  # more workers than shards
+    @example(workers=3, shards=[["alpha"], [], ["", ""], ["beta gamma", "delta"]])
+    def test_any_worker_count_writes_the_bytes_of_one(self, small_world, workers, shards):
+        from conftest import corpus_dir
+
+        clf = small_world[3]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            shard_set = corpus_dir(tmp, {
+                f"s{i}.jsonl": [{"id": f"s{i}-{j}", "text": t} for j, t in enumerate(texts)]
+                for i, texts in enumerate(shards)
+            })
+            one = score_corpus(shard_set, clf, workers=1, out_dir=tmp / "w1")
+            many = score_corpus(shard_set, clf, workers=workers, out_dir=tmp / "wn")
+            assert [p.name for p in one.shard_paths] == [p.name for p in many.shard_paths]
+            for p1, pn in zip(one.shard_paths, many.shard_paths):
+                assert p1.read_bytes() == pn.read_bytes()
+            assert many.report.total_skipped == sum(t == "" for ts in shards for t in ts)
+            assert len(many.report.per_shard) == len(shards)
+            assert all(s.cpu_seconds >= 0 for s in many.report.per_shard)
+
+            scores = one.load_scores()
+            if not scores:
+                return
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TieDegeneracyWarning)
+                decision = select_cutoff(scores, 0.5)
+            outs = [
+                filter_corpus(shard_set, score_set.load_scores(), decision, tmp / name)
+                for score_set, name in ((one, "f1"), (many, "fn"))
+            ]
+            assert outs[0][1].per_shard == outs[1][1].per_shard
+            for s1, sn in zip(outs[0][0].shards, outs[1][0].shards):
+                assert s1.path.read_bytes() == sn.path.read_bytes()
+
+    def test_two_workers_report_their_cpu_time(self, tmp_path, small_world):
+        _, shard_set, _, clf = small_world
+        report = score_corpus(shard_set, clf, workers=2, out_dir=tmp_path / "scores").report
+        assert all(s.cpu_seconds > 0 for s in report.per_shard)
+        assert report.total_cpu_seconds == pytest.approx(
+            sum(s.cpu_seconds for s in report.per_shard))
+
+    def test_dead_worker_leaves_no_score_shards(self, tmp_path, small_world, monkeypatch):
+        """A worker that exits mid-shard (the patch is inherited through fork)."""
+        _, shard_set, _, clf = small_world
+        monkeypatch.setattr(selection, "score_documents", lambda *args: os._exit(1))
+        with pytest.raises(BrokenProcessPool):
+            score_corpus(shard_set, clf, workers=2, out_dir=tmp_path / "scores")
+        assert not list((tmp_path / "scores").glob("scores-*.jsonl"))
