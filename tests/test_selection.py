@@ -23,6 +23,7 @@ from docprune.selection import (
     TieDegeneracyWarning,
     filter_corpus,
     score_corpus,
+    score_documents,
     select_cutoff,
 )
 from docprune.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus, stratum_of
@@ -352,7 +353,8 @@ SHARD_TEXTS = st.lists(
 
 class TestScoringProcesses:
     """`score_corpus` on forked worker processes: the bytes of one worker,
-    and no score shards left behind when a worker fails or dies."""
+    the CPU time of each shard, and no score shards left behind when a
+    worker dies."""
 
     @settings(max_examples=8, deadline=None)  # every example forks
     @given(workers=st.integers(1, 4), shards=st.lists(SHARD_TEXTS, min_size=1, max_size=6))
@@ -399,9 +401,19 @@ class TestScoringProcesses:
             sum(s.cpu_seconds for s in report.per_shard))
 
     def test_dead_worker_leaves_no_score_shards(self, tmp_path, small_world, monkeypatch):
-        """A worker that exits mid-shard (the patch is inherited through fork)."""
+        """Each worker writes its first shard and exits in its second; the
+        patch is inherited through fork, and each worker counts its own calls."""
         _, shard_set, _, clf = small_world
-        monkeypatch.setattr(selection, "score_documents", lambda *args: os._exit(1))
+        assert len(shard_set.shards) > 2
+        calls = []
+
+        def dies_in_second_shard(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                os._exit(1)
+            return score_documents(*args)
+
+        monkeypatch.setattr(selection, "score_documents", dies_in_second_shard)
         with pytest.raises(BrokenProcessPool):
             score_corpus(shard_set, clf, workers=2, out_dir=tmp_path / "scores")
         assert not list((tmp_path / "scores").glob("scores-*.jsonl"))
