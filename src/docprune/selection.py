@@ -259,6 +259,8 @@ def _map_shards(fn, shard_set: ShardSet, workers: int, strict: bool) -> list:
     shards = shard_set.shards
     if workers == 1 or len(shards) < 2:
         return [one(shard) for shard in shards]
+    # Imported only where a pool forks: at module level these imports would
+    # lengthen the start-up of every stage process.
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
 
