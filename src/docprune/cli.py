@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -135,6 +136,9 @@ def cmd_label(config: RunConfig, args) -> int:
         write_json(out / "label-stats.json", exc.stats)
         log.error("labeling aborted: %s (partial labels preserved)", exc)
         return EXIT_ENDPOINT
+    finally:
+        if isinstance(transport, HttpChatTransport):
+            transport.close()
     write_labels(labels, out / "labels.jsonl")
     write_json(out / "label-stats.json", stats)
     log.info(
@@ -409,6 +413,12 @@ def main(argv=None) -> int:
         return EXIT_ENDPOINT
     except (CorpusError, ModelFormatError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenExecutor:
+        print(
+            "I/O error: a scoring worker process died (killed by a signal or out of memory)",
+            file=sys.stderr,
+        )
         return EXIT_IO
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

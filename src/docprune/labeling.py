@@ -7,19 +7,19 @@ surface live in docprune.mocks.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import time
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Protocol
+from typing import Iterable, Protocol
+from urllib.parse import unquote, urlsplit, urlunsplit
 
 from .corpus import Snippet, read_records, write_jsonl
-
-if TYPE_CHECKING:
-    import requests
 
 YES = "Yes"
 NO = "No"
@@ -233,29 +233,102 @@ class HttpChatTransport:
     Request body: {model, messages:[{role:"user", content:prompt}], temperature,
     max_tokens}. The first choice's message content is the raw response.
     Credentials come from the environment variable named in the config.
+
+    Each call takes an idle keep-alive connection, or opens one when none is
+    idle, and puts it back once the response is read, so no more connections
+    are open than calls in flight. `http_proxy`/`https_proxy` and `no_proxy`
+    are read from the environment once, here: an http endpoint is asked for
+    through the proxy by absolute URI, an https one through a CONNECT tunnel.
+    TLS uses the default context (the system CA store, or SSL_CERT_FILE).
     """
 
-    def __init__(self, config: LabelerConfig, session: requests.Session | None = None):
-        # Imported here, not at module level: only this transport needs it,
-        # and the import costs every stage process ~0.1 s.
-        import requests
+    def __init__(self, config: LabelerConfig):
+        # Imported here, not at module level: only this transport needs them,
+        # and they cost every stage process ~30 ms.
+        from http.client import HTTPConnection, HTTPSConnection
+        from urllib.request import getproxies, proxy_bypass
 
         if not config.endpoint_url:
             raise ValueError("endpoint_url is required for the HTTP transport")
+        url = urlsplit(config.endpoint_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(
+                f"endpoint_url must be http(s)://host..., got {config.endpoint_url!r}"
+            )
         self.config = config
-        self.session = session or requests.Session()
+        self._connection = HTTPSConnection if url.scheme == "https" else HTTPConnection
+        self._address = (url.hostname, url.port)
+        self._target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        self._tunnel = None
+        self._headers = {"Content-Type": "application/json"}
+        proxy = getproxies().get(url.scheme)
+        if proxy and not proxy_bypass(url.hostname):
+            proxy = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            auth = {}
+            if proxy.username:
+                from base64 import b64encode
+
+                creds = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+                auth["Proxy-Authorization"] = "Basic " + b64encode(creds.encode()).decode()
+            if url.scheme == "https":
+                self._tunnel = (*self._address, auth)
+            else:
+                self._target = config.endpoint_url
+                self._headers.update(auth)
+            self._address = (proxy.hostname, proxy.port or 80)
+        self._idle: deque = deque()  # append and pop are thread-safe
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        while self._idle:
+            self._idle.pop().close()
+
+    def _connect(self):
+        conn = self._connection(*self._address, timeout=self.config.request_timeout)
+        if self._tunnel:
+            conn.set_tunnel(*self._tunnel)
+        return conn
+
+    def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
+        """One attempt: (status, response body). A reused connection that the
+        server closed while it sat idle fails before any response byte; it is
+        reopened and the request resent once, within the same attempt."""
+        try:
+            conn, reused = self._idle.pop(), True
+        except IndexError:
+            conn, reused = self._connect(), False
+        try:
+            try:
+                conn.request("POST", self._target, body, headers)
+                resp = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is one
+                if not reused:
+                    raise
+                conn.close()
+                conn = self._connect()
+                conn.request("POST", self._target, body, headers)
+                resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            self._idle.append(conn)
+        return resp.status, data
 
     def complete(self, prompt: str) -> str:
-        import requests
+        from http.client import HTTPException
 
         cfg = self.config
-        body = {
+        body = json.dumps({
             "model": cfg.model_name,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": cfg.temperature,
             "max_tokens": cfg.max_output_tokens,
-        }
-        headers = {"Content-Type": "application/json"}
+        }).encode()
+        headers = dict(self._headers)
         api_key = os.environ.get(cfg.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
@@ -264,19 +337,17 @@ class HttpChatTransport:
             if attempt:
                 time.sleep(cfg.backoff_base * 2 ** (attempt - 1))
             try:
-                resp = self.session.post(
-                    cfg.endpoint_url, json=body, headers=headers, timeout=cfg.request_timeout
-                )
-            except requests.RequestException as exc:
+                status, data = self._post(body, headers)
+            except (OSError, HTTPException) as exc:
                 last_error = f"transport: {exc}"
                 continue
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = f"HTTP {resp.status_code}"
+            if status == 429 or status >= 500:
+                last_error = f"HTTP {status}"
                 continue
-            if resp.status_code != 200:
-                raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            if status != 200:
+                raise TransportError(f"HTTP {status}: {data.decode('utf-8', 'replace')[:200]}")
             try:
-                return resp.json()["choices"][0]["message"]["content"]
+                return json.loads(data)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise TransportError(f"malformed endpoint response: {exc}") from exc
         raise TransportError(

@@ -1,5 +1,6 @@
 import gzip
 import json
+import os
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from docprune import selection
 from docprune.classifier import FeaturizerConfig, QualityClassifier, TrainConfig, save_model
 from docprune.cli import main
 from docprune.config import ConfigError, load_config, write_resolved_config
@@ -780,6 +782,18 @@ class TestCorpusAndScoreSetChecks:
                              "--workers", workers) == 3
         assert "malformed record shard-00001.jsonl#100" in capsys.readouterr().err
         self.assert_no_score_set(small_run, tmp_path, capsys)
+
+    def test_dead_scoring_worker_exits_3(self, small_run, tmp_path, capfd, monkeypatch):
+        """A worker killed mid-run (here: it exits at once, through the patch
+        that fork passes on) is an I/O error, reported without a traceback."""
+        corpus = self.corpus_copy(small_run, tmp_path)
+        assert len(list(corpus.glob("*.jsonl"))) >= 2
+        monkeypatch.setattr(selection, "score_documents", lambda *args: os._exit(1))
+        assert self.run_with(small_run, "score", tmp_path, corpus, "", "--workers", 2) == 3
+        err = capfd.readouterr().err
+        assert "I/O error: a scoring worker process died" in err, err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "score").glob("scores-*.jsonl"))
 
     def test_strict_filter_exits_3(self, small_run, tmp_path, capsys):
         corpus = self.corpus_copy(small_run, tmp_path)

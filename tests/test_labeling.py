@@ -1,5 +1,7 @@
+import base64
 import json
 import random
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docprune.corpus import snippet_of
+from docprune import cli
+from docprune.corpus import snippet_of, write_jsonl
 from docprune.labeling import (
     AMBIGUOUS,
     INSTRUCTIONS,
@@ -353,22 +356,33 @@ class TestLabelDocuments:
 
 class _Endpoint(BaseHTTPRequestHandler):
     server_version = "test"
+    disable_nagle_algorithm = True  # no delayed-ACK stall between header and body
     behaviors = None  # injected: list of (status, payload) or "ok"
     requests_seen = None
+    connections = None  # one entry per accepted socket
+    delay = 0.0  # seconds each POST takes
+
+    def setup(self):
+        super().setup()
+        type(self).connections.append(self.client_address)
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
-        type(self).requests_seen.append(
-            {"body": body, "auth": self.headers.get("Authorization")}
-        )
+        type(self).requests_seen.append({
+            "body": body, "auth": self.headers.get("Authorization"), "path": self.path,
+            "proxy_auth": self.headers.get("Proxy-Authorization"),
+        })
+        time.sleep(self.delay)
         behavior = (
             type(self).behaviors.pop(0) if type(self).behaviors else ("ok", None)
         )
-        if behavior[0] == "ok":
+        if behavior[0] in ("ok", "close"):
             payload = {"choices": [{"message": {"content": "Yes"}}]}
             data = json.dumps(payload).encode()
             self.send_response(200)
+            # "close": drop the connection after answering, without saying so.
+            self.close_connection = behavior[0] == "close"
         elif behavior[0] == "malformed":
             data = b"not json"
             self.send_response(200)
@@ -380,19 +394,49 @@ class _Endpoint(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
+    def do_CONNECT(self):
+        type(self).requests_seen.append({"method": "CONNECT", "path": self.path})
+        self.send_response(403)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
     def log_message(self, *args):
         pass
 
 
 @pytest.fixture
-def endpoint():
-    handler = type("Handler", (_Endpoint,), {"behaviors": [], "requests_seen": []})
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-    yield handler, url
-    server.shutdown()
+def serve():
+    """Starts loopback endpoints: serve(protocol, **handler attributes) ->
+    (handler class, chat-completion URL)."""
+    servers = []
+
+    def start(protocol="HTTP/1.0", **attrs):
+        handler = type("Handler", (_Endpoint,), {
+            "behaviors": [], "requests_seen": [], "connections": [],
+            "protocol_version": protocol, **attrs,
+        })
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        servers.append(server)
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+        return handler, f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def endpoint(serve):
+    return serve()
+
+
+@pytest.fixture
+def no_proxy_environment(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
 
 
 class TestHttpChatTransport:
@@ -444,6 +488,101 @@ class TestHttpChatTransport:
         handler.behaviors.append(("malformed", None))
         with pytest.raises(TransportError, match="malformed"):
             HttpChatTransport(self.make_config(url)).complete("p")
+
+    def test_sequential_calls_share_one_connection(self, serve):
+        handler, url = serve("HTTP/1.1")
+        transport = HttpChatTransport(self.make_config(url))
+        assert [transport.complete(f"p{i}") for i in range(20)] == ["Yes"] * 20
+        transport.close()
+        assert len(handler.requests_seen) == 20
+        assert len(handler.connections) == 1
+
+    @pytest.mark.filterwarnings("ignore::docprune.labeling.DegenerateLabelerWarning")
+    def test_no_more_connections_than_requests_in_flight(self, serve):
+        handler, url = serve("HTTP/1.1", delay=0.01)
+        config = self.make_config(url, max_concurrent_requests=3)
+        transport = HttpChatTransport(config)
+        labels, stats = label_documents(snippets(30), config, transport=transport)
+        transport.close()
+        assert stats.labeled == 30
+        assert 1 <= len(handler.connections) <= 3
+
+    def test_connection_closed_while_idle_is_reopened(self, serve):
+        """The resend on a dropped keep-alive connection spends no retry."""
+        handler, url = serve("HTTP/1.1")
+        handler.behaviors.append(("close", None))
+        transport = HttpChatTransport(self.make_config(url, max_retries=0))
+        assert transport.complete("first") == "Yes"
+        time.sleep(0.05)  # the server closes the socket the transport keeps idle
+        assert transport.complete("second") == "Yes"
+        transport.close()
+        assert [r["body"]["messages"][0]["content"] for r in handler.requests_seen] == [
+            "first", "second"]
+        assert len(handler.connections) == 2
+
+    def test_fresh_connection_dropped_spends_an_attempt(self, no_proxy_environment):
+        """Only a reused connection earns the free resend: a server that
+        closes every new connection at once sees one per attempt."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.05)
+        accepted, stop = [], threading.Event()
+
+        def drop_each_connection():
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except TimeoutError:
+                    continue
+                accepted.append(conn)
+                conn.close()
+
+        thread = threading.Thread(target=drop_each_connection, daemon=True)
+        thread.start()
+        url = f"http://127.0.0.1:{listener.getsockname()[1]}/v1"
+        try:
+            with pytest.raises(TransportError, match="gave up after 2 attempts: transport"):
+                HttpChatTransport(self.make_config(url, max_retries=1)).complete("p")
+        finally:
+            stop.set()
+            thread.join()
+            listener.close()
+        assert len(accepted) == 2
+
+    def test_http_proxy_from_environment(self, serve, no_proxy_environment):
+        handler, url = serve()
+        proxy, proxy_url = serve()
+        proxy_base = proxy_url.rsplit("/v1", 1)[0]  # credentials in the URL are %-quoted
+        no_proxy_environment.setenv("http_proxy", proxy_base.replace("//", "//user:p%40ss@"))
+        assert HttpChatTransport(self.make_config(url)).complete("p") == "Yes"
+        assert [r["path"] for r in proxy.requests_seen] == [url]  # the absolute URI
+        assert proxy.requests_seen[0]["proxy_auth"] == "Basic " + base64.b64encode(
+            b"user:p@ss").decode()
+        assert not handler.requests_seen
+        no_proxy_environment.setenv("NO_PROXY", "127.0.0.1")
+        assert HttpChatTransport(self.make_config(url)).complete("p") == "Yes"
+        assert len(proxy.requests_seen) == 1
+        assert [r["path"] for r in handler.requests_seen] == ["/v1/chat/completions"]
+
+    def test_https_endpoint_tunnels_through_the_proxy(self, serve, no_proxy_environment):
+        proxy, proxy_url = serve()
+        no_proxy_environment.setenv("https_proxy", proxy_url.rsplit("/v1", 1)[0])
+        config = self.make_config("https://127.0.0.1:9/v1/chat/completions", max_retries=0)
+        with pytest.raises(TransportError, match="Tunnel connection failed: 403"):
+            HttpChatTransport(config).complete("p")
+        assert proxy.requests_seen == [{"method": "CONNECT", "path": "127.0.0.1:9"}]
+
+    @pytest.mark.parametrize("url", ["ftp://127.0.0.1/v1", "localhost:8000/v1", "http:///v1"])
+    def test_endpoint_url_must_be_http(self, url):
+        with pytest.raises(ValueError, match="http"):
+            HttpChatTransport(LabelerConfig(endpoint_url=url))
+
+    def test_ftp_endpoint_exits_2_without_output(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "snippets.jsonl", snippets(3))
+        assert cli.main(["label", "--snippets", str(tmp_path / "snippets.jsonl"),
+                         "--endpoint-url", "ftp://127.0.0.1/v1",
+                         "--out", str(tmp_path / "label")]) == 2
+        assert "ftp://127.0.0.1/v1" in capsys.readouterr().err
+        assert not (tmp_path / "label").exists()
 
     def test_endpoint_url_required(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,21 @@
-"""Stages that never featurize start without numpy, and stages that never
-fork start without the process pool.
+"""Stages that never featurize start without numpy, stages that never
+fork start without the process pool, and the labeler never loads `requests`.
 
 Only `docprune.classifier` uses numpy, and only inside the functions that
 featurize, train, score or save and load a model. Only `score` with more
-than one worker and more than one shard imports `multiprocessing`. Each case
-runs in a fresh interpreter, since this test process has these modules
-loaded already.
+than one worker and more than one shard imports `multiprocessing`. The
+endpoint labeler speaks HTTP through the standard library. Each case runs in
+a fresh interpreter, since this test process has these modules loaded
+already.
 """
 
+import itertools
 import json
 import os
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -22,22 +26,24 @@ from docprune.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus
 
 SRC = Path(docprune.__file__).resolve().parent.parent
 POOL = ("multiprocessing", "concurrent.futures.process")
+HTTP_LIBRARIES = ("requests", "urllib3")
 
 # Imports the module named first, runs `main` on any further arguments, then
-# prints which of numpy and the process pool's modules are loaded.
+# prints which of numpy, the process pool's modules and the third-party HTTP
+# libraries are loaded.
 PROBE = """
 import importlib, json, sys
 module = importlib.import_module(sys.argv[1])
 if len(sys.argv) > 2:
     code = module.main(sys.argv[2:])
     assert code == 0, code
-names = ("numpy", "multiprocessing", "concurrent.futures.process")
+names = ("numpy", "multiprocessing", "concurrent.futures.process", "requests", "urllib3")
 print(json.dumps([name for name in names if name in sys.modules]))
 """
 
 
 def loaded(cwd, module, *argv):
-    """The names among numpy and POOL that are loaded after the run."""
+    """The names among numpy, POOL and HTTP_LIBRARIES loaded after the run."""
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, module, *map(str, argv)],
         cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -122,3 +128,40 @@ def test_score_loads_numpy(world, tmp_path):
     """The positive control: the probe sees numpy when a stage does load it."""
     assert numpy_loaded(tmp_path, "docprune.cli", "score", "--input", world / "corpus",
                         "--model", world / "train" / "model.bin", "--out", tmp_path / "out")
+
+
+class _Chat(BaseHTTPRequestHandler):
+    """A keep-alive chat-completion endpoint that answers Yes and No in turn."""
+
+    protocol_version = "HTTP/1.1"
+    answers = itertools.cycle(["Yes", "No"])
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        data = json.dumps({"choices": [{"message": {"content": next(self.answers)}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def chat_endpoint():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Chat)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    server.shutdown()
+    server.server_close()
+
+
+def test_endpoint_label_leaves_requests_unloaded(world, tmp_path, chat_endpoint):
+    argv = ["label", "--snippets", world / "sample" / "snippets.jsonl",
+            "--endpoint-url", chat_endpoint, "--model-name", "chat"]
+    assert not loaded(tmp_path, "docprune.cli", *argv, "--out", tmp_path / "out") & set(
+        HTTP_LIBRARIES)
+    stats = json.loads((tmp_path / "out" / "label-stats.json").read_text())
+    assert stats["labeled"] == stats["requested"] > 0  # every snippet went over HTTP
