@@ -357,7 +357,7 @@ class TestLabelDocuments:
 class _Endpoint(BaseHTTPRequestHandler):
     server_version = "test"
     disable_nagle_algorithm = True  # no delayed-ACK stall between header and body
-    behaviors = None  # injected: list of (status, payload) or "ok"
+    behaviors = None  # injected: list of (status | "ok" | "malformed" | "close", payload)
     requests_seen = None
     connections = None  # one entry per accepted socket
     delay = 0.0  # seconds each POST takes
