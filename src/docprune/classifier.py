@@ -3,9 +3,13 @@
 This is the cheap distillation target that stands in for a fine-tuned
 language-model scorer behind the same contract: scores are sigmoid outputs in
 (0, 1) and the feature dimension (2**hash_bits) is the capacity knob. The
-model file format is versioned and byte-stable across save/load. numpy is
-imported inside the functions that use it, so stages that never featurize
-(sample, label, select, filter) start without its ~0.18 s import.
+model file format is versioned and byte-stable across save/load. Feature
+batches store 8 bytes per feature (int32 index, float32 count) while weights
+and every sum stay float64; counts are small integers, exact in float32, so
+products and sums are the same bits as in float64. Each process hashes a
+token once while its vocabulary fits a bounded table. numpy is imported
+inside the functions that use it, so stages that never featurize (sample,
+label, select, filter) start without its ~0.18 s import.
 """
 
 from __future__ import annotations
@@ -29,11 +33,18 @@ EPS = 1e-7
 MODEL_MAGIC = "docprune-model"
 MODEL_FORMAT_VERSION = 2
 
-_EMPTY_TEXT_KEY = "\x00no-tokens"
+# The token hash of a text without word tokens: that of the key "\x00no-tokens".
+_EMPTY_TEXT_HASH = int.from_bytes(hashlib.blake2b(b"\x00no-tokens", digest_size=8).digest(), "big")
 # Texts are featurized in batches of about this many characters (~11k tokens
-# at 6 chars per token), for scoring and training alike. Each batch hashes
-# its distinct tokens anew, so larger batches hash less but raise peak RSS.
+# at 6 chars per token), for scoring and training alike; larger batches
+# raise peak RSS.
 FEATURIZE_BATCH_CHARS = 1 << 16
+# Most tokens the process-wide token-hash table holds (~4 MB at this size;
+# 2**16 tokens measured 7.8 MB with tracemalloc). A vocabulary that fits is
+# hashed once per process. None once the process has found its vocabulary
+# too large for the table to pay (see `_token_hashes`).
+_TOKEN_HASH_CAP = 1 << 15
+_TOKEN_HASHES: dict[str, bytes] | None = {}
 
 
 class ModelFormatError(Exception):
@@ -89,11 +100,39 @@ def tokenize(text: str, config: FeaturizerConfig) -> list[str]:
 
 
 def _token_hashes(tokens: Sequence[str]) -> np.ndarray:
-    """64-bit hash of each token: its 8-byte blake2b digest, big-endian."""
+    """64-bit hash of each token: its 8-byte blake2b digest, big-endian.
+
+    Digests are kept in `_TOKEN_HASHES`. When this call's new tokens would
+    take it past `_TOKEN_HASH_CAP`, it starts over with only this call's
+    tokens (it is left as it is if they alone pass the cap). If fewer than
+    a quarter of the call's tokens were found in it, the vocabulary is so
+    much larger than the table that probing and filling it costs more than
+    the hashing it saves (a 200,000-word vocabulary featurized 10-19% slower
+    with the table), and the process stops using it.
+    """
+    global _TOKEN_HASHES
     import numpy as np
 
-    digests = b"".join(hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest() for t in tokens)
-    return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+    start_over = False
+    table = _TOKEN_HASHES
+    if table is None:
+        table, new = {}, dict.fromkeys(tokens)
+    else:
+        missed = list(itertools.filterfalse(table.__contains__, tokens))
+        # New tokens in first-occurrence order, the order their strings were
+        # allocated in: with mostly new tokens, set order featurized ~5% slower.
+        new = dict.fromkeys(missed)
+        if len(table) + len(new) > _TOKEN_HASH_CAP:
+            # A new dict, not clear(): a concurrent call keeps the table it read.
+            table, new = {}, dict.fromkeys(tokens)
+            if 4 * len(missed) > 3 * len(tokens):
+                _TOKEN_HASHES = None
+            else:
+                start_over = len(new) <= _TOKEN_HASH_CAP
+    table.update(zip(new, [hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest() for t in new]))
+    if start_over:  # published once filled, so no concurrent call finds it empty
+        _TOKEN_HASHES = table
+    return np.frombuffer(b"".join(map(table.__getitem__, tokens)), dtype=">u8").astype(np.uint64)
 
 
 def _fmix64(h: np.ndarray) -> np.ndarray:
@@ -114,7 +153,7 @@ def _fmix64(h: np.ndarray) -> np.ndarray:
 def _ngram_hashes(texts: Sequence[str], config: FeaturizerConfig) -> tuple[np.ndarray, np.ndarray]:
     """(row, 64-bit hash) of every n-gram occurrence in a batch of texts.
 
-    Each distinct token of the batch is hashed once (`_token_hashes`); an
+    Token hashes come from the process-wide table (`_token_hashes`); an
     order-n gram mixes its token hashes as h = h*M ^ tok, starting from
     h = n so that each order has its own seed, then goes through fmix64.
     A text without word tokens yields one fallback hash.
@@ -123,17 +162,14 @@ def _ngram_hashes(texts: Sequence[str], config: FeaturizerConfig) -> tuple[np.nd
 
     token_lists = [tokenize(text, config) for text in texts]
     lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
-    flat = list(itertools.chain.from_iterable(token_lists))
-    distinct = {t: i for i, t in enumerate(dict.fromkeys(flat))}
-    positions = np.fromiter(map(distinct.__getitem__, flat), dtype=np.int64, count=len(flat))
-    tok = _token_hashes(list(distinct))[positions]
+    tok = _token_hashes(list(itertools.chain.from_iterable(token_lists)))
     n_tokens = tok.shape[0]
     row_of_token = np.repeat(np.arange(len(texts), dtype=np.int64), lengths)
     # Tokens from each position to the end of its text, that position included.
     left = np.repeat(np.cumsum(lengths), lengths) - np.arange(n_tokens)
 
     rows = [np.flatnonzero(lengths == 0)]
-    hashes = [np.full(rows[0].shape[0], _token_hashes([_EMPTY_TEXT_KEY])[0], dtype=np.uint64)]
+    hashes = [np.full(rows[0].shape[0], _EMPTY_TEXT_HASH, dtype=np.uint64)]
     for order in config.ngram_orders:
         span = max(n_tokens - order + 1, 0)  # windows of the flat token array
         h = np.full(span, order, dtype=np.uint64)
@@ -151,8 +187,8 @@ class FeatureBatch:
     """CSR batch of hashed n-gram counts: row i is
     indices[offsets[i]:offsets[i+1]] (ascending) with their counts in values."""
 
-    indices: np.ndarray  # int64
-    values: np.ndarray  # float64
+    indices: np.ndarray  # int32: hash_bits <= 26
+    values: np.ndarray  # float32: integer counts, exact below 2**24
     offsets: np.ndarray  # int64, len(rows) + 1
 
     def __len__(self) -> int:
@@ -204,7 +240,9 @@ def featurize_batch(texts: Sequence[str], config: FeaturizerConfig) -> FeatureBa
     cells, counts = np.unique(cells, return_counts=True)
     offsets = np.searchsorted(cells, np.arange(len(texts) + 1) * config.dim)
     cells %= config.dim
-    return FeatureBatch(indices=cells, values=counts.astype(np.float64), offsets=offsets)
+    return FeatureBatch(
+        indices=cells.astype(np.int32), values=counts.astype(np.float32), offsets=offsets
+    )
 
 
 def featurize_chunks(texts: Iterable[str], config: FeaturizerConfig) -> Iterator[FeatureBatch]:
@@ -430,7 +468,7 @@ def train_classifier(
         if val_f1 > best_f1:
             best_f1 = val_f1
             best_epoch = epoch
-            best_w = w.copy()
+            np.copyto(best_w, w)
             best_b = b
         elif epoch - best_epoch >= config.patience:
             break

@@ -123,6 +123,12 @@ class LabelerConfig:
             raise ValueError("temperature must be >= 0")
         if self.max_concurrent_requests < 1:
             raise ValueError("max_concurrent_requests must be >= 1")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.backoff_base < 0:
+            raise ValueError("backoff_base must be >= 0")
+        if self.request_timeout <= 0:
+            raise ValueError("request_timeout must be > 0")
         canonical_version(self.prompt_version)  # rejects an unknown version
 
 

@@ -12,8 +12,10 @@ from docprune.classifier import (
     ModelFormatError,
     QualityClassifier,
     TrainConfig,
+    _forward,
     class_weight_map,
     f1,
+    featurize_batch,
     featurize_text,
     load_model,
     loss_and_grad,
@@ -228,6 +230,30 @@ class TestGradient:
         check_gradient_against_finite_differences(
             feature_batch(rows), targets, sample_weights, weights, 0.3, checked
         )
+
+
+class TestNarrowBatchArithmetic:
+    def test_int32_float32_batch_is_bit_equal_to_int64_float64(self):
+        # Stored counts are small integers, exact in float32, so a batch as
+        # featurize_batch stores it gives the same float64 bits as its
+        # widened copy in the forward pass and in the gradient.
+        rng = np.random.default_rng(4)
+        config = FeaturizerConfig(hash_bits=10)
+        texts = ["alpha beta alpha gamma " * 30, "!!", "delta", "beta beta beta epsilon"]
+        narrow = featurize_batch(texts, config)
+        assert (narrow.indices.dtype, narrow.values.dtype) == (np.int32, np.float32)
+        wide = FeatureBatch(
+            narrow.indices.astype(np.int64), narrow.values.astype(np.float64), narrow.offsets
+        )
+        w = rng.normal(0, 1, config.dim)
+        targets = np.array([1.0, 0.0, 1.0, 0.0])
+        sample_weights = np.array([0.7, 1.3, 0.7, 1.3])
+        for got, want in zip(_forward(narrow, w, 0.3), _forward(wide, w, 0.3)):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+        loss_n, grad_n, b_n = loss_and_grad(narrow, targets, sample_weights, w, 0.3)
+        loss_w, grad_w, b_w = loss_and_grad(wide, targets, sample_weights, w, 0.3)
+        assert (loss_n, b_n) == (loss_w, b_w)
+        assert grad_n.dtype == np.float64 and np.array_equal(grad_n, grad_w)
 
 
 class TestTraining:

@@ -116,6 +116,19 @@ class TestSectionsMatchLibrary:
                        "--out", tmp_path / "out") == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("setting", [
+        "max_retries = -1", "backoff_base = -0.5", "request_timeout = 0",
+    ])
+    def test_bad_retry_setting_exits_2(self, tmp_path, capsys, setting):
+        snippets = tmp_path / "snippets.jsonl"
+        snippets.write_text("")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[labeler]\n{setting}\nmock = true\n")
+        assert run_cli("label", "--config", cfg, "--snippets", snippets,
+                       "--out", tmp_path / "out") == 2
+        assert setting.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.fixture(scope="module")
 def pipeline_world(tmp_path_factory):

@@ -47,8 +47,8 @@ class TestBatchRowsMatchSingleText:
     def test_csr_layout(self):
         config = FeaturizerConfig(hash_bits=12)
         batch = featurize_batch(["one two three", "!!!", "one", "x y"], config)
-        assert batch.indices.dtype == np.int64
-        assert batch.values.dtype == np.float64
+        assert batch.indices.dtype == np.int32
+        assert batch.values.dtype == np.float32
         assert batch.offsets.dtype == np.int64
         assert batch.offsets[0] == 0 and batch.offsets[-1] == batch.indices.shape[0]
         for i in range(len(batch)):
@@ -67,6 +67,93 @@ class TestBatchRowsMatchSingleText:
         batch = featurize_batch(texts, config)
         sub = batch.take(np.array([3, 0, 3], dtype=np.int64))
         assert [sub.row(i) for i in range(3)] == [batch.row(3), batch.row(0), batch.row(3)]
+
+
+class TestTokenHashTable:
+    """The process-wide token-hash table changes no hash, whatever it holds."""
+
+    TEXTS = ["The cat sat; the cat!", "!!", "", "a b c d e f a b", "é ccc d1 ccc"]
+
+    def test_cold_and_warm_table_give_identical_batches(self, monkeypatch):
+        import docprune.classifier as classifier
+
+        config = FeaturizerConfig(hash_bits=12)
+        monkeypatch.setattr(classifier, "_TOKEN_HASHES", {})
+        cold = featurize_batch(self.TEXTS, config)
+        assert classifier._TOKEN_HASHES  # the cold call filled the table
+        warm = featurize_batch(self.TEXTS, config)
+        for field in ("indices", "values", "offsets"):
+            a, b = getattr(cold, field), getattr(warm, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+    def test_table_stays_within_cap_and_hashes_stay_exact(self, monkeypatch):
+        import docprune.classifier as classifier
+
+        cap = 16
+        monkeypatch.setattr(classifier, "_TOKEN_HASH_CAP", cap)
+        monkeypatch.setattr(classifier, "_TOKEN_HASHES", {})
+        w = [f"w{i}" for i in range(16)]
+        steps = [
+            (w[:10] * 2, set(w[:10])),
+            (w[5:], set(w)),  # 6 new: at the cap
+            (w[:12] + ["n0"], set(w[:12]) | {"n0"}),  # 1 new, 12 found: starts over
+            (w[:12] * 3 + [f"y{i}" for i in range(10)], set(w[:12]) | {"n0"}),  # 22 > cap
+            (["w0"] + [f"x{i}" for i in range(6)], None),  # 1 of 7 found: no table
+            (["w0", "x1", "w0"], None),
+        ]
+        for tokens, table in steps:
+            hashes = classifier._token_hashes(tokens)
+            assert hashes.dtype == np.uint64
+            assert hashes.tolist() == [_blake(t) for t in tokens]
+            if table is None:
+                assert classifier._TOKEN_HASHES is None
+            else:
+                assert set(classifier._TOKEN_HASHES) == table
+                assert all(
+                    int.from_bytes(d, "big") == _blake(t)
+                    for t, d in classifier._TOKEN_HASHES.items()
+                )
+
+    def test_concurrent_calls_get_every_hash(self, monkeypatch):
+        # Threads that keep overflowing a small table must each still find
+        # every token they asked for. Half of each call's tokens are shared,
+        # so the table starts over rather than being dropped.
+        import sys
+        import threading
+
+        import docprune.classifier as classifier
+
+        monkeypatch.setattr(classifier, "_TOKEN_HASH_CAP", 64)
+        monkeypatch.setattr(classifier, "_TOKEN_HASHES", {})
+        core = [f"c{i}" for i in range(20)]
+        errors: list[BaseException] = []
+
+        def work(k):
+            try:
+                for r in range(1500):
+                    tokens = core + [f"v{(r * 7 + k * 50 + i) % 200}" for i in range(20)]
+                    assert classifier._token_hashes(tokens).tolist() == list(map(_blake, tokens))
+            except BaseException as exc:  # handed to the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+        assert classifier._TOKEN_HASHES is not None
+        assert len(classifier._TOKEN_HASHES) <= 64
+
+
+def _blake(token: str) -> int:
+    return int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "big")
 
 
 class TestProjection:
