@@ -20,6 +20,7 @@ import json
 import random
 import re
 import struct
+import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -41,10 +42,10 @@ _EMPTY_TEXT_HASH = int.from_bytes(hashlib.blake2b(b"\x00no-tokens", digest_size=
 FEATURIZE_BATCH_CHARS = 1 << 16
 # Most tokens the process-wide token-hash table holds (~4 MB at this size;
 # 2**16 tokens measured 7.8 MB with tracemalloc). A vocabulary that fits is
-# hashed once per process. None once the process has found its vocabulary
-# too large for the table to pay (see `_token_hashes`).
+# hashed once per process.
 _TOKEN_HASH_CAP = 1 << 15
-_TOKEN_HASHES: dict[str, bytes] | None = {}
+_TOKEN_HASHES: dict[str, bytes] = {}
+_TOKEN_HASH_LOCK = threading.Lock()
 
 
 class ModelFormatError(Exception):
@@ -103,36 +104,25 @@ def _token_hashes(tokens: Sequence[str]) -> np.ndarray:
     """64-bit hash of each token: its 8-byte blake2b digest, big-endian.
 
     Digests are kept in `_TOKEN_HASHES`. When this call's new tokens would
-    take it past `_TOKEN_HASH_CAP`, it starts over with only this call's
-    tokens (it is left as it is if they alone pass the cap). If fewer than
-    a quarter of the call's tokens were found in it, the vocabulary is so
-    much larger than the table that probing and filling it costs more than
-    the hashing it saves (a 200,000-word vocabulary featurized 10-19% slower
-    with the table), and the process stops using it.
+    take it past `_TOKEN_HASH_CAP`, it is emptied and then holds only this
+    call's tokens (none, if they alone pass the cap). The lock keeps the cap
+    under concurrent calls.
     """
-    global _TOKEN_HASHES
     import numpy as np
 
-    start_over = False
-    table = _TOKEN_HASHES
-    if table is None:
-        table, new = {}, dict.fromkeys(tokens)
-    else:
-        missed = list(itertools.filterfalse(table.__contains__, tokens))
+    with _TOKEN_HASH_LOCK:
+        table = _TOKEN_HASHES
         # New tokens in first-occurrence order, the order their strings were
         # allocated in: with mostly new tokens, set order featurized ~5% slower.
-        new = dict.fromkeys(missed)
+        new = dict.fromkeys(itertools.filterfalse(table.__contains__, tokens))
         if len(table) + len(new) > _TOKEN_HASH_CAP:
-            # A new dict, not clear(): a concurrent call keeps the table it read.
-            table, new = {}, dict.fromkeys(tokens)
-            if 4 * len(missed) > 3 * len(tokens):
-                _TOKEN_HASHES = None
-            else:
-                start_over = len(new) <= _TOKEN_HASH_CAP
-    table.update(zip(new, [hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest() for t in new]))
-    if start_over:  # published once filled, so no concurrent call finds it empty
-        _TOKEN_HASHES = table
-    return np.frombuffer(b"".join(map(table.__getitem__, tokens)), dtype=">u8").astype(np.uint64)
+            table.clear()
+            new = dict.fromkeys(tokens)
+            if len(new) > _TOKEN_HASH_CAP:
+                table = {}
+        table.update(zip(new, [hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest() for t in new]))
+        digests = b"".join(map(table.__getitem__, tokens))
+    return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
 
 
 def _fmix64(h: np.ndarray) -> np.ndarray:
