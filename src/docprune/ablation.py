@@ -141,11 +141,9 @@ def run_ratio_sweep(
     docs: Sequence[Document],
     classifier: QualityClassifier,
     ratios: Sequence[float] = DEFAULT_RATIOS,
-    token_budget: int = 1500,
-    chars_per_token: int = 4,
 ) -> SweepReport:
     """Kept-set precision/recall against planted truth across keep ratios."""
-    ids, scores, _ = score_documents(docs, classifier, token_budget, chars_per_token)
+    ids, scores, _ = score_documents(docs, classifier)
     by_id = dict(zip(ids, scores))
     high_ids = {doc.id for doc in docs if stratum_of(doc)}
     points = []
@@ -328,6 +326,5 @@ def labeled_texts(
     return out
 
 
-def snippets_of(docs: Iterable[Document], token_budget: int = 1500,
-                chars_per_token: int = 4) -> list[Snippet]:
-    return [extract_snippet(d, token_budget, chars_per_token) for d in docs if d.text]
+def snippets_of(docs: Iterable[Document]) -> list[Snippet]:
+    return [extract_snippet(d) for d in docs if d.text]

@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 
 EPS = 1e-7
 MODEL_MAGIC = "docprune-model"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 # The token hash of a text without word tokens: that of the key "\x00no-tokens".
 _EMPTY_TEXT_HASH = int.from_bytes(hashlib.blake2b(b"\x00no-tokens", digest_size=8).digest(), "big")
@@ -63,13 +63,11 @@ class FeaturizerConfig:
 
     ngram_orders: tuple[int, ...] = (1, 2, 3)
     hash_bits: int = 18
-    lowercase: bool = True
-    token_pattern: str = r"\w+"
 
     def __post_init__(self):
         if not (8 <= self.hash_bits <= 26):
             raise ValueError("hash_bits must be in [8, 26]")
-        if not self.ngram_orders or any(n < 1 for n in self.ngram_orders):
+        if not self.ngram_orders or any(type(n) is not int or n < 1 for n in self.ngram_orders):
             raise ValueError("ngram_orders must be positive integers")
         object.__setattr__(self, "ngram_orders", tuple(self.ngram_orders))
 
@@ -87,17 +85,12 @@ class LabeledText:
     target: int
 
 
-_TOKEN_RE_CACHE: dict[str, re.Pattern] = {}
+_TOKEN_RE = re.compile(r"\w+")
 
 
-def tokenize(text: str, config: FeaturizerConfig) -> list[str]:
-    pattern = _TOKEN_RE_CACHE.get(config.token_pattern)
-    if pattern is None:
-        pattern = re.compile(config.token_pattern)
-        _TOKEN_RE_CACHE[config.token_pattern] = pattern
-    if config.lowercase:
-        text = text.lower()
-    return pattern.findall(text)
+def tokenize(text: str) -> list[str]:
+    """The word tokens of a text, lowercased."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 def _token_hashes(tokens: Sequence[str]) -> np.ndarray:
@@ -150,7 +143,7 @@ def _ngram_hashes(texts: Sequence[str], config: FeaturizerConfig) -> tuple[np.nd
     """
     import numpy as np
 
-    token_lists = [tokenize(text, config) for text in texts]
+    token_lists = [tokenize(text) for text in texts]
     lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
     tok = _token_hashes(list(itertools.chain.from_iterable(token_lists)))
     n_tokens = tok.shape[0]
@@ -286,7 +279,7 @@ def split_train_val(
     if not 0 < val_fraction < 1:
         raise ValueError("val_fraction must be in (0, 1)")
     if len(examples) < 10:
-        raise ValueError("need at least 10 examples to split")
+        raise DegenerateLabelsError(f"need at least 10 examples to split, got {len(examples)}")
     rng = random.Random(f"split:{seed}")
     val_idx: set[int] = set()
     for cls in (0, 1):
@@ -339,7 +332,6 @@ class TrainConfig:
     epochs: int = 20
     learning_rate: float = 0.5
     batch_size: int = 64
-    class_weighting: bool = True
     patience: int = 3
 
     def __post_init__(self):
@@ -365,13 +357,11 @@ class QualityClassifier:
         return h.hexdigest()[:16]
 
 
-def class_weight_map(targets: Iterable[int], enabled: bool = True) -> dict[int, float]:
+def class_weight_map(targets: Iterable[int]) -> dict[int, float]:
     """Inverse-frequency class weights (each class contributes half the loss mass)."""
     targets = list(targets)
     n_pos = sum(targets)
     n_neg = len(targets) - n_pos
-    if not enabled:
-        return {0: 1.0, 1: 1.0}
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("degenerate label distribution: one class only")
     n = len(targets)
@@ -426,7 +416,7 @@ def train_classifier(
         texts = (e.text for e in examples)
         return FeatureBatch.concat(list(featurize_chunks(texts, config.featurizer)))
 
-    cw = class_weight_map([e.target for e in train], config.class_weighting)
+    cw = class_weight_map([e.target for e in train])
     features, val_features = featurized(train), featurized(val)
     y = np.array([e.target for e in train], dtype=np.float64)
     sample_weights = np.array([cw[e.target] for e in train], dtype=np.float64)
@@ -533,23 +523,31 @@ def load_model(path: str | Path) -> QualityClassifier:
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(
                 f"unsupported model format_version {version!r} in {path}: this build "
-                f"reads only format_version {MODEL_FORMAT_VERSION}, whose feature hashing "
-                f"differs; retrain the model with `docprune train`"
+                f"reads only format_version {MODEL_FORMAT_VERSION} (version 1 hashed "
+                f"features differently, version 2 has another featurizer header); "
+                f"retrain the model with `docprune train`"
             )
         blob = fh.read()
-    expected_len = header["weights_len"] * 8
+    try:
+        featurizer = FeaturizerConfig(**header["featurizer"])
+        if header["weights_len"] != featurizer.dim:
+            raise ValueError(f"weights_len {header['weights_len']!r} is not 2**hash_bits")
+        checksum, meta = header["weights_sha256"], header["training_meta"]
+        bias = float(header["bias"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"malformed model header in {path}: {exc!r}") from exc
+    expected_len = featurizer.dim * 8
     if len(blob) != expected_len:
         raise ModelFormatError(
             f"weight block is {len(blob)} bytes, expected {expected_len} (truncated?)"
         )
-    if hashlib.sha256(blob).hexdigest() != header["weights_sha256"]:
+    if hashlib.sha256(blob).hexdigest() != checksum:
         raise ModelFormatError("weight checksum mismatch: file is corrupt")
     weights = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     return QualityClassifier(
-        featurizer=FeaturizerConfig(**header["featurizer"]),
+        featurizer=featurizer,
         weights=weights,
-        bias=float(header["bias"]),
-        training_meta=header["training_meta"],
+        bias=bias,
+        training_meta=meta,
         format_version=version,
     )
-

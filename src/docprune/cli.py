@@ -106,9 +106,7 @@ def cmd_sample(config: RunConfig, args) -> int:
         if not doc.text:
             empties += 1
             continue
-        snippets.append(
-            extract_snippet(doc, config.corpus.token_budget, config.corpus.chars_per_token)
-        )
+        snippets.append(extract_snippet(doc))
     write_shard_file(sample, out / "sampled-docs.jsonl")
     write_jsonl(out / "snippets.jsonl", snippets)
     write_json(out / "run-summary.json", {**asdict(summary), "empty_documents": empties})
@@ -123,6 +121,11 @@ def cmd_label(config: RunConfig, args) -> int:
     snippets = list(read_records(args.snippets, Snippet))
     labeler = config.labeler
     demos = read_demonstrations(labeler.icl_demos) if labeler.icl_demos else []
+    if labeler.icl_demos and len(demos) != 5:
+        raise ConfigError(
+            f"[labeler] icl_demos {labeler.icl_demos} holds {len(demos)} demonstrations; "
+            f"exactly 5 are required"
+        )
     if labeler.mock:
         transport = MockQualityTransport()
         labeler = replace(labeler, model_name=labeler.model_name or "mock-quality")
@@ -190,8 +193,6 @@ def cmd_score(config: RunConfig, args) -> int:
         classifier,
         workers=config.selector.workers,
         out_dir=out,
-        token_budget=config.corpus.token_budget,
-        chars_per_token=config.corpus.chars_per_token,
         strict=config.corpus.strict,
     )
     write_json(out / "scoring-report.json", score_set.report)
@@ -210,7 +211,10 @@ def cmd_select(config: RunConfig, args) -> int:
     if ratio == "from-labels":
         if not args.labels:
             raise ConfigError("--target-ratio from-labels requires --labels")
-        ratio = yes_share(read_labels(args.labels))  # the labeler's keep-ratio
+        labels = read_labels(args.labels)
+        if not labels:
+            raise DegenerateLabelsError(f"from-labels: {args.labels} holds no labels")
+        ratio = yes_share(labels)  # the labeler's keep-ratio
         lo, hi = YES_FRACTION_RANGE
         if not lo <= ratio <= hi:
             raise DegenerateLabelsError(
@@ -265,41 +269,33 @@ def cmd_ablate(config: RunConfig, args) -> int:
     docs = generate_documents(ab.corpus_spec(config.run.seed))
     sample = reservoir_sample(iter(docs), min(ab.sample_size, len(docs)), config.run.seed)
 
-    def snippets_of(docs):
-        corpus = config.corpus
-        return ablation.snippets_of(docs, corpus.token_budget, corpus.chars_per_token)
-
     def mock_labels(snippets):
         return label_documents(snippets, config.labeler, transport=MockQualityTransport())[0]
 
     if args.sweep == "ratio":
-        snippets = snippets_of(sample)
+        snippets = ablation.snippets_of(sample)
         classifier = _train(config, mock_labels(snippets), snippets)[0]
-        report = ablation.run_ratio_sweep(
-            docs, classifier, ab.ratios,
-            config.corpus.token_budget, config.corpus.chars_per_token,
-        )
+        report = ablation.run_ratio_sweep(docs, classifier, ab.ratios)
     elif args.sweep == "capacity":
-        snippets = snippets_of(docs)
+        snippets = ablation.snippets_of(docs)
         report = ablation.run_capacity_sweep(
             ablation.labeled_texts(mock_labels(snippets), {s.doc_id: s.text for s in snippets}),
             config.distiller, ab.hash_bits_list, ab.seeds,
         )
     elif args.sweep == "prompt":
-        transport = VersionFlipTransport(flip_rate=ab.flip_rate)
+        transports = dict.fromkeys(("V1", "V2", "V3"), VersionFlipTransport())
         report = ablation.run_prompt_robustness(
-            snippets_of(sample), config.labeler, {v: transport for v in ("V1", "V2", "V3")}
+            ablation.snippets_of(sample), config.labeler, transports
         )
     elif args.sweep == "icl":
-        snippets = snippets_of(sample)
+        snippets = ablation.snippets_of(sample)
         strong_by_doc = truth_by_doc(sample)
         demos = [
             IclDemonstration(s.text, strong_by_doc[s.doc_id], "strong-reference")
             for s in snippets[:5]
         ]
-        weak = FidelityMockTransport({0: ab.fidelity_0shot, 5: ab.fidelity_5shot})
         report = ablation.run_icl_comparison(
-            snippets[5:], config.labeler, weak, demos, strong_by_doc
+            snippets[5:], config.labeler, FidelityMockTransport(), demos, strong_by_doc
         )
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown sweep {args.sweep!r}")

@@ -70,13 +70,10 @@ class RunSection:
 class CorpusSection:
     input_dir: str = ""
     sample_size: int = 2000
-    token_budget: int = 1500
-    chars_per_token: int = 4
     strict: bool = False
 
     def __post_init__(self):
-        _at_least_1(sample_size=self.sample_size, token_budget=self.token_budget,
-                    chars_per_token=self.chars_per_token)
+        _at_least_1(sample_size=self.sample_size)
 
 
 @dataclass
@@ -94,15 +91,11 @@ class SelectorSection:
 class AblationSection:
     n_docs: int = 2000
     high_quality_fraction: float = 0.25
-    signal_strength: float = 1.0
     marker_style: str = "few"
     sample_size: int = 1000
     seeds: tuple[int, ...] = (0, 1, 2)
     hash_bits_list: tuple[int, ...] = (10, 14, 18)
     ratios: tuple[float, ...] = (0.20, 0.25, 0.30, 0.40, 0.50, 1.00)
-    flip_rate: float = 0.05
-    fidelity_0shot: float = 0.60
-    fidelity_5shot: float = 0.75
 
     def __post_init__(self):
         self.corpus_spec(seed=0)  # checks the corpus shape
@@ -111,7 +104,6 @@ class AblationSection:
         return SyntheticCorpusSpec(
             n_docs=self.n_docs,
             high_quality_fraction=self.high_quality_fraction,
-            signal_strength=self.signal_strength,
             seed=seed,
             marker_style=self.marker_style,
         )

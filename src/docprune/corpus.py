@@ -195,8 +195,10 @@ def extract_snippet(
     """Middle character window approximating `token_budget` tokens.
 
     The window is min(len(text), token_budget * chars_per_token) characters
-    centered on the text midpoint. Python string indices are code points, so
-    the slice can never land inside a character.
+    centered on the text midpoint. `sample` and `score` both take the default
+    window, 1500 * 4 = 6,000 characters, so a model scores the window it was
+    trained on. Python string indices are code points, so the slice can
+    never land inside a character.
     """
     if not doc.text:
         raise ValueError(f"empty document: {doc.id!r}")

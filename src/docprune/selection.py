@@ -182,8 +182,6 @@ class ScoreSet:
 def score_documents(
     docs: Iterable[Document],
     classifier: QualityClassifier,
-    token_budget: int = 1500,
-    chars_per_token: int = 4,
 ) -> tuple[list[str], list[float], int]:
     """Score documents in memory; returns (ids, scores in the same order,
     skipped_empty_count).
@@ -203,7 +201,7 @@ def score_documents(
                 skipped += 1
                 continue
             ids.append(doc.id)
-            yield extract_snippet(doc, token_budget, chars_per_token).text
+            yield extract_snippet(doc).text
 
     for batch in featurize_chunks(snippets(), classifier.featurizer):
         scores.extend(score_batch(classifier, batch).tolist())
@@ -277,8 +275,6 @@ def score_corpus(
     workers: int = 1,
     *,
     out_dir: str | Path,
-    token_budget: int = 1500,
-    chars_per_token: int = 4,
     strict: bool = False,
 ) -> ScoreSet:
     """Score every document, one output score shard per input shard.
@@ -300,7 +296,7 @@ def score_corpus(
         # Thread CPU time: in a forked worker that is the whole process; in this
         # process it leaves out numpy's idle BLAS threads, which process time counts.
         t0, cpu0 = time.monotonic(), time.thread_time()
-        ids, scores, skipped = score_documents(docs, classifier, token_budget, chars_per_token)
+        ids, scores, skipped = score_documents(docs, classifier)
         path = out_dir / names[shard.path.name]
         header = ScoreHeader(classifier_id, SCORES_FORMAT_VERSION, shard.path.name, len(ids))
         rows = ({"doc_id": i, "score": s} for i, s in zip(ids, scores))

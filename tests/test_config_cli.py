@@ -13,7 +13,7 @@ from docprune.classifier import FeaturizerConfig, QualityClassifier, TrainConfig
 from docprune.cli import main
 from docprune.config import ConfigError, load_config, write_resolved_config
 from docprune.labeling import LabelerConfig
-from docprune.corpus import ShardSet, ingest_shards, read_json
+from docprune.corpus import ShardSet, Snippet, ingest_shards, read_json, read_records
 from docprune.labeling import DegenerateLabelerWarning, read_labels
 from docprune.selection import Manifest, ScoreSet, SelectionDecision
 from docprune.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus, stratum_of
@@ -491,6 +491,18 @@ class TestCliIclDemos:
         assert {l.icl_shots for l in labels} == {5}
 
 
+    def test_demonstrations_file_without_5_records_exits_2(self, tmp_path, capsys):
+        from docprune.labeling import IclDemonstration, write_demonstrations
+
+        demo_file = tmp_path / "demos.jsonl"
+        write_demonstrations([IclDemonstration("a text", "Yes", "strong")] * 3, demo_file)
+        snippets = jsonl(tmp_path / "snippets.jsonl", [SNIPPET])
+        assert run_cli("label", "--mock", "--snippets", snippets, "--icl-demos", demo_file,
+                       "--out", tmp_path / "out") == 2
+        assert "holds 3 demonstrations; exactly 5 are required" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def jsonl(path, records, cut: int = 0):
     """Write records one per line; `cut` drops that many trailing characters."""
     text = "".join(json.dumps(r) + "\n" for r in records)
@@ -721,6 +733,75 @@ class TestLoadTimeChecks:
         assert run_cli("ablate", "--sweep", "capacity", "--config", tmp_path / "run.ini",
                        "--out", tmp_path / "out") == 2
         assert "1,000 labeled examples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+REMAINING_KEYS = {
+    "run": {"seed", "output_root", "log_level"},
+    "corpus": {"input_dir", "sample_size", "strict"},
+    "labeler": {"endpoint_url", "model_name", "temperature", "max_output_tokens",
+                "max_concurrent_requests", "max_retries", "backoff_base", "request_timeout",
+                "failure_ceiling", "api_key_env", "prompt_version", "icl_demos", "mock"},
+    "distiller": {"ngram_orders", "hash_bits", "val_fraction", "epochs", "learning_rate",
+                  "batch_size", "patience"},
+    "selector": {"target_ratio", "workers"},
+    "ablation": {"n_docs", "high_quality_fraction", "marker_style", "sample_size", "seeds",
+                 "hash_bits_list", "ratios"},
+}
+
+
+class TestRemovedKeys:
+    """Keys that only ever held their default are constants now: a config
+    that sets one, even to that default, exits 2 before any output dir."""
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("corpus", "token_budget", "1500"),
+        ("corpus", "chars_per_token", "4"),
+        ("distiller", "class_weighting", "true"),
+        ("distiller", "lowercase", "true"),
+        ("distiller", "token_pattern", r"\w+"),
+        ("ablation", "signal_strength", "1.0"),
+        ("ablation", "flip_rate", "0.05"),
+        ("ablation", "fidelity_0shot", "0.60"),
+        ("ablation", "fidelity_5shot", "0.75"),
+    ])
+    def test_removed_key_exits_2_without_output(self, small_run, tmp_path, capsys,
+                                                 section, key, value):
+        (tmp_path / "run.ini").write_text(f"[{section}]\n{key} = {value}\n")
+        assert run_cli(*small_run["sample"], "--config", tmp_path / "run.ini",
+                       "--out", tmp_path / "out") == 2
+        assert f"unknown key {key!r} in section [{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_resolved_config_lists_the_remaining_keys(self, small_run):
+        import configparser
+
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(small_run["train"][2].parent / "resolved-config.ini")
+        assert {name: set(parser[name]) for name in parser.sections()} == REMAINING_KEYS
+        assert sum(map(len, REMAINING_KEYS.values())) == 35
+
+
+class TestDegenerateLabelSets:
+    """Label sets too small to train on or to take a keep-ratio from exit 5."""
+
+    @pytest.mark.parametrize("n_labels", [0, 5])
+    def test_train_on_too_few_labels_exits_5(self, small_run, tmp_path, capsys, n_labels):
+        snippets = small_run["train"][2]
+        ids = [s.doc_id for s in read_records(snippets, Snippet)][:n_labels]
+        labels = jsonl(tmp_path / "labels.jsonl", [
+            {**LABEL, "doc_id": i, "label": "Yes" if n % 2 else "No"} for n, i in enumerate(ids)
+        ])
+        assert run_cli("train", "--snippets", snippets, "--labels", labels,
+                       "--out", tmp_path / "out") == 5
+        assert "at least 10 examples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_select_from_empty_labels_exits_5(self, small_run, tmp_path, capsys):
+        labels = jsonl(tmp_path / "labels.jsonl", [])
+        assert run_cli("select", "--scores", small_run["select"][2], "--target-ratio",
+                       "from-labels", "--labels", labels, "--out", tmp_path / "out") == 5
+        assert "no labels" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -290,32 +290,79 @@ class TestScoreBatch:
         assert whole == [score(clf, snippet_of(d.text)) for d in docs if d.text]
 
 
-def _v1_model_file(path):
-    clf = _classifier()
-    clf.format_version = 1
-    save_model(clf, path)
+def _model_file(path, edit):
+    """A saved `_classifier()` whose JSON header `edit(header)` has changed."""
+    save_model(_classifier(), path)
     with open(path, "rb") as fh:
-        assert json.loads(fh.readline())["format_version"] == 1
+        header = json.loads(fh.readline())
+        blob = fh.read()
+    edit(header)
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
     return path
+
+
+def _old_model_file(path, version):
+    """A model file of an earlier format, with format 2's featurizer header."""
+    def edit(header):
+        header["format_version"] = version
+        header["featurizer"].update(lowercase=True, token_pattern=r"\w+")
+    return _model_file(path, edit)
+
+
+def _score(tmp_path, model):
+    """Exit code and output dir of `docprune score` with `model` on a 5-doc corpus."""
+    from conftest import corpus_dir, make_docs
+
+    corpus = corpus_dir(tmp_path, {"s0.jsonl": [
+        {"id": d.id, "text": d.text} for d in make_docs(5)
+    ]})
+    out = tmp_path / "scores"
+    code = main(["score", "--input", str(corpus.shards[0].path.parent),
+                 "--model", str(model), "--out", str(out)])
+    return code, out
 
 
 class TestModelFormatVersion:
     def test_version_1_model_rejected(self, tmp_path):
-        path = _v1_model_file(tmp_path / "v1.bin")
+        path = _old_model_file(tmp_path / "v1.bin", 1)
         with pytest.raises(ModelFormatError, match="format_version 1"):
             load_model(path)
 
-    def test_score_with_version_1_model_exits_3(self, tmp_path, capsys):
-        from conftest import corpus_dir, make_docs
+    def test_version_2_model_rejected(self, tmp_path):
+        path = _old_model_file(tmp_path / "v2.bin", 2)
+        with pytest.raises(ModelFormatError, match="format_version 2"):
+            load_model(path)
 
-        corpus = corpus_dir(tmp_path, {"s0.jsonl": [
-            {"id": d.id, "text": d.text} for d in make_docs(5)
-        ]})
-        model = _v1_model_file(tmp_path / "v1.bin")
-        out = tmp_path / "scores"
-        code = main(["score", "--input", str(corpus.shards[0].path.parent),
-                     "--model", str(model), "--out", str(out)])
+    def assert_score_exits_3(self, tmp_path, capsys, version):
+        code, out = _score(tmp_path, _old_model_file(tmp_path / "old.bin", version))
         assert code == 3
         err = capsys.readouterr().err
-        assert "format_version 1" in err and "retrain" in err
+        assert f"format_version {version}" in err and "retrain" in err
+        assert not out.exists()
+
+    def test_score_with_version_1_model_exits_3(self, tmp_path, capsys):
+        self.assert_score_exits_3(tmp_path, capsys, 1)
+
+    def test_score_with_version_2_model_exits_3(self, tmp_path, capsys):
+        self.assert_score_exits_3(tmp_path, capsys, 2)
+
+
+class TestMalformedModelHeader:
+    """A header with the magic and the current version whose fields are
+    missing, unknown or out of range exits 3, before `score` writes anything."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("weights_len"),
+        lambda h: h["featurizer"].update(stemmer="porter"),
+        lambda h: h.update(featurizer=None),
+        lambda h: h["featurizer"].update(hash_bits=40),
+        lambda h: h["featurizer"].update(hash_bits=12),  # 2**10 weights follow
+        lambda h: h["featurizer"].update(ngram_orders=[1.5]),
+    ], ids=["no-weights_len", "unknown-featurizer-key", "null-featurizer", "hash_bits-40",
+            "hash_bits-not-weights_len", "fractional-ngram-order"])
+    def test_score_exits_3(self, tmp_path, capsys, edit):
+        code, out = _score(tmp_path, _model_file(tmp_path / "model.bin", edit))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "malformed model header" in err and "Traceback" not in err, err
         assert not out.exists()
