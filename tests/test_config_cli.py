@@ -490,7 +490,6 @@ class TestCliIclDemos:
         labels = read_labels(out / "labels.jsonl")
         assert {l.icl_shots for l in labels} == {5}
 
-
     def test_demonstrations_file_without_5_records_exits_2(self, tmp_path, capsys):
         from docprune.labeling import IclDemonstration, write_demonstrations
 
