@@ -44,6 +44,8 @@ FEATURIZE_BATCH_CHARS = 1 << 16
 # 2**16 tokens measured 7.8 MB with tracemalloc). A vocabulary that fits is
 # hashed once per process.
 _TOKEN_HASH_CAP = 1 << 15
+# Rows per block in the forward pass and the SGD step, which bounds their temporaries.
+ROW_BLOCK = 16
 _TOKEN_HASHES: dict[str, bytes] = {}
 _TOKEN_HASH_LOCK = threading.Lock()
 
@@ -53,8 +55,8 @@ class ModelFormatError(Exception):
 
 
 class DegenerateLabelsError(ValueError):
-    """Labels too one-sided to use: training data of a single class, or a
-    from-labels keep-ratio from a degenerate labeler."""
+    """Data too degenerate to use: training data of a single class, a
+    from-labels keep-ratio from a degenerate labeler, or an empty score set."""
 
 
 @dataclass(frozen=True)
@@ -185,28 +187,36 @@ class FeatureBatch:
         s, e = self.offsets[i], self.offsets[i + 1]
         return dict(zip(self.indices[s:e].tolist(), self.values[s:e].astype("int64").tolist()))
 
-    def take(self, rows: np.ndarray) -> "FeatureBatch":
-        """The sub-batch of the given rows, in the given order."""
+    def row_blocks(self) -> Iterator["FeatureBatch"]:
+        """Every ROW_BLOCK rows, in order, as batches that view this one's arrays."""
+        for s in range(0, len(self), ROW_BLOCK):
+            offsets = self.offsets[s : s + ROW_BLOCK + 1]
+            lo, hi = offsets[0], offsets[-1]
+            yield FeatureBatch(self.indices[lo:hi], self.values[lo:hi], offsets - lo)
+
+
+@dataclass(frozen=True)
+class _Minibatch:
+    """Rows of several batches, as (batch, row) pairs in order, gathered one
+    row block at a time, so that only one block's features are copied at once."""
+
+    batches: Sequence[FeatureBatch]
+    rows: Sequence[tuple[int, int]]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def row_blocks(self) -> Iterator[FeatureBatch]:
         import numpy as np
 
-        starts = self.offsets[rows]
-        lengths = self.offsets[rows + 1] - starts
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        gather = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
-        return FeatureBatch(self.indices[gather], self.values[gather], offsets)
-
-    @staticmethod
-    def concat(batches: Sequence["FeatureBatch"]) -> "FeatureBatch":
-        """The rows of every batch, in order, as one batch."""
-        import numpy as np
-
-        starts = np.cumsum([0] + [b.offsets[-1] for b in batches[:-1]])
-        return FeatureBatch(
-            np.concatenate([b.indices for b in batches]),
-            np.concatenate([b.values for b in batches]),
-            np.concatenate([[0]] + [b.offsets[1:] + s for b, s in zip(batches, starts)]),
-        )
+        for start in range(0, len(self.rows), ROW_BLOCK):
+            spans = [(self.batches[i], self.batches[i].offsets[r : r + 2])
+                     for i, r in self.rows[start : start + ROW_BLOCK]]
+            yield FeatureBatch(
+                np.concatenate([b.indices[s:e] for b, (s, e) in spans]),
+                np.concatenate([b.values[s:e] for b, (s, e) in spans]),
+                np.cumsum([0] + [e - s for _, (s, e) in spans]),
+            )
 
 
 def featurize_batch(texts: Sequence[str], config: FeaturizerConfig) -> FeatureBatch:
@@ -309,15 +319,19 @@ def f1(preds: Sequence[int], gold: Sequence[int]) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _forward(batch: FeatureBatch, w: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the logit z = w . x + b and sigmoid(z) with z clipped to [-60, 60]."""
+def _forward(batch: FeatureBatch | _Minibatch, w: np.ndarray, b: float) -> tuple[np.ndarray, ...]:
+    """Per row, the logit z = w . x + b and sigmoid(z) with z clipped to [-60, 60].
+    Rows are summed a block at a time, each over its own products alone, so
+    the block size changes no bit."""
     import numpy as np
 
     z = np.zeros(len(batch), dtype=np.float64)
-    nonempty = batch.lengths > 0
-    if nonempty.any():
-        prods = w[batch.indices] * batch.values
-        z[nonempty] = np.add.reduceat(prods, batch.offsets[:-1][nonempty])
+    for s, block in zip(itertools.count(0, ROW_BLOCK), batch.row_blocks()):
+        nonempty = block.lengths > 0
+        prods = w[block.indices]
+        prods *= block.values
+        z[s : s + len(block)][nonempty] = np.add.reduceat(prods, block.offsets[:-1][nonempty])
+        del block, prods  # freed before the next block is gathered
     z += b
     return z, 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
 
@@ -352,7 +366,7 @@ class QualityClassifier:
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         h.update(json.dumps(asdict(self.featurizer), sort_keys=True).encode())
-        h.update(self.weights.astype("<f8", copy=False).tobytes())
+        h.update(self.weights.astype("<f8", copy=False))  # hashed in place, no copy
         h.update(struct.pack("<d", self.bias))
         return h.hexdigest()[:16]
 
@@ -369,7 +383,7 @@ def class_weight_map(targets: Iterable[int]) -> dict[int, float]:
 
 
 def loss_and_grad(
-    batch: FeatureBatch,
+    batch: FeatureBatch | _Minibatch,
     targets: np.ndarray,
     sample_weights: np.ndarray,
     w: np.ndarray,
@@ -377,9 +391,9 @@ def loss_and_grad(
 ) -> tuple[float, np.ndarray, float]:
     """Mean weighted logistic loss of a batch, and its gradient.
 
-    The weight gradient is in the batch's sparse layout, one value per stored
-    feature (a feature index may repeat across rows); the last item is the
-    bias gradient.
+    The weight gradient is sum_i g[i] * x_i over the batch's rows x_i: the
+    middle item is g, one coefficient per row (a feature index may occur in
+    several rows); the last item is the bias gradient.
     """
     import numpy as np
 
@@ -387,7 +401,7 @@ def loss_and_grad(
     # log(1 + e^z) - y*z, computed stably
     loss = float(np.mean(sample_weights * (np.logaddexp(0.0, z) - targets * z)))
     g = sample_weights * (p - targets) / len(batch)
-    return loss, np.repeat(g, batch.lengths) * batch.values, float(g.sum())
+    return loss, g, float(g.sum())
 
 
 def train_classifier(
@@ -398,9 +412,10 @@ def train_classifier(
 ) -> QualityClassifier:
     """Minimize logistic loss by seeded mini-batch SGD; early-stop on val F1.
 
-    Texts are featurized as scoring does (`featurize_chunks`). Deterministic
-    for a fixed seed (single worker). The returned model carries the
-    best-epoch weights; F1 ties resolve toward the earlier epoch.
+    Texts are featurized as scoring does (`featurize_chunks`); the chunks are
+    the training store, whose rows a `_Minibatch` gathers a block at a time.
+    Deterministic for a fixed seed (single worker). The returned model carries
+    the best-epoch weights; F1 ties resolve toward the earlier epoch.
     """
     import numpy as np
 
@@ -412,12 +427,12 @@ def train_classifier(
     if not val:
         raise ValueError("validation set is empty")
 
-    def featurized(examples: Sequence[LabeledText]) -> FeatureBatch:
-        texts = (e.text for e in examples)
-        return FeatureBatch.concat(list(featurize_chunks(texts, config.featurizer)))
+    def featurized(examples: Sequence[LabeledText]) -> list[FeatureBatch]:
+        return list(featurize_chunks((e.text for e in examples), config.featurizer))
 
     cw = class_weight_map([e.target for e in train])
-    features, val_features = featurized(train), featurized(val)
+    chunks, val_chunks = featurized(train), featurized(val)
+    where = [(i, r) for i, chunk in enumerate(chunks) for r in range(len(chunk))]
     y = np.array([e.target for e in train], dtype=np.float64)
     sample_weights = np.array([cw[e.target] for e in train], dtype=np.float64)
     gold_val = [e.target for e in val]
@@ -437,13 +452,20 @@ def train_classifier(
     for epoch in range(config.epochs):
         rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
-            rows = np.array(order[start : start + config.batch_size], dtype=np.int64)
-            batch = features.take(rows)
-            _, grad_w, grad_b = loss_and_grad(batch, y[rows], sample_weights[rows], w, b)
-            np.subtract.at(w, batch.indices, lr * grad_w)
+            rows = order[start : start + config.batch_size]
+            batch = _Minibatch(chunks, [where[r] for r in rows])
+            _, g, grad_b = loss_and_grad(batch, y[rows], sample_weights[rows], w, b)
+            # w -= lr * g[i] * x_i once every logit is taken, in feature order
+            for s, block in zip(itertools.count(0, ROW_BLOCK), batch.row_blocks()):
+                step = np.repeat(g[s : s + len(block)], block.lengths)
+                step *= block.values
+                step *= lr
+                np.subtract.at(w, block.indices, step)
+                del block, step
             b -= lr * grad_b
         epochs_run += 1
-        preds = (_forward(val_features, w, b)[1] > 0.5).astype(int).tolist()
+        val_p = np.concatenate([_forward(chunk, w, b)[1] for chunk in val_chunks])
+        preds = (val_p > 0.5).astype(int).tolist()
         val_f1 = f1(preds, gold_val)
         if val_f1 > best_f1:
             best_f1 = val_f1
@@ -488,9 +510,9 @@ def save_model(classifier: QualityClassifier, path: str | Path) -> None:
     """Write the versioned model container: one JSON header line + raw weights.
 
     The byte layout is fully deterministic, so save(load(save(m))) is
-    byte-identical.
+    byte-identical. The weights are hashed and written in place.
     """
-    blob = classifier.weights.astype("<f8", copy=False).tobytes()
+    weights = classifier.weights.astype("<f8", copy=False)
     header = {
         "magic": MODEL_MAGIC,
         "format_version": classifier.format_version,
@@ -499,11 +521,11 @@ def save_model(classifier: QualityClassifier, path: str | Path) -> None:
         "training_meta": classifier.training_meta,
         "weights_len": int(classifier.weights.shape[0]),
         "weights_dtype": "<f8",
-        "weights_sha256": hashlib.sha256(blob).hexdigest(),
+        "weights_sha256": hashlib.sha256(weights).hexdigest(),
     }
     with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        fh.write(blob)
+        fh.write(memoryview(weights).cast("B"))
 
 
 def load_model(path: str | Path) -> QualityClassifier:
@@ -527,23 +549,19 @@ def load_model(path: str | Path) -> QualityClassifier:
                 f"features differently, version 2 has another featurizer header); "
                 f"retrain the model with `docprune train`"
             )
-        blob = fh.read()
-    try:
-        featurizer = FeaturizerConfig(**header["featurizer"])
-        if header["weights_len"] != featurizer.dim:
-            raise ValueError(f"weights_len {header['weights_len']!r} is not 2**hash_bits")
-        checksum, meta = header["weights_sha256"], header["training_meta"]
-        bias = float(header["bias"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed model header in {path}: {exc!r}") from exc
-    expected_len = featurizer.dim * 8
-    if len(blob) != expected_len:
-        raise ModelFormatError(
-            f"weight block is {len(blob)} bytes, expected {expected_len} (truncated?)"
-        )
-    if hashlib.sha256(blob).hexdigest() != checksum:
+        try:
+            featurizer = FeaturizerConfig(**header["featurizer"])
+            if header["weights_len"] != featurizer.dim:
+                raise ValueError(f"weights_len {header['weights_len']!r} is not 2**hash_bits")
+            checksum, meta = header["weights_sha256"], header["training_meta"]
+            bias = float(header["bias"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"malformed model header in {path}: {exc!r}") from exc
+        weights = np.empty(featurizer.dim, dtype="<f8")
+        if fh.readinto(weights) < weights.nbytes or fh.read(1):
+            raise ModelFormatError(f"weight block is not {weights.nbytes} bytes: truncated or padded")
+    if hashlib.sha256(weights).hexdigest() != checksum:
         raise ModelFormatError("weight checksum mismatch: file is corrupt")
-    weights = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     return QualityClassifier(
         featurizer=featurizer,
         weights=weights,

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping
 # `score` is the one-snippet form of the batched path below; it stays
 # importable here for callers that look it up on this module.
 from .classifier import QualityClassifier, featurize_chunks, score, score_batch  # noqa: F401
+from .classifier import DegenerateLabelsError
 from .corpus import (
     CorpusError,
     Document,
@@ -340,8 +341,8 @@ def select_cutoff(
     under the strict-comparison rule; equal-score ties at the cutoff are
     reported, never silently resolved.
     """
-    if not scores:
-        raise ValueError("empty score set")
+    if not scores:  # e.g. every document had empty text
+        raise DegenerateLabelsError("empty score set: no document was scored")
     if not 0 < target_ratio <= 1:
         raise ValueError("target_ratio must be in (0, 1]")
     n = len(scores)

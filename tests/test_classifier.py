@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from docprune.classifier import (
     class_weight_map,
     f1,
     featurize_batch,
+    featurize_chunks,
     featurize_text,
     load_model,
     loss_and_grad,
     save_model,
     score,
+    score_batch,
     split_train_val,
     train_classifier,
 )
@@ -192,11 +195,12 @@ def feature_batch(rows: list[dict[int, int]]) -> FeatureBatch:
 
 
 def check_gradient_against_finite_differences(batch, targets, sample_weights, w, b, checked):
-    """loss_and_grad's sparse gradient, summed per index, against central
-    differences of its own loss, at every checked index and at the bias."""
-    _, grad_values, grad_b = loss_and_grad(batch, targets, sample_weights, w, b)
+    """loss_and_grad's gradient, sum_i g[i] * x_i over its per-row
+    coefficients g, against central differences of its own loss, at every
+    checked index and at the bias."""
+    _, g, grad_b = loss_and_grad(batch, targets, sample_weights, w, b)
     grad_w = np.zeros_like(w)
-    np.add.at(grad_w, batch.indices, grad_values)
+    np.add.at(grad_w, batch.indices, np.repeat(g, batch.lengths) * batch.values)
 
     def loss(w_, b_):
         return loss_and_grad(batch, targets, sample_weights, w_, b_)[0]
@@ -284,6 +288,23 @@ class TestTraining:
         assert np.array_equal(whole.weights, chunked.weights)
         assert whole.bias == chunked.bias
         assert whole.training_meta == chunked.training_meta
+
+    @pytest.mark.parametrize("row_block", [1, 3, 1000])
+    def test_row_block_size_does_not_change_model_or_scores(self, monkeypatch, row_block):
+        import docprune.classifier as classifier
+
+        examples, config = _examples(60, 60, seed=5)
+        examples += [LabeledText(f"empty{i}", "!", i % 2) for i in range(4)]  # no features
+        train, val = split_train_val(examples, 0.2, seed=0)
+        texts = [e.text for e in examples]
+        default = train_classifier(train, val, TrainConfig(featurizer=config), seed=2)
+        want = score_batch(default, featurize_batch(texts, config))
+        monkeypatch.setattr(classifier, "ROW_BLOCK", row_block)
+        blocked = train_classifier(train, val, TrainConfig(featurizer=config), seed=2)
+        assert np.array_equal(default.weights, blocked.weights)
+        assert default.bias == blocked.bias
+        assert default.training_meta == blocked.training_meta
+        assert np.array_equal(score_batch(blocked, featurize_batch(texts, config)), want)
 
     def test_single_class_rejected(self):
         examples, config = _examples(20, 20)
@@ -452,3 +473,56 @@ class TestHeldOutSeparation:
         assert len(held_high) == 1000
         above = sum(1 for d in held_high if score(clf, extract_snippet(d)) > 0.5)
         assert above >= 950, f"{above}/1000 held-out high docs above 0.5"
+
+
+def traced_peak(fn) -> int:
+    """Bytes allocated at the peak of fn(), above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Each large array exists once: the weights are written, hashed and read
+    in place, and training keeps its featurized chunks as its only store."""
+
+    def weights_2_20(self):
+        config = FeaturizerConfig(hash_bits=20)
+        rng = np.random.default_rng(0)
+        return QualityClassifier(config, rng.normal(0, 1, config.dim), 0.1, {})
+
+    def test_save_and_fingerprint_copy_no_weights(self, tmp_path):
+        clf = self.weights_2_20()
+        assert traced_peak(lambda: save_model(clf, tmp_path / "m.bin")) < 0.1 * clf.weights.nbytes
+        assert traced_peak(clf.fingerprint) < 0.1 * clf.weights.nbytes
+
+    def test_load_holds_one_copy_of_the_weights(self, tmp_path):
+        clf = self.weights_2_20()
+        save_model(clf, tmp_path / "m.bin")
+        loaded = []
+        assert traced_peak(lambda: loaded.append(load_model(tmp_path / "m.bin"))) < (
+            1.1 * clf.weights.nbytes
+        )
+        assert np.array_equal(loaded[0].weights, clf.weights)
+
+    def test_training_holds_its_features_once(self):
+        from docprune.corpus import extract_snippet
+        from docprune.synthetic import SyntheticCorpusSpec, generate_documents, stratum_of
+
+        docs = generate_documents(SyntheticCorpusSpec(
+            n_docs=400, seed=7, doc_tokens_min=800, doc_tokens_max=1600, markers_per_doc=10
+        ))
+        examples = [LabeledText(d.id, extract_snippet(d).text, int(stratum_of(d))) for d in docs]
+        train, val = split_train_val(examples, 0.1, seed=0)
+        config = TrainConfig(featurizer=FeaturizerConfig(hash_bits=12))
+        stored = sum(
+            b.indices.nbytes + b.values.nbytes + b.offsets.nbytes
+            for part in (train, val)
+            for b in featurize_chunks((e.text for e in part), config.featurizer)
+        )
+        assert stored > 4_000_000  # paper-length snippets: ~1,500 tokens each
+        assert traced_peak(lambda: train_classifier(train, val, config, seed=0)) < 1.6 * stored

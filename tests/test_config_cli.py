@@ -782,7 +782,8 @@ class TestRemovedKeys:
 
 
 class TestDegenerateLabelSets:
-    """Label sets too small to train on or to take a keep-ratio from exit 5."""
+    """Label sets too small to train on or to take a keep-ratio from, and a
+    score set with no rows to select from, exit 5."""
 
     @pytest.mark.parametrize("n_labels", [0, 5])
     def test_train_on_too_few_labels_exits_5(self, small_run, tmp_path, capsys, n_labels):
@@ -801,6 +802,21 @@ class TestDegenerateLabelSets:
         assert run_cli("select", "--scores", small_run["select"][2], "--target-ratio",
                        "from-labels", "--labels", labels, "--out", tmp_path / "out") == 5
         assert "no labels" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_select_on_empty_score_set_exits_5(self, tmp_path, capsys):
+        config = FeaturizerConfig(hash_bits=8)
+        model = tmp_path / "model.bin"
+        save_model(QualityClassifier(config, np.zeros(config.dim), 0.0, {}), model)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        jsonl(corpus / "s0.jsonl", [{"id": "a", "text": ""}])  # nothing to score
+        assert run_cli("score", "--input", corpus, "--model", model,
+                       "--out", tmp_path / "scores") == 0
+        assert run_cli("select", "--scores", tmp_path / "scores", "--target-ratio", 0.5,
+                       "--out", tmp_path / "out") == 5
+        err = capsys.readouterr().err
+        assert "degenerate data: empty score set" in err, err
         assert not (tmp_path / "out").exists()
 
 

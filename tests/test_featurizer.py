@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from docprune.classifier import (
     FeaturizerConfig,
     ModelFormatError,
     QualityClassifier,
+    _Minibatch,
     featurize_batch,
+    featurize_chunks,
     featurize_text,
     hash_counts,
     load_model,
@@ -61,12 +64,27 @@ class TestBatchRowsMatchSingleText:
         batch = featurize_batch(["two words", "now three words"], config)
         assert batch.row(0) == {} and sum(batch.row(1).values()) == 1
 
-    def test_take_selects_rows_in_order(self):
+    def test_minibatch_gathers_rows_in_order(self, monkeypatch):
+        import docprune.classifier as classifier
+
         config = FeaturizerConfig(hash_bits=10)
         texts = ["alpha beta", "gamma", "!!", "delta epsilon zeta"]
         batch = featurize_batch(texts, config)
-        sub = batch.take(np.array([3, 0, 3], dtype=np.int64))
+        [sub] = _Minibatch([batch], [(0, 3), (0, 0), (0, 3)]).row_blocks()
         assert [sub.row(i) for i in range(3)] == [batch.row(3), batch.row(0), batch.row(3)]
+        # The same rows from chunks of one or two texts each, as training stores
+        # them, in blocks of two rows.
+        monkeypatch.setattr(classifier, "FEATURIZE_BATCH_CHARS", 6)
+        monkeypatch.setattr(classifier, "ROW_BLOCK", 2)
+        chunks = list(featurize_chunks(texts, config))
+        where = [(c, r) for c, chunk in enumerate(chunks) for r in range(len(chunk))]
+        assert len(chunks) == 3
+        blocks = list(_Minibatch(chunks, [where[3], where[0], where[3]]).row_blocks())
+        assert [len(b) for b in blocks] == [2, 1]
+        rows = [b.row(i) for b in blocks for i in range(len(b))]
+        assert rows == [batch.row(3), batch.row(0), batch.row(3)]
+        for b in blocks:
+            assert b.offsets.dtype == np.int64 and b.offsets[-1] == b.indices.shape[0]
 
 
 class TestTokenHashTable:
@@ -365,4 +383,23 @@ class TestMalformedModelHeader:
         assert code == 3
         err = capsys.readouterr().err
         assert "malformed model header" in err and "Traceback" not in err, err
+        assert not out.exists()
+
+
+class TestWeightBlockLength:
+    """A weight block one byte short or one byte long exits 3, before `score`
+    writes anything."""
+
+    @pytest.mark.parametrize("resize", [lambda data: data[:-1], lambda data: data + b"\x00"],
+                             ids=["one-byte-short", "one-byte-long"])
+    def test_score_exits_3(self, tmp_path, capsys, resize):
+        message = "weight block is not 8192 bytes: truncated or padded"
+        path = _model_file(tmp_path / "model.bin", lambda header: None)
+        path.write_bytes(resize(path.read_bytes()))
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+        code, out = _score(tmp_path, path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, err
         assert not out.exists()
