@@ -37,8 +37,8 @@ with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:
     # run summary as a side channel.
     summary = RunSummary()
     round_tripped = list(ingest_shards(shard_set, summary=summary))
-    print(f"read back {summary.records_read} records from {summary.shards} shards "
-          f"({summary.records_skipped} skipped)")
+    print(f"read back {summary.input_documents} documents from {summary.shards} shards "
+          f"({summary.empty_text} empty-text and {summary.malformed} malformed records skipped)")
     assert [(d.id, d.text, d.meta) for d in round_tripped] == [
         (d.id, d.text, d.meta) for d in docs
     ]

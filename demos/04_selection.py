@@ -45,7 +45,7 @@ with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:
 
     # Shard-parallel scoring: output is byte-identical for any worker count.
     score_set = score_corpus(shard_set, classifier, workers=4, out_dir=workdir / "scores")
-    print(f"scored {score_set.report.total_records} docs "
+    print(f"scored {score_set.report.input_documents} docs "
           f"at {score_set.report.docs_per_second:,.0f} docs/s")
 
     # The labeler's yes-fraction is the rule-of-thumb keep ratio.

@@ -56,9 +56,7 @@ print(capacity_report.render_text())
 # --- prompt robustness: label agreement across instruction variants ---------
 sample = snippets_of(docs[:2000])
 drifting_labeler = VersionFlipTransport(flip_rate=0.05)
-prompt_report = run_prompt_robustness(
-    sample, config, {v: drifting_labeler for v in ("V1", "V2", "V3")}
-)
+prompt_report = run_prompt_robustness(sample, config, drifting_labeler)
 print(prompt_report.render_text())
 
 # --- in-context learning: a weak labeler with and without demonstrations ----

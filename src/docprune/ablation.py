@@ -143,7 +143,7 @@ def run_ratio_sweep(
     ratios: Sequence[float] = DEFAULT_RATIOS,
 ) -> SweepReport:
     """Kept-set precision/recall against planted truth across keep ratios."""
-    ids, scores, _ = score_documents(docs, classifier)
+    ids, scores = score_documents(docs, classifier)
     by_id = dict(zip(ids, scores))
     high_ids = {doc.id for doc in docs if stratum_of(doc)}
     points = []
@@ -224,10 +224,11 @@ def run_capacity_sweep(
 def run_prompt_robustness(
     snippets: Sequence[Snippet],
     config: LabelerConfig,
-    transports: dict[str, Transport],
+    transport: Transport,
     versions: Sequence[str] = ("V1", "V2", "V3"),
 ) -> SweepReport:
-    """Per-version yes-fractions and pairwise label agreement, Avg. (Std) layout.
+    """Per-version yes-fractions and pairwise label agreement, Avg. (Std) layout;
+    `transport` labels every version.
 
     Full-scale prompt robustness is measured on downstream accuracy; at desk
     scale that is replaced by label-level agreement (stated in the report).
@@ -237,7 +238,7 @@ def run_prompt_robustness(
     points = []
     for version in versions:
         labels, stats = label_documents(
-            snippets, replace(config, prompt_version=version), transport=transports[version]
+            snippets, replace(config, prompt_version=version), transport=transport
         )
         labels_by_version[version] = {l.doc_id: l.label for l in labels}
         yes_fracs[version] = stats.yes_fraction

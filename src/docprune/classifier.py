@@ -33,6 +33,9 @@ if TYPE_CHECKING:
 EPS = 1e-7
 MODEL_MAGIC = "docprune-model"
 MODEL_FORMAT_VERSION = 3
+# Longest model header line `load_model` reads (a real one is ~0.5 KB), so a
+# file without a newline is rejected after this many bytes, not read whole.
+MODEL_HEADER_MAX_BYTES = 1 << 16
 
 # The token hash of a text without word tokens: that of the key "\x00no-tokens".
 _EMPTY_TEXT_HASH = int.from_bytes(hashlib.blake2b(b"\x00no-tokens", digest_size=8).digest(), "big")
@@ -361,7 +364,6 @@ class QualityClassifier:
     weights: np.ndarray
     bias: float
     training_meta: dict
-    format_version: int = MODEL_FORMAT_VERSION
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -515,7 +517,7 @@ def save_model(classifier: QualityClassifier, path: str | Path) -> None:
     weights = classifier.weights.astype("<f8", copy=False)
     header = {
         "magic": MODEL_MAGIC,
-        "format_version": classifier.format_version,
+        "format_version": MODEL_FORMAT_VERSION,
         "featurizer": asdict(classifier.featurizer),
         "bias": classifier.bias,
         "training_meta": classifier.training_meta,
@@ -534,7 +536,11 @@ def load_model(path: str | Path) -> QualityClassifier:
 
     path = Path(path)
     with open(path, "rb") as fh:
-        header_line = fh.readline()
+        header_line = fh.readline(MODEL_HEADER_MAX_BYTES + 1)
+        if len(header_line) > MODEL_HEADER_MAX_BYTES:
+            raise ModelFormatError(
+                f"not a model file: {path} (no header line within {MODEL_HEADER_MAX_BYTES} bytes)"
+            )
         try:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -567,5 +573,4 @@ def load_model(path: str | Path) -> QualityClassifier:
         weights=weights,
         bias=bias,
         training_meta=meta,
-        format_version=version,
     )

@@ -12,7 +12,7 @@ import argparse
 import logging
 import sys
 from concurrent.futures import BrokenExecutor
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import ablation
@@ -100,20 +100,10 @@ def cmd_sample(config: RunConfig, args) -> int:
     summary = RunSummary()
     docs = ingest_shards(shard_set, strict=config.corpus.strict, summary=summary)
     sample = reservoir_sample(docs, config.corpus.sample_size, config.run.seed)
-    snippets = []
-    empties = 0
-    for doc in sample:
-        if not doc.text:
-            empties += 1
-            continue
-        snippets.append(extract_snippet(doc))
     write_shard_file(sample, out / "sampled-docs.jsonl")
-    write_jsonl(out / "snippets.jsonl", snippets)
-    write_json(out / "run-summary.json", {**asdict(summary), "empty_documents": empties})
-    log.info(
-        "sampled %d documents (%d snippets) from %d records",
-        len(sample), len(snippets), summary.records_read,
-    )
+    write_jsonl(out / "snippets.jsonl", (extract_snippet(doc) for doc in sample))
+    write_json(out / "run-summary.json", summary)
+    log.info("sampled %d of %d documents", len(sample), summary.input_documents)
     return EXIT_OK
 
 
@@ -198,7 +188,7 @@ def cmd_score(config: RunConfig, args) -> int:
     write_json(out / "scoring-report.json", score_set.report)
     log.info(
         "scored %d documents across %d shards (%.0f docs/s)",
-        score_set.report.total_records,
+        score_set.report.input_documents,
         len(score_set.shard_paths),
         score_set.report.docs_per_second,
     )
@@ -283,9 +273,8 @@ def cmd_ablate(config: RunConfig, args) -> int:
             config.distiller, ab.hash_bits_list, ab.seeds,
         )
     elif args.sweep == "prompt":
-        transports = dict.fromkeys(("V1", "V2", "V3"), VersionFlipTransport())
         report = ablation.run_prompt_robustness(
-            ablation.snippets_of(sample), config.labeler, transports
+            ablation.snippets_of(sample), config.labeler, VersionFlipTransport()
         )
     elif args.sweep == "icl":
         snippets = ablation.snippets_of(sample)

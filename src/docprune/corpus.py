@@ -76,10 +76,13 @@ class ShardSet:
 
 @dataclass
 class RunSummary:
-    """Ingestion report: what was read, what was skipped, how long it took."""
+    """Ingestion report: the documents yielded, the records skipped, how long
+    it took. `run-summary.json`, `scoring-report.json` and
+    `filter-manifest.json` give these counts under these names."""
 
-    records_read: int = 0
-    records_skipped: int = 0
+    input_documents: int = 0
+    empty_text: int = 0  # well-formed records whose text is ""
+    malformed: int = 0
     shards: int = 0
     duration: float = 0.0
 
@@ -127,10 +130,12 @@ def ingest_shards(
 ) -> Iterator[Document]:
     """Yield Documents in shard order, then record order within each shard.
 
-    Calling again on the same ShardSet yields an identical sequence. Records
-    that fail UTF-8 decoding or JSON parsing, or that lack a "text" string,
-    are skipped and counted in `summary` (promoted to CorpusError when
-    strict=True). Missing ids are synthesized as "<shard-name>#<record-index>".
+    This decides which records every stage sees as documents. Calling again
+    on the same ShardSet yields an identical sequence. Records that fail
+    UTF-8 decoding or JSON parsing, or that lack a "text" string, are
+    skipped and counted in `summary` as malformed (promoted to CorpusError
+    when strict=True); records whose text is empty are skipped and counted
+    as empty_text. Missing ids are synthesized as "<shard-name>#<record-index>".
     """
     if summary is None:
         summary = RunSummary()
@@ -157,13 +162,16 @@ def ingest_shards(
                     try:
                         doc = _parse_record(raw, name, index)
                     except (UnicodeDecodeError, ValueError) as exc:
-                        summary.records_skipped += 1
+                        summary.malformed += 1
                         if strict:
                             raise CorpusError(f"malformed record {name}#{index}: {exc}") from exc
                         index += 1
                         continue
                     index += 1
-                    summary.records_read += 1
+                    if not doc.text:
+                        summary.empty_text += 1
+                        continue
+                    summary.input_documents += 1
                     yield doc
     finally:
         summary.duration = time.monotonic() - t0
@@ -362,7 +370,8 @@ def write_shards(
     """Write a document stream into fixed-size shards plus a manifest.
 
     Round-trip property: ingest_shards(write_shards(S)) reproduces every
-    (id, text, meta). An empty stream yields a valid empty ShardSet.
+    (id, text, meta) whose text is not empty. An empty stream yields a valid
+    empty ShardSet.
     """
     if records_per_shard < 1:
         raise ValueError("records_per_shard must be at least 1")

@@ -36,6 +36,7 @@ from .corpus import (
 )
 
 SCORES_FORMAT_VERSION = 2
+TIE_RULE = "keep documents scoring strictly above the cutoff; ties at the cutoff drop"
 
 
 class TieDegeneracyWarning(UserWarning):
@@ -56,14 +57,16 @@ class SelectionDecision:
     kept: int
     dropped: int
     classifier_id: str = ""
-    tie_rule: str = "keep documents scoring strictly above the cutoff; ties at the cutoff drop"
+    tie_rule: str = TIE_RULE
 
 
 @dataclass
 class ShardScoreStats:
+    """One shard's scoring; its counts are those of the shard's ingest."""
+
     shard: str
-    records: int
-    skipped: int
+    input_documents: int
+    empty_text: int
     malformed: int
     seconds: float
     cpu_seconds: float  # CPU time of the thread that scored the shard
@@ -75,9 +78,9 @@ class ScoringReport:
     total_cpu_seconds / seconds is the run's parallelism."""
 
     per_shard: list[ShardScoreStats] = field(default_factory=list)
-    total_records: int = 0
-    total_skipped: int = 0
-    total_malformed: int = 0
+    input_documents: int = 0
+    empty_text: int = 0
+    malformed: int = 0
     total_cpu_seconds: float = 0.0
     seconds: float = 0.0
     docs_per_second: float = 0.0
@@ -183,31 +186,26 @@ class ScoreSet:
 def score_documents(
     docs: Iterable[Document],
     classifier: QualityClassifier,
-) -> tuple[list[str], list[float], int]:
-    """Score documents in memory; returns (ids, scores in the same order,
-    skipped_empty_count).
+) -> tuple[list[str], list[float]]:
+    """Score documents in memory; returns (ids, scores in the same order).
 
     Snippets are featurized and scored in `featurize_chunks` batches, so
     memory stays bounded for any number of documents. A document's score
-    does not depend on its batch.
+    does not depend on its batch. An empty text raises ValueError
+    (`extract_snippet`); `ingest_shards` yields none.
     """
     ids: list[str] = []
     scores: list[float] = []
-    skipped = 0
 
     def snippets() -> Iterator[str]:
-        nonlocal skipped
         for doc in docs:
-            if not doc.text:
-                skipped += 1
-                continue
             ids.append(doc.id)
             yield extract_snippet(doc).text
 
     for batch in featurize_chunks(snippets(), classifier.featurizer):
         scores.extend(score_batch(classifier, batch).tolist())
         del batch  # freed before the next batch is built
-    return ids, scores, skipped
+    return ids, scores
 
 
 def score_shard_names(shard_set: ShardSet) -> dict[str, str]:
@@ -243,10 +241,10 @@ def _call_shard(shard: Shard):
 def _map_shards(fn, shard_set: ShardSet, workers: int, strict: bool) -> list:
     """fn(shard, its documents, its RunSummary) for every shard, in shard
     order. Once `fn` has read every document, the summary counts the shard's
-    malformed records; `strict` makes one a CorpusError. With one worker or
-    one shard the shards run in this process; otherwise on min(workers,
-    shards) forked processes, and fn's results must pickle. Every worker has
-    stopped before an error propagates."""
+    documents and skipped records; `strict` makes a malformed record a
+    CorpusError. With one worker or one shard the shards run in this
+    process; otherwise on min(workers, shards) forked processes, and fn's
+    results must pickle. Every worker has stopped before an error propagates."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
@@ -280,9 +278,9 @@ def score_corpus(
 ) -> ScoreSet:
     """Score every document, one output score shard per input shard.
 
-    Shards run on `workers` forked processes (see `_map_shards`). Empty-text
-    documents are skipped and counted, and so are malformed records unless
-    `strict`. The written score set is identical for any worker count. A
+    Shards run on `workers` forked processes (see `_map_shards`). Records
+    that ingest skips (empty text, or malformed unless `strict`) are counted
+    in the report. The written score set is identical for any worker count. A
     shard that fails (unreadable, or a malformed record under `strict`), or
     a worker that dies, removes every score shard of this run before the
     error propagates. A doc id that occurs twice, explicit or synthesized
@@ -297,13 +295,13 @@ def score_corpus(
         # Thread CPU time: in a forked worker that is the whole process; in this
         # process it leaves out numpy's idle BLAS threads, which process time counts.
         t0, cpu0 = time.monotonic(), time.thread_time()
-        ids, scores, skipped = score_documents(docs, classifier)
+        ids, scores = score_documents(docs, classifier)
         path = out_dir / names[shard.path.name]
         header = ScoreHeader(classifier_id, SCORES_FORMAT_VERSION, shard.path.name, len(ids))
         rows = ({"doc_id": i, "score": s} for i, s in zip(ids, scores))
         write_jsonl(path, itertools.chain([header], rows))
         stats = ShardScoreStats(
-            shard.path.name, len(ids), skipped, summary.records_skipped,
+            shard.path.name, summary.input_documents, summary.empty_text, summary.malformed,
             time.monotonic() - t0, time.thread_time() - cpu0,
         )
         return path, stats, ids
@@ -317,13 +315,13 @@ def score_corpus(
         raise
     paths = [path for path, _, _ in results]
     report = ScoringReport(per_shard=[stats for _, stats, _ in results])
-    report.total_records = sum(stats.records for stats in report.per_shard)
-    report.total_skipped = sum(stats.skipped for stats in report.per_shard)
-    report.total_malformed = sum(stats.malformed for stats in report.per_shard)
+    report.input_documents = sum(stats.input_documents for stats in report.per_shard)
+    report.empty_text = sum(stats.empty_text for stats in report.per_shard)
+    report.malformed = sum(stats.malformed for stats in report.per_shard)
     report.total_cpu_seconds = sum(stats.cpu_seconds for stats in report.per_shard)
     doc_ids = [doc_id for _, _, shard_ids in results for doc_id in shard_ids]
     report.seconds = time.monotonic() - t0
-    report.docs_per_second = report.total_records / report.seconds if report.seconds else 0.0
+    report.docs_per_second = report.input_documents / report.seconds if report.seconds else 0.0
     sources = [stats.shard for stats in report.per_shard]
     score_set = ScoreSet(out_dir, paths, classifier_id, sources, report)
     if len(set(doc_ids)) < len(doc_ids):
@@ -352,7 +350,7 @@ def select_cutoff(
     rank = n - keep_target - 1
     cutoff = values[rank] if rank >= 0 else 0.0
     kept = sum(v > cutoff for v in values)
-    tie_rule = "keep documents scoring strictly above the cutoff; ties at the cutoff drop"
+    tie_rule = TIE_RULE
     if kept < keep_target:
         warnings.warn(
             f"tie degeneracy: {keep_target - kept} candidate documents share the "
@@ -374,17 +372,18 @@ def select_cutoff(
 
 @dataclass
 class Manifest:
-    """Audit record of one filtering run."""
+    """Audit record of one filtering run: the decision it applied, and per
+    shard and in total the ingest counts and the documents written
+    (`output_documents`)."""
 
     cutoff: float
     target_ratio: float
     achieved_ratio: float
-    kept: int
-    dropped: int
     classifier_id: str
     per_shard: list[dict]
     input_documents: int
     output_documents: int
+    empty_text: int
     malformed: int
     started_at: str
     finished_at: str
@@ -400,24 +399,20 @@ def filter_corpus(
 ) -> tuple[ShardSet, Manifest]:
     """Materialize the kept documents, preserving shard boundaries and order.
 
-    Every corpus document with text must have a score in the doc_id -> score
-    map (fail-fast join); empty-text documents, which `score_corpus` skips,
-    are dropped. Output shards reuse the input shard file names; a shard may
-    shrink or empty. Malformed corpus records are skipped and counted, or
-    with `strict` raise CorpusError. Shards run one after another in this
-    process: per shard, filtering costs less than starting a worker process.
+    Every document ingest yields must have a score in the doc_id -> score
+    map (fail-fast join); the records it skips (empty text, or malformed
+    unless `strict`) are counted and not written. Output shards reuse the
+    input shard file names; a shard may shrink or empty. Shards run one
+    after another in this process: per shard, filtering costs less than
+    starting a worker process.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     def filter_one(shard: Shard, docs: Iterator[Document], summary: RunSummary):
-        read = 0
         kept_docs: list[Document] = []
         for doc in docs:
-            read += 1
-            if not doc.text:
-                continue
             if doc.id not in scores:
                 raise CorpusError(
                     f"join integrity: document {doc.id!r} in {shard.path.name} has no score"
@@ -429,35 +424,30 @@ def filter_corpus(
         )
         counts = {
             "shard": shard.path.name,
-            "read": read,
-            "kept": len(kept_docs),
-            "dropped": read - len(kept_docs),
-            "malformed": summary.records_skipped,
+            "input_documents": summary.input_documents,
+            "output_documents": len(kept_docs),
+            "empty_text": summary.empty_text,
+            "malformed": summary.malformed,
         }
         return out_shard, counts
 
     results = _map_shards(filter_one, shard_set, 1, strict)
     out_shards = [out_shard for out_shard, _ in results]
     per_shard = [counts for _, counts in results]
-
-    total_read = sum(c["read"] for c in per_shard)
-    total_kept = sum(c["kept"] for c in per_shard)
-    if total_kept != decision.kept:
+    keys = ("input_documents", "output_documents", "empty_text", "malformed")
+    total = {key: sum(c[key] for c in per_shard) for key in keys}
+    if total["output_documents"] != decision.kept:
         raise CorpusError(
-            f"decision/corpus mismatch: decision says keep {decision.kept}, "
-            f"filter kept {total_kept} (was the decision computed on this score set?)"
+            f"decision/corpus mismatch: decision says keep {decision.kept}, filter kept "
+            f"{total['output_documents']} (was the decision computed on this score set?)"
         )
     manifest = Manifest(
         cutoff=decision.cutoff,
         target_ratio=decision.target_ratio,
         achieved_ratio=decision.achieved_ratio,
-        kept=decision.kept,
-        dropped=decision.dropped,
         classifier_id=decision.classifier_id,
         per_shard=per_shard,
-        input_documents=total_read,
-        output_documents=total_kept,
-        malformed=sum(c["malformed"] for c in per_shard),
+        **total,
         started_at=started,
         finished_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )

@@ -168,8 +168,7 @@ class TestCapacitySweep:
 
 class TestPromptRobustness:
     def test_version_independent_mock_agrees_fully(self, prompt_sample):
-        transports = {v: MockQualityTransport() for v in ("V1", "V2", "V3")}
-        report = run_prompt_robustness(prompt_sample[:2000], CONFIG, transports)
+        report = run_prompt_robustness(prompt_sample[:2000], CONFIG, MockQualityTransport())
         assert all(r == 1.0 for r in report.metadata["pairwise_agreement"].values())
         assert report.aggregate["yes_fraction"]["std"] == 0.0
 
@@ -177,8 +176,7 @@ class TestPromptRobustness:
         # V2/V3 each flip 5% of V1's labels independently, so
         # agreement(V1,Vk) ~= 0.95 and agreement(V2,V3) ~= 0.95^2 + 0.05^2.
         transport = VersionFlipTransport(flip_rate=0.05)
-        transports = {v: transport for v in ("V1", "V2", "V3")}
-        report = run_prompt_robustness(prompt_sample, CONFIG, transports)
+        report = run_prompt_robustness(prompt_sample, CONFIG, transport)
         agreement = report.metadata["pairwise_agreement"]
         n = len(prompt_sample)
         tol_direct = 4 * math.sqrt(0.95 * 0.05 / n)
@@ -189,8 +187,7 @@ class TestPromptRobustness:
         assert abs(agreement["V2-V3"] - expected_cross) <= max(tol_cross, 0.01)
 
     def test_avg_std_aggregate_shape(self, prompt_sample):
-        transports = {v: VersionFlipTransport(0.05) for v in ("V1", "V2", "V3")}
-        report = run_prompt_robustness(prompt_sample[:1000], CONFIG, transports)
+        report = run_prompt_robustness(prompt_sample[:1000], CONFIG, VersionFlipTransport(0.05))
         assert len(report.points) == 3
         assert set(report.aggregate["yes_fraction"]) == {"mean", "std"}
         rendered = report.render_text()

@@ -163,7 +163,7 @@ class TestCliPipeline:
         assert (sample_dir / "snippets.jsonl").exists()
         assert (sample_dir / "resolved-config.ini").exists()
         summary = json.loads((sample_dir / "run-summary.json").read_text())
-        assert summary["records_read"] == 1000
+        assert summary["input_documents"] == 1000
         assert summary["shards"] == 4
 
         label_dir = tmp / "out-label"
@@ -353,7 +353,7 @@ class TestCliPipeline:
         assert run_cli("score", "--input", corpus, "--model", out / "train" / "model.bin",
                        "--out", out / "score") == 0
         report = json.loads((out / "score" / "scoring-report.json").read_text())
-        assert report["total_skipped"] == 1
+        assert report["empty_text"] == 1
         assert run_cli("select", "--scores", out / "score", "--target-ratio", 0.25,
                        "--out", out / "select") == 0
         assert run_cli("filter", "--input", corpus, "--scores", out / "score",
@@ -362,9 +362,24 @@ class TestCliPipeline:
         kept = {d.id for d in ingest_shards(ShardSet.from_dir(out / "filter"))}
         assert kept and "empty-1" not in kept
         manifest = read_json(out / "filter" / "filter-manifest.json", Manifest)
-        assert manifest.input_documents == 401
+        assert (manifest.input_documents, manifest.empty_text) == (400, 1)
         first = manifest.per_shard[0]
-        assert first["read"] == 101 and first["dropped"] == first["read"] - first["kept"]
+        assert (first["input_documents"], first["empty_text"]) == (100, 1)
+
+    def test_sample_draws_only_documents_with_text(self, tmp_path):
+        from conftest import corpus_dir
+
+        corpus_dir(tmp_path, {"s.jsonl": [
+            {"id": f"d{i}", "text": "" if i % 2 else f"document {i}"} for i in range(10)
+        ]})
+        out = tmp_path / "sample"
+        assert run_cli("sample", "--input", tmp_path / "corpus", "--n", 5, "--out", out) == 0
+        snippets = list(read_records(out / "snippets.jsonl", Snippet))
+        assert sorted(s.doc_id for s in snippets) == ["d0", "d2", "d4", "d6", "d8"]
+        assert [d.id for d in ingest_shards(ShardSet.from_paths([out / "sampled-docs.jsonl"]))
+                ] == [s.doc_id for s in snippets]
+        summary = json.loads((out / "run-summary.json").read_text())
+        assert (summary["input_documents"], summary["empty_text"]) == (5, 5)
 
     def test_score_workers_equivalent(self, pipeline_world):
         tmp, corpus, cfg = pipeline_world
@@ -916,13 +931,30 @@ class TestCorpusAndScoreSetChecks:
         self.append_malformed(corpus)
         assert self.run_with(small_run, "score", tmp_path, corpus) == 0
         report = json.loads((tmp_path / "score" / "scoring-report.json").read_text())
-        assert report["total_malformed"] == 2
+        assert report["malformed"] == 2
         assert [s["malformed"] for s in report["per_shard"]] == [0, 2, 0, 0]
         assert self.run_with(small_run, "filter", tmp_path, corpus) == 0
         manifest = read_json(tmp_path / "filter" / "filter-manifest.json", Manifest)
         assert manifest.malformed == 2
         assert [s["malformed"] for s in manifest.per_shard] == [0, 2, 0, 0]
         assert manifest.input_documents == 400
+
+    def test_stage_reports_give_ingest_counts_under_one_set_of_keys(self, small_run,
+                                                                     tmp_path):
+        corpus = self.corpus_copy(small_run, tmp_path)
+        with open(corpus / "shard-00001.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"id": "empty-1", "text": ""}\n{not json\n')
+        for command in ("sample", "score", "filter"):
+            assert self.run_with(small_run, command, tmp_path, corpus) == 0
+        summary = json.loads((tmp_path / "sample" / "run-summary.json").read_text())
+        report = json.loads((tmp_path / "score" / "scoring-report.json").read_text())
+        manifest = json.loads((tmp_path / "filter" / "filter-manifest.json").read_text())
+        total = {"input_documents": 400, "empty_text": 1, "malformed": 1}
+        shard = {"input_documents": 100, "empty_text": 1, "malformed": 1}
+        for record in (summary, report, manifest):
+            assert {key: record[key] for key in total} == total
+        for record in (report, manifest):
+            assert {key: record["per_shard"][1][key] for key in shard} == shard
 
     def test_cut_gzip_shard_exits_3_and_leaves_no_score_shards(self, small_run, tmp_path,
                                                               capsys):

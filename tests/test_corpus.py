@@ -39,9 +39,19 @@ class TestIngest:
         summary = RunSummary()
         docs = list(ingest_shards(shard_set, summary=summary))
         assert [d.id for d in docs] == ["ok", "ok2"]
-        assert summary.records_skipped == 1
-        assert summary.records_read == 2
+        assert summary.malformed == 1
+        assert summary.input_documents == 2
         assert summary.shards == 1
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_empty_text_skipped_and_counted(self, tmp_path, strict):
+        shard_set = corpus_dir(tmp_path, {"s.jsonl": [
+            {"id": "a", "text": "x"}, {"id": "empty", "text": ""}, {"text": ""}, {"text": "y"},
+        ]})
+        summary = RunSummary()
+        docs = list(ingest_shards(shard_set, strict=strict, summary=summary))
+        assert [d.id for d in docs] == ["a", "s.jsonl#3"]
+        assert (summary.input_documents, summary.empty_text, summary.malformed) == (2, 2, 0)
 
     def test_strict_mode_promotes_to_fatal(self, tmp_path):
         shard_set = corpus_dir(tmp_path, {"s.jsonl": [{"id": "broken"}]})
@@ -55,7 +65,7 @@ class TestIngest:
         summary = RunSummary()
         docs = list(ingest_shards(shard_set, summary=summary))
         assert len(docs) == 1
-        assert summary.records_skipped == 1
+        assert summary.malformed == 1
 
     def test_missing_id_synthesized(self, tmp_path):
         shard_set = corpus_dir(tmp_path, {"web.jsonl": [{"text": "a"}, {"text": "b"}]})
@@ -80,7 +90,7 @@ class TestIngest:
         summary = RunSummary()
         docs = list(ingest_shards(ShardSet.from_dir(root), summary=summary))
         assert [d.id for d in docs] == ["good"]
-        assert summary.records_skipped == 1
+        assert summary.malformed == 1
 
     def test_unreadable_shard_is_fatal(self, tmp_path):
         shard_set = ShardSet.from_paths([tmp_path / "missing.jsonl"])

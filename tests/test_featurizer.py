@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docprune.classifier import (
+    MODEL_HEADER_MAX_BYTES,
     FeaturizerConfig,
     ModelFormatError,
     QualityClassifier,
@@ -28,7 +29,7 @@ from docprune.classifier import (
 )
 from docprune.cli import main
 from docprune.corpus import Document, snippet_of
-from docprune.selection import score_documents
+from docprune.selection import score_corpus, score_documents
 
 # Words, no-word-token runs (punctuation, blanks) and a few repeats, so
 # texts are often empty of tokens or shorter than the largest n-gram order.
@@ -291,21 +292,26 @@ class TestScoreBatch:
         assert score_batch(hot, batch).tolist() == [1 - 1e-7, 1 - 1e-7]
         assert score_batch(cold, batch).tolist() == [1e-7, 1e-7]
 
-    def test_score_documents_batching_does_not_change_scores(self, monkeypatch):
+    def test_score_documents_batching_does_not_change_scores(self, monkeypatch, tmp_path):
         import docprune.classifier as classifier
+        from conftest import corpus_dir
 
         clf = _classifier()
-        docs = [
-            Document(id=f"d{i}", text=("" if i % 7 == 0 else f"w{i % 5} body {i} text"))
-            for i in range(40)
-        ]
-        ids, whole, skipped = score_documents(docs, clf)
+        texts = ["" if i % 7 == 0 else f"w{i % 5} body {i} text" for i in range(40)]
+        docs = [Document(id=f"d{i}", text=t) for i, t in enumerate(texts) if t]
+        ids, whole = score_documents(docs, clf)
         monkeypatch.setattr(classifier, "FEATURIZE_BATCH_CHARS", 50)
-        ids_chunked, chunked, skipped_chunked = score_documents(docs, clf)
-        assert skipped == skipped_chunked == 6
-        assert ids == ids_chunked == [d.id for d in docs if d.text]
+        ids_chunked, chunked = score_documents(docs, clf)
+        assert ids == ids_chunked == [d.id for d in docs]
         assert all(type(s) is float for s in whole) and whole == chunked
-        assert whole == [score(clf, snippet_of(d.text)) for d in docs if d.text]
+        assert whole == [score(clf, snippet_of(d.text)) for d in docs]
+        # The corpus form: ingest skips and counts the empty texts.
+        shard_set = corpus_dir(tmp_path, {"s.jsonl": [
+            {"id": f"d{i}", "text": t} for i, t in enumerate(texts)
+        ]})
+        score_set = score_corpus(shard_set, clf, out_dir=tmp_path / "scores")
+        assert score_set.report.empty_text == 6
+        assert score_set.load_scores() == dict(zip(ids, whole))
 
 
 def _model_file(path, edit):
@@ -403,3 +409,43 @@ class TestWeightBlockLength:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err, err
         assert not out.exists()
+
+
+class TestHeaderLength:
+    def test_file_without_a_header_line_is_rejected_after_the_bound(self, tmp_path, capsys):
+        """An 8 MiB file without a newline is rejected having read at most
+        MODEL_HEADER_MAX_BYTES + 1 bytes of it, not the whole file."""
+        import tracemalloc
+
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"\x01" * (8 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match="not a model file"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
+        code, out = _score(tmp_path, path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "not a model file" in err and "Traceback" not in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-the-bound", "one-byte-over"])
+    def test_header_line_length(self, tmp_path, over):
+        """A header line of MODEL_HEADER_MAX_BYTES bytes, newline included,
+        loads; one byte longer is rejected."""
+        def pad(header):
+            header["training_meta"]["pad"] = ""
+            length = len(json.dumps(header, sort_keys=True)) + 1
+            header["training_meta"]["pad"] = "x" * (MODEL_HEADER_MAX_BYTES - length + over)
+
+        path = _model_file(tmp_path / "model.bin", pad)
+        assert path.read_bytes().index(b"\n") + 1 == MODEL_HEADER_MAX_BYTES + over
+        if over:
+            with pytest.raises(ModelFormatError, match="no header line within"):
+                load_model(path)
+        else:
+            assert load_model(path).training_meta["pad"]

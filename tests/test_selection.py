@@ -224,14 +224,14 @@ class TestScoreCorpus:
         )
         score_set = score_corpus(shard_set, clf, out_dir=tmp_path / "scores")
         assert set(score_set.load_scores()) == {"a"}
-        assert score_set.report.total_skipped == 1
+        assert score_set.report.empty_text == 1
 
     def test_report_carries_timing(self, small_world):
         tmp, shard_set, docs, clf = small_world
         score_set = ScoreSet.open(tmp / "scores1")
         # report only exists on freshly scored sets
         fresh = score_corpus(shard_set, clf, workers=2, out_dir=tmp / "scores_t")
-        assert fresh.report.total_records == len(docs)
+        assert fresh.report.input_documents == len(docs)
         assert len(fresh.report.per_shard) == len(shard_set.shards)
         assert fresh.report.seconds > 0
 
@@ -262,8 +262,8 @@ class TestFilterCorpus:
         kept = [d.id for d in ingest_shards(out_set)]
         assert kept == ["d7", "d8", "d9"]
         assert manifest.output_documents == 3
-        assert manifest.per_shard[0]["kept"] == 3
-        assert manifest.per_shard[0]["dropped"] == 7
+        assert manifest.per_shard[0]["output_documents"] == 3
+        assert manifest.per_shard[0]["input_documents"] == 10
 
     def test_identity_filter_at_ratio_one(self, tmp_path, small_world):
         _, shard_set, docs, clf = small_world
@@ -375,7 +375,7 @@ class TestScoringProcesses:
             assert [p.name for p in one.shard_paths] == [p.name for p in many.shard_paths]
             for p1, pn in zip(one.shard_paths, many.shard_paths):
                 assert p1.read_bytes() == pn.read_bytes()
-            assert many.report.total_skipped == sum(t == "" for ts in shards for t in ts)
+            assert many.report.empty_text == sum(t == "" for ts in shards for t in ts)
             assert len(many.report.per_shard) == len(shards)
             assert all(s.cpu_seconds >= 0 for s in many.report.per_shard)
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from docprune.corpus import (
     CorpusError,
     Document,
+    RunSummary,
     ShardSet,
     Snippet,
     atomic_open,
@@ -176,8 +177,11 @@ class TestRoundTrips:
         docs = [Document(id=i, text=t, meta=m) for i, t, m in rows]
         with tempfile.TemporaryDirectory() as tmp:
             shard_set = write_shards(docs, tmp, per_shard, compress=compress)
-            back = [(d.id, d.text, d.meta) for d in ingest_shards(shard_set, strict=True)]
-        assert back == [(d.id, d.text, d.meta) for d in docs]
+            summary = RunSummary()
+            back = [(d.id, d.text, d.meta)
+                    for d in ingest_shards(shard_set, strict=True, summary=summary)]
+        assert back == [(d.id, d.text, d.meta) for d in docs if d.text]
+        assert summary.empty_text == sum(not d.text for d in docs)
 
 
 # ------------------------------------------------------------------ the guard
