@@ -376,8 +376,8 @@ class TestCliPipeline:
         assert run_cli("sample", "--input", tmp_path / "corpus", "--n", 5, "--out", out) == 0
         snippets = list(read_records(out / "snippets.jsonl", Snippet))
         assert sorted(s.doc_id for s in snippets) == ["d0", "d2", "d4", "d6", "d8"]
-        assert [d.id for d in ingest_shards(ShardSet.from_paths([out / "sampled-docs.jsonl"]))
-                ] == [s.doc_id for s in snippets]
+        sampled = ingest_shards(ShardSet.from_paths([out / "sampled-docs.jsonl"]))
+        assert [d.id for d in sampled] == [s.doc_id for s in snippets]
         summary = json.loads((out / "run-summary.json").read_text())
         assert (summary["input_documents"], summary["empty_text"]) == (5, 5)
 
