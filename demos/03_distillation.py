@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 
 from docprune import (
+    FeatureStore,
     FeaturizerConfig,
     LabelerConfig,
     MockQualityTransport,
@@ -31,13 +32,15 @@ labels, stats = label_documents(
 print(f"training pairs: {stats.labeled}, yes-fraction {stats.yes_fraction:.3f}")
 
 # Features are hashed bags of word 1/2/3-grams; 2**hash_bits is the capacity
-# knob of the cheap classifier. Training featurizes the texts itself, in the
-# same batches that scoring uses.
+# knob of the cheap classifier. The texts are featurized into a feature store
+# (an unnamed temp file) in the same batches that scoring uses, and training
+# reads their rows back a block at a time.
 featurizer = FeaturizerConfig(ngram_orders=(1, 2, 3), hash_bits=16)
 examples = labeled_texts(labels, {s.doc_id: s.text for s in snippets})
 
-train, val = split_train_val(examples, val_fraction=0.1, seed=0)
-classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer), seed=0)
+with FeatureStore(featurizer) as store:
+    train, val = split_train_val(store.add(examples), val_fraction=0.1, seed=0)
+    classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer), seed=0)
 print("training meta:", classifier.training_meta)
 
 # Scores are sigmoid outputs clamped into the open interval (0, 1).

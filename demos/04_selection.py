@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 
 from docprune import (
+    FeatureStore,
     FeaturizerConfig,
     TrainConfig,
     filter_corpus,
@@ -40,8 +41,9 @@ with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:
     )
     featurizer = FeaturizerConfig(hash_bits=16)
     examples = labeled_texts(labels, {s.doc_id: s.text for s in snippets})
-    train, val = split_train_val(examples, 0.1, seed=0)
-    classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer), seed=0)
+    with FeatureStore(featurizer) as store:
+        train, val = split_train_val(store.add(examples), 0.1, seed=0)
+        classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer), seed=0)
 
     # Shard-parallel scoring: output is byte-identical for any worker count.
     score_set = score_corpus(shard_set, classifier, workers=4, out_dir=workdir / "scores")

@@ -6,6 +6,7 @@ Run: python demos/05_ablations.py
 import tempfile
 
 from docprune import (
+    FeatureStore,
     FeaturizerConfig,
     IclDemonstration,
     LabelerConfig,
@@ -35,8 +36,9 @@ def mock_labeled(docs):
 docs = generate_documents(SyntheticCorpusSpec(n_docs=3000, high_quality_fraction=0.25, seed=1))
 labels, texts, snips = mock_labeled(docs[:1000])
 featurizer = FeaturizerConfig(hash_bits=16)
-train, val = split_train_val(labeled_texts(labels, texts), 0.1, seed=0)
-classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer), seed=0)
+with FeatureStore(featurizer) as store:
+    train, val = split_train_val(store.add(labeled_texts(labels, texts)), 0.1, seed=0)
+    classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer), seed=0)
 
 ratio_report = run_ratio_sweep(docs, classifier)
 print(ratio_report.render_text())

@@ -15,6 +15,8 @@ from .ablation import (
 )
 from .classifier import (
     DegenerateLabelsError,
+    Examples,
+    FeatureStore,
     FeaturizerConfig,
     LabeledText,
     ModelFormatError,

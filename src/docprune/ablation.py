@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .classifier import (
+    FeatureStore,
     LabeledText,
     QualityClassifier,
     TrainConfig,
@@ -182,7 +183,8 @@ def run_capacity_sweep(
     seeds: Sequence[int] = DEFAULT_SEEDS,
 ) -> SweepReport:
     """Validation F1 per hashed capacity, median over seeds: `config` (default
-    TrainConfig()) with each hash_bits, split and trained at each seed.
+    TrainConfig()) with each hash_bits, split and trained at each seed. The
+    examples are featurized once per capacity.
 
     Does not raise on a non-monotone ordering (chance-level inputs are a
     legitimate use); the report carries `monotone_nondecreasing` instead.
@@ -195,10 +197,12 @@ def run_capacity_sweep(
     for bits in hash_bits_list:
         at_bits = replace(config, featurizer=replace(config.featurizer, hash_bits=bits))
         f1_runs = []
-        for seed in seeds:
-            train, val = split_train_val(examples, config.val_fraction, seed=seed)
-            clf = train_classifier(train, val, at_bits, seed=seed)
-            f1_runs.append(clf.training_meta["val_f1"])
+        with FeatureStore(at_bits.featurizer) as store:
+            stored = store.add(examples)
+            for seed in seeds:
+                train, val = split_train_val(stored, config.val_fraction, seed=seed)
+                clf = train_classifier(train, val, at_bits, seed=seed)
+                f1_runs.append(clf.training_meta["val_f1"])
         median = statistics.median(f1_runs)
         medians.append(median)
         point = {"hash_bits": bits, "median_f1": _r(median)}

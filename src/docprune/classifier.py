@@ -10,16 +10,23 @@ products and sums are the same bits as in float64. Each process hashes a
 token once while its vocabulary fits a bounded table. numpy is imported
 inside the functions that use it, so stages that never featurize (sample,
 label, select, filter) start without its ~0.18 s import.
+
+Training reads its features from a `FeatureStore`, an unnamed file in the
+temp dir, one row block at a time, and keeps its best epoch's weights there
+too, so its memory does not grow with the number of labeled examples.
 """
 
 from __future__ import annotations
 
+import array
 import hashlib
 import itertools
 import json
+import os
 import random
 import re
 import struct
+import tempfile
 import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -59,7 +66,8 @@ class ModelFormatError(Exception):
 
 class DegenerateLabelsError(ValueError):
     """Data too degenerate to use: training data of a single class, a
-    from-labels keep-ratio from a degenerate labeler, or an empty score set."""
+    from-labels keep-ratio from a degenerate labeler, an empty score set, or
+    a corpus without a document to sample."""
 
 
 @dataclass(frozen=True)
@@ -198,30 +206,6 @@ class FeatureBatch:
             yield FeatureBatch(self.indices[lo:hi], self.values[lo:hi], offsets - lo)
 
 
-@dataclass(frozen=True)
-class _Minibatch:
-    """Rows of several batches, as (batch, row) pairs in order, gathered one
-    row block at a time, so that only one block's features are copied at once."""
-
-    batches: Sequence[FeatureBatch]
-    rows: Sequence[tuple[int, int]]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def row_blocks(self) -> Iterator[FeatureBatch]:
-        import numpy as np
-
-        for start in range(0, len(self.rows), ROW_BLOCK):
-            spans = [(self.batches[i], self.batches[i].offsets[r : r + 2])
-                     for i, r in self.rows[start : start + ROW_BLOCK]]
-            yield FeatureBatch(
-                np.concatenate([b.indices[s:e] for b, (s, e) in spans]),
-                np.concatenate([b.values[s:e] for b, (s, e) in spans]),
-                np.cumsum([0] + [e - s for _, (s, e) in spans]),
-            )
-
-
 def featurize_batch(texts: Sequence[str], config: FeaturizerConfig) -> FeatureBatch:
     """Hashed bag of word n-grams for each text, as one CSR batch; collisions
     add counts."""
@@ -283,12 +267,108 @@ def featurize_text(text: str, config: FeaturizerConfig) -> dict[int, int]:
     return featurize_batch([text], config).row(0)
 
 
+class FeatureStore:
+    """Featurized rows, in the order they were added, in one temp file.
+
+    Row r is its int32 indices followed by its float32 values, at byte
+    8 * offsets[r]; only the int64 offsets stay in memory. Rows are read back
+    with `os.preadv` a block at a time, so the features take page cache
+    rather than the process's memory (a tmpfs temp dir still uses RAM). The
+    file is created unlinked in `tempfile`'s dir (TMPDIR), so nothing is left
+    behind however the process ends. Training also keeps its best epoch's
+    weights in it, past the last row.
+    """
+
+    def __init__(self, featurizer: FeaturizerConfig):
+        self.featurizer = featurizer
+        self._file = tempfile.TemporaryFile()
+        self._offsets = array.array("q", [0])
+
+    def __enter__(self) -> "FeatureStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def extend(self, texts: Iterable[str]) -> range:
+        """Featurize the texts (`featurize_chunks`) and append their rows;
+        returns the new rows' numbers."""
+        start = len(self)
+        for batch in featurize_chunks(texts, self.featurizer):
+            bounds = batch.offsets.tolist()
+            for s, e in zip(bounds, bounds[1:]):
+                self._file.write(batch.indices[s:e])
+                self._file.write(batch.values[s:e])
+                self._offsets.append(self._offsets[-1] + e - s)
+        self._file.flush()
+        return range(start, len(self))
+
+    def add(self, examples: Sequence[LabeledText]) -> "Examples":
+        """Append the examples' texts; their rows, in order, with their targets."""
+        return Examples(self, self.extend(e.text for e in examples), [e.target for e in examples])
+
+    def row_blocks(self, rows: Sequence[int]) -> Iterator[FeatureBatch]:
+        """The given rows, in order, ROW_BLOCK at a time, each block read into
+        new arrays, so that only one block's features are in memory at once."""
+        import numpy as np
+
+        at = self._offsets
+        for start in range(0, len(rows), ROW_BLOCK):
+            block = rows[start : start + ROW_BLOCK]
+            offsets = np.cumsum([0] + [at[r + 1] - at[r] for r in block])
+            indices = np.empty(offsets[-1], dtype=np.int32)
+            values = np.empty(offsets[-1], dtype=np.float32)
+            for r, s, e in zip(block, offsets.tolist(), offsets[1:].tolist()):
+                self._read([indices[s:e], values[s:e]], 8 * at[r])
+            yield FeatureBatch(indices, values, offsets)
+
+    def put_weights(self, w: np.ndarray) -> None:
+        """Write a weight vector past the last row, over the one put before."""
+        view, pos = memoryview(w).cast("B"), 8 * self._offsets[-1]
+        while view:
+            n = os.pwrite(self._file.fileno(), view, pos)
+            view, pos = view[n:], pos + n
+
+    def get_weights(self, w: np.ndarray) -> None:
+        """Read the weights last put into w."""
+        self._read([w], 8 * self._offsets[-1])
+
+    def _read(self, buffers: list, pos: int) -> None:
+        want = sum(memoryview(b).nbytes for b in buffers)
+        if want and os.preadv(self._file.fileno(), buffers, pos) != want:
+            raise OSError(f"short read from the feature store at byte {pos}")
+
+@dataclass(frozen=True)
+class Examples:
+    """Labeled rows of a FeatureStore, in order; a row may occur more than once."""
+
+    store: FeatureStore
+    rows: Sequence[int]
+    targets: Sequence[int]  # 0/1, one per row
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def take(self, positions: Iterable[int]) -> "Examples":
+        positions = list(positions)
+        return Examples(
+            self.store, [self.rows[i] for i in positions], [self.targets[i] for i in positions]
+        )
+
+    def row_blocks(self) -> Iterator[FeatureBatch]:
+        return self.store.row_blocks(self.rows)
+
+
 def split_train_val(
-    examples: Sequence[LabeledText],
+    examples: Examples,
     val_fraction: float = 0.1,
     seed: int = 0,
-) -> tuple[list[LabeledText], list[LabeledText]]:
-    """Disjoint, exhaustive, seed-deterministic stratified split."""
+) -> tuple[Examples, Examples]:
+    """Disjoint, exhaustive, seed-deterministic stratified split, each part in
+    the examples' order. It reads only the targets."""
     if not 0 < val_fraction < 1:
         raise ValueError("val_fraction must be in (0, 1)")
     if len(examples) < 10:
@@ -296,14 +376,16 @@ def split_train_val(
     rng = random.Random(f"split:{seed}")
     val_idx: set[int] = set()
     for cls in (0, 1):
-        idxs = [i for i, e in enumerate(examples) if e.target == cls]
+        idxs = [i for i, t in enumerate(examples.targets) if t == cls]
         rng.shuffle(idxs)
         k = int(round(val_fraction * len(idxs)))
         k = min(k, max(len(idxs) - 1, 0))
         val_idx.update(idxs[:k])
-    train = [e for i, e in enumerate(examples) if i not in val_idx]
-    val = [e for i, e in enumerate(examples) if i in val_idx]
-    return train, val
+    everything = range(len(examples))
+    return (
+        examples.take(i for i in everything if i not in val_idx),
+        examples.take(i for i in everything if i in val_idx),
+    )
 
 
 def f1(preds: Sequence[int], gold: Sequence[int]) -> float:
@@ -322,7 +404,7 @@ def f1(preds: Sequence[int], gold: Sequence[int]) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _forward(batch: FeatureBatch | _Minibatch, w: np.ndarray, b: float) -> tuple[np.ndarray, ...]:
+def _forward(batch: FeatureBatch | Examples, w: np.ndarray, b: float) -> tuple[np.ndarray, ...]:
     """Per row, the logit z = w . x + b and sigmoid(z) with z clipped to [-60, 60].
     Rows are summed a block at a time, each over its own products alone, so
     the block size changes no bit."""
@@ -385,7 +467,7 @@ def class_weight_map(targets: Iterable[int]) -> dict[int, float]:
 
 
 def loss_and_grad(
-    batch: FeatureBatch | _Minibatch,
+    batch: FeatureBatch | Examples,
     targets: np.ndarray,
     sample_weights: np.ndarray,
     w: np.ndarray,
@@ -407,37 +489,35 @@ def loss_and_grad(
 
 
 def train_classifier(
-    train: Sequence[LabeledText],
-    val: Sequence[LabeledText],
+    train: Examples,
+    val: Examples,
     config: TrainConfig,
     seed: int = 0,
 ) -> QualityClassifier:
     """Minimize logistic loss by seeded mini-batch SGD; early-stop on val F1.
 
-    Texts are featurized as scoring does (`featurize_chunks`); the chunks are
-    the training store, whose rows a `_Minibatch` gathers a block at a time.
-    Deterministic for a fixed seed (single worker). The returned model carries
-    the best-epoch weights; F1 ties resolve toward the earlier epoch.
+    Each minibatch's rows, and the validation rows, are read from their
+    `FeatureStore` a block at a time. The weights of the best epoch so far
+    are kept in the training store's file, and read back into the one weight
+    vector at the end. Deterministic for a fixed seed (single worker). The
+    returned model carries the best-epoch weights; F1 ties resolve toward the
+    earlier epoch.
     """
     import numpy as np
 
     if not train:
         raise DegenerateLabelsError("degenerate label distribution: empty training set")
-    targets = {e.target for e in train}
-    if targets != {0, 1}:
+    if set(train.targets) != {0, 1}:
         raise DegenerateLabelsError("degenerate label distribution: one class only")
     if not val:
         raise ValueError("validation set is empty")
+    if {train.store.featurizer, val.store.featurizer} != {config.featurizer}:
+        raise ValueError("examples were featurized with another featurizer than config's")
 
-    def featurized(examples: Sequence[LabeledText]) -> list[FeatureBatch]:
-        return list(featurize_chunks((e.text for e in examples), config.featurizer))
-
-    cw = class_weight_map([e.target for e in train])
-    chunks, val_chunks = featurized(train), featurized(val)
-    where = [(i, r) for i, chunk in enumerate(chunks) for r in range(len(chunk))]
-    y = np.array([e.target for e in train], dtype=np.float64)
-    sample_weights = np.array([cw[e.target] for e in train], dtype=np.float64)
-    gold_val = [e.target for e in val]
+    cw = class_weight_map(train.targets)
+    y = np.array(train.targets, dtype=np.float64)
+    sample_weights = np.array([cw[t] for t in train.targets], dtype=np.float64)
+    gold_val = list(val.targets)
 
     w = np.zeros(config.featurizer.dim, dtype=np.float64)
     b = 0.0
@@ -447,7 +527,6 @@ def train_classifier(
 
     best_f1 = -1.0
     best_epoch = -1
-    best_w = w.copy()
     best_b = b
     epochs_run = 0
 
@@ -455,7 +534,7 @@ def train_classifier(
         rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
             rows = order[start : start + config.batch_size]
-            batch = _Minibatch(chunks, [where[r] for r in rows])
+            batch = train.take(rows)
             _, g, grad_b = loss_and_grad(batch, y[rows], sample_weights[rows], w, b)
             # w -= lr * g[i] * x_i once every logit is taken, in feature order
             for s, block in zip(itertools.count(0, ROW_BLOCK), batch.row_blocks()):
@@ -466,16 +545,16 @@ def train_classifier(
                 del block, step
             b -= lr * grad_b
         epochs_run += 1
-        val_p = np.concatenate([_forward(chunk, w, b)[1] for chunk in val_chunks])
-        preds = (val_p > 0.5).astype(int).tolist()
+        preds = (_forward(val, w, b)[1] > 0.5).astype(int).tolist()
         val_f1 = f1(preds, gold_val)
         if val_f1 > best_f1:
             best_f1 = val_f1
             best_epoch = epoch
-            np.copyto(best_w, w)
+            train.store.put_weights(w)
             best_b = b
         elif epoch - best_epoch >= config.patience:
             break
+    train.store.get_weights(w)
 
     meta = {
         "seed": seed,
@@ -489,7 +568,7 @@ def train_classifier(
         "val_f1": best_f1,
     }
     return QualityClassifier(
-        featurizer=config.featurizer, weights=best_w, bias=best_b, training_meta=meta
+        featurizer=config.featurizer, weights=w, bias=best_b, training_meta=meta
     )
 
 

@@ -14,6 +14,7 @@ import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 from . import ablation
 # `featurize_text` is the one-text view of the batched featurizer that
@@ -21,7 +22,8 @@ from . import ablation
 # it up on this module.
 from .classifier import (  # noqa: F401
     DegenerateLabelsError,
-    LabeledText,
+    Examples,
+    FeatureStore,
     ModelFormatError,
     QualityClassifier,
     featurize_text,
@@ -46,10 +48,12 @@ from .corpus import (
     write_shard_file,
 )
 from .labeling import (
+    YES,
     YES_FRACTION_RANGE,
     HttpChatTransport,
     IclDemonstration,
     LabelRunAborted,
+    QualityLabel,
     TransportError,
     label_documents,
     read_demonstrations,
@@ -82,11 +86,11 @@ def _out_dir(config: RunConfig, args, command: str) -> Path:
     """Create the output dir and write the resolved config into it.
 
     `load_config` has checked every config value before a command runs, and
-    commands call this only after the checks they can make up front (inputs
-    read, labels joined to snippets, transport built, model trained, cutoff
-    selected, score set checked against the corpus, a strict corpus read
-    through, sweep run), so a run that fails on bad input leaves no output
-    directory behind.
+    commands call this only after the checks they can make up front (a
+    sample drawn, inputs read, labels joined to snippets, transport built,
+    model trained, cutoff selected, score set checked against the corpus, a
+    strict corpus read through, sweep run), so a run that fails on bad input
+    leaves no output directory behind.
     """
     out = Path(args.out) if args.out else Path(config.run.output_root) / command
     out.mkdir(parents=True, exist_ok=True)
@@ -96,10 +100,15 @@ def _out_dir(config: RunConfig, args, command: str) -> Path:
 
 def cmd_sample(config: RunConfig, args) -> int:
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
-    out = _out_dir(config, args, "sample")
     summary = RunSummary()
     docs = ingest_shards(shard_set, strict=config.corpus.strict, summary=summary)
     sample = reservoir_sample(docs, config.corpus.sample_size, config.run.seed)
+    if not sample:
+        raise DegenerateLabelsError(
+            f"no document with text in {config.corpus.input_dir} ({summary.empty_text} "
+            f"empty-text and {summary.malformed} malformed records): nothing to sample"
+        )
+    out = _out_dir(config, args, "sample")
     write_shard_file(sample, out / "sampled-docs.jsonl")
     write_jsonl(out / "snippets.jsonl", (extract_snippet(doc) for doc in sample))
     write_json(out / "run-summary.json", summary)
@@ -142,19 +151,51 @@ def cmd_label(config: RunConfig, args) -> int:
 
 
 def _train(
-    config: RunConfig, labels, snippets
-) -> tuple[QualityClassifier, list[LabeledText]]:
-    """Join labels to their snippets (a label without one is a CorpusError),
-    split, and train with the [distiller] settings; returns the model and
-    its training split."""
-    examples = ablation.labeled_texts(labels, {s.doc_id: s.text for s in snippets})
-    train, val = split_train_val(examples, config.distiller.val_fraction, config.run.seed)
-    return train_classifier(train, val, config.distiller, seed=config.run.seed), train
+    config: RunConfig, labels: Iterable[QualityLabel], snippets: Iterable[Snippet]
+) -> tuple[QualityClassifier, Sequence[int]]:
+    """Featurize the labeled snippets into a FeatureStore as they stream by,
+    split the labels and train with the [distiller] settings; returns the
+    model and its training targets.
+
+    Only the labels' ids and targets are held, never a snippet's text. A
+    label without a snippet is a CorpusError and a snippet id that occurs
+    twice a DuplicateIdError. A label that occurs twice is two examples of
+    one stored row.
+    """
+    ids, targets = [], []
+    for label in labels:
+        ids.append(label.doc_id)
+        targets.append(1 if label.label == YES else 0)
+    wanted = set(ids)
+    row_of: dict[str, int] = {}
+    seen: set[str] = set()
+
+    def labeled_texts() -> Iterator[str]:
+        for snippet in snippets:
+            if snippet.doc_id in seen:
+                raise DuplicateIdError(
+                    f"snippet id {snippet.doc_id!r} occurs more than once; "
+                    f"document ids must be unique in the snippets file"
+                )
+            seen.add(snippet.doc_id)
+            if snippet.doc_id in wanted:
+                row_of[snippet.doc_id] = len(row_of)
+                yield snippet.text
+
+    with FeatureStore(config.distiller.featurizer) as store:
+        store.extend(labeled_texts())
+        missing = next((i for i in ids if i not in row_of), None)
+        if missing is not None:
+            raise CorpusError(f"label {missing!r} has no matching snippet")
+        examples = Examples(store, [row_of[i] for i in ids], targets)
+        train, val = split_train_val(examples, config.distiller.val_fraction, config.run.seed)
+        classifier = train_classifier(train, val, config.distiller, seed=config.run.seed)
+    return classifier, train.targets
 
 
 def cmd_train(config: RunConfig, args) -> int:
-    classifier, train = _train(
-        config, read_labels(args.labels), read_records(args.snippets, Snippet)
+    classifier, train_targets = _train(
+        config, read_records(args.labels, QualityLabel), read_records(args.snippets, Snippet)
     )
     out = _out_dir(config, args, "train")
     save_model(classifier, out / "model.bin")
@@ -166,9 +207,14 @@ def cmd_train(config: RunConfig, args) -> int:
             "val_size": meta["val_size"],
             "val_f1": meta["val_f1"],
             "epochs_run": meta["epochs"],
-            "yes_fraction_train": sum(e.target for e in train) / len(train),
+            "yes_fraction_train": sum(train_targets) / len(train_targets),
         },
     )
+    if meta["val_f1"] == 0.0:
+        log.warning(
+            "the best epoch's val F1 is 0.0: the classifier marks no validation "
+            "positive; check the labels before scoring with it"
+        )
     log.info("trained classifier: val F1 %.4f", meta["val_f1"])
     return EXIT_OK
 

@@ -68,11 +68,6 @@ class ShardSet:
         ]
         return cls(shards=shards)
 
-    @classmethod
-    def from_paths(cls, paths: Iterable[str | Path]) -> "ShardSet":
-        ordered = sorted((Path(p) for p in paths), key=str)
-        return cls(shards=[Shard(path=p, compressed=p.suffix == ".gz") for p in ordered])
-
 
 @dataclass
 class RunSummary:

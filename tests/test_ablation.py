@@ -12,7 +12,16 @@ from docprune.ablation import (
     run_ratio_sweep,
     snippets_of,
 )
-from docprune.classifier import FeaturizerConfig, LabeledText, TrainConfig, split_train_val, train_classifier, f1, score
+from docprune.classifier import (
+    FeatureStore,
+    FeaturizerConfig,
+    LabeledText,
+    TrainConfig,
+    f1,
+    score,
+    split_train_val,
+    train_classifier,
+)
 from docprune.corpus import snippet_of
 from docprune.labeling import IclDemonstration, LabelerConfig, label_documents
 from docprune.mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
@@ -31,8 +40,9 @@ def _mock_labeled(docs):
 def _trained_classifier(docs, hash_bits=14, seed=0):
     labels, texts, _ = _mock_labeled(docs)
     config = FeaturizerConfig(hash_bits=hash_bits)
-    train, val = split_train_val(labeled_texts(labels, texts), 0.1, seed=seed)
-    return train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
+    with FeatureStore(config) as store:
+        train, val = split_train_val(store.add(labeled_texts(labels, texts)), 0.1, seed=seed)
+        return train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -139,21 +149,23 @@ class TestCapacitySweep:
         shuffled = [
             LabeledText(e.doc_id, e.text, t) for e, t in zip(examples, targets)
         ]
-        texts_by_id = {e.doc_id: e.text for e in shuffled}
         for bits in (10, 14, 18):
             config = FeaturizerConfig(hash_bits=bits)
             chances = []
-            for seed in (0, 1, 2):
-                train, val = split_train_val(shuffled, 0.25, seed=seed)
-                clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
-                scored = [
-                    (score(clf, snippet_of(texts_by_id[e.doc_id])), e.target) for e in val
-                ]
-                scored.sort(key=lambda t: -t[0])
-                k = sum(t for _, t in scored)
-                preds = [1] * k + [0] * (len(scored) - k)
-                gold = [t for _, t in scored]
-                chances.append(f1(preds, gold))
+            with FeatureStore(config) as store:
+                stored = store.add(shuffled)
+                for seed in (0, 1, 2):
+                    train, val = split_train_val(stored, 0.25, seed=seed)
+                    clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
+                    scored = [
+                        (score(clf, snippet_of(shuffled[r].text)), t)
+                        for r, t in zip(val.rows, val.targets)
+                    ]
+                    scored.sort(key=lambda t: -t[0])
+                    k = sum(t for _, t in scored)
+                    preds = [1] * k + [0] * (len(scored) - k)
+                    gold = [t for _, t in scored]
+                    chances.append(f1(preds, gold))
             median = sorted(chances)[1]
             assert abs(median - 0.5) <= 0.05, f"hash_bits={bits}: {median}"
         # the sweep itself also runs on shuffled input without raising
@@ -268,16 +280,19 @@ class TestZeroStrengthChance:
         config = FeaturizerConfig(hash_bits=14)
         examples = labeled_texts(labels, texts)
         chances = []
-        for seed in (0, 1, 2):
-            train, val = split_train_val(examples, 0.25, seed=seed)
-            clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
-            scored = [
-                (score(clf, snippet_of(texts[e.doc_id])), stratum[e.doc_id]) for e in val
-            ]
-            scored.sort(key=lambda t: -t[0])
-            k = sum(g for _, g in scored)
-            preds = [1] * k + [0] * (len(scored) - k)
-            gold = [g for _, g in scored]
-            chances.append(f1(preds, gold))
+        with FeatureStore(config) as store:
+            stored = store.add(examples)
+            for seed in (0, 1, 2):
+                train, val = split_train_val(stored, 0.25, seed=seed)
+                clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
+                scored = [
+                    (score(clf, snippet_of(examples[r].text)), stratum[examples[r].doc_id])
+                    for r in val.rows
+                ]
+                scored.sort(key=lambda t: -t[0])
+                k = sum(g for _, g in scored)
+                preds = [1] * k + [0] * (len(scored) - k)
+                gold = [g for _, g in scored]
+                chances.append(f1(preds, gold))
         median = sorted(chances)[1]
         assert abs(median - 0.5) <= 0.05, f"chance-level F1 median {median}"

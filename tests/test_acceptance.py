@@ -13,6 +13,7 @@ import pytest
 
 from docprune.ablation import labeled_texts, run_capacity_sweep, run_icl_comparison, snippets_of
 from docprune.classifier import (
+    FeatureStore,
     FeaturizerConfig,
     LabeledText,
     TrainConfig,
@@ -205,8 +206,9 @@ class TestCriterion5ClassifierCorrectness:
         for doc in docs:
             target = 1 if stratum_of(doc) else 0
             examples.append(LabeledText(doc.id, doc.text, target))
-        train, val = split_train_val(examples, 0.1, seed=0)
-        clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
+        with FeatureStore(config) as store:
+            train, val = split_train_val(store.add(examples), 0.1, seed=0)
+            clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
         assert clf.training_meta["val_f1"] >= 0.95
 
     def test_shuffled_labels_fall_to_chance(self):
@@ -216,21 +218,24 @@ class TestCriterion5ClassifierCorrectness:
             SyntheticCorpusSpec(n_docs=4_000, high_quality_fraction=0.5, seed=7)
         )
         config = FeaturizerConfig(hash_bits=14)
-        texts = {d.id: d.text for d in docs}
         targets = [1 if stratum_of(d) else 0 for d in docs]
         rng = random.Random(0)
         rng.shuffle(targets)
         examples = [LabeledText(d.id, d.text, t) for d, t in zip(docs, targets)]
         chances = []
-        for seed in (0, 1, 2):
-            train, val = split_train_val(examples, 0.25, seed=seed)
-            clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
-            scored = [(score(clf, snippet_of(texts[e.doc_id])), e.target) for e in val]
-            scored.sort(key=lambda t: -t[0])
-            k = sum(t for _, t in scored)
-            preds = [1] * k + [0] * (len(scored) - k)
-            gold = [t for _, t in scored]
-            chances.append(f1(preds, gold))
+        with FeatureStore(config) as store:
+            stored = store.add(examples)
+            for seed in (0, 1, 2):
+                train, val = split_train_val(stored, 0.25, seed=seed)
+                clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
+                scored = [
+                    (score(clf, snippet_of(docs[r].text)), t) for r, t in zip(val.rows, val.targets)
+                ]
+                scored.sort(key=lambda t: -t[0])
+                k = sum(t for _, t in scored)
+                preds = [1] * k + [0] * (len(scored) - k)
+                gold = [t for _, t in scored]
+                chances.append(f1(preds, gold))
         median = sorted(chances)[1]
         assert abs(median - 0.5) <= 0.05, f"chance-level F1 median {median}"
 
@@ -252,8 +257,9 @@ class TestCriterion7DeterminismAndParallelSafety:
         sample = reservoir_sample(iter(docs), 1_000, seed=3)
         config = FeaturizerConfig(hash_bits=14)
         examples = [LabeledText(d.id, d.text, 1 if stratum_of(d) else 0) for d in sample]
-        train, val = split_train_val(examples, 0.1, seed=0)
-        clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
+        with FeatureStore(config) as store:
+            train, val = split_train_val(store.add(examples), 0.1, seed=0)
+            clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
 
         sets = {}
         for workers in (1, 4):
@@ -287,9 +293,10 @@ class TestCriterion7DeterminismAndParallelSafety:
 
         config = FeaturizerConfig(hash_bits=12)
         examples = [LabeledText(d.id, d.text, 1 if stratum_of(d) else 0) for d in a]
-        train, val = split_train_val(examples, 0.1, seed=1)
-        m1 = train_classifier(train, val, TrainConfig(featurizer=config), seed=1)
-        m2 = train_classifier(train, val, TrainConfig(featurizer=config), seed=1)
+        with FeatureStore(config) as store:
+            train, val = split_train_val(store.add(examples), 0.1, seed=1)
+            m1 = train_classifier(train, val, TrainConfig(featurizer=config), seed=1)
+            m2 = train_classifier(train, val, TrainConfig(featurizer=config), seed=1)
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
 

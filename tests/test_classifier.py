@@ -8,6 +8,7 @@ import pytest
 from docprune.classifier import (
     DegenerateLabelsError,
     FeatureBatch,
+    FeatureStore,
     FeaturizerConfig,
     LabeledText,
     ModelFormatError,
@@ -102,41 +103,56 @@ def _examples(n_pos, n_neg, seed=0, hash_bits=10):
     return out, config
 
 
+def _split(examples, config, val_fraction, seed):
+    """split_train_val over the examples stored in a feature store, with each
+    part mapped back to the LabeledText of its rows."""
+    with FeatureStore(config) as store:
+        parts = split_train_val(store.add(examples), val_fraction, seed=seed)
+    return tuple([examples[r] for r in part.rows] for part in parts)
+
+
+def _fit(examples, config, val_fraction=0.2, seed=0, split_seed=0):
+    """A classifier trained on the examples through a feature store."""
+    with FeatureStore(config) as store:
+        train, val = split_train_val(store.add(examples), val_fraction, seed=split_seed)
+        return train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
+
+
 class TestSplitTrainVal:
     def test_stratified_counts(self):
-        examples, _ = _examples(25, 75)
-        train, val = split_train_val(examples, 0.1, seed=0)
+        examples, config = _examples(25, 75)
+        train, val = _split(examples, config, 0.1, seed=0)
         assert len(val) == 10
         assert len(train) == 90
         positives = sum(e.target for e in val)
         assert positives in (2, 3)
 
     def test_deterministic(self):
-        examples, _ = _examples(30, 70)
-        a = split_train_val(examples, 0.2, seed=5)
-        b = split_train_val(examples, 0.2, seed=5)
+        examples, config = _examples(30, 70)
+        a = _split(examples, config, 0.2, seed=5)
+        b = _split(examples, config, 0.2, seed=5)
         assert [e.doc_id for e in a[0]] == [e.doc_id for e in b[0]]
         assert [e.doc_id for e in a[1]] == [e.doc_id for e in b[1]]
 
     def test_partition_is_exhaustive_and_disjoint(self):
-        examples, _ = _examples(40, 60)
-        train, val = split_train_val(examples, 0.15, seed=1)
+        examples, config = _examples(40, 60)
+        train, val = _split(examples, config, 0.15, seed=1)
         train_ids = [e.doc_id for e in train]
         val_ids = [e.doc_id for e in val]
         assert not set(train_ids) & set(val_ids)
         assert sorted(train_ids + val_ids) == sorted(e.doc_id for e in examples)
 
     def test_too_few_examples_rejected(self):
-        examples, _ = _examples(4, 5)
+        examples, config = _examples(4, 5)
         with pytest.raises(ValueError):
-            split_train_val(examples, 0.1, seed=0)
+            _split(examples, config, 0.1, seed=0)
 
     def test_fraction_bounds(self):
-        examples, _ = _examples(10, 10)
+        examples, config = _examples(10, 10)
         with pytest.raises(ValueError):
-            split_train_val(examples, 0.0, seed=0)
+            _split(examples, config, 0.0, seed=0)
         with pytest.raises(ValueError):
-            split_train_val(examples, 1.0, seed=0)
+            _split(examples, config, 1.0, seed=0)
 
 
 def _brute_force_f1(preds, gold):
@@ -263,15 +279,15 @@ class TestNarrowBatchArithmetic:
 class TestTraining:
     def test_separable_data_high_f1(self):
         examples, config = _examples(150, 450, seed=2)
-        train, val = split_train_val(examples, 0.2, seed=0)
-        clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
+        clf = _fit(examples, config)
         assert clf.training_meta["val_f1"] >= 0.95
 
     def test_deterministic_weights(self):
         examples, config = _examples(100, 100, seed=4)
-        train, val = split_train_val(examples, 0.2, seed=0)
-        a = train_classifier(train, val, TrainConfig(featurizer=config), seed=3)
-        b = train_classifier(train, val, TrainConfig(featurizer=config), seed=3)
+        with FeatureStore(config) as store:
+            train, val = split_train_val(store.add(examples), 0.2, seed=0)
+            a = train_classifier(train, val, TrainConfig(featurizer=config), seed=3)
+            b = train_classifier(train, val, TrainConfig(featurizer=config), seed=3)
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
         assert a.training_meta == b.training_meta
@@ -280,11 +296,10 @@ class TestTraining:
         import docprune.classifier as classifier
 
         examples, config = _examples(60, 60, seed=5)
-        train, val = split_train_val(examples, 0.2, seed=0)
-        whole = train_classifier(train, val, TrainConfig(featurizer=config), seed=2)
+        whole = _fit(examples, config, seed=2)
         # ~45-character texts: batches of one or two texts each
         monkeypatch.setattr(classifier, "FEATURIZE_BATCH_CHARS", 50)
-        chunked = train_classifier(train, val, TrainConfig(featurizer=config), seed=2)
+        chunked = _fit(examples, config, seed=2)
         assert np.array_equal(whole.weights, chunked.weights)
         assert whole.bias == chunked.bias
         assert whole.training_meta == chunked.training_meta
@@ -295,12 +310,11 @@ class TestTraining:
 
         examples, config = _examples(60, 60, seed=5)
         examples += [LabeledText(f"empty{i}", "!", i % 2) for i in range(4)]  # no features
-        train, val = split_train_val(examples, 0.2, seed=0)
         texts = [e.text for e in examples]
-        default = train_classifier(train, val, TrainConfig(featurizer=config), seed=2)
+        default = _fit(examples, config, seed=2)
         want = score_batch(default, featurize_batch(texts, config))
         monkeypatch.setattr(classifier, "ROW_BLOCK", row_block)
-        blocked = train_classifier(train, val, TrainConfig(featurizer=config), seed=2)
+        blocked = _fit(examples, config, seed=2)
         assert np.array_equal(default.weights, blocked.weights)
         assert default.bias == blocked.bias
         assert default.training_meta == blocked.training_meta
@@ -309,13 +323,15 @@ class TestTraining:
     def test_single_class_rejected(self):
         examples, config = _examples(20, 20)
         one_class = [e for e in examples if e.target == 1]
-        with pytest.raises(DegenerateLabelsError, match="degenerate label distribution"):
-            train_classifier(one_class, one_class[:2], TrainConfig(featurizer=config))
+        with FeatureStore(config) as store:
+            stored = store.add(one_class)
+            with pytest.raises(DegenerateLabelsError, match="degenerate label distribution"):
+                train_classifier(stored, stored.take(range(2)), TrainConfig(featurizer=config))
 
     def test_training_meta_recorded(self):
         examples, config = _examples(80, 120, seed=6)
-        train, val = split_train_val(examples, 0.1, seed=0)
-        clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=1)
+        train, val = _split(examples, config, 0.1, seed=0)
+        clf = _fit(examples, config, val_fraction=0.1, seed=1)
         meta = clf.training_meta
         assert meta["train_size"] == len(train)
         assert meta["val_size"] == len(val)
@@ -334,8 +350,8 @@ class TestTraining:
         targets = [i % 2 for i in range(1200)]
         rng.shuffle(targets)
         examples = [LabeledText(str(i), t, y) for i, (t, y) in enumerate(zip(texts, targets))]
-        train, val = split_train_val(examples, 0.25, seed=0)
-        clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
+        clf = _fit(examples, config, val_fraction=0.25)
+        _, val = _split(examples, config, 0.25, seed=0)
         val_scores = np.array([score(clf, snippet_of(texts[int(e.doc_id)])) for e in val])
         gold = [e.target for e in val]
         k = sum(gold)
@@ -381,8 +397,7 @@ class TestScore:
 class TestModelIO:
     def make_classifier(self, seed=0):
         examples, config = _examples(60, 60, seed=seed)
-        train, val = split_train_val(examples, 0.2, seed=0)
-        return train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
+        return _fit(examples, config)
 
     def test_roundtrip_scores_identical(self, tmp_path):
         clf = self.make_classifier()
@@ -467,8 +482,7 @@ class TestHeldOutSeparation:
             snip = extract_snippet(doc)
             target = 1 if mock_label(snip) == "Yes" else 0
             examples.append(LabeledText(doc.id, snip.text, target))
-        train, val = split_train_val(examples, 0.1, seed=0)
-        clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
+        clf = _fit(examples, config, val_fraction=0.1)
         held_high = [d for d in held if stratum_of(d)][:1000]
         assert len(held_high) == 1000
         above = sum(1 for d in held_high if score(clf, extract_snippet(d)) > 0.5)
@@ -488,7 +502,8 @@ def traced_peak(fn) -> int:
 
 class TestMemory:
     """Each large array exists once: the weights are written, hashed and read
-    in place, and training keeps its featurized chunks as its only store."""
+    in place, and training keeps its features and its best weights in the
+    feature store's file, not in memory."""
 
     def weights_2_20(self):
         config = FeaturizerConfig(hash_bits=20)
@@ -509,20 +524,42 @@ class TestMemory:
         )
         assert np.array_equal(loaded[0].weights, clf.weights)
 
-    def test_training_holds_its_features_once(self):
+    @staticmethod
+    def paper_examples(n):
         from docprune.corpus import extract_snippet
         from docprune.synthetic import SyntheticCorpusSpec, generate_documents, stratum_of
 
         docs = generate_documents(SyntheticCorpusSpec(
-            n_docs=400, seed=7, doc_tokens_min=800, doc_tokens_max=1600, markers_per_doc=10
+            n_docs=n, seed=7, doc_tokens_min=800, doc_tokens_max=1600, markers_per_doc=10
         ))
-        examples = [LabeledText(d.id, extract_snippet(d).text, int(stratum_of(d))) for d in docs]
-        train, val = split_train_val(examples, 0.1, seed=0)
+        return [LabeledText(d.id, extract_snippet(d).text, int(stratum_of(d))) for d in docs]
+
+    @staticmethod
+    def train_peak(examples, config):
+        """traced_peak of featurizing the examples into a store and training on them."""
+
+        def train():
+            with FeatureStore(config.featurizer) as store:
+                train, val = split_train_val(store.add(examples), 0.1, seed=0)
+                train_classifier(train, val, config, seed=0)
+
+        list(featurize_chunks((e.text for e in examples), config.featurizer))  # warm token table
+        return traced_peak(train)
+
+    def test_training_holds_its_features_once(self):
+        examples = self.paper_examples(400)
         config = TrainConfig(featurizer=FeaturizerConfig(hash_bits=12))
         stored = sum(
             b.indices.nbytes + b.values.nbytes + b.offsets.nbytes
-            for part in (train, val)
-            for b in featurize_chunks((e.text for e in part), config.featurizer)
+            for b in featurize_chunks((e.text for e in examples), config.featurizer)
         )
         assert stored > 4_000_000  # paper-length snippets: ~1,500 tokens each
-        assert traced_peak(lambda: train_classifier(train, val, config, seed=0)) < 1.6 * stored
+        assert self.train_peak(examples, config) < 1.6 * stored
+
+    def test_training_memory_does_not_grow_with_labels(self):
+        # The features are in the store's file, so 4x the labels holds no
+        # more memory than featurizing one batch and training on one block.
+        examples = self.paper_examples(400)
+        config = TrainConfig(featurizer=FeaturizerConfig(hash_bits=12))
+        small = self.train_peak(examples[:100], config)
+        assert self.train_peak(examples, config) <= 1.1 * small

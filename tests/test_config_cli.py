@@ -1,5 +1,6 @@
 import gzip
 import json
+import logging
 import os
 import shutil
 from dataclasses import replace
@@ -13,7 +14,7 @@ from docprune.classifier import FeaturizerConfig, QualityClassifier, TrainConfig
 from docprune.cli import main
 from docprune.config import ConfigError, load_config, write_resolved_config
 from docprune.labeling import LabelerConfig
-from docprune.corpus import ShardSet, Snippet, ingest_shards, read_json, read_records
+from docprune.corpus import Shard, ShardSet, Snippet, ingest_shards, read_json, read_records
 from docprune.labeling import DegenerateLabelerWarning, read_labels
 from docprune.selection import Manifest, ScoreSet, SelectionDecision
 from docprune.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus, stratum_of
@@ -376,7 +377,7 @@ class TestCliPipeline:
         assert run_cli("sample", "--input", tmp_path / "corpus", "--n", 5, "--out", out) == 0
         snippets = list(read_records(out / "snippets.jsonl", Snippet))
         assert sorted(s.doc_id for s in snippets) == ["d0", "d2", "d4", "d6", "d8"]
-        sampled = ingest_shards(ShardSet.from_paths([out / "sampled-docs.jsonl"]))
+        sampled = ingest_shards(ShardSet(shards=[Shard(out / "sampled-docs.jsonl", False)]))
         assert [d.id for d in sampled] == [s.doc_id for s in snippets]
         summary = json.loads((out / "run-summary.json").read_text())
         assert (summary["input_documents"], summary["empty_text"]) == (5, 5)
@@ -1000,3 +1001,93 @@ class TestCorpusAndScoreSetChecks:
         assert ("corpus shards part.jsonl and part.jsonl.gz would both be scored into "
                 "scores-part.jsonl") in capsys.readouterr().err
         assert not (tmp_path / "score").exists()
+
+
+class TestTrainInputs:
+    """`train` joins labels to snippets as it streams the snippets into its
+    feature store, a file in the temp dir that leaves nothing behind."""
+
+    def files(self, tmp_path, texts, targets, label_ids=None):
+        """A snippets file of (doc_id, text) pairs and a labels file of the
+        given ids (default: every snippet's) with their 0/1 targets."""
+        snippets = jsonl(tmp_path / "snippets.jsonl", [
+            {**SNIPPET, "doc_id": doc_id, "text": text, "char_end": len(text)}
+            for doc_id, text in texts
+        ])
+        ids = label_ids if label_ids is not None else [doc_id for doc_id, _ in texts]
+        labels = jsonl(tmp_path / "labels.jsonl", [
+            {**LABEL, "doc_id": i, "label": "Yes" if t else "No"} for i, t in zip(ids, targets)
+        ])
+        return snippets, labels
+
+    def train(self, snippets, labels, out):
+        return run_cli("train", "--snippets", snippets, "--labels", labels, "--hash-bits", 10,
+                       "--seed", 0, "--out", out)
+
+    def test_repeated_snippet_id_exits_5(self, tmp_path, capsys):
+        texts = [(f"d{i}", f"{'good' if i % 2 else 'bad'} text {i}") for i in range(12)]
+        texts.append(("d3", "another text for d3"))
+        snippets, labels = self.files(tmp_path, texts[:12], [i % 2 for i in range(12)])
+        jsonl(snippets, [{**SNIPPET, "doc_id": i, "text": t} for i, t in texts])
+        assert self.train(snippets, labels, tmp_path / "train") == 5
+        assert "snippet id 'd3' occurs more than once" in capsys.readouterr().err
+        assert not (tmp_path / "train").exists()
+
+    def test_repeated_label_is_one_more_example(self, tmp_path):
+        texts = [(f"d{i}", f"{'good' if i % 2 else 'bad'} text {i}") for i in range(12)]
+        ids = [doc_id for doc_id, _ in texts] + ["d1", "d1"]
+        snippets, labels = self.files(tmp_path, texts, [i % 2 for i in range(12)] + [1, 1], ids)
+        assert self.train(snippets, labels, tmp_path / "train") == 0
+        report = json.loads((tmp_path / "train" / "training-report.json").read_text())
+        assert report["train_size"] + report["val_size"] == 14
+
+    def test_zero_val_f1_warns_and_exits_0(self, tmp_path, caplog):
+        # Validation positives read like training negatives, so the best
+        # epoch marks no validation positive.
+        from docprune.classifier import Examples, FeatureStore, split_train_val
+
+        targets = [i % 2 for i in range(40)]
+        with FeatureStore(FeaturizerConfig(hash_bits=10)) as store:
+            val = split_train_val(Examples(store, range(40), targets), 0.1, seed=0)[1]
+        texts = [
+            (f"d{i}", f"{'good' if t and i not in val.rows else 'bad'} words {i}")
+            for i, t in enumerate(targets)
+        ]
+        snippets, labels = self.files(tmp_path, texts, targets)
+        caplog.set_level(logging.WARNING, logger="docprune")
+        assert self.train(snippets, labels, tmp_path / "train") == 0
+        report = json.loads((tmp_path / "train" / "training-report.json").read_text())
+        assert report["val_f1"] == 0.0
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "val F1 is 0.0" in caplog.records[0].getMessage()
+
+    def test_feature_store_leaves_nothing_in_the_temp_dir(self, tmp_path, monkeypatch):
+        import tempfile
+
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        monkeypatch.setenv("TMPDIR", str(tmpdir))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # gettempdir() reads TMPDIR again
+        texts = [(f"d{i}", f"{'good' if i % 2 else 'bad'} text {i}") for i in range(20)]
+        snippets, labels = self.files(tmp_path, texts, [i % 2 for i in range(20)])
+        assert self.train(snippets, labels, tmp_path / "ok") == 0
+        assert tempfile.gettempdir() == str(tmpdir)
+        assert list(tmpdir.iterdir()) == []
+        one_class = jsonl(tmp_path / "yes.jsonl", [{**LABEL, "doc_id": i} for i, _ in texts])
+        assert self.train(snippets, one_class, tmp_path / "single") == 5
+        assert list(tmpdir.iterdir()) == []
+        _, unmatched = self.files(tmp_path, texts, [i % 2 for i in range(21)],
+                                  [i for i, _ in texts] + ["missing"])
+        assert self.train(snippets, unmatched, tmp_path / "unmatched") == 3
+        assert list(tmpdir.iterdir()) == []
+        assert not (tmp_path / "single").exists() and not (tmp_path / "unmatched").exists()
+
+
+def test_sample_of_a_corpus_without_documents_exits_5(tmp_path, capsys):
+    from conftest import corpus_dir
+
+    corpus_dir(tmp_path, {"s.jsonl": [{"id": "a", "text": ""}, {"id": "b", "text": ""}]})
+    out = tmp_path / "sample"
+    assert run_cli("sample", "--input", tmp_path / "corpus", "--out", out) == 5
+    assert "no document with text" in capsys.readouterr().err
+    assert not out.exists()

@@ -9,6 +9,7 @@ from docprune.corpus import (
     CorpusError,
     Document,
     RunSummary,
+    Shard,
     ShardSet,
     extract_snippet,
     ingest_shards,
@@ -93,7 +94,7 @@ class TestIngest:
         assert summary.malformed == 1
 
     def test_unreadable_shard_is_fatal(self, tmp_path):
-        shard_set = ShardSet.from_paths([tmp_path / "missing.jsonl"])
+        shard_set = ShardSet(shards=[Shard(tmp_path / "missing.jsonl", False)])
         with pytest.raises(CorpusError, match="missing.jsonl"):
             list(ingest_shards(shard_set))
 

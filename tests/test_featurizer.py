@@ -15,8 +15,9 @@ from docprune.classifier import (
     MODEL_HEADER_MAX_BYTES,
     FeaturizerConfig,
     ModelFormatError,
+    Examples,
+    FeatureStore,
     QualityClassifier,
-    _Minibatch,
     featurize_batch,
     featurize_chunks,
     featurize_text,
@@ -71,21 +72,39 @@ class TestBatchRowsMatchSingleText:
         config = FeaturizerConfig(hash_bits=10)
         texts = ["alpha beta", "gamma", "!!", "delta epsilon zeta"]
         batch = featurize_batch(texts, config)
-        [sub] = _Minibatch([batch], [(0, 3), (0, 0), (0, 3)]).row_blocks()
+        with FeatureStore(config) as store:
+            assert store.extend(texts) == range(4)
+            [sub] = store.row_blocks([3, 0, 3])
         assert [sub.row(i) for i in range(3)] == [batch.row(3), batch.row(0), batch.row(3)]
-        # The same rows from chunks of one or two texts each, as training stores
-        # them, in blocks of two rows.
+        # The same rows stored from chunks of one or two texts each, and read
+        # back in blocks of two rows.
         monkeypatch.setattr(classifier, "FEATURIZE_BATCH_CHARS", 6)
         monkeypatch.setattr(classifier, "ROW_BLOCK", 2)
-        chunks = list(featurize_chunks(texts, config))
-        where = [(c, r) for c, chunk in enumerate(chunks) for r in range(len(chunk))]
-        assert len(chunks) == 3
-        blocks = list(_Minibatch(chunks, [where[3], where[0], where[3]]).row_blocks())
+        assert len(list(featurize_chunks(texts, config))) == 3
+        with FeatureStore(config) as store:
+            stored = Examples(store, store.extend(texts), [1, 0, 0, 1])
+            minibatch = stored.take([3, 0, 3])
+            blocks = list(minibatch.row_blocks())
+        assert minibatch.targets == [1, 1, 1]
         assert [len(b) for b in blocks] == [2, 1]
         rows = [b.row(i) for b in blocks for i in range(len(b))]
         assert rows == [batch.row(3), batch.row(0), batch.row(3)]
         for b in blocks:
             assert b.offsets.dtype == np.int64 and b.offsets[-1] == b.indices.shape[0]
+
+    def test_store_keeps_rows_without_features_and_weights_past_them(self):
+        config = FeaturizerConfig(ngram_orders=(3,), hash_bits=10)
+        texts = ["two words", "now three words", "one"]
+        batch = featurize_batch(texts, config)
+        with FeatureStore(config) as store:
+            store.extend(texts)
+            for w in (np.arange(config.dim, dtype=np.float64), np.full(config.dim, -0.5)):
+                store.put_weights(w)
+            got = np.empty(config.dim)
+            store.get_weights(got)
+            [block] = store.row_blocks([0, 1, 2, 1])
+        assert np.array_equal(got, np.full(config.dim, -0.5))
+        assert [block.row(i) for i in range(4)] == [{}, batch.row(1), {}, batch.row(1)]
 
 
 class TestTokenHashTable:

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from docprune.classifier import FeaturizerConfig, LabeledText, TrainConfig, split_train_val, train_classifier
+from docprune.classifier import (
+    FeatureStore,
+    FeaturizerConfig,
+    LabeledText,
+    TrainConfig,
+    split_train_val,
+    train_classifier,
+)
 from docprune.corpus import CorpusError, ingest_shards
 from docprune import selection
 from docprune.labeling import NO, YES, DegenerateLabelerWarning, QualityLabel, yes_fraction
@@ -178,8 +185,9 @@ def small_world(tmp_path_factory):
         snip = extract_snippet(doc)
         target = 1 if mock_label(snip) == YES else 0
         examples.append(LabeledText(doc.id, snip.text, target))
-    train, val = split_train_val(examples, 0.1, seed=0)
-    clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
+    with FeatureStore(config) as store:
+        train, val = split_train_val(store.add(examples), 0.1, seed=0)
+        clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
     return tmp, shard_set, docs, clf
 
 
