@@ -328,6 +328,14 @@ class TestTraining:
             with pytest.raises(DegenerateLabelsError, match="degenerate label distribution"):
                 train_classifier(stored, stored.take(range(2)), TrainConfig(featurizer=config))
 
+    def test_examples_of_another_featurizer_rejected(self):
+        examples, config = _examples(20, 20)
+        other = TrainConfig(featurizer=FeaturizerConfig(ngram_orders=(1,), hash_bits=11))
+        with FeatureStore(config) as store:
+            train, val = split_train_val(store.add(examples), 0.2, seed=0)
+            with pytest.raises(ValueError, match="another featurizer"):
+                train_classifier(train, val, other)
+
     def test_training_meta_recorded(self):
         examples, config = _examples(80, 120, seed=6)
         train, val = _split(examples, config, 0.1, seed=0)
