@@ -91,7 +91,8 @@ class FeaturizerConfig:
 
 @dataclass
 class LabeledText:
-    """A training instance: a snippet's text and its 0/1 target."""
+    """A snippet's text and its 0/1 target, held in memory; `FeatureStore.add`
+    stores a list of them as training examples."""
 
     doc_id: str
     text: str
