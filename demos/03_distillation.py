@@ -19,11 +19,11 @@ from docprune import (
     split_train_val,
     train_classifier,
 )
-from docprune.ablation import labeled_texts, snippets_of
+from docprune.ablation import snippets_of
 from docprune.corpus import snippet_of
 from docprune.synthetic import SyntheticCorpusSpec, generate_documents
 
-# Mock-label a planted corpus to get (text, Yes/No) training pairs.
+# Mock-label a planted corpus: one Yes/No label per snippet.
 docs = generate_documents(SyntheticCorpusSpec(n_docs=2000, high_quality_fraction=0.25, seed=3))
 snippets = snippets_of(docs)
 labels, stats = label_documents(
@@ -32,14 +32,15 @@ labels, stats = label_documents(
 print(f"training pairs: {stats.labeled}, yes-fraction {stats.yes_fraction:.3f}")
 
 # Features are hashed bags of word 1/2/3-grams; 2**hash_bits is the capacity
-# knob of the cheap classifier. The texts are featurized into a feature store
-# (an unnamed temp file) in the same batches that scoring uses, and training
-# reads their rows back a block at a time.
+# knob of the cheap classifier. `add` joins the labels to their snippets and
+# featurizes the labeled texts into a feature store (an unnamed temp file) in
+# the same batches that scoring uses; training reads their rows back a block
+# at a time.
 featurizer = FeaturizerConfig(ngram_orders=(1, 2, 3), hash_bits=16)
-examples = labeled_texts(labels, {s.doc_id: s.text for s in snippets})
 
 with FeatureStore(featurizer) as store:
-    train, val = split_train_val(store.add(examples), val_fraction=0.1, seed=0)
+    examples = store.add(labels, snippets)
+    train, val = split_train_val(examples, val_fraction=0.1, seed=0)
     classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer), seed=0)
 print("training meta:", classifier.training_meta)
 

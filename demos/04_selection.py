@@ -18,7 +18,7 @@ from docprune import (
     train_classifier,
     yes_fraction,
 )
-from docprune.ablation import labeled_texts, snippets_of
+from docprune.ablation import snippets_of
 from docprune.labeling import LabelerConfig, label_documents
 from docprune.mocks import MockQualityTransport
 from docprune.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus, stratum_of
@@ -40,9 +40,8 @@ with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:
         snippets, LabelerConfig(model_name="mock"), transport=MockQualityTransport()
     )
     featurizer = FeaturizerConfig(hash_bits=16)
-    examples = labeled_texts(labels, {s.doc_id: s.text for s in snippets})
     with FeatureStore(featurizer) as store:
-        train, val = split_train_val(store.add(examples), 0.1, seed=0)
+        train, val = split_train_val(store.add(labels, snippets), 0.1, seed=0)
         classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer), seed=0)
 
     # Shard-parallel scoring: output is byte-identical for any worker count.

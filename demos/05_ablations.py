@@ -19,7 +19,7 @@ from docprune import (
     split_train_val,
     train_classifier,
 )
-from docprune.ablation import labeled_texts, snippets_of
+from docprune.ablation import snippets_of
 from docprune.mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
 from docprune.synthetic import SyntheticCorpusSpec, generate_documents, truth_by_doc
 
@@ -29,15 +29,15 @@ config = LabelerConfig(model_name="mock", max_concurrent_requests=8)
 def mock_labeled(docs):
     snips = snippets_of(docs)
     labels, _ = label_documents(snips, config, transport=MockQualityTransport())
-    return labels, {s.doc_id: s.text for s in snips}, snips
+    return labels, snips
 
 
 # --- ratio sweep: kept-set precision/recall across keep ratios --------------
 docs = generate_documents(SyntheticCorpusSpec(n_docs=3000, high_quality_fraction=0.25, seed=1))
-labels, texts, snips = mock_labeled(docs[:1000])
+labels, snips = mock_labeled(docs[:1000])
 featurizer = FeaturizerConfig(hash_bits=16)
 with FeatureStore(featurizer) as store:
-    train, val = split_train_val(store.add(labeled_texts(labels, texts)), 0.1, seed=0)
+    train, val = split_train_val(store.add(labels, snips), 0.1, seed=0)
     classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer), seed=0)
 
 ratio_report = run_ratio_sweep(docs, classifier)
@@ -49,9 +49,9 @@ print(ratio_report.render_text())
 many_docs = generate_documents(
     SyntheticCorpusSpec(n_docs=2000, high_quality_fraction=0.5, seed=2, marker_style="many")
 )
-many_labels, many_texts, _ = mock_labeled(many_docs)
+many_labels, many_snips = mock_labeled(many_docs)
 capacity_report = run_capacity_sweep(
-    labeled_texts(many_labels, many_texts), hash_bits_list=(10, 14, 18), seeds=(0, 1, 2)
+    many_labels, many_snips, hash_bits_list=(10, 14, 18), seeds=(0, 1, 2)
 )
 print(capacity_report.render_text())
 

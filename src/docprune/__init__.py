@@ -18,7 +18,6 @@ from .classifier import (
     Examples,
     FeatureStore,
     FeaturizerConfig,
-    LabeledText,
     ModelFormatError,
     QualityClassifier,
     TrainConfig,

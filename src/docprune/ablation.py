@@ -16,19 +16,17 @@ from typing import Iterable, Sequence
 
 from .classifier import (
     FeatureStore,
-    LabeledText,
     QualityClassifier,
     TrainConfig,
     split_train_val,
     train_classifier,
 )
-from .corpus import CorpusError, Document, Snippet, atomic_open, extract_snippet, write_jsonl
+from .corpus import Document, Snippet, atomic_open, extract_snippet, write_jsonl
 from .labeling import (
     IclDemonstration,
     LabelerConfig,
     QualityLabel,
     Transport,
-    YES,
     label_documents,
 )
 from .selection import select_cutoff, score_documents
@@ -177,19 +175,20 @@ def run_ratio_sweep(
 
 
 def run_capacity_sweep(
-    examples: Sequence[LabeledText],
+    labels: Sequence[QualityLabel],
+    snippets: Sequence[Snippet],
     config: TrainConfig | None = None,
     hash_bits_list: Sequence[int] = DEFAULT_HASH_BITS,
     seeds: Sequence[int] = DEFAULT_SEEDS,
 ) -> SweepReport:
     """Validation F1 per hashed capacity, median over seeds: `config` (default
     TrainConfig()) with each hash_bits, split and trained at each seed. The
-    examples are featurized once per capacity.
+    labels are joined to their snippets (`FeatureStore.add`) once per capacity.
 
     Does not raise on a non-monotone ordering (chance-level inputs are a
     legitimate use); the report carries `monotone_nondecreasing` instead.
     """
-    if len(examples) < 1000:
+    if len(labels) < 1000:
         raise ValueError("capacity sweep needs at least 1,000 labeled examples")
     config = config or TrainConfig()
     points = []
@@ -198,7 +197,7 @@ def run_capacity_sweep(
         at_bits = replace(config, featurizer=replace(config.featurizer, hash_bits=bits))
         f1_runs = []
         with FeatureStore(at_bits.featurizer) as store:
-            stored = store.add(examples)
+            stored = store.add(labels, snippets)
             for seed in seeds:
                 train, val = split_train_val(stored, config.val_fraction, seed=seed)
                 clf = train_classifier(train, val, at_bits, seed=seed)
@@ -217,7 +216,7 @@ def run_capacity_sweep(
         metadata={
             "proxy_note": PROXY_NOTE,
             "context": CAPACITY_CONTEXT,
-            "n_examples": len(examples),
+            "n_examples": len(labels),
             "seeds": list(seeds),
             "monotone_nondecreasing": monotone,
             "saturated": saturated,
@@ -315,20 +314,6 @@ def run_icl_comparison(
             "n_snippets": len(snippets),
         },
     )
-
-
-def labeled_texts(
-    labels: Iterable[QualityLabel], texts_by_id: dict[str, str]
-) -> list[LabeledText]:
-    """Join labels with their snippet texts into training-ready pairs; a label
-    without a snippet raises CorpusError."""
-    out = []
-    for lbl in labels:
-        text = texts_by_id.get(lbl.doc_id)
-        if text is None:
-            raise CorpusError(f"label {lbl.doc_id!r} has no matching snippet")
-        out.append(LabeledText(lbl.doc_id, text, 1 if lbl.label == YES else 0))
-    return out
 
 
 def snippets_of(docs: Iterable[Document]) -> list[Snippet]:

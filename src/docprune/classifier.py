@@ -32,7 +32,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .corpus import Snippet, atomic_open
+from .corpus import CorpusError, DuplicateIdError, Snippet, atomic_open
+from .labeling import YES, QualityLabel
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,16 +88,6 @@ class FeaturizerConfig:
     @property
     def dim(self) -> int:
         return 1 << self.hash_bits
-
-
-@dataclass
-class LabeledText:
-    """A snippet's text and its 0/1 target, held in memory; `FeatureStore.add`
-    stores a list of them as training examples."""
-
-    doc_id: str
-    text: str
-    target: int
 
 
 _TOKEN_RE = re.compile(r"\w+")
@@ -246,8 +237,9 @@ def featurize_chunks(texts: Iterable[str], config: FeaturizerConfig) -> Iterator
 def hash_counts(text: str, config: FeaturizerConfig) -> dict[int, int]:
     """Full 64-bit hashed n-gram counts of one text, before the mask;
     `project_counts` masks them into feature indices. One-text views of the
-    batched path, like `featurize_text`, kept for callers that look them up
-    by name; training and scoring use `featurize_chunks`."""
+    batched path, like `featurize_text`: training and scoring use
+    `featurize_chunks`, and only the benchmark tracer (`perfbench/tracer.py`)
+    looks these up by name. ROADMAP item 1 deletes them."""
     import numpy as np
 
     _, hashes = _ngram_hashes([text], config)
@@ -307,9 +299,41 @@ class FeatureStore:
         self._file.flush()
         return range(start, len(self))
 
-    def add(self, examples: Sequence[LabeledText]) -> "Examples":
-        """Append the examples' texts; their rows, in order, with their targets."""
-        return Examples(self, self.extend(e.text for e in examples), [e.target for e in examples])
+    def add(self, labels: Iterable[QualityLabel], snippets: Iterable[Snippet]) -> "Examples":
+        """Join labels to their snippets: one example per label, in label
+        order, with target 1 for Yes and 0 otherwise.
+
+        Only the labeled snippets are featurized and appended, as the
+        snippets stream by; only the labels' ids and targets are held, never
+        a snippet's text. A snippet id that occurs twice raises
+        DuplicateIdError and a label without a snippet CorpusError. A label
+        that occurs twice is two examples of one stored row.
+        """
+        ids, targets = [], []
+        for label in labels:
+            ids.append(label.doc_id)
+            targets.append(1 if label.label == YES else 0)
+        row_of: dict[str, int | None] = dict.fromkeys(ids)
+        rows = itertools.count(len(self))
+        seen: set[str] = set()
+
+        def texts() -> Iterator[str]:
+            for snippet in snippets:
+                if snippet.doc_id in seen:
+                    raise DuplicateIdError(
+                        f"snippet id {snippet.doc_id!r} occurs more than once; "
+                        f"document ids must be unique in the snippets file"
+                    )
+                seen.add(snippet.doc_id)
+                if snippet.doc_id in row_of:
+                    row_of[snippet.doc_id] = next(rows)
+                    yield snippet.text
+
+        self.extend(texts())
+        missing = next((i for i, row in row_of.items() if row is None), None)
+        if missing is not None:
+            raise CorpusError(f"label {missing!r} has no matching snippet")
+        return Examples(self, [row_of[i] for i in ids], targets)
 
     def row_blocks(self, rows: Sequence[int]) -> Iterator[FeatureBatch]:
         """The given rows, in order, ROW_BLOCK at a time, each block read into

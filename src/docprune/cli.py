@@ -14,15 +14,15 @@ import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import ablation
 # `featurize_text` is the one-text view of the batched featurizer that
-# training and scoring use; it stays importable here for callers that look
-# it up on this module.
+# training and scoring use; it stays importable here only because the
+# benchmark tracer (`perfbench/tracer.py`) wraps it on this module. ROADMAP
+# item 1 deletes it.
 from .classifier import (  # noqa: F401
     DegenerateLabelsError,
-    Examples,
     FeatureStore,
     ModelFormatError,
     QualityClassifier,
@@ -35,6 +35,7 @@ from .classifier import (  # noqa: F401
 from .config import ConfigError, RunConfig, load_config, write_resolved_config
 from .corpus import (
     CorpusError,
+    DuplicateIdError,
     RunSummary,
     ShardSet,
     Snippet,
@@ -48,7 +49,6 @@ from .corpus import (
     write_shard_file,
 )
 from .labeling import (
-    YES,
     YES_FRACTION_RANGE,
     HttpChatTransport,
     IclDemonstration,
@@ -63,7 +63,6 @@ from .labeling import (
 )
 from .mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
 from .selection import (
-    DuplicateIdError,
     ScoreSet,
     SelectionDecision,
     filter_corpus,
@@ -153,41 +152,11 @@ def cmd_label(config: RunConfig, args) -> int:
 def _train(
     config: RunConfig, labels: Iterable[QualityLabel], snippets: Iterable[Snippet]
 ) -> tuple[QualityClassifier, Sequence[int]]:
-    """Featurize the labeled snippets into a FeatureStore as they stream by,
-    split the labels and train with the [distiller] settings; returns the
-    model and its training targets.
-
-    Only the labels' ids and targets are held, never a snippet's text. A
-    label without a snippet is a CorpusError and a snippet id that occurs
-    twice a DuplicateIdError. A label that occurs twice is two examples of
-    one stored row.
-    """
-    ids, targets = [], []
-    for label in labels:
-        ids.append(label.doc_id)
-        targets.append(1 if label.label == YES else 0)
-    wanted = set(ids)
-    row_of: dict[str, int] = {}
-    seen: set[str] = set()
-
-    def labeled_texts() -> Iterator[str]:
-        for snippet in snippets:
-            if snippet.doc_id in seen:
-                raise DuplicateIdError(
-                    f"snippet id {snippet.doc_id!r} occurs more than once; "
-                    f"document ids must be unique in the snippets file"
-                )
-            seen.add(snippet.doc_id)
-            if snippet.doc_id in wanted:
-                row_of[snippet.doc_id] = len(row_of)
-                yield snippet.text
-
+    """Join the labels to their snippets in a FeatureStore (`FeatureStore.add`),
+    split them and train with the [distiller] settings; returns the model and
+    its training targets."""
     with FeatureStore(config.distiller.featurizer) as store:
-        store.extend(labeled_texts())
-        missing = next((i for i in ids if i not in row_of), None)
-        if missing is not None:
-            raise CorpusError(f"label {missing!r} has no matching snippet")
-        examples = Examples(store, [row_of[i] for i in ids], targets)
+        examples = store.add(labels, snippets)
         train, val = split_train_val(examples, config.distiller.val_fraction, config.run.seed)
         classifier = train_classifier(train, val, config.distiller, seed=config.run.seed)
     return classifier, train.targets
@@ -315,8 +284,7 @@ def cmd_ablate(config: RunConfig, args) -> int:
     elif args.sweep == "capacity":
         snippets = ablation.snippets_of(docs)
         report = ablation.run_capacity_sweep(
-            ablation.labeled_texts(mock_labels(snippets), {s.doc_id: s.text for s in snippets}),
-            config.distiller, ab.hash_bits_list, ab.seeds,
+            mock_labels(snippets), snippets, config.distiller, ab.hash_bits_list, ab.seeds
         )
     elif args.sweep == "prompt":
         report = ablation.run_prompt_robustness(

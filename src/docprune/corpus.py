@@ -30,6 +30,10 @@ class CorpusError(Exception):
     """Unrecoverable corpus failure: unreadable shard, or a bad record in strict mode."""
 
 
+class DuplicateIdError(ValueError):
+    """A document id occurs more than once in a score set or a snippets file."""
+
+
 @dataclass
 class Document:
     """One corpus record."""

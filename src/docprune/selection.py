@@ -18,12 +18,14 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 # `score` is the one-snippet form of the batched path below; it stays
-# importable here for callers that look it up on this module.
+# importable here only because the benchmark tracer (`perfbench/tracer.py`)
+# wraps it on this module. ROADMAP item 1 deletes this re-export.
 from .classifier import QualityClassifier, featurize_chunks, score, score_batch  # noqa: F401
 from .classifier import DegenerateLabelsError
 from .corpus import (
     CorpusError,
     Document,
+    DuplicateIdError,
     RunSummary,
     Shard,
     ShardSet,
@@ -41,10 +43,6 @@ TIE_RULE = "keep documents scoring strictly above the cutoff; ties at the cutoff
 
 class TieDegeneracyWarning(UserWarning):
     """Ties at the cutoff forced fewer documents than the target ratio."""
-
-
-class DuplicateIdError(ValueError):
-    """A document id occurs more than once in a score set."""
 
 
 @dataclass
@@ -400,11 +398,12 @@ def filter_corpus(
     """Materialize the kept documents, preserving shard boundaries and order.
 
     Every document ingest yields must have a score in the doc_id -> score
-    map (fail-fast join); the records it skips (empty text, or malformed
-    unless `strict`) are counted and not written. Output shards reuse the
-    input shard file names; a shard may shrink or empty. Shards run one
-    after another in this process: per shard, filtering costs less than
-    starting a worker process.
+    map (fail-fast join), and ingest must yield as many documents as the map
+    holds scores; either mismatch raises CorpusError. The records ingest
+    skips (empty text, or malformed unless `strict`) are counted and not
+    written. Output shards reuse the input shard file names; a shard may
+    shrink or empty. Shards run one after another in this process: per
+    shard, filtering costs less than starting a worker process.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -436,6 +435,12 @@ def filter_corpus(
     per_shard = [counts for _, counts in results]
     keys = ("input_documents", "output_documents", "empty_text", "malformed")
     total = {key: sum(c[key] for c in per_shard) for key in keys}
+    if total["input_documents"] != len(scores):
+        raise CorpusError(
+            f"score set/corpus mismatch: the corpus holds {total['input_documents']} "
+            f"documents, the score set {len(scores)} scores (a document was removed, "
+            f"blanked or repeated after scoring?); re-run `docprune score` on this corpus"
+        )
     if total["output_documents"] != decision.kept:
         raise CorpusError(
             f"decision/corpus mismatch: decision says keep {decision.kept}, filter kept "

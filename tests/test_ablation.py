@@ -1,11 +1,11 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from docprune.ablation import (
-    labeled_texts,
     run_capacity_sweep,
     run_icl_comparison,
     run_prompt_robustness,
@@ -15,15 +15,21 @@ from docprune.ablation import (
 from docprune.classifier import (
     FeatureStore,
     FeaturizerConfig,
-    LabeledText,
     TrainConfig,
     f1,
-    score,
+    score_batch,
     split_train_val,
     train_classifier,
 )
-from docprune.corpus import snippet_of
-from docprune.labeling import IclDemonstration, LabelerConfig, label_documents
+from docprune.corpus import DuplicateIdError, snippet_of
+from docprune.labeling import (
+    NO,
+    YES,
+    IclDemonstration,
+    LabelerConfig,
+    QualityLabel,
+    label_documents,
+)
 from docprune.mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
 from docprune.synthetic import SyntheticCorpusSpec, generate_documents, truth_by_doc
 
@@ -31,18 +37,22 @@ CONFIG = LabelerConfig(model_name="mock", max_concurrent_requests=8)
 
 
 def _mock_labeled(docs):
+    """The docs' snippets and their mock labels, as (labels, snippets)."""
     snips = snippets_of(docs)
     labels, _ = label_documents(snips, CONFIG, transport=MockQualityTransport())
-    texts = {s.doc_id: s.text for s in snips}
-    return labels, texts, snips
+    return labels, snips
 
 
 def _trained_classifier(docs, hash_bits=14, seed=0):
-    labels, texts, _ = _mock_labeled(docs)
     config = FeaturizerConfig(hash_bits=hash_bits)
     with FeatureStore(config) as store:
-        train, val = split_train_val(store.add(labeled_texts(labels, texts)), 0.1, seed=seed)
+        train, val = split_train_val(store.add(*_mock_labeled(docs)), 0.1, seed=seed)
         return train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
+
+
+def _scores(clf, examples):
+    """The classifier's score of each example, read from its feature store."""
+    return [s for block in examples.row_blocks() for s in score_batch(clf, block).tolist()]
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +69,7 @@ def many_task():
             n_docs=1500, high_quality_fraction=0.5, seed=22, marker_style="many"
         )
     )
-    labels, texts, _ = _mock_labeled(docs)
-    return labeled_texts(labels, texts)
+    return _mock_labeled(docs)
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +121,7 @@ class TestRatioSweep:
 
 class TestCapacitySweep:
     def test_monotone_on_many_ngram_task(self, many_task):
-        report = run_capacity_sweep(many_task, hash_bits_list=(10, 14, 18))
+        report = run_capacity_sweep(*many_task, hash_bits_list=(10, 14, 18))
         medians = [p["median_f1"] for p in report.points]
         assert len(medians) == 3
         assert medians == sorted(medians)
@@ -125,9 +134,10 @@ class TestCapacitySweep:
         docs = generate_documents(
             SyntheticCorpusSpec(n_docs=1200, high_quality_fraction=0.5, seed=23)
         )
-        labels, texts, _ = _mock_labeled(docs)
+        labels, snips = _mock_labeled(docs)
         report = run_capacity_sweep(
-            labeled_texts(labels, texts),
+            labels,
+            snips,
             hash_bits_list=(10, 14, 18),
             config=TrainConfig(featurizer=FeaturizerConfig(ngram_orders=(1,))),
         )
@@ -141,26 +151,20 @@ class TestCapacitySweep:
         docs = generate_documents(
             SyntheticCorpusSpec(n_docs=2400, high_quality_fraction=0.5, seed=24)
         )
-        labels, texts, _ = _mock_labeled(docs)
-        examples = labeled_texts(labels, texts)
+        labels, snips = _mock_labeled(docs)
         rng = random.Random(0)
-        targets = [e.target for e in examples]
-        rng.shuffle(targets)
-        shuffled = [
-            LabeledText(e.doc_id, e.text, t) for e, t in zip(examples, targets)
-        ]
+        answers = [l.label for l in labels]
+        rng.shuffle(answers)
+        shuffled = [replace(l, label=a) for l, a in zip(labels, answers)]
         for bits in (10, 14, 18):
             config = FeaturizerConfig(hash_bits=bits)
             chances = []
             with FeatureStore(config) as store:
-                stored = store.add(shuffled)
+                stored = store.add(shuffled, snips)
                 for seed in (0, 1, 2):
                     train, val = split_train_val(stored, 0.25, seed=seed)
                     clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
-                    scored = [
-                        (score(clf, snippet_of(shuffled[r].text)), t)
-                        for r, t in zip(val.rows, val.targets)
-                    ]
+                    scored = list(zip(_scores(clf, val), val.targets))
                     scored.sort(key=lambda t: -t[0])
                     k = sum(t for _, t in scored)
                     preds = [1] * k + [0] * (len(scored) - k)
@@ -169,13 +173,24 @@ class TestCapacitySweep:
             median = sorted(chances)[1]
             assert abs(median - 0.5) <= 0.05, f"hash_bits={bits}: {median}"
         # the sweep itself also runs on shuffled input without raising
-        report = run_capacity_sweep(shuffled, hash_bits_list=(10, 14))
+        report = run_capacity_sweep(shuffled, snips, hash_bits_list=(10, 14))
         assert all(p["median_f1"] < 0.7 for p in report.points)
 
+    @staticmethod
+    def labeled(n):
+        snips = [snippet_of(f"text {i}", doc_id=str(i)) for i in range(n)]
+        labels = [QualityLabel(str(i), YES if i % 2 else NO, "V1", "test", "") for i in range(n)]
+        return labels, snips
+
     def test_too_few_examples_rejected(self):
-        tiny = [LabeledText(str(i), f"text {i}", i % 2) for i in range(999)]
         with pytest.raises(ValueError, match="1,000"):
-            run_capacity_sweep(tiny)
+            run_capacity_sweep(*self.labeled(999))
+
+    def test_repeated_snippet_id_rejected(self):
+        labels, snips = self.labeled(1000)
+        snips.append(snippet_of("a second text for 7", doc_id="7"))
+        with pytest.raises(DuplicateIdError, match="'7' occurs more than once"):
+            run_capacity_sweep(labels, snips, hash_bits_list=(10,), seeds=(0,))
 
 
 class TestPromptRobustness:
@@ -275,19 +290,18 @@ class TestZeroStrengthChance:
                 n_docs=2400, high_quality_fraction=0.5, signal_strength=0.0, seed=30
             )
         )
-        labels, texts, _ = _mock_labeled(docs)
+        labels, snips = _mock_labeled(docs)
         stratum = {d.id: 1 if stratum_of(d) else 0 for d in docs}
         config = FeaturizerConfig(hash_bits=14)
-        examples = labeled_texts(labels, texts)
         chances = []
         with FeatureStore(config) as store:
-            stored = store.add(examples)
+            stored = store.add(labels, snips)
+            doc_of_row = {r: label.doc_id for r, label in zip(stored.rows, labels)}
             for seed in (0, 1, 2):
                 train, val = split_train_val(stored, 0.25, seed=seed)
                 clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
                 scored = [
-                    (score(clf, snippet_of(examples[r].text)), stratum[examples[r].doc_id])
-                    for r in val.rows
+                    (s, stratum[doc_of_row[r]]) for s, r in zip(_scores(clf, val), val.rows)
                 ]
                 scored.sort(key=lambda t: -t[0])
                 k = sum(g for _, g in scored)

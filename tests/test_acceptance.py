@@ -11,11 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from docprune.ablation import labeled_texts, run_capacity_sweep, run_icl_comparison, snippets_of
+from docprune.ablation import run_capacity_sweep, run_icl_comparison, snippets_of
 from docprune.classifier import (
+    Examples,
     FeatureStore,
     FeaturizerConfig,
-    LabeledText,
     TrainConfig,
     class_weight_map,
     f1,
@@ -161,10 +161,7 @@ def test_criterion_4_capacity_ordering():
     )
     snips = snippets_of(docs)
     labels, _ = label_documents(snips, MOCK_CONFIG, transport=MockQualityTransport())
-    texts = {s.doc_id: s.text for s in snips}
-    report = run_capacity_sweep(
-        labeled_texts(labels, texts), hash_bits_list=(10, 14, 18), seeds=(0, 1, 2)
-    )
+    report = run_capacity_sweep(labels, snips, hash_bits_list=(10, 14, 18), seeds=(0, 1, 2))
     medians = [p["median_f1"] for p in report.points]
     assert report.metadata["monotone_nondecreasing"], f"medians {medians}"
     assert medians == sorted(medians)
@@ -202,12 +199,10 @@ class TestCriterion5ClassifierCorrectness:
     def test_separable_data_reaches_f1(self):
         docs = generate_documents(SyntheticCorpusSpec(n_docs=2_000, seed=15))
         config = FeaturizerConfig(hash_bits=18)
-        examples = []
-        for doc in docs:
-            target = 1 if stratum_of(doc) else 0
-            examples.append(LabeledText(doc.id, doc.text, target))
+        targets = [1 if stratum_of(doc) else 0 for doc in docs]
         with FeatureStore(config) as store:
-            train, val = split_train_val(store.add(examples), 0.1, seed=0)
+            examples = Examples(store, store.extend(d.text for d in docs), targets)
+            train, val = split_train_val(examples, 0.1, seed=0)
             clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
         assert clf.training_meta["val_f1"] >= 0.95
 
@@ -221,10 +216,9 @@ class TestCriterion5ClassifierCorrectness:
         targets = [1 if stratum_of(d) else 0 for d in docs]
         rng = random.Random(0)
         rng.shuffle(targets)
-        examples = [LabeledText(d.id, d.text, t) for d, t in zip(docs, targets)]
         chances = []
         with FeatureStore(config) as store:
-            stored = store.add(examples)
+            stored = Examples(store, store.extend(d.text for d in docs), targets)
             for seed in (0, 1, 2):
                 train, val = split_train_val(stored, 0.25, seed=seed)
                 clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
@@ -256,9 +250,10 @@ class TestCriterion7DeterminismAndParallelSafety:
         docs = list(ingest_shards(shard_set))
         sample = reservoir_sample(iter(docs), 1_000, seed=3)
         config = FeaturizerConfig(hash_bits=14)
-        examples = [LabeledText(d.id, d.text, 1 if stratum_of(d) else 0) for d in sample]
+        targets = [1 if stratum_of(d) else 0 for d in sample]
         with FeatureStore(config) as store:
-            train, val = split_train_val(store.add(examples), 0.1, seed=0)
+            examples = Examples(store, store.extend(d.text for d in sample), targets)
+            train, val = split_train_val(examples, 0.1, seed=0)
             clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
 
         sets = {}
@@ -292,9 +287,10 @@ class TestCriterion7DeterminismAndParallelSafety:
         assert [d.id for d in a] == [d.id for d in b]
 
         config = FeaturizerConfig(hash_bits=12)
-        examples = [LabeledText(d.id, d.text, 1 if stratum_of(d) else 0) for d in a]
+        targets = [1 if stratum_of(d) else 0 for d in a]
         with FeatureStore(config) as store:
-            train, val = split_train_val(store.add(examples), 0.1, seed=1)
+            examples = Examples(store, store.extend(d.text for d in a), targets)
+            train, val = split_train_val(examples, 0.1, seed=1)
             m1 = train_classifier(train, val, TrainConfig(featurizer=config), seed=1)
             m2 = train_classifier(train, val, TrainConfig(featurizer=config), seed=1)
         assert np.array_equal(m1.weights, m2.weights)

@@ -7,10 +7,10 @@ import pytest
 
 from docprune.classifier import (
     DegenerateLabelsError,
+    Examples,
     FeatureBatch,
     FeatureStore,
     FeaturizerConfig,
-    LabeledText,
     ModelFormatError,
     QualityClassifier,
     TrainConfig,
@@ -28,7 +28,8 @@ from docprune.classifier import (
     split_train_val,
     train_classifier,
 )
-from docprune.corpus import snippet_of
+from docprune.corpus import CorpusError, DuplicateIdError, snippet_of
+from docprune.labeling import NO, YES, QualityLabel
 
 
 class TestFeaturize:
@@ -90,7 +91,8 @@ class TestFeaturize:
 
 
 def _examples(n_pos, n_neg, seed=0, hash_bits=10):
-    """Separable toy set: positives carry 'good', negatives carry 'bad'."""
+    """Separable toy set, as (texts, targets): positives carry 'good',
+    negatives carry 'bad'."""
     rng = random.Random(seed)
     config = FeaturizerConfig(ngram_orders=(1,), hash_bits=hash_bits)
     out = []
@@ -98,23 +100,30 @@ def _examples(n_pos, n_neg, seed=0, hash_bits=10):
         pos = i < n_pos
         filler = " ".join(f"w{rng.randrange(50)}" for _ in range(10))
         marker = "good" if pos else "bad"
-        out.append(LabeledText(f"e{i}", f"{filler} {marker}", int(pos)))
+        out.append((f"{filler} {marker}", int(pos)))
     rng.shuffle(out)
-    return out, config
+    return ([t for t, _ in out], [y for _, y in out]), config
+
+
+def _stored(store, examples):
+    """The (texts, targets) examples appended to a feature store: example i is row i
+    of an empty store."""
+    texts, targets = examples
+    return Examples(store, store.extend(texts), targets)
 
 
 def _split(examples, config, val_fraction, seed):
-    """split_train_val over the examples stored in a feature store, with each
-    part mapped back to the LabeledText of its rows."""
+    """split_train_val over the examples stored in a feature store: each part
+    as the numbers of its examples."""
     with FeatureStore(config) as store:
-        parts = split_train_val(store.add(examples), val_fraction, seed=seed)
-    return tuple([examples[r] for r in part.rows] for part in parts)
+        parts = split_train_val(_stored(store, examples), val_fraction, seed=seed)
+    return tuple(list(part.rows) for part in parts)
 
 
 def _fit(examples, config, val_fraction=0.2, seed=0, split_seed=0):
     """A classifier trained on the examples through a feature store."""
     with FeatureStore(config) as store:
-        train, val = split_train_val(store.add(examples), val_fraction, seed=split_seed)
+        train, val = split_train_val(_stored(store, examples), val_fraction, seed=split_seed)
         return train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
 
 
@@ -124,23 +133,21 @@ class TestSplitTrainVal:
         train, val = _split(examples, config, 0.1, seed=0)
         assert len(val) == 10
         assert len(train) == 90
-        positives = sum(e.target for e in val)
+        positives = sum(examples[1][i] for i in val)
         assert positives in (2, 3)
 
     def test_deterministic(self):
         examples, config = _examples(30, 70)
         a = _split(examples, config, 0.2, seed=5)
         b = _split(examples, config, 0.2, seed=5)
-        assert [e.doc_id for e in a[0]] == [e.doc_id for e in b[0]]
-        assert [e.doc_id for e in a[1]] == [e.doc_id for e in b[1]]
+        assert a[0] == b[0]
+        assert a[1] == b[1]
 
     def test_partition_is_exhaustive_and_disjoint(self):
         examples, config = _examples(40, 60)
         train, val = _split(examples, config, 0.15, seed=1)
-        train_ids = [e.doc_id for e in train]
-        val_ids = [e.doc_id for e in val]
-        assert not set(train_ids) & set(val_ids)
-        assert sorted(train_ids + val_ids) == sorted(e.doc_id for e in examples)
+        assert not set(train) & set(val)
+        assert sorted(train + val) == list(range(100))
 
     def test_too_few_examples_rejected(self):
         examples, config = _examples(4, 5)
@@ -153,6 +160,52 @@ class TestSplitTrainVal:
             _split(examples, config, 0.0, seed=0)
         with pytest.raises(ValueError):
             _split(examples, config, 1.0, seed=0)
+
+
+def _label(doc_id, label):
+    return QualityLabel(doc_id, label, "V1", "test", label)
+
+
+class TestFeatureStoreAdd:
+    """`FeatureStore.add` is the one join of labels with their snippets."""
+
+    SNIPPETS = [snippet_of(f"text {i} of d{i}", doc_id=f"d{i}") for i in range(6)]
+
+    def test_examples_in_label_order_with_their_rows(self):
+        labels = [_label("d4", YES), _label("d1", NO), _label("d2", YES)]
+        config = FeaturizerConfig(hash_bits=10)
+        with FeatureStore(config) as store:
+            stored = store.add(labels, self.SNIPPETS)
+            assert stored.targets == [1, 0, 1]
+            [block] = stored.row_blocks()
+        want = featurize_batch([self.SNIPPETS[i].text for i in (4, 1, 2)], config)
+        assert [block.row(i) for i in range(3)] == [want.row(i) for i in range(3)]
+
+    def test_only_labeled_snippets_are_stored(self):
+        labels = [_label("d5", NO), _label("d0", YES), _label("d5", NO)]
+        with FeatureStore(FeaturizerConfig(hash_bits=10)) as store:
+            store.add(labels, self.SNIPPETS)
+            assert len(store) == 2
+
+    def test_repeated_label_is_two_examples_of_one_row(self):
+        labels = [_label("d3", YES), _label("d0", NO), _label("d3", YES)]
+        with FeatureStore(FeaturizerConfig(hash_bits=10)) as store:
+            stored = store.add(labels, self.SNIPPETS)
+        assert len(stored) == 3
+        assert stored.rows[0] == stored.rows[2] != stored.rows[1]
+        assert stored.targets == [1, 0, 1]
+
+    def test_repeated_snippet_id_raises(self):
+        snippets = self.SNIPPETS + [snippet_of("another text", doc_id="d2")]
+        with FeatureStore(FeaturizerConfig(hash_bits=10)) as store:
+            with pytest.raises(DuplicateIdError, match="'d2' occurs more than once"):
+                store.add([_label("d0", YES)], snippets)
+
+    def test_label_without_a_snippet_raises(self):
+        labels = [_label("d0", YES), _label("gone", NO), _label("also-gone", NO)]
+        with FeatureStore(FeaturizerConfig(hash_bits=10)) as store:
+            with pytest.raises(CorpusError, match="'gone' has no matching snippet"):
+                store.add(labels, self.SNIPPETS)
 
 
 def _brute_force_f1(preds, gold):
@@ -285,7 +338,7 @@ class TestTraining:
     def test_deterministic_weights(self):
         examples, config = _examples(100, 100, seed=4)
         with FeatureStore(config) as store:
-            train, val = split_train_val(store.add(examples), 0.2, seed=0)
+            train, val = split_train_val(_stored(store, examples), 0.2, seed=0)
             a = train_classifier(train, val, TrainConfig(featurizer=config), seed=3)
             b = train_classifier(train, val, TrainConfig(featurizer=config), seed=3)
         assert np.array_equal(a.weights, b.weights)
@@ -308,9 +361,9 @@ class TestTraining:
     def test_row_block_size_does_not_change_model_or_scores(self, monkeypatch, row_block):
         import docprune.classifier as classifier
 
-        examples, config = _examples(60, 60, seed=5)
-        examples += [LabeledText(f"empty{i}", "!", i % 2) for i in range(4)]  # no features
-        texts = [e.text for e in examples]
+        (texts, targets), config = _examples(60, 60, seed=5)
+        examples = (texts + ["!"] * 4, targets + [i % 2 for i in range(4)])  # "!": no features
+        texts = examples[0]
         default = _fit(examples, config, seed=2)
         want = score_batch(default, featurize_batch(texts, config))
         monkeypatch.setattr(classifier, "ROW_BLOCK", row_block)
@@ -321,10 +374,10 @@ class TestTraining:
         assert np.array_equal(score_batch(blocked, featurize_batch(texts, config)), want)
 
     def test_single_class_rejected(self):
-        examples, config = _examples(20, 20)
-        one_class = [e for e in examples if e.target == 1]
+        (texts, targets), config = _examples(20, 20)
+        one_class = ([t for t, y in zip(texts, targets) if y == 1], [1] * 20)
         with FeatureStore(config) as store:
-            stored = store.add(one_class)
+            stored = _stored(store, one_class)
             with pytest.raises(DegenerateLabelsError, match="degenerate label distribution"):
                 train_classifier(stored, stored.take(range(2)), TrainConfig(featurizer=config))
 
@@ -332,7 +385,7 @@ class TestTraining:
         examples, config = _examples(20, 20)
         other = TrainConfig(featurizer=FeaturizerConfig(ngram_orders=(1,), hash_bits=11))
         with FeatureStore(config) as store:
-            train, val = split_train_val(store.add(examples), 0.2, seed=0)
+            train, val = split_train_val(_stored(store, examples), 0.2, seed=0)
             with pytest.raises(ValueError, match="another featurizer"):
                 train_classifier(train, val, other)
 
@@ -357,11 +410,10 @@ class TestTraining:
         ]
         targets = [i % 2 for i in range(1200)]
         rng.shuffle(targets)
-        examples = [LabeledText(str(i), t, y) for i, (t, y) in enumerate(zip(texts, targets))]
-        clf = _fit(examples, config, val_fraction=0.25)
-        _, val = _split(examples, config, 0.25, seed=0)
-        val_scores = np.array([score(clf, snippet_of(texts[int(e.doc_id)])) for e in val])
-        gold = [e.target for e in val]
+        clf = _fit((texts, targets), config, val_fraction=0.25)
+        _, val = _split((texts, targets), config, 0.25, seed=0)
+        val_scores = np.array([score(clf, snippet_of(texts[i])) for i in val])
+        gold = [targets[i] for i in val]
         k = sum(gold)
         preds = [0] * len(gold)
         for i in np.argsort(-val_scores, kind="stable")[:k]:
@@ -485,12 +537,9 @@ class TestHeldOutSeparation:
         )
         train_docs, held = docs[:1000], docs[1000:]
         config = FeaturizerConfig(hash_bits=16)
-        examples = []
-        for doc in train_docs:
-            snip = extract_snippet(doc)
-            target = 1 if mock_label(snip) == "Yes" else 0
-            examples.append(LabeledText(doc.id, snip.text, target))
-        clf = _fit(examples, config, val_fraction=0.1)
+        snips = [extract_snippet(doc) for doc in train_docs]
+        targets = [1 if mock_label(snip) == "Yes" else 0 for snip in snips]
+        clf = _fit(([s.text for s in snips], targets), config, val_fraction=0.1)
         held_high = [d for d in held if stratum_of(d)][:1000]
         assert len(held_high) == 1000
         above = sum(1 for d in held_high if score(clf, extract_snippet(d)) > 0.5)
@@ -540,7 +589,7 @@ class TestMemory:
         docs = generate_documents(SyntheticCorpusSpec(
             n_docs=n, seed=7, doc_tokens_min=800, doc_tokens_max=1600, markers_per_doc=10
         ))
-        return [LabeledText(d.id, extract_snippet(d).text, int(stratum_of(d))) for d in docs]
+        return [extract_snippet(d).text for d in docs], [int(stratum_of(d)) for d in docs]
 
     @staticmethod
     def train_peak(examples, config):
@@ -548,10 +597,10 @@ class TestMemory:
 
         def train():
             with FeatureStore(config.featurizer) as store:
-                train, val = split_train_val(store.add(examples), 0.1, seed=0)
+                train, val = split_train_val(_stored(store, examples), 0.1, seed=0)
                 train_classifier(train, val, config, seed=0)
 
-        list(featurize_chunks((e.text for e in examples), config.featurizer))  # warm token table
+        list(featurize_chunks(examples[0], config.featurizer))  # warm token table
         return traced_peak(train)
 
     def test_training_holds_its_features_once(self):
@@ -559,7 +608,7 @@ class TestMemory:
         config = TrainConfig(featurizer=FeaturizerConfig(hash_bits=12))
         stored = sum(
             b.indices.nbytes + b.values.nbytes + b.offsets.nbytes
-            for b in featurize_chunks((e.text for e in examples), config.featurizer)
+            for b in featurize_chunks(examples[0], config.featurizer)
         )
         assert stored > 4_000_000  # paper-length snippets: ~1,500 tokens each
         assert self.train_peak(examples, config) < 1.6 * stored
@@ -567,7 +616,7 @@ class TestMemory:
     def test_training_memory_does_not_grow_with_labels(self):
         # The features are in the store's file, so 4x the labels holds no
         # more memory than featurizing one batch and training on one block.
-        examples = self.paper_examples(400)
+        texts, targets = self.paper_examples(400)
         config = TrainConfig(featurizer=FeaturizerConfig(hash_bits=12))
-        small = self.train_peak(examples[:100], config)
-        assert self.train_peak(examples, config) <= 1.1 * small
+        small = self.train_peak((texts[:100], targets[:100]), config)
+        assert self.train_peak((texts, targets), config) <= 1.1 * small

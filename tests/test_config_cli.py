@@ -968,6 +968,27 @@ class TestCorpusAndScoreSetChecks:
         assert "shard-00001.jsonl.gz" in capsys.readouterr().err
         self.assert_no_score_set(small_run, tmp_path, capsys)
 
+    @pytest.mark.parametrize("edit", ["blank", "remove"])
+    def test_scored_document_gone_from_the_corpus_exits_3(self, small_run, tmp_path, capsys,
+                                                          edit):
+        """A dropped document whose text is blanked, or whose line is removed,
+        after `score`: filter keeps what the decision says, but the corpus no
+        longer holds every scored document."""
+        corpus = self.corpus_copy(small_run, tmp_path)
+        scores = ScoreSet.open(small_run["filter"][4]).load_scores()
+        cutoff = read_json(small_run["filter"][6], SelectionDecision).cutoff
+        shard = corpus / "shard-00001.jsonl"
+        lines = shard.read_text(encoding="utf-8").splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if scores[json.loads(line)["id"]] <= cutoff)
+        blanked = json.dumps({**json.loads(lines[i]), "text": ""}) + "\n"
+        lines[i] = blanked if edit == "blank" else ""
+        shard.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert self.run_with(small_run, "filter", tmp_path, corpus) == 3
+        err = capsys.readouterr().err
+        assert "399 documents" in err and "400 scores" in err, err
+        assert "re-run `docprune score`" in err
+
     @pytest.mark.parametrize("ratio", [0.25, 1])
     def test_decision_from_another_score_set_exits_3(self, small_run, tmp_path, capsys,
                                                      ratio):

@@ -80,6 +80,15 @@ def snippets(n, text="some snippet text"):
     return [snippet_of(f"{text} {i}", doc_id=f"s{i}") for i in range(n)]
 
 
+def mixed_snippets(n):
+    """Snippets the mock labels Yes (even i) and No (odd i, no long word), so
+    a run over them is not a degenerate labeler's."""
+    return [
+        snippet_of(f"some snippet text {i}" if i % 2 == 0 else f"plain text {i}", doc_id=f"s{i}")
+        for i in range(n)
+    ]
+
+
 class TestPromptRendering:
     def test_v1_matches_canonical_sample_prompt(self):
         snip = snippet_of("I am a document.", doc_id="sample")
@@ -254,7 +263,7 @@ class FailingTransport:
                 raise TransportError("endpoint down")
         if not self.fail_fragments:
             raise TransportError("endpoint down")
-        return "Yes"
+        return MockQualityTransport().complete(prompt)
 
 
 class TestLabelDocuments:
@@ -263,7 +272,7 @@ class TestLabelDocuments:
         return LabelerConfig(**kw)
 
     def test_mock_run_is_complete_and_deterministic(self):
-        snips = snippets(100)
+        snips = mixed_snippets(100)
         run = lambda: label_documents(snips, self.config(), transport=MockQualityTransport())
         labels_a, stats_a = run()
         labels_b, stats_b = run()
@@ -274,7 +283,7 @@ class TestLabelDocuments:
         assert [l.doc_id for l in labels_a] == [s.doc_id for s in snips]
 
     def test_labels_carry_provenance(self):
-        snips = snippets(3)
+        snips = mixed_snippets(3)
         labels, _ = label_documents(
             snips, self.config(prompt_version="v2"), transport=MockQualityTransport()
         )
@@ -293,18 +302,18 @@ class TestLabelDocuments:
         assert transport.calls == 200  # one retry per snippet
 
     def test_ambiguous_retry_can_recover(self):
-        snips = snippets(1)
-        transport = ScriptedTransport({"snippet": ["hmm", "Yes"]})
+        snips = mixed_snippets(2)
+        transport = ScriptedTransport({"text 0": ["hmm", "Yes"], "text 1": ["No"]})
         labels, stats = label_documents(
             snips, self.config(), transport=transport
         )
-        assert len(labels) == 1
+        assert [l.label for l in labels] == [YES, NO]
         assert labels[0].label == YES
         assert labels[0].raw_response == "Yes"
         assert stats.ambiguous_dropped == 0
 
     def test_failures_below_ceiling_drop_and_continue(self):
-        snips = snippets(100)
+        snips = mixed_snippets(100)
         transport = FailingTransport(fail_fragments=["text 17"])
         labels, stats = label_documents(
             snips, self.config(), transport=transport
@@ -337,17 +346,17 @@ class TestLabelDocuments:
                 time.sleep(0.004)
                 with self.lock:
                     self.in_flight -= 1
-                return "Yes"
+                return MockQualityTransport().complete(prompt)
 
         transport = InstrumentedTransport()
         label_documents(
-            snippets(30), self.config(max_concurrent_requests=3), transport=transport
+            mixed_snippets(30), self.config(max_concurrent_requests=3), transport=transport
         )
         assert 1 <= transport.max_in_flight <= 3
 
     def test_label_store_roundtrip(self, tmp_path):
         labels, _ = label_documents(
-            snippets(20), self.config(prompt_version="v3"), transport=MockQualityTransport()
+            mixed_snippets(20), self.config(prompt_version="v3"), transport=MockQualityTransport()
         )
         path = tmp_path / "labels.jsonl"
         assert write_labels(labels, path) == 20

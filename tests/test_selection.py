@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from docprune.classifier import (
+    Examples,
     FeatureStore,
     FeaturizerConfig,
-    LabeledText,
     TrainConfig,
     split_train_val,
     train_classifier,
@@ -180,13 +180,11 @@ def small_world(tmp_path_factory):
     shard_set = generate_synthetic_corpus(spec, tmp / "corpus", n_shards=4)
     docs = list(ingest_shards(shard_set))
     config = FeaturizerConfig(hash_bits=14)
-    examples = []
-    for doc in docs[:800]:
-        snip = extract_snippet(doc)
-        target = 1 if mock_label(snip) == YES else 0
-        examples.append(LabeledText(doc.id, snip.text, target))
+    snips = [extract_snippet(doc) for doc in docs[:800]]
+    targets = [1 if mock_label(snip) == YES else 0 for snip in snips]
     with FeatureStore(config) as store:
-        train, val = split_train_val(store.add(examples), 0.1, seed=0)
+        examples = Examples(store, store.extend(s.text for s in snips), targets)
+        train, val = split_train_val(examples, 0.1, seed=0)
         clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
     return tmp, shard_set, docs, clf
 
