@@ -6,7 +6,7 @@ Run: python demos/01_corpus_io.py
 import tempfile
 from pathlib import Path
 
-from docprune import (
+from docprune.corpus import (
     Document,
     RunSummary,
     extract_snippet,

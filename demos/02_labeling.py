@@ -3,17 +3,17 @@
 Run: python demos/02_labeling.py
 """
 
-from docprune import (
+from docprune.ablation import snippets_of
+from docprune.corpus import snippet_of
+from docprune.labeling import (
     IclDemonstration,
     LabelerConfig,
-    MockQualityTransport,
     build_prompt,
     label_documents,
     parse_label,
 )
-from docprune.corpus import snippet_of
+from docprune.mocks import MockQualityTransport
 from docprune.synthetic import SyntheticCorpusSpec, generate_documents
-from docprune.ablation import snippets_of
 
 # Three fixed instruction variants, V1-V3; [labeler] prompt_version picks
 # one, and V1 is the default.

@@ -6,21 +6,20 @@ Run: python demos/03_distillation.py
 import tempfile
 from pathlib import Path
 
-from docprune import (
+from docprune.ablation import snippets_of
+from docprune.classifier import (
     FeatureStore,
     FeaturizerConfig,
-    LabelerConfig,
-    MockQualityTransport,
     TrainConfig,
-    label_documents,
     load_model,
     save_model,
     score,
     split_train_val,
     train_classifier,
 )
-from docprune.ablation import snippets_of
 from docprune.corpus import snippet_of
+from docprune.labeling import LabelerConfig, label_documents
+from docprune.mocks import MockQualityTransport
 from docprune.synthetic import SyntheticCorpusSpec, generate_documents
 
 # Mock-label a planted corpus: one Yes/No label per snippet.

@@ -6,21 +6,18 @@ Run: python demos/04_selection.py
 import tempfile
 from pathlib import Path
 
-from docprune import (
+from docprune.ablation import snippets_of
+from docprune.classifier import (
     FeatureStore,
     FeaturizerConfig,
     TrainConfig,
-    filter_corpus,
-    ingest_shards,
-    score_corpus,
-    select_cutoff,
     split_train_val,
     train_classifier,
-    yes_fraction,
 )
-from docprune.ablation import snippets_of
-from docprune.labeling import LabelerConfig, label_documents
+from docprune.corpus import ingest_shards
+from docprune.labeling import LabelerConfig, label_documents, yes_fraction
 from docprune.mocks import MockQualityTransport
+from docprune.selection import filter_corpus, score_corpus, select_cutoff
 from docprune.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus, stratum_of
 
 with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:

@@ -5,21 +5,21 @@ Run: python demos/05_ablations.py
 
 import tempfile
 
-from docprune import (
-    FeatureStore,
-    FeaturizerConfig,
-    IclDemonstration,
-    LabelerConfig,
-    TrainConfig,
-    label_documents,
+from docprune.ablation import (
     run_capacity_sweep,
     run_icl_comparison,
     run_prompt_robustness,
     run_ratio_sweep,
+    snippets_of,
+)
+from docprune.classifier import (
+    FeatureStore,
+    FeaturizerConfig,
+    TrainConfig,
     split_train_val,
     train_classifier,
 )
-from docprune.ablation import snippets_of
+from docprune.labeling import IclDemonstration, LabelerConfig, label_documents
 from docprune.mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
 from docprune.synthetic import SyntheticCorpusSpec, generate_documents, truth_by_doc
 

@@ -26,7 +26,6 @@ import os
 import random
 import re
 import struct
-import tempfile
 import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -273,6 +272,8 @@ class FeatureStore:
     """
 
     def __init__(self, featurizer: FeaturizerConfig):
+        import tempfile  # only `train` and `ablate` build a store
+
         self.featurizer = featurizer
         self._file = tempfile.TemporaryFile()
         self._offsets = array.array("q", [0])

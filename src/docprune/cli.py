@@ -16,7 +16,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import ablation
 # `featurize_text` is the one-text view of the batched featurizer that
 # training and scoring use; it stays importable here only because the
 # benchmark tracer (`perfbench/tracer.py`) wraps it on this module. ROADMAP
@@ -61,7 +60,6 @@ from .labeling import (
     write_labels,
     yes_share,
 )
-from .mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
 from .selection import (
     ScoreSet,
     SelectionDecision,
@@ -70,7 +68,6 @@ from .selection import (
     score_shard_names,
     select_cutoff,
 )
-from .synthetic import generate_documents, truth_by_doc
 
 log = logging.getLogger("docprune")
 
@@ -89,7 +86,9 @@ def _out_dir(config: RunConfig, args, command: str) -> Path:
     sample drawn, inputs read, labels joined to snippets, transport built,
     model trained, cutoff selected, score set checked against the corpus, a
     strict corpus read through, sweep run), so a run that fails on bad input
-    leaves no output directory behind.
+    leaves no output directory behind. A later failure leaves the directory
+    with its `resolved-config.ini`: `score` and `filter` remove the shards they
+    wrote, and an aborted `label` keeps its partial labels.
     """
     out = Path(args.out) if args.out else Path(config.run.output_root) / command
     out.mkdir(parents=True, exist_ok=True)
@@ -125,6 +124,8 @@ def cmd_label(config: RunConfig, args) -> int:
             f"exactly 5 are required"
         )
     if labeler.mock:
+        from .mocks import MockQualityTransport
+
         transport = MockQualityTransport()
         labeler = replace(labeler, model_name=labeler.model_name or "mock-quality")
     else:
@@ -270,6 +271,11 @@ def cmd_filter(config: RunConfig, args) -> int:
 
 
 def cmd_ablate(config: RunConfig, args) -> int:
+    # Imported here, so that no other stage loads the sweeps or the mocks.
+    from . import ablation
+    from .mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
+    from .synthetic import generate_documents, truth_by_doc
+
     ab = config.ablation
     docs = generate_documents(ab.corpus_spec(config.run.seed))
     sample = reservoir_sample(iter(docs), min(ab.sample_size, len(docs)), config.run.seed)

@@ -13,7 +13,6 @@ import re
 import time
 import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
@@ -391,6 +390,8 @@ def label_documents(
             raw = transport.complete(prompt)  # one retry with identical input
             verdict = parse_label(raw)
         return verdict, raw
+
+    from concurrent.futures import ThreadPoolExecutor  # only `label` and `ablate` label
 
     labels: list[QualityLabel] = []
     max_failures = config.failure_ceiling * stats.requested

@@ -403,9 +403,12 @@ def filter_corpus(
     skips (empty text, or malformed unless `strict`) are counted and not
     written. Output shards reuse the input shard file names; a shard may
     shrink or empty. Shards run one after another in this process: per
-    shard, filtering costs less than starting a worker process.
+    shard, filtering costs less than starting a worker process. A failed run
+    removes its kept shards before the error propagates.
     """
     out_dir = Path(out_dir)
+    if any(shard.path.parent.resolve() == out_dir.resolve() for shard in shard_set.shards):
+        raise CorpusError(f"filter output dir {out_dir} is the corpus dir; choose another")
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -430,22 +433,27 @@ def filter_corpus(
         }
         return out_shard, counts
 
-    results = _map_shards(filter_one, shard_set, 1, strict)
+    try:
+        results = _map_shards(filter_one, shard_set, 1, strict)
+        per_shard = [counts for _, counts in results]
+        keys = ("input_documents", "output_documents", "empty_text", "malformed")
+        total = {key: sum(c[key] for c in per_shard) for key in keys}
+        if total["input_documents"] != len(scores):
+            raise CorpusError(
+                f"score set/corpus mismatch: the corpus holds {total['input_documents']} "
+                f"documents, the score set {len(scores)} scores (a document was removed, "
+                f"blanked or repeated after scoring?); re-run `docprune score` on this corpus"
+            )
+        if total["output_documents"] != decision.kept:
+            raise CorpusError(
+                f"decision/corpus mismatch: decision says keep {decision.kept}, filter kept "
+                f"{total['output_documents']} (was the decision computed on this score set?)"
+            )
+    except BaseException:
+        for shard in shard_set.shards:
+            (out_dir / shard.path.name).unlink(missing_ok=True)
+        raise
     out_shards = [out_shard for out_shard, _ in results]
-    per_shard = [counts for _, counts in results]
-    keys = ("input_documents", "output_documents", "empty_text", "malformed")
-    total = {key: sum(c[key] for c in per_shard) for key in keys}
-    if total["input_documents"] != len(scores):
-        raise CorpusError(
-            f"score set/corpus mismatch: the corpus holds {total['input_documents']} "
-            f"documents, the score set {len(scores)} scores (a document was removed, "
-            f"blanked or repeated after scoring?); re-run `docprune score` on this corpus"
-        )
-    if total["output_documents"] != decision.kept:
-        raise CorpusError(
-            f"decision/corpus mismatch: decision says keep {decision.kept}, filter kept "
-            f"{total['output_documents']} (was the decision computed on this score set?)"
-        )
     manifest = Manifest(
         cutoff=decision.cutoff,
         target_ratio=decision.target_ratio,

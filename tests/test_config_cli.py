@@ -988,6 +988,9 @@ class TestCorpusAndScoreSetChecks:
         err = capsys.readouterr().err
         assert "399 documents" in err and "400 scores" in err, err
         assert "re-run `docprune score`" in err
+        # The check fails after every kept shard was written; none remains.
+        assert not list((tmp_path / "filter").glob("shard-*.jsonl"))
+        assert not (tmp_path / "filter" / "filter-manifest.json").exists()
 
     @pytest.mark.parametrize("ratio", [0.25, 1])
     def test_decision_from_another_score_set_exits_3(self, small_run, tmp_path, capsys,

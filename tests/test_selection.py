@@ -19,12 +19,11 @@ from docprune.classifier import (
     split_train_val,
     train_classifier,
 )
-from docprune.corpus import CorpusError, ingest_shards
+from docprune.corpus import CorpusError, DuplicateIdError, ingest_shards
 from docprune import selection
 from docprune.labeling import NO, YES, DegenerateLabelerWarning, QualityLabel, yes_fraction
 from docprune.mocks import mock_label
 from docprune.selection import (
-    DuplicateIdError,
     ScoreSet,
     SelectionDecision,
     TieDegeneracyWarning,
@@ -284,16 +283,19 @@ class TestFilterCorpus:
         ]
 
     def test_missing_score_is_fatal(self, tmp_path):
+        """The second shard's unscored document fails the run after the first
+        shard's kept documents were written; none of them remain."""
         from conftest import corpus_dir
 
-        shard_set = corpus_dir(
-            tmp_path, {"s.jsonl": [{"id": "a", "text": "x"}, {"id": "b", "text": "y"}]}
-        )
+        shard_set = corpus_dir(tmp_path, {
+            "s0.jsonl": [{"id": "a", "text": "x"}], "s1.jsonl": [{"id": "b", "text": "y"}],
+        })
         decision = SelectionDecision(
             cutoff=0.5, target_ratio=0.5, achieved_ratio=0.5, kept=1, dropped=1
         )
         with pytest.raises(CorpusError, match="join integrity"):
             filter_corpus(shard_set, {"a": 0.9}, decision, tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_decision_mismatch_is_fatal(self, tmp_path):
         from conftest import corpus_dir
@@ -304,6 +306,21 @@ class TestFilterCorpus:
         )
         with pytest.raises(CorpusError, match="mismatch"):
             filter_corpus(shard_set, {"a": 0.9}, decision, tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_output_into_the_corpus_dir_is_refused(self, tmp_path):
+        """Kept shards reuse their input names, so filtering into the corpus
+        dir would replace the corpus, and a failed run would remove it."""
+        from conftest import corpus_dir
+
+        shard_set = corpus_dir(tmp_path, {"s.jsonl": [{"id": "a", "text": "x"}]})
+        before = shard_set.shards[0].path.read_bytes()
+        decision = SelectionDecision(
+            cutoff=0.5, target_ratio=1.0, achieved_ratio=1.0, kept=1, dropped=0
+        )
+        with pytest.raises(CorpusError, match="is the corpus dir"):
+            filter_corpus(shard_set, {"a": 0.9}, decision, tmp_path / "x" / ".." / "corpus")
+        assert shard_set.shards[0].path.read_bytes() == before
 
     def test_worker_independence(self, tmp_path, small_world):
         _, shard_set, docs, clf = small_world

@@ -1,12 +1,14 @@
 """Stages that never featurize start without numpy, stages that never
-fork start without the process pool, and the labeler never loads `requests`.
+fork start without the process pool, the labeler never loads `requests`, and
+only the commands that use the sweeps or the mock labelers load them.
 
 Only `docprune.classifier` uses numpy, and only inside the functions that
 featurize, train, score or save and load a model. Only `score` with more
 than one worker and more than one shard imports `multiprocessing`. The
-endpoint labeler speaks HTTP through the standard library. Each case runs in
-a fresh interpreter, since this test process has these modules loaded
-already.
+endpoint labeler speaks HTTP through the standard library. `import docprune`
+loads no submodule, `docprune.ablation` is loaded only by `ablate`, and
+`docprune.mocks` only by `ablate` and `label --mock`. Each case runs in a fresh
+interpreter, since this test process has these modules loaded already.
 """
 
 import itertools
@@ -27,10 +29,11 @@ from docprune.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus
 SRC = Path(docprune.__file__).resolve().parent.parent
 POOL = ("multiprocessing", "concurrent.futures.process")
 HTTP_LIBRARIES = ("requests", "urllib3")
+SWEEPS_AND_MOCKS = {"docprune.ablation", "docprune.mocks"}
 
 # Imports the module named first, runs `main` on any further arguments, then
 # prints which of numpy, the process pool's modules and the third-party HTTP
-# libraries are loaded.
+# libraries are loaded, and every docprune submodule that is.
 PROBE = """
 import importlib, json, sys
 module = importlib.import_module(sys.argv[1])
@@ -38,12 +41,14 @@ if len(sys.argv) > 2:
     code = module.main(sys.argv[2:])
     assert code == 0, code
 names = ("numpy", "multiprocessing", "concurrent.futures.process", "requests", "urllib3")
-print(json.dumps([name for name in names if name in sys.modules]))
+print(json.dumps([name for name in sys.modules
+                  if name in names or name.startswith("docprune.")]))
 """
 
 
 def loaded(cwd, module, *argv):
-    """The names among numpy, POOL and HTTP_LIBRARIES loaded after the run."""
+    """The names among numpy, POOL, HTTP_LIBRARIES and the docprune
+    submodules loaded after the run."""
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, module, *map(str, argv)],
         cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -80,10 +85,16 @@ def test_import_leaves_numpy_unloaded(tmp_path, module):
     assert not numpy_loaded(tmp_path, module)
 
 
+def test_import_docprune_loads_no_submodule(tmp_path):
+    assert not {name for name in loaded(tmp_path, "docprune") if name.startswith("docprune.")}
+
+
 def stage_argv(world, stage):
     return {
         "sample": ["sample", "--input", world / "corpus", "--n", 50],
         "label": ["label", "--mock", "--snippets", world / "sample" / "snippets.jsonl"],
+        "train": ["train", "--snippets", world / "sample" / "snippets.jsonl",
+                  "--labels", world / "label" / "labels.jsonl", "--hash-bits", 10],
         "select-numeric": ["select", "--scores", world / "score", "--target-ratio", 0.3],
         "select-from-labels": ["select", "--scores", world / "score",
                                "--target-ratio", "from-labels",
@@ -122,6 +133,22 @@ def test_score_with_two_workers_loads_the_process_pool(world, tmp_path):
     assert len(list((world / "corpus").glob("*.jsonl"))) >= 2
     argv = stage_argv(world, "score-2-workers")
     assert set(POOL) <= loaded(tmp_path, "docprune.cli", *argv, "--out", tmp_path / "out")
+
+
+@pytest.mark.parametrize("stage", [
+    "sample", "train", "score-1-worker", "select-numeric", "filter",
+])
+def test_stage_leaves_the_sweeps_and_mocks_unloaded(world, tmp_path, stage):
+    argv = stage_argv(world, stage)
+    assert not loaded(tmp_path, "docprune.cli", *argv, "--out", tmp_path / "out") & (
+        SWEEPS_AND_MOCKS)
+
+
+def test_mock_label_loads_the_mocks_but_not_the_sweeps(world, tmp_path):
+    """The positive control: the probe sees a docprune module a stage loads."""
+    argv = stage_argv(world, "label")
+    names = loaded(tmp_path, "docprune.cli", *argv, "--out", tmp_path / "out")
+    assert "docprune.mocks" in names and "docprune.ablation" not in names
 
 
 def test_score_loads_numpy(world, tmp_path):
