@@ -319,7 +319,7 @@ class TestFilterCorpus:
             cutoff=0.5, target_ratio=1.0, achieved_ratio=1.0, kept=1, dropped=0
         )
         with pytest.raises(CorpusError, match="is the corpus dir"):
-            filter_corpus(shard_set, {"a": 0.9}, decision, tmp_path / "x" / ".." / "corpus")
+            filter_corpus(shard_set, {"a": 0.9}, decision, tmp_path / "corpus")
         assert shard_set.shards[0].path.read_bytes() == before
 
     def test_worker_independence(self, tmp_path, small_world):
