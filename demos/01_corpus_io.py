@@ -50,10 +50,10 @@ with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:
     again = reservoir_sample(ingest_shards(shard_set), n=5, seed=123)
     assert [d.id for d in sample] == [d.id for d in again]
 
-    # Snippets are the middle character window approximating a token budget
-    # (4 chars per token by default). Short documents pass through whole.
+    # A snippet is the middle 6,000-character window (~1500 tokens at ~4
+    # chars per token). Short documents pass through whole.
     long_doc = Document(id="long", text="x" * 12_000)
-    snip = extract_snippet(long_doc, token_budget=1500, chars_per_token=4)
+    snip = extract_snippet(long_doc)
     print(f"snippet of 12,000-char doc: chars [{snip.char_start}, {snip.char_end}) "
           f"-> {len(snip.text)} chars")
 

@@ -21,8 +21,10 @@ from .classifier import (
     split_train_val,
     train_classifier,
 )
+from .config import AblationSection
 from .corpus import Document, Snippet, atomic_open, extract_snippet, write_jsonl
 from .labeling import (
+    PROMPT_VERSIONS,
     IclDemonstration,
     LabelerConfig,
     QualityLabel,
@@ -56,11 +58,6 @@ ICL_CONTEXT = (
     "demonstrations from the strongest labeler, still below that labeler's "
     "51.41."
 )
-
-DEFAULT_RATIOS = (0.20, 0.25, 0.30, 0.40, 0.50, 1.00)
-DEFAULT_HASH_BITS = (10, 14, 18)
-DEFAULT_SEEDS = (0, 1, 2)
-
 
 def _r(x: float) -> float:
     """One rounding for both the structured and the text rendering."""
@@ -139,7 +136,7 @@ def _mean_std(values: Sequence[float]) -> dict:
 def run_ratio_sweep(
     docs: Sequence[Document],
     classifier: QualityClassifier,
-    ratios: Sequence[float] = DEFAULT_RATIOS,
+    ratios: Sequence[float] = AblationSection.ratios,
 ) -> SweepReport:
     """Kept-set precision/recall against planted truth across keep ratios."""
     ids, scores = score_documents(docs, classifier)
@@ -148,7 +145,7 @@ def run_ratio_sweep(
     points = []
     for ratio in ratios:
         decision = select_cutoff(by_id, ratio, classifier_id=classifier.fingerprint())
-        kept_ids = {i for i, s in by_id.items() if s > decision.cutoff}
+        kept_ids = {i for i, s in by_id.items() if decision.keeps(s)}
         kept_high = len(kept_ids & high_ids)
         precision = kept_high / len(kept_ids) if kept_ids else 0.0
         recall = kept_high / len(high_ids) if high_ids else 0.0
@@ -178,8 +175,8 @@ def run_capacity_sweep(
     labels: Sequence[QualityLabel],
     snippets: Sequence[Snippet],
     config: TrainConfig | None = None,
-    hash_bits_list: Sequence[int] = DEFAULT_HASH_BITS,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
+    hash_bits_list: Sequence[int] = AblationSection.hash_bits_list,
+    seeds: Sequence[int] = AblationSection.seeds,
 ) -> SweepReport:
     """Validation F1 per hashed capacity, median over seeds: `config` (default
     TrainConfig()) with each hash_bits, split and trained at each seed. The
@@ -228,7 +225,7 @@ def run_prompt_robustness(
     snippets: Sequence[Snippet],
     config: LabelerConfig,
     transport: Transport,
-    versions: Sequence[str] = ("V1", "V2", "V3"),
+    versions: Sequence[str] = PROMPT_VERSIONS,
 ) -> SweepReport:
     """Per-version yes-fractions and pairwise label agreement, Avg. (Std) layout;
     `transport` labels every version.
@@ -283,15 +280,17 @@ def run_icl_comparison(
     demos: Sequence[IclDemonstration],
     strong_by_doc: dict[str, str],
 ) -> SweepReport:
-    """Weak labeler at 0-shot vs 5-shot, prompted with config.prompt_version:
-    yes-fraction and agreement with the strong labeler's judgments."""
+    """Weak labeler at 0-shot vs few-shot with `demos`, prompted with
+    config.prompt_version: yes-fraction and agreement with the strong
+    labeler's judgments."""
     demos = list(demos)
-    if len(demos) != 5:
-        raise ValueError(f"exactly 5 demonstrations required, got {len(demos)}")
+    # The few-shot pass runs first, so `build_prompt` rejects a wrong number
+    # of demonstrations before the transport labels any snippet.
+    few_shot = label_documents(snippets, config, demos, transport=weak_transport)
+    zero_shot = label_documents(snippets, config, transport=weak_transport)
     points = []
     agreements = []
-    for shots, demo_list in ((0, []), (5, demos)):
-        labels, stats = label_documents(snippets, config, demo_list, transport=weak_transport)
+    for shots, (labels, stats) in ((0, zero_shot), (len(demos), few_shot)):
         scored = [l for l in labels if l.doc_id in strong_by_doc]
         same = sum(1 for l in scored if l.label == strong_by_doc[l.doc_id])
         agreement = same / len(scored) if scored else 0.0

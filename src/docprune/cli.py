@@ -48,6 +48,7 @@ from .corpus import (
     write_shard_file,
 )
 from .labeling import (
+    ICL_SHOTS,
     YES_FRACTION_RANGE,
     HttpChatTransport,
     IclDemonstration,
@@ -56,8 +57,6 @@ from .labeling import (
     TransportError,
     label_documents,
     read_demonstrations,
-    read_labels,
-    write_labels,
     yes_share,
 )
 from .selection import (
@@ -118,11 +117,6 @@ def cmd_label(config: RunConfig, args) -> int:
     snippets = list(read_records(args.snippets, Snippet))
     labeler = config.labeler
     demos = read_demonstrations(labeler.icl_demos) if labeler.icl_demos else []
-    if labeler.icl_demos and len(demos) != 5:
-        raise ConfigError(
-            f"[labeler] icl_demos {labeler.icl_demos} holds {len(demos)} demonstrations; "
-            f"exactly 5 are required"
-        )
     if labeler.mock:
         from .mocks import MockQualityTransport
 
@@ -131,18 +125,19 @@ def cmd_label(config: RunConfig, args) -> int:
     else:
         transport = HttpChatTransport(labeler)  # checks endpoint_url
     out = _out_dir(config, args, "label")
+    aborted = None
     try:
         labels, stats = label_documents(snippets, labeler, demos, transport=transport)
-    except LabelRunAborted as exc:
-        write_labels(exc.labels, out / "labels.jsonl")
-        write_json(out / "label-stats.json", exc.stats)
-        log.error("labeling aborted: %s (partial labels preserved)", exc)
-        return EXIT_ENDPOINT
+    except LabelRunAborted as exc:  # its partial labels are written below
+        aborted, labels, stats = exc, exc.labels, exc.stats
     finally:
         if isinstance(transport, HttpChatTransport):
             transport.close()
-    write_labels(labels, out / "labels.jsonl")
+    write_jsonl(out / "labels.jsonl", labels)
     write_json(out / "label-stats.json", stats)
+    if aborted:
+        log.error("labeling aborted: %s (partial labels preserved)", aborted)
+        return EXIT_ENDPOINT
     log.info(
         "labeled %d/%d snippets, yes-fraction %.3f",
         stats.labeled, stats.requested, stats.yes_fraction,
@@ -217,7 +212,7 @@ def cmd_select(config: RunConfig, args) -> int:
     if ratio == "from-labels":
         if not args.labels:
             raise ConfigError("--target-ratio from-labels requires --labels")
-        labels = read_labels(args.labels)
+        labels = list(read_records(args.labels, QualityLabel))
         if not labels:
             raise DegenerateLabelsError(f"from-labels: {args.labels} holds no labels")
         ratio = yes_share(labels)  # the labeler's keep-ratio
@@ -301,10 +296,10 @@ def cmd_ablate(config: RunConfig, args) -> int:
         strong_by_doc = truth_by_doc(sample)
         demos = [
             IclDemonstration(s.text, strong_by_doc[s.doc_id], "strong-reference")
-            for s in snippets[:5]
+            for s in snippets[:ICL_SHOTS]
         ]
         report = ablation.run_icl_comparison(
-            snippets[5:], config.labeler, FidelityMockTransport(), demos, strong_by_doc
+            snippets[ICL_SHOTS:], config.labeler, FidelityMockTransport(), demos, strong_by_doc
         )
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown sweep {args.sweep!r}")

@@ -1,6 +1,6 @@
 """Sharded document corpus I/O, and the stage-file layer: every file a stage
 writes goes through `atomic_open`, and stage files are read back through
-`read_jsonl`/`read_records`/`read_json`, which name the file:line of a bad record.
+`read_records`/`read_json`, which name the file:line of a bad record.
 
 A corpus is a directory of newline-delimited JSON shards. Every record needs
 a "text" field; "id" and "meta" are optional. A ".gz" suffix marks a
@@ -40,7 +40,6 @@ class Document:
 
     id: str
     text: str
-    source_shard: str = ""
     meta: dict[str, str] = field(default_factory=dict)
 
 
@@ -118,7 +117,7 @@ def _parse_record(raw: bytes, shard_name: str, index: int) -> Document:
     if not isinstance(meta, dict):
         raise ValueError('record "meta" is not an object')
     meta = {str(k): str(v) for k, v in meta.items()}
-    return Document(id=doc_id, text=text, source_shard=shard_name, meta=meta)
+    return Document(id=doc_id, text=text, meta=meta)
 
 
 def ingest_shards(
@@ -196,24 +195,21 @@ def reservoir_sample(docs: Iterable[Document], n: int, seed: int) -> list[Docume
     return sample
 
 
-def extract_snippet(
-    doc: Document, token_budget: int = 1500, chars_per_token: int = 4
-) -> Snippet:
-    """Middle character window approximating `token_budget` tokens.
+# Every snippet is the middle window of this many characters of its document:
+# ~1500 tokens at ~4 characters per token, the paper's labeled snippet.
+SNIPPET_TOKENS = 1500
+SNIPPET_CHARS = 4 * SNIPPET_TOKENS
 
-    The window is min(len(text), token_budget * chars_per_token) characters
-    centered on the text midpoint. `sample` and `score` both take the default
-    window, 1500 * 4 = 6,000 characters, so a model scores the window it was
-    trained on. Python string indices are code points, so the slice can
-    never land inside a character.
+
+def extract_snippet(doc: Document) -> Snippet:
+    """The middle SNIPPET_CHARS characters of the text (all of a shorter
+    text). `sample` and `score` both slice this window, so a model scores the
+    window it was trained on. Python string indices are code points, so the
+    slice can never land inside a character.
     """
     if not doc.text:
         raise ValueError(f"empty document: {doc.id!r}")
-    if token_budget < 1:
-        raise ValueError("token_budget must be at least 1")
-    if chars_per_token < 1:
-        raise ValueError("chars_per_token must be at least 1")
-    window = min(len(doc.text), token_budget * chars_per_token)
+    window = min(len(doc.text), SNIPPET_CHARS)
     start = (len(doc.text) - window) // 2
     end = start + window
     return Snippet(
@@ -221,7 +217,7 @@ def extract_snippet(
         text=doc.text[start:end],
         char_start=start,
         char_end=end,
-        approx_token_budget=token_budget,
+        approx_token_budget=SNIPPET_TOKENS,
     )
 
 
@@ -293,19 +289,6 @@ def _parse(raw: bytes, path: Path, line: int) -> dict:
     return rec
 
 
-def _numbered(path: Path) -> Iterator[tuple[int, dict]]:
-    with open(path, "rb") as fh:
-        for n, raw in enumerate(fh, 1):
-            if raw.strip():
-                yield n, _parse(raw, path, n)
-
-
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Lazily yield the JSON objects of a JSONL file, skipping blank lines; a
-    line that is not UTF-8 JSON of an object raises CorpusError naming it."""
-    return (rec for _, rec in _numbered(Path(path)))
-
-
 _JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
 
 
@@ -335,14 +318,17 @@ def _as_record(cls: type[T], rec: dict, path: Path, line: int) -> T:
 
 
 def read_records(path: str | Path, cls: type[T], header: type | None = None) -> Iterator:
-    """Lazily read a JSONL file as `cls` dataclasses, as `read_jsonl` does; a
-    missing or unexpected field, or a value `cls` rejects, raises CorpusError
-    naming the file and line. With `header`, the first record is read (and
-    yielded) as that dataclass instead."""
+    """Lazily read a JSONL file as `cls` dataclasses, skipping blank lines. A
+    line that is not UTF-8 JSON of an object, a missing or unexpected field,
+    or a value `cls` rejects raises CorpusError naming the file and line.
+    With `header`, the first record is read (and yielded) as that dataclass
+    instead."""
     path = Path(path)
-    for n, rec in _numbered(path):
-        yield _as_record(header or cls, rec, path, n)
-        header = None
+    with open(path, "rb") as fh:
+        for n, raw in enumerate(fh, 1):
+            if raw.strip():
+                yield _as_record(header or cls, _parse(raw, path, n), path, n)
+                header = None
 
 
 def read_json(path: str | Path, cls: type[T]) -> T:

@@ -26,6 +26,9 @@ AMBIGUOUS = "Ambiguous"
 
 PROMPT_VERSIONS = ("V1", "V2", "V3")
 
+# A prompt carries no demonstrations (0-shot) or this many answered ones.
+ICL_SHOTS = 5
+
 # A labeler whose yes-fraction falls outside this range is degenerate.
 YES_FRACTION_RANGE = (0.05, 0.95)
 
@@ -161,15 +164,15 @@ def build_prompt(
     version: str,
     demos: Iterable[IclDemonstration] = (),
 ) -> str:
-    """Render the labeling prompt of a version (V1-V3, any case); 0 or 5
-    answered demonstrations may precede the query.
+    """Render the labeling prompt of a version (V1-V3, any case); 0 or
+    ICL_SHOTS answered demonstrations may precede the query.
 
     Each demonstration is the full document/instruction block followed by its
     answer, so the trailing query block looks exactly like the zero-shot prompt.
     """
     demos = list(demos)
-    if len(demos) not in (0, 5):
-        raise ValueError(f"demonstrations must number 0 or 5, got {len(demos)}")
+    if len(demos) not in (0, ICL_SHOTS):
+        raise ValueError(f"demonstrations must number 0 or {ICL_SHOTS}, got {len(demos)}")
     if not snippet.text:
         raise ValueError("empty snippet")
     closing = _DOC_CLOSE + INSTRUCTIONS[canonical_version(version)]
@@ -433,18 +436,15 @@ def label_documents(
     return labels, stats
 
 
-def write_labels(labels: Iterable[QualityLabel], path: str | Path) -> int:
-    """Write labels as newline-delimited JSON records; returns the count."""
-    return write_jsonl(path, labels)
-
-
-def read_labels(path: str | Path) -> list[QualityLabel]:
-    return list(read_records(path, QualityLabel))
-
-
 def read_demonstrations(path: str | Path) -> list[IclDemonstration]:
-    """Read ICL demonstrations from newline-delimited JSON."""
-    return list(read_records(path, IclDemonstration))
+    """Read ICL demonstrations from newline-delimited JSON; a file that does
+    not hold exactly ICL_SHOTS raises ValueError."""
+    demos = list(read_records(path, IclDemonstration))
+    if len(demos) != ICL_SHOTS:
+        raise ValueError(
+            f"{path} holds {len(demos)} demonstrations; exactly {ICL_SHOTS} are required"
+        )
+    return demos
 
 
 def write_demonstrations(demos: Iterable[IclDemonstration], path: str | Path) -> int:

@@ -8,6 +8,7 @@ single reduction over the completed score set.
 
 from __future__ import annotations
 
+import bisect
 import datetime
 import itertools
 import math
@@ -56,6 +57,10 @@ class SelectionDecision:
     dropped: int
     classifier_id: str = ""
     tie_rule: str = TIE_RULE
+
+    def keeps(self, score: float) -> bool:
+        """Whether a document with this score is kept: the one keep rule."""
+        return score > self.cutoff
 
 
 @dataclass
@@ -347,7 +352,7 @@ def select_cutoff(
     # The exact (1 - ratio) quantile; 0.0 lies below every score in (0, 1).
     rank = n - keep_target - 1
     cutoff = values[rank] if rank >= 0 else 0.0
-    kept = sum(v > cutoff for v in values)
+    kept = n - bisect.bisect_right(values, cutoff)  # scores above it, as `keeps` counts
     tie_rule = TIE_RULE
     if kept < keep_target:
         warnings.warn(
@@ -402,9 +407,10 @@ def filter_corpus(
     holds scores; either mismatch raises CorpusError. The records ingest
     skips (empty text, or malformed unless `strict`) are counted and not
     written. Output shards reuse the input shard file names; a shard may
-    shrink or empty. Shards run one after another in this process: per
-    shard, filtering costs less than starting a worker process. A failed run
-    removes its kept shards before the error propagates.
+    shrink or empty, and its kept documents stream into its file. Shards run
+    one after another in this process: per shard, filtering costs less than
+    starting a worker process. A failed run removes its kept shards before
+    the error propagates.
     """
     out_dir = Path(out_dir)
     if any(shard.path.parent.resolve() == out_dir.resolve() for shard in shard_set.shards):
@@ -413,21 +419,20 @@ def filter_corpus(
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     def filter_one(shard: Shard, docs: Iterator[Document], summary: RunSummary):
-        kept_docs: list[Document] = []
-        for doc in docs:
-            if doc.id not in scores:
-                raise CorpusError(
-                    f"join integrity: document {doc.id!r} in {shard.path.name} has no score"
-                )
-            if scores[doc.id] > decision.cutoff:
-                kept_docs.append(doc)
-        out_shard = write_shard_file(
-            kept_docs, out_dir / shard.path.name, compress=shard.compressed
-        )
+        def kept() -> Iterator[Document]:
+            for doc in docs:
+                if doc.id not in scores:
+                    raise CorpusError(
+                        f"join integrity: document {doc.id!r} in {shard.path.name} has no score"
+                    )
+                if decision.keeps(scores[doc.id]):
+                    yield doc
+
+        out_shard = write_shard_file(kept(), out_dir / shard.path.name, compress=shard.compressed)
         counts = {
             "shard": shard.path.name,
             "input_documents": summary.input_documents,
-            "output_documents": len(kept_docs),
+            "output_documents": out_shard.record_count,
             "empty_text": summary.empty_text,
             "malformed": summary.malformed,
         }

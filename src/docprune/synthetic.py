@@ -124,7 +124,6 @@ def _make_doc(spec: SyntheticCorpusSpec, index: int, is_high: bool) -> Document:
     return Document(
         id=f"syn{spec.seed}-{index:06d}",
         text=" ".join(tokens),
-        source_shard="",
         meta={"stratum": "high" if is_high else "low"},
     )
 

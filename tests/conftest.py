@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 from docprune.corpus import Document, ShardSet
@@ -27,6 +28,17 @@ def corpus_dir(tmp_path: Path, shards: dict[str, list]) -> ShardSet:
     for name, records in shards.items():
         write_jsonl_shard(root / name, records)
     return ShardSet.from_dir(root)
+
+
+def traced_peak(fn) -> int:
+    """Bytes allocated at the peak of fn(), above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 _ACCEPTANCE_PREFIX = "tests/test_acceptance.py"

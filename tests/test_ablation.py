@@ -243,8 +243,16 @@ class TestIclComparison:
 
     def test_exactly_five_demos_required(self, icl_world):
         snips, strong, demos = icl_world
+        prompts = []
+
+        class Counting(MockQualityTransport):
+            def complete(self, prompt):
+                prompts.append(prompt)
+                return super().complete(prompt)
+
         with pytest.raises(ValueError, match="5"):
-            run_icl_comparison(snips[:10], CONFIG, MockQualityTransport(), demos[:3], strong)
+            run_icl_comparison(snips[:10], CONFIG, Counting(), demos[:3], strong)
+        assert prompts == []  # rejected before the transport labels any snippet
 
 
 class TestReportFiles:

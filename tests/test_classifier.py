@@ -1,6 +1,5 @@
 import itertools
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +29,8 @@ from docprune.classifier import (
 )
 from docprune.corpus import CorpusError, DuplicateIdError, snippet_of
 from docprune.labeling import NO, YES, QualityLabel
+
+from conftest import traced_peak
 
 
 class TestFeaturize:
@@ -544,17 +545,6 @@ class TestHeldOutSeparation:
         assert len(held_high) == 1000
         above = sum(1 for d in held_high if score(clf, extract_snippet(d)) > 0.5)
         assert above >= 950, f"{above}/1000 held-out high docs above 0.5"
-
-
-def traced_peak(fn) -> int:
-    """Bytes allocated at the peak of fn(), above what was live before it."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
 
 
 class TestMemory:

@@ -15,7 +15,7 @@ from docprune.cli import main
 from docprune.config import ConfigError, load_config, write_resolved_config
 from docprune.labeling import LabelerConfig
 from docprune.corpus import Shard, ShardSet, Snippet, ingest_shards, read_json, read_records
-from docprune.labeling import DegenerateLabelerWarning, read_labels
+from docprune.labeling import DegenerateLabelerWarning, QualityLabel
 from docprune.selection import Manifest, ScoreSet, SelectionDecision
 from docprune.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus, stratum_of
 
@@ -172,7 +172,7 @@ class TestCliPipeline:
             "label", "--config", cfg, "--snippets", sample_dir / "snippets.jsonl",
             "--out", label_dir,
         ) == 0
-        labels = read_labels(label_dir / "labels.jsonl")
+        labels = list(read_records(label_dir / "labels.jsonl", QualityLabel))
         assert len(labels) == 600
         stats = json.loads((label_dir / "label-stats.json").read_text())
         assert abs(stats["yes_fraction"] - 0.25) < 0.06
@@ -232,7 +232,7 @@ class TestCliPipeline:
             "label", "--config", cfg, "--snippets", sample_dir / "snippets.jsonl",
             "--prompt-version", "v2", "--out", label_dir,
         ) == 0
-        labels = read_labels(label_dir / "labels.jsonl")
+        labels = list(read_records(label_dir / "labels.jsonl", QualityLabel))
         assert {l.prompt_version for l in labels} == {"V2"}
 
     def test_clamped_sample_size(self, pipeline_world):
@@ -503,7 +503,7 @@ class TestCliIclDemos:
             "label", "--config", cfg, "--snippets", sample_dir / "snippets.jsonl",
             "--icl-demos", demo_file, "--out", out,
         ) == 0
-        labels = read_labels(out / "labels.jsonl")
+        labels = list(read_records(out / "labels.jsonl", QualityLabel))
         assert {l.icl_shots for l in labels} == {5}
 
     def test_demonstrations_file_without_5_records_exits_2(self, tmp_path, capsys):

@@ -161,41 +161,48 @@ class TestReservoirSample:
 
 
 class TestExtractSnippet:
+    """Every snippet is the middle 6,000 characters (~1500 tokens) of its text."""
+
     def test_text_shorter_than_window(self):
         doc = Document(id="d", text="x" * 100)
-        snip = extract_snippet(doc, token_budget=1500, chars_per_token=4)
+        snip = extract_snippet(doc)
         assert (snip.char_start, snip.char_end) == (0, 100)
         assert snip.text == doc.text
+        assert snip.approx_token_budget == 1500
 
     def test_long_text_centered_window(self):
         doc = Document(id="d", text="x" * 12_000)
-        snip = extract_snippet(doc, token_budget=1500, chars_per_token=4)
+        snip = extract_snippet(doc)
         assert (snip.char_start, snip.char_end) == (3_000, 9_000)
         assert len(snip.text) == 6_000
 
-    def test_small_budget_middle_slice(self):
-        doc = Document(id="d", text="a" * 20)
-        snip = extract_snippet(doc, token_budget=2, chars_per_token=4)
-        assert (snip.char_start, snip.char_end) == (6, 14)
-        assert len(snip.text) == 8
+    def test_random_lengths_take_the_middle_window(self):
+        rng = random.Random(0)
+        for n in [0, 1, 5_999, 6_000, 6_001, 12_000] + [rng.randint(0, 12_000) for _ in range(50)]:
+            doc = Document(id="d", text="".join(rng.choice("ab") for _ in range(n)))
+            if n == 0:
+                with pytest.raises(ValueError, match="empty document"):
+                    extract_snippet(doc)
+                continue
+            snip = extract_snippet(doc)
+            assert snip.char_end - snip.char_start == min(n, 6_000)
+            assert 0 <= (n - snip.char_end) - snip.char_start <= 1  # centered, odd rest after
+            assert snip.text == doc.text[snip.char_start:snip.char_end]
+            assert snip.approx_token_budget == 1500
 
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError, match="empty document"):
             extract_snippet(Document(id="d", text=""))
-
-    def test_bad_budget_rejected(self):
-        with pytest.raises(ValueError):
-            extract_snippet(Document(id="d", text="x"), token_budget=0)
 
     def test_containment_on_unicode_texts(self):
         # Snippet text is always the exact [start, end) slice, including for
         # multi-byte and astral characters.
         rng = random.Random(0)
         alphabet = "abc é世\U0001f600́"
-        for _ in range(50):
-            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 400)))
+        for _ in range(20):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12_000)))
             doc = Document(id="d", text=text)
-            snip = extract_snippet(doc, token_budget=rng.randint(1, 30), chars_per_token=3)
+            snip = extract_snippet(doc)
             assert 0 <= snip.char_start <= snip.char_end <= len(text)
             assert snip.text == text[snip.char_start:snip.char_end]
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docprune import cli
-from docprune.corpus import snippet_of, write_jsonl
+from docprune.corpus import read_records, snippet_of, write_jsonl
 from docprune.labeling import (
     AMBIGUOUS,
     INSTRUCTIONS,
@@ -29,8 +29,6 @@ from docprune.labeling import (
     label_documents,
     parse_label,
     parse_prompt,
-    read_labels,
-    write_labels,
     yes_fraction,
 )
 from docprune.mocks import FidelityMockTransport, MockQualityTransport, query_snippet
@@ -359,8 +357,8 @@ class TestLabelDocuments:
             mixed_snippets(20), self.config(prompt_version="v3"), transport=MockQualityTransport()
         )
         path = tmp_path / "labels.jsonl"
-        assert write_labels(labels, path) == 20
-        assert read_labels(path) == labels
+        assert write_jsonl(path, labels) == 20
+        assert list(read_records(path, QualityLabel)) == labels
 
 
 class _Endpoint(BaseHTTPRequestHandler):
@@ -612,6 +610,15 @@ class TestDemonstrationFiles:
         path = tmp_path / "demos.jsonl"
         assert write_demonstrations(demos, path) == 5
         assert read_demonstrations(path) == demos
+
+    @pytest.mark.parametrize("count", [0, 3, 6])
+    def test_a_file_without_5_demonstrations_is_rejected(self, tmp_path, count):
+        from docprune.labeling import read_demonstrations, write_demonstrations
+
+        path = tmp_path / "demos.jsonl"
+        write_demonstrations([IclDemonstration("a text", YES, "strong")] * count, path)
+        with pytest.raises(ValueError, match=f"holds {count} demonstrations; exactly 5"):
+            read_demonstrations(path)
 
 
 class TestMockLexicalFallback:

@@ -114,6 +114,17 @@ class TestSelectCutoff:
         assert decision.kept == max(k for k in feasible if k <= keep_target)
         assert decision.kept + decision.dropped == len(scores)
 
+    @pytest.mark.filterwarnings("ignore::docprune.selection.TieDegeneracyWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scores=st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]), min_size=1, max_size=60),
+        data=st.data(),
+    )
+    def test_keep_rule_keeps_the_decided_count_under_ties(self, scores, data):
+        scores = records(scores)
+        decision = select_cutoff(scores, data.draw(st.floats(1 / len(scores), 1.0)))
+        assert sum(map(decision.keeps, scores.values())) == decision.kept
+
     @settings(max_examples=300, deadline=None)
     @given(
         scores=st.lists(
@@ -352,6 +363,24 @@ class TestFilterCorpus:
         kept_docs = list(ingest_shards(out_set))
         precision = sum(1 for d in kept_docs if stratum_of(d)) / len(kept_docs)
         assert precision >= 0.9
+
+    def test_memory_does_not_grow_with_kept_documents(self, tmp_path):
+        """A shard's kept documents stream into its file: keeping 2,000 holds
+        no more memory than keeping 200."""
+        from conftest import corpus_dir, traced_peak
+
+        def peak(kept: int) -> int:
+            n = 2_000
+            shard_set = corpus_dir(tmp_path / str(kept), {"s.jsonl": [
+                {"id": f"d{i}", "text": f"document {i} " + "x" * 2_000} for i in range(n)
+            ]})
+            scores = {f"d{i}": 0.9 if i < kept else 0.1 for i in range(n)}
+            decision = SelectionDecision(0.5, kept / n, kept / n, kept, n - kept)
+            out = tmp_path / str(kept) / "out"
+            filter_corpus(shard_set, scores, decision, out)  # warm up
+            return traced_peak(lambda: filter_corpus(shard_set, scores, decision, out))
+
+        assert peak(2_000) < 1.5 * peak(200)
 
     def test_manifest_roundtrip(self, tmp_path):
         from conftest import corpus_dir

@@ -5,6 +5,7 @@ import ast
 import gzip
 import json
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,6 @@ from docprune.corpus import (
     atomic_open,
     ingest_shards,
     read_json,
-    read_jsonl,
     read_records,
     write_json,
     write_jsonl,
@@ -86,6 +86,13 @@ class TestAtomicWrites:
         assert (tmp_path / "a.json").read_text() == '{\n  "a": 1,\n  "b": "\\u00e9"\n}'
 
 
+@dataclass
+class One:
+    """A one-field record."""
+
+    a: int
+
+
 class TestValidatingReads:
     def write(self, tmp_path, content: bytes) -> Path:
         path = tmp_path / "x.jsonl"
@@ -94,7 +101,7 @@ class TestValidatingReads:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = self.write(tmp_path, b'{"a": 1}\n\n{"a": 2}\n')
-        assert list(read_jsonl(path)) == [{"a": 1}, {"a": 2}]
+        assert list(read_records(path, One)) == [One(1), One(2)]
 
     @pytest.mark.parametrize("content, where, what", [
         (b'{"a": 1}\n{"a": 2', "x.jsonl:2", "bad JSON"),
@@ -103,11 +110,11 @@ class TestValidatingReads:
     ])
     def test_malformed_line_named(self, tmp_path, content, where, what):
         with pytest.raises(CorpusError, match=f"{where}: {what}"):
-            list(read_jsonl(self.write(tmp_path, content)))
+            list(read_records(self.write(tmp_path, content), One))
 
     def test_reading_is_lazy(self, tmp_path):
-        records = read_jsonl(self.write(tmp_path, b'{"a": 1}\nnot json\n'))
-        assert next(records) == {"a": 1}
+        records = read_records(self.write(tmp_path, b'{"a": 1}\nnot json\n'), One)
+        assert next(records) == One(1)
         with pytest.raises(CorpusError, match="x.jsonl:2"):
             next(records)
 
