@@ -186,7 +186,8 @@ class TestExtractSnippet:
                 continue
             snip = extract_snippet(doc)
             assert snip.char_end - snip.char_start == min(n, 6_000)
-            assert 0 <= (n - snip.char_end) - snip.char_start <= 1  # centered, odd rest after
+            # Centered: an odd remainder goes after the window.
+            assert 0 <= (n - snip.char_end) - snip.char_start <= 1
             assert snip.text == doc.text[snip.char_start:snip.char_end]
             assert snip.approx_token_budget == 1500
 
