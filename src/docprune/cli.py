@@ -1,9 +1,10 @@
 """Command-line pipeline: sample, label, train, score, select, filter, ablate.
 
 Stages communicate only through files (snippets, labels, model, score set,
-decision), so each can run at its own scale and cadence. Every command writes
-its resolved configuration next to its outputs. Exit codes: 0 success, 2 config
-error, 3 I/O error or malformed stage file, 4 endpoint failure, 5 degenerate data.
+decision), so each can run at its own scale and cadence. A command's outputs,
+its resolved configuration among them, appear only when it finishes. Exit
+codes: 0 success, 2 config error, 3 I/O error or malformed stage file, 4
+endpoint failure, 5 degenerate data.
 """
 
 from __future__ import annotations
@@ -43,12 +44,14 @@ from .corpus import (
     read_json,
     read_records,
     reservoir_sample,
+    staged_output,
     write_json,
     write_jsonl,
     write_shard_file,
 )
 from .labeling import (
     ICL_SHOTS,
+    PROMPT_VERSIONS,
     YES_FRACTION_RANGE,
     HttpChatTransport,
     IclDemonstration,
@@ -64,7 +67,6 @@ from .selection import (
     SelectionDecision,
     filter_corpus,
     score_corpus,
-    score_shard_names,
     select_cutoff,
 )
 
@@ -77,25 +79,7 @@ EXIT_ENDPOINT = 4
 EXIT_DEGENERATE = 5
 
 
-def _out_dir(config: RunConfig, args, command: str) -> Path:
-    """Create the output dir and write the resolved config into it.
-
-    `load_config` has checked every config value before a command runs, and
-    commands call this only after the checks they can make up front (a
-    sample drawn, inputs read, labels joined to snippets, transport built,
-    model trained, cutoff selected, score set checked against the corpus, a
-    strict corpus read through, sweep run), so a run that fails on bad input
-    leaves no output directory behind. A later failure leaves the directory
-    with its `resolved-config.ini`: `score` and `filter` remove the shards they
-    wrote, and an aborted `label` keeps its partial labels.
-    """
-    out = Path(args.out) if args.out else Path(config.run.output_root) / command
-    out.mkdir(parents=True, exist_ok=True)
-    write_resolved_config(config, out / "resolved-config.ini")
-    return out
-
-
-def cmd_sample(config: RunConfig, args) -> int:
+def cmd_sample(config: RunConfig, args, out: Path) -> int:
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
     summary = RunSummary()
     docs = ingest_shards(shard_set, strict=config.corpus.strict, summary=summary)
@@ -105,7 +89,6 @@ def cmd_sample(config: RunConfig, args) -> int:
             f"no document with text in {config.corpus.input_dir} ({summary.empty_text} "
             f"empty-text and {summary.malformed} malformed records): nothing to sample"
         )
-    out = _out_dir(config, args, "sample")
     write_shard_file(sample, out / "sampled-docs.jsonl")
     write_jsonl(out / "snippets.jsonl", (extract_snippet(doc) for doc in sample))
     write_json(out / "run-summary.json", summary)
@@ -113,7 +96,7 @@ def cmd_sample(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_label(config: RunConfig, args) -> int:
+def cmd_label(config: RunConfig, args, out: Path) -> int:
     snippets = list(read_records(args.snippets, Snippet))
     labeler = config.labeler
     demos = read_demonstrations(labeler.icl_demos) if labeler.icl_demos else []
@@ -124,7 +107,6 @@ def cmd_label(config: RunConfig, args) -> int:
         labeler = replace(labeler, model_name=labeler.model_name or "mock-quality")
     else:
         transport = HttpChatTransport(labeler)  # checks endpoint_url
-    out = _out_dir(config, args, "label")
     aborted = None
     try:
         labels, stats = label_documents(snippets, labeler, demos, transport=transport)
@@ -158,11 +140,10 @@ def _train(
     return classifier, train.targets
 
 
-def cmd_train(config: RunConfig, args) -> int:
+def cmd_train(config: RunConfig, args, out: Path) -> int:
     classifier, train_targets = _train(
         config, read_records(args.labels, QualityLabel), read_records(args.snippets, Snippet)
     )
-    out = _out_dir(config, args, "train")
     save_model(classifier, out / "model.bin")
     meta = classifier.training_meta
     write_json(
@@ -184,11 +165,9 @@ def cmd_train(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_score(config: RunConfig, args) -> int:
+def cmd_score(config: RunConfig, args, out: Path) -> int:
     classifier = load_model(Path(args.model))
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
-    score_shard_names(shard_set)  # two corpus shards with one score shard exit 3
-    out = _out_dir(config, args, "score")
     score_set = score_corpus(
         shard_set,
         classifier,
@@ -206,16 +185,16 @@ def cmd_score(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_select(config: RunConfig, args) -> int:
+def cmd_select(config: RunConfig, args, out: Path) -> int:
     score_set = ScoreSet.open(args.scores)
     ratio = config.selector.target_ratio
     if ratio == "from-labels":
         if not args.labels:
             raise ConfigError("--target-ratio from-labels requires --labels")
-        labels = list(read_records(args.labels, QualityLabel))
-        if not labels:
-            raise DegenerateLabelsError(f"from-labels: {args.labels} holds no labels")
-        ratio = yes_share(labels)  # the labeler's keep-ratio
+        try:  # the labeler's keep-ratio, counted as the labels stream past
+            ratio = yes_share(read_records(args.labels, QualityLabel))
+        except ValueError:
+            raise DegenerateLabelsError(f"from-labels: {args.labels} holds no labels") from None
         lo, hi = YES_FRACTION_RANGE
         if not lo <= ratio <= hi:
             raise DegenerateLabelsError(
@@ -223,7 +202,6 @@ def cmd_select(config: RunConfig, args) -> int:
                 f"[{lo}, {hi}]; pass a numeric --target-ratio instead"
             )
     decision = select_cutoff(score_set.load_scores(), float(ratio), score_set.classifier_id)
-    out = _out_dir(config, args, "select")
     write_json(out / "decision.json", decision)
     log.info(
         "cutoff %.6f keeps %d/%d documents (achieved ratio %.4f, target %.4f)",
@@ -233,7 +211,10 @@ def cmd_select(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_filter(config: RunConfig, args) -> int:
+def cmd_filter(config: RunConfig, args, out: Path) -> int:
+    # Kept shards reuse their input names: into the corpus dir they would replace it.
+    if args.out.resolve() == Path(config.corpus.input_dir).resolve():
+        raise CorpusError(f"filter output dir {args.out} is the corpus dir; choose another")
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
     score_set = ScoreSet.open(args.scores)
     decision = read_json(args.decision, SelectionDecision)
@@ -253,10 +234,6 @@ def cmd_filter(config: RunConfig, args) -> int:
             f"{selected_on[0]!r}, but score set {args.scores} holds {len(scores)} scores of "
             f"classifier {score_set.classifier_id!r}; re-run `docprune select` on this score set"
         )
-    if config.corpus.strict:  # a malformed record exits 3 before the output dir exists
-        for _ in ingest_shards(shard_set, strict=True):
-            pass
-    out = _out_dir(config, args, "filter")
     _, manifest = filter_corpus(shard_set, scores, decision, out, strict=config.corpus.strict)
     log.info(
         "filtered corpus: kept %d of %d documents",
@@ -265,7 +242,7 @@ def cmd_filter(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(config: RunConfig, args) -> int:
+def cmd_ablate(config: RunConfig, args, out: Path) -> int:
     # Imported here, so that no other stage loads the sweeps or the mocks.
     from . import ablation
     from .mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
@@ -304,9 +281,8 @@ def cmd_ablate(config: RunConfig, args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown sweep {args.sweep!r}")
 
-    out = _out_dir(config, args, "ablate")
     jsonl_path, text_path = report.save(out, seed=config.run.seed)
-    log.info("wrote %s and %s", jsonl_path, text_path)
+    log.info("wrote %s and %s", args.out / jsonl_path.name, args.out / text_path.name)
     print(report.render_text())
     return EXIT_OK
 
@@ -349,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="label snippets via endpoint or mock")
     common(p)
     p.add_argument("--snippets", required=True, help="snippets.jsonl from `sample`")
-    p.add_argument("--prompt-version", choices=["v1", "v2", "v3", "V1", "V2", "V3"])
+    p.add_argument("--prompt-version",
+                   choices=[*(v.lower() for v in PROMPT_VERSIONS), *PROMPT_VERSIONS])
     p.add_argument("--icl-demos", help="demonstrations file (exactly 5 records)")
     p.add_argument("--mock", action="store_true", default=None,
                    help="use the offline mock labeler")
@@ -401,7 +378,10 @@ def main(argv=None) -> int:
             level=config.run.log_level.upper(),
             format="%(levelname)s %(name)s: %(message)s",
         )
-        return args.handler(config, args)
+        args.out = Path(args.out or Path(config.run.output_root) / args.command)
+        with staged_output(args.out) as out:  # published only if the handler returns
+            write_resolved_config(config, out / "resolved-config.ini")
+            return args.handler(config, args, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,6 +1,8 @@
 """Sharded document corpus I/O, and the stage-file layer: every file a stage
-writes goes through `atomic_open`, and stage files are read back through
-`read_records`/`read_json`, which name the file:line of a bad record.
+writes goes through `atomic_open` into the staging dir of `staged_output`,
+which publishes a command's outputs only when it finishes, and stage files are
+read back through `read_records`/`read_json`, which name the file:line of a
+bad record.
 
 A corpus is a directory of newline-delimited JSON shards. Every record needs
 a "text" field; "id" and "meta" are optional. A ".gz" suffix marks a
@@ -16,6 +18,7 @@ import gzip
 import json
 import os
 import random
+import shutil
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -249,6 +252,27 @@ def atomic_open(path: str | Path, mode: str = "w", compress: bool = False) -> It
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextlib.contextmanager
+def staged_output(out: str | Path) -> Iterator[Path]:
+    """The one place a command's outputs are published or discarded. The block
+    writes into the hidden staging dir ".<name>.<random>.tmp", inside `out` if
+    it exists, else in its nearest existing ancestor (one filesystem for the
+    renames; no shard, score or benchmark glob matches it). When the block
+    finishes, each staged file is renamed into `out`; when it raises, the dir
+    is removed and `out` is as it was. A killed run leaves only the dir."""
+    out = Path(out)
+    home = next(p for p in (out, *out.parents) if p.is_dir())
+    stage = home / f".{out.name}.{os.urandom(4).hex()}.tmp"
+    stage.mkdir()
+    try:
+        yield stage
+        out.mkdir(parents=True, exist_ok=True)
+        for path in stage.iterdir():
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 _JSONL = json.JSONEncoder(ensure_ascii=False, sort_keys=True)  # built once, not per line

@@ -215,11 +215,15 @@ def parse_label(raw_response: str) -> str:
     return AMBIGUOUS
 
 
-def yes_share(labels: list[QualityLabel]) -> float:
-    """Fraction of Yes labels, without yes_fraction's degenerate-labeler warning."""
-    if not labels:
+def yes_share(labels: Iterable[QualityLabel]) -> float:
+    """Fraction of Yes labels, without yes_fraction's degenerate-labeler
+    warning; counted in one pass, so a stream of labels is never held."""
+    yes = total = 0
+    for total, lbl in enumerate(labels, 1):
+        yes += lbl.label == YES
+    if not total:
         raise ValueError("no labels")
-    return sum(1 for lbl in labels if lbl.label == YES) / len(labels)
+    return yes / total
 
 
 def yes_fraction(labels: list[QualityLabel]) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 
 from .corpus import Snippet
-from .labeling import NO, YES, parse_prompt
+from .labeling import ICL_SHOTS, NO, YES, parse_prompt
 from .synthetic import marker_truth
 
 
@@ -82,7 +82,7 @@ class FidelityMockTransport:
     """
 
     def __init__(self, fidelity_by_shots: dict[int, float] | None = None):
-        self.fidelity_by_shots = fidelity_by_shots or {0: 0.60, 5: 0.75}
+        self.fidelity_by_shots = fidelity_by_shots or {0: 0.60, ICL_SHOTS: 0.75}
 
     def complete(self, prompt: str) -> str:
         _, shots, text = parse_prompt(prompt)

@@ -284,10 +284,11 @@ def score_corpus(
     Shards run on `workers` forked processes (see `_map_shards`). Records
     that ingest skips (empty text, or malformed unless `strict`) are counted
     in the report. The written score set is identical for any worker count. A
-    shard that fails (unreadable, or a malformed record under `strict`), or
-    a worker that dies, removes every score shard of this run before the
-    error propagates. A doc id that occurs twice, explicit or synthesized
-    ("<shard>#<index>"), raises DuplicateIdError once every shard is written.
+    shard that fails (unreadable, or a malformed record under `strict`) or a
+    worker that dies raises; the score shards already written stay, and
+    `docprune score` discards them with its staging dir. A doc id that occurs
+    twice, explicit or synthesized ("<shard>#<index>"), raises
+    DuplicateIdError once every shard is written.
     """
     names = score_shard_names(shard_set)
     out_dir = Path(out_dir)
@@ -310,12 +311,7 @@ def score_corpus(
         return path, stats, ids
 
     t0 = time.monotonic()
-    try:
-        results = _map_shards(score_one, shard_set, workers, strict)
-    except BaseException:
-        for name in names.values():
-            (out_dir / name).unlink(missing_ok=True)
-        raise
+    results = _map_shards(score_one, shard_set, workers, strict)
     paths = [path for path, _, _ in results]
     report = ScoringReport(per_shard=[stats for _, stats, _ in results])
     report.input_documents = sum(stats.input_documents for stats in report.per_shard)
@@ -409,12 +405,10 @@ def filter_corpus(
     written. Output shards reuse the input shard file names; a shard may
     shrink or empty, and its kept documents stream into its file. Shards run
     one after another in this process: per shard, filtering costs less than
-    starting a worker process. A failed run removes its kept shards before
-    the error propagates.
+    starting a worker process. A failed run leaves the kept shards it wrote;
+    `docprune filter` discards them with its staging dir.
     """
     out_dir = Path(out_dir)
-    if any(shard.path.parent.resolve() == out_dir.resolve() for shard in shard_set.shards):
-        raise CorpusError(f"filter output dir {out_dir} is the corpus dir; choose another")
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -438,26 +432,21 @@ def filter_corpus(
         }
         return out_shard, counts
 
-    try:
-        results = _map_shards(filter_one, shard_set, 1, strict)
-        per_shard = [counts for _, counts in results]
-        keys = ("input_documents", "output_documents", "empty_text", "malformed")
-        total = {key: sum(c[key] for c in per_shard) for key in keys}
-        if total["input_documents"] != len(scores):
-            raise CorpusError(
-                f"score set/corpus mismatch: the corpus holds {total['input_documents']} "
-                f"documents, the score set {len(scores)} scores (a document was removed, "
-                f"blanked or repeated after scoring?); re-run `docprune score` on this corpus"
-            )
-        if total["output_documents"] != decision.kept:
-            raise CorpusError(
-                f"decision/corpus mismatch: decision says keep {decision.kept}, filter kept "
-                f"{total['output_documents']} (was the decision computed on this score set?)"
-            )
-    except BaseException:
-        for shard in shard_set.shards:
-            (out_dir / shard.path.name).unlink(missing_ok=True)
-        raise
+    results = _map_shards(filter_one, shard_set, 1, strict)
+    per_shard = [counts for _, counts in results]
+    keys = ("input_documents", "output_documents", "empty_text", "malformed")
+    total = {key: sum(c[key] for c in per_shard) for key in keys}
+    if total["input_documents"] != len(scores):
+        raise CorpusError(
+            f"score set/corpus mismatch: the corpus holds {total['input_documents']} "
+            f"documents, the score set {len(scores)} scores (a document was removed, "
+            f"blanked or repeated after scoring?); re-run `docprune score` on this corpus"
+        )
+    if total["output_documents"] != decision.kept:
+        raise CorpusError(
+            f"decision/corpus mismatch: decision says keep {decision.kept}, filter kept "
+            f"{total['output_documents']} (was the decision computed on this score set?)"
+        )
     out_shards = [out_shard for out_shard, _ in results]
     manifest = Manifest(
         cutoff=decision.cutoff,

@@ -3,6 +3,9 @@ import json
 import logging
 import os
 import shutil
+import signal
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -277,7 +280,7 @@ class TestCliPipeline:
             "--out", out,
         )
         assert code == 4
-        assert (out / "labels.jsonl").exists()
+        assert (out / "labels.jsonl").exists() and (out / "label-stats.json").exists()
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -323,6 +326,13 @@ class TestCliPipeline:
         assert run_cli("score", "--input", corpus, "--model", tmp_path / "model.bin",
                        "--out", scores) == 5
         assert "'dup' is scored 2 times, in shards s0.jsonl, s1.jsonl" in capsys.readouterr().err
+        # `score` published nothing, so the repeated-id score set is written by hand.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "model.bin"]
+        scores.mkdir()
+        for name, ids in (("s0", ["a", "dup"]), ("s1", ["dup", "b"])):
+            jsonl(scores / f"scores-{name}.jsonl",
+                  [{**HEADER, "source_shard": f"{name}.jsonl", "rows": 2}]
+                  + [{"doc_id": doc_id, "score": 0.5} for doc_id in ids])
         assert run_cli("select", "--scores", scores, "--target-ratio", 0.5,
                        "--out", tmp_path / "select") == 5
         assert "'dup' is scored 2 times, in shards s0.jsonl, s1.jsonl" in capsys.readouterr().err
@@ -689,6 +699,29 @@ class TestScoreTimeChecks:
             # A numeric ratio is the override.
             assert run_cli(*argv, "--target-ratio", 0.5) == 0
 
+    def test_from_labels_streams_its_labels(self, tmp_path):
+        """The Yes share is counted as the labels are read: on one small score
+        set, 20,000 labels peak no higher than 1.5x 2,000 labels."""
+        from conftest import traced_peak
+
+        scores = tmp_path / "scores"
+        scores.mkdir()
+        jsonl(scores / "scores-s0.jsonl",
+              [{**HEADER, "rows": 100}]
+              + [{"doc_id": f"d{i}", "score": i / 200 + 0.1} for i in range(100)])
+
+        def peak(n: int) -> int:
+            labels = jsonl(tmp_path / f"labels-{n}.jsonl", [
+                {**LABEL, "doc_id": f"d{i}", "label": "Yes" if i % 4 == 0 else "No"}
+                for i in range(n)
+            ])
+            argv = ["select", "--scores", scores, "--labels", labels,
+                    "--target-ratio", "from-labels", "--out", tmp_path / f"select-{n}"]
+            assert run_cli(*argv) == 0  # warm up
+            return traced_peak(lambda: run_cli(*argv))
+
+        assert peak(20_000) < 1.5 * peak(2_000)
+
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
@@ -887,11 +920,11 @@ class TestCorpusAndScoreSetChecks:
                        "--out", tmp_path / command)
 
     def assert_no_score_set(self, small_run, tmp_path, capsys):
-        assert not list((tmp_path / "score").glob("scores-*.jsonl"))
+        assert not (tmp_path / "score").exists()
         capsys.readouterr()
         assert run_cli("select", "--scores", tmp_path / "score", "--target-ratio", 0.25,
                        "--out", tmp_path / "select") == 3
-        assert "no score shards" in capsys.readouterr().err
+        assert "score directory not found" in capsys.readouterr().err
         assert not (tmp_path / "select").exists()
 
     def append_malformed(self, corpus):
@@ -988,9 +1021,8 @@ class TestCorpusAndScoreSetChecks:
         err = capsys.readouterr().err
         assert "399 documents" in err and "400 scores" in err, err
         assert "re-run `docprune score`" in err
-        # The check fails after every kept shard was written; none remains.
-        assert not list((tmp_path / "filter").glob("shard-*.jsonl"))
-        assert not (tmp_path / "filter" / "filter-manifest.json").exists()
+        # The check fails after every kept shard was staged; none was published.
+        assert not (tmp_path / "filter").exists()
 
     @pytest.mark.parametrize("ratio", [0.25, 1])
     def test_decision_from_another_score_set_exits_3(self, small_run, tmp_path, capsys,
@@ -1115,3 +1147,149 @@ def test_sample_of_a_corpus_without_documents_exits_5(tmp_path, capsys):
     assert run_cli("sample", "--input", tmp_path / "corpus", "--out", out) == 5
     assert "no document with text" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Runs `docprune <argv[3:]>` after wrapping `selection.<argv[1]>` so that the
+# process sends itself SIGKILL on call number argv[2], as a crash or the OOM
+# killer would end it.
+KILLED = """
+import os, signal, sys
+from docprune import cli, selection
+name, at, calls = sys.argv[1], int(sys.argv[2]), []
+real = getattr(selection, name)
+def dying(*args, **kwargs):
+    calls.append(name)
+    if len(calls) == at:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(*args, **kwargs)
+setattr(selection, name, dying)
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+def run_killed(function, call, *argv):
+    src = Path(selection.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", KILLED, function, str(call), *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+
+
+def files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestStagedOutputs:
+    """A command's outputs appear in `--out` only when it finishes: a run
+    that raises or is killed publishes nothing, and leaves a previous run's
+    files as they were."""
+
+    def test_killed_score_publishes_no_score_shard(self, small_run, tmp_path, capsys):
+        out = tmp_path / "score"
+        run_killed("score_documents", 3, *small_run["score"], "--workers", 1, "--out", out)
+        assert not list(tmp_path.glob("score/scores-*.jsonl"))
+        # What the run wrote stays in its hidden staging dir, which nothing reads.
+        assert len(list(tmp_path.glob(".score.*.tmp/scores-*.jsonl"))) == 2
+        assert run_cli("select", "--scores", out, "--target-ratio", 0.25,
+                       "--out", tmp_path / "select") == 3
+        assert "score directory not found" in capsys.readouterr().err
+
+    def test_killed_filter_publishes_no_kept_shard(self, small_run, tmp_path):
+        run_killed("write_shard_file", 2, *small_run["filter"], "--out", tmp_path / "filter")
+        assert not list(tmp_path.glob("filter/shard-*.jsonl"))
+        assert len(list(tmp_path.glob(".filter.*.tmp/shard-*.jsonl"))) == 1
+
+    def test_dead_worker_after_its_first_shard_publishes_no_score_shard(
+        self, small_run, tmp_path, capfd, monkeypatch
+    ):
+        """Each worker scores its first shard and exits in its second; the
+        patch is inherited through fork, and each worker counts its own calls."""
+        calls, real = [], selection.score_documents
+
+        def dies_in_second_shard(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                os._exit(1)
+            return real(*args)
+
+        monkeypatch.setattr(selection, "score_documents", dies_in_second_shard)
+        assert run_cli(*small_run["score"], "--workers", 2, "--out", tmp_path / "score") == 3
+        assert "a scoring worker process died" in capfd.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rerun_keeps_the_previous_outputs(self, small_run, tmp_path, capsys):
+        corpus = shutil.copytree(small_run["score"][2], tmp_path / "corpus")
+        argv = [corpus if a == small_run["score"][2] else a for a in small_run["score"]]
+        out = tmp_path / "score"
+        assert run_cli(*argv, "--out", out) == 0
+        before = files(out)
+        assert "scores-shard-00001.jsonl" in before and "resolved-config.ini" in before
+        with open(corpus / "shard-00001.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        (tmp_path / "strict.ini").write_text("[corpus]\nstrict = true\n")
+        assert run_cli(*argv, "--config", tmp_path / "strict.ini", "--out", out) == 3
+        assert "malformed record shard-00001.jsonl#100" in capsys.readouterr().err
+        assert files(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "score", "strict.ini"]
+
+    def test_strict_filter_opens_each_corpus_shard_once(self, small_run, tmp_path,
+                                                          monkeypatch):
+        from docprune import corpus
+
+        opened, real = [], corpus._open_shard
+        monkeypatch.setattr(corpus, "_open_shard",
+                            lambda shard: opened.append(shard.path.name) or real(shard))
+        (tmp_path / "strict.ini").write_text("[corpus]\nstrict = true\n")
+        assert run_cli(*small_run["filter"], "--config", tmp_path / "strict.ini",
+                       "--out", tmp_path / "filter") == 0
+        assert opened == sorted(p.name for p in small_run["score"][2].glob("*.jsonl"))
+
+    def test_filter_into_the_corpus_dir_exits_3(self, small_run, tmp_path, capsys):
+        """Kept shards reuse their input names, so filtering into the corpus
+        dir would replace the corpus."""
+        corpus = shutil.copytree(small_run["score"][2], tmp_path / "corpus")
+        before = files(corpus)
+        argv = [corpus if a == small_run["score"][2] else a for a in small_run["filter"]]
+        assert run_cli(*argv, "--out", corpus / ".." / "corpus") == 3
+        assert "is the corpus dir" in capsys.readouterr().err
+        assert files(corpus) == before
+
+    def filter_by_hand(self, tmp_path, shards, scored, kept):
+        """`filter` on a corpus of `shards` (name -> doc ids), a score set
+        holding the `scored` doc id -> score rows, and a cutoff-0.5 decision
+        over them that claims `kept` documents."""
+        from conftest import corpus_dir
+
+        corpus = corpus_dir(tmp_path, {
+            f"{name}.jsonl": [{"id": i, "text": "x"} for i in ids] for name, ids in shards.items()
+        }).shards[0].path.parent
+        scores = tmp_path / "scores"
+        scores.mkdir()
+        for name, ids in shards.items():
+            rows = [{"doc_id": i, "score": scored[i]} for i in ids if i in scored]
+            jsonl(scores / f"scores-{name}.jsonl",
+                  [{**HEADER, "source_shard": f"{name}.jsonl", "rows": len(rows)}] + rows)
+        decision = tmp_path / "decision.json"
+        decision.write_text(json.dumps({
+            "cutoff": 0.5, "target_ratio": 0.5, "achieved_ratio": 0.5, "kept": kept,
+            "dropped": len(scored) - kept, "classifier_id": HEADER["classifier_id"],
+        }))
+        return run_cli("filter", "--input", corpus, "--scores", scores,
+                       "--decision", decision, "--out", tmp_path / "filter")
+
+    def test_missing_score_publishes_no_kept_shard(self, tmp_path, capsys):
+        """The second shard's unscored document fails the run after the first
+        shard's kept document was staged."""
+        assert self.filter_by_hand(tmp_path, {"s0": ["a"], "s1": ["b"]}, {"a": 0.9}, 1) == 3
+        assert "join integrity: document 'b' in s1.jsonl has no score" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "filter").exists()
+
+    def test_decision_mismatch_publishes_no_kept_shard(self, tmp_path, capsys):
+        """A decision over the score set's one score that claims to keep none
+        of it, while its cutoff keeps the document."""
+        assert self.filter_by_hand(tmp_path, {"s": ["a"]}, {"a": 0.9}, 0) == 3
+        assert "decision/corpus mismatch" in capsys.readouterr().err
+        assert not (tmp_path / "filter").exists()

@@ -295,7 +295,8 @@ class TestFilterCorpus:
 
     def test_missing_score_is_fatal(self, tmp_path):
         """The second shard's unscored document fails the run after the first
-        shard's kept documents were written; none of them remain."""
+        shard's kept documents were written (`docprune filter` discards them:
+        tests/test_config_cli.py::TestStagedOutputs)."""
         from conftest import corpus_dir
 
         shard_set = corpus_dir(tmp_path, {
@@ -306,7 +307,6 @@ class TestFilterCorpus:
         )
         with pytest.raises(CorpusError, match="join integrity"):
             filter_corpus(shard_set, {"a": 0.9}, decision, tmp_path / "out")
-        assert list((tmp_path / "out").iterdir()) == []
 
     def test_decision_mismatch_is_fatal(self, tmp_path):
         from conftest import corpus_dir
@@ -317,21 +317,6 @@ class TestFilterCorpus:
         )
         with pytest.raises(CorpusError, match="mismatch"):
             filter_corpus(shard_set, {"a": 0.9}, decision, tmp_path / "out")
-        assert list((tmp_path / "out").iterdir()) == []
-
-    def test_output_into_the_corpus_dir_is_refused(self, tmp_path):
-        """Kept shards reuse their input names, so filtering into the corpus
-        dir would replace the corpus, and a failed run would remove it."""
-        from conftest import corpus_dir
-
-        shard_set = corpus_dir(tmp_path, {"s.jsonl": [{"id": "a", "text": "x"}]})
-        before = shard_set.shards[0].path.read_bytes()
-        decision = SelectionDecision(
-            cutoff=0.5, target_ratio=1.0, achieved_ratio=1.0, kept=1, dropped=0
-        )
-        with pytest.raises(CorpusError, match="is the corpus dir"):
-            filter_corpus(shard_set, {"a": 0.9}, decision, tmp_path / "corpus")
-        assert shard_set.shards[0].path.read_bytes() == before
 
     def test_worker_independence(self, tmp_path, small_world):
         _, shard_set, docs, clf = small_world
@@ -405,8 +390,7 @@ SHARD_TEXTS = st.lists(
 
 class TestScoringProcesses:
     """`score_corpus` on forked worker processes: the bytes of one worker,
-    the CPU time of each shard, and no score shards left behind when a
-    worker dies."""
+    the CPU time of each shard, and the error a dead worker raises."""
 
     @settings(max_examples=8, deadline=None)  # every example forks
     @given(workers=st.integers(1, 4), shards=st.lists(SHARD_TEXTS, min_size=1, max_size=6))
@@ -452,9 +436,10 @@ class TestScoringProcesses:
         assert report.total_cpu_seconds == pytest.approx(
             sum(s.cpu_seconds for s in report.per_shard))
 
-    def test_dead_worker_leaves_no_score_shards(self, tmp_path, small_world, monkeypatch):
+    def test_dead_worker_raises_broken_process_pool(self, tmp_path, small_world, monkeypatch):
         """Each worker writes its first shard and exits in its second; the
-        patch is inherited through fork, and each worker counts its own calls."""
+        patch is inherited through fork, and each worker counts its own calls.
+        `docprune score` discards the shards written (tests/test_config_cli.py)."""
         _, shard_set, _, clf = small_world
         assert len(shard_set.shards) > 2
         calls = []
@@ -468,4 +453,3 @@ class TestScoringProcesses:
         monkeypatch.setattr(selection, "score_documents", dies_in_second_shard)
         with pytest.raises(BrokenProcessPool):
             score_corpus(shard_set, clf, workers=2, out_dir=tmp_path / "scores")
-        assert not list((tmp_path / "scores").glob("scores-*.jsonl"))
