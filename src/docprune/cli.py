@@ -1,10 +1,12 @@
 """Command-line pipeline: sample, label, train, score, select, filter, ablate.
 
 Stages communicate only through files (snippets, labels, model, score set,
-decision), so each can run at its own scale and cadence. A command's outputs,
-its resolved configuration among them, appear only when it finishes. Exit
-codes: 0 success, 2 config error, 3 I/O error or malformed stage file, 4
-endpoint failure, 5 degenerate data.
+decision), so each can run at its own scale and cadence. `COMMANDS` gives each
+command's handler, help and flags, each flag declared once, and `main` runs
+them all: a command that reads a corpus refuses an `--out` that is the corpus
+dir, and a command's outputs, its resolved configuration among them, appear
+only when it finishes. Exit codes: 0 success, 2 config error, 3 I/O error or
+malformed stage file, 4 endpoint failure, 5 degenerate data.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 # `featurize_text` is the one-text view of the batched featurizer that
 # training and scoring use; it stays importable here only because the
@@ -79,7 +81,7 @@ EXIT_ENDPOINT = 4
 EXIT_DEGENERATE = 5
 
 
-def cmd_sample(config: RunConfig, args, out: Path) -> int:
+def cmd_sample(config: RunConfig, out: Path) -> int:
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
     summary = RunSummary()
     docs = ingest_shards(shard_set, strict=config.corpus.strict, summary=summary)
@@ -96,8 +98,8 @@ def cmd_sample(config: RunConfig, args, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_label(config: RunConfig, args, out: Path) -> int:
-    snippets = list(read_records(args.snippets, Snippet))
+def cmd_label(config: RunConfig, out: Path, snippets: str) -> int:
+    records = list(read_records(snippets, Snippet))
     labeler = config.labeler
     demos = read_demonstrations(labeler.icl_demos) if labeler.icl_demos else []
     if labeler.mock:
@@ -109,7 +111,7 @@ def cmd_label(config: RunConfig, args, out: Path) -> int:
         transport = HttpChatTransport(labeler)  # checks endpoint_url
     aborted = None
     try:
-        labels, stats = label_documents(snippets, labeler, demos, transport=transport)
+        labels, stats = label_documents(records, labeler, demos, transport=transport)
     except LabelRunAborted as exc:  # its partial labels are written below
         aborted, labels, stats = exc, exc.labels, exc.stats
     finally:
@@ -140,9 +142,9 @@ def _train(
     return classifier, train.targets
 
 
-def cmd_train(config: RunConfig, args, out: Path) -> int:
+def cmd_train(config: RunConfig, out: Path, snippets: str, labels: str) -> int:
     classifier, train_targets = _train(
-        config, read_records(args.labels, QualityLabel), read_records(args.snippets, Snippet)
+        config, read_records(labels, QualityLabel), read_records(snippets, Snippet)
     )
     save_model(classifier, out / "model.bin")
     meta = classifier.training_meta
@@ -165,8 +167,8 @@ def cmd_train(config: RunConfig, args, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_score(config: RunConfig, args, out: Path) -> int:
-    classifier = load_model(Path(args.model))
+def cmd_score(config: RunConfig, out: Path, model: str) -> int:
+    classifier = load_model(Path(model))
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
     score_set = score_corpus(
         shard_set,
@@ -185,16 +187,16 @@ def cmd_score(config: RunConfig, args, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_select(config: RunConfig, args, out: Path) -> int:
-    score_set = ScoreSet.open(args.scores)
+def cmd_select(config: RunConfig, out: Path, scores: str, labels: str | None) -> int:
+    score_set = ScoreSet.open(scores)
     ratio = config.selector.target_ratio
     if ratio == "from-labels":
-        if not args.labels:
+        if not labels:
             raise ConfigError("--target-ratio from-labels requires --labels")
         try:  # the labeler's keep-ratio, counted as the labels stream past
-            ratio = yes_share(read_records(args.labels, QualityLabel))
+            ratio = yes_share(read_records(labels, QualityLabel))
         except ValueError:
-            raise DegenerateLabelsError(f"from-labels: {args.labels} holds no labels") from None
+            raise DegenerateLabelsError(f"from-labels: {labels} holds no labels") from None
         lo, hi = YES_FRACTION_RANGE
         if not lo <= ratio <= hi:
             raise DegenerateLabelsError(
@@ -211,30 +213,27 @@ def cmd_select(config: RunConfig, args, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_filter(config: RunConfig, args, out: Path) -> int:
-    # Kept shards reuse their input names: into the corpus dir they would replace it.
-    if args.out.resolve() == Path(config.corpus.input_dir).resolve():
-        raise CorpusError(f"filter output dir {args.out} is the corpus dir; choose another")
+def cmd_filter(config: RunConfig, out: Path, scores: str, decision: str) -> int:
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
-    score_set = ScoreSet.open(args.scores)
-    decision = read_json(args.decision, SelectionDecision)
+    score_set = ScoreSet.open(scores)
+    selected = read_json(decision, SelectionDecision)
     corpus_shards = {s.path.name for s in shard_set.shards}
     scored_shards = set(score_set.source_shards)
     if corpus_shards != scored_shards:
         raise CorpusError(
-            f"score set {args.scores} does not cover the corpus: corpus shards without "
+            f"score set {scores} does not cover the corpus: corpus shards without "
             f"scores {sorted(corpus_shards - scored_shards)}, scored shards not in the "
             f"corpus {sorted(scored_shards - corpus_shards)}"
         )
-    scores = score_set.load_scores()
-    selected_on = (decision.classifier_id, decision.kept + decision.dropped)
-    if selected_on != (score_set.classifier_id, len(scores)):
+    score_map = score_set.load_scores()
+    selected_on = (selected.classifier_id, selected.kept + selected.dropped)
+    if selected_on != (score_set.classifier_id, len(score_map)):
         raise CorpusError(
-            f"decision {args.decision} was selected over {selected_on[1]} scores of classifier "
-            f"{selected_on[0]!r}, but score set {args.scores} holds {len(scores)} scores of "
+            f"decision {decision} was selected over {selected_on[1]} scores of classifier "
+            f"{selected_on[0]!r}, but score set {scores} holds {len(score_map)} scores of "
             f"classifier {score_set.classifier_id!r}; re-run `docprune select` on this score set"
         )
-    _, manifest = filter_corpus(shard_set, scores, decision, out, strict=config.corpus.strict)
+    _, manifest = filter_corpus(shard_set, score_map, selected, out, strict=config.corpus.strict)
     log.info(
         "filtered corpus: kept %d of %d documents",
         manifest.output_documents, manifest.input_documents,
@@ -242,7 +241,7 @@ def cmd_filter(config: RunConfig, args, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(config: RunConfig, args, out: Path) -> int:
+def cmd_ablate(config: RunConfig, out: Path, sweep: str, published: Path) -> int:
     # Imported here, so that no other stage loads the sweeps or the mocks.
     from . import ablation
     from .mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
@@ -255,20 +254,20 @@ def cmd_ablate(config: RunConfig, args, out: Path) -> int:
     def mock_labels(snippets):
         return label_documents(snippets, config.labeler, transport=MockQualityTransport())[0]
 
-    if args.sweep == "ratio":
+    if sweep == "ratio":
         snippets = ablation.snippets_of(sample)
         classifier = _train(config, mock_labels(snippets), snippets)[0]
         report = ablation.run_ratio_sweep(docs, classifier, ab.ratios)
-    elif args.sweep == "capacity":
+    elif sweep == "capacity":
         snippets = ablation.snippets_of(docs)
         report = ablation.run_capacity_sweep(
             mock_labels(snippets), snippets, config.distiller, ab.hash_bits_list, ab.seeds
         )
-    elif args.sweep == "prompt":
+    elif sweep == "prompt":
         report = ablation.run_prompt_robustness(
             ablation.snippets_of(sample), config.labeler, VersionFlipTransport()
         )
-    elif args.sweep == "icl":
+    elif sweep == "icl":
         snippets = ablation.snippets_of(sample)
         strong_by_doc = truth_by_doc(sample)
         demos = [
@@ -279,28 +278,60 @@ def cmd_ablate(config: RunConfig, args, out: Path) -> int:
             snippets[ICL_SHOTS:], config.labeler, FidelityMockTransport(), demos, strong_by_doc
         )
     else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown sweep {args.sweep!r}")
+        raise ConfigError(f"unknown sweep {sweep!r}")
 
     jsonl_path, text_path = report.save(out, seed=config.run.seed)
-    log.info("wrote %s and %s", args.out / jsonl_path.name, args.out / text_path.name)
+    log.info("wrote %s and %s", published / jsonl_path.name, published / text_path.name)
     print(report.render_text())
     return EXIT_OK
 
 
-# Flags that override a config key: argument -> (section, key).
-_OVERRIDES = {
-    "seed": ("run", "seed"), "input": ("corpus", "input_dir"), "n": ("corpus", "sample_size"),
-    "prompt_version": ("labeler", "prompt_version"), "icl_demos": ("labeler", "icl_demos"),
-    "mock": ("labeler", "mock"), "endpoint_url": ("labeler", "endpoint_url"),
-    "model_name": ("labeler", "model_name"), "hash_bits": ("distiller", "hash_bits"),
-    "workers": ("selector", "workers"), "target_ratio": ("selector", "target_ratio"),
+# A flag is (its name, its argparse keywords). A dest of "section.key" overrides that
+# config key; any other dest is an input the handler takes by name. Every command takes COMMON.
+INPUT = "--input", dict(dest="corpus.input_dir", help="corpus directory of .jsonl[.gz] shards")
+SNIPPETS = "--snippets", dict(required=True, help="snippets.jsonl from `sample`")
+LABELS = "--labels", dict(help="labels.jsonl from `label`")
+SCORES = "--scores", dict(required=True, help="score-set directory from `score`")
+COMMON = [("--config", dict(help="INI config file")), ("--out", dict(help="output directory")),
+          ("--seed", dict(dest="run.seed", help="override [run] seed"))]
+
+
+class Command(NamedTuple):
+    handler: Callable[..., int]  # handler(config, staging dir, **inputs) -> exit code
+    help: str
+    flags: list[tuple[str, dict]]
+
+
+COMMANDS = {
+    "sample": Command(cmd_sample, "reservoir-sample documents and slice snippets", [
+        INPUT, ("--n", dict(dest="corpus.sample_size", help="sample size"))]),
+    "label": Command(cmd_label, "label snippets via endpoint or mock", [
+        SNIPPETS,
+        ("--prompt-version", dict(dest="labeler.prompt_version", choices=[
+            *map(str.lower, PROMPT_VERSIONS), *PROMPT_VERSIONS])),
+        ("--icl-demos", dict(dest="labeler.icl_demos",
+                             help="demonstrations file (exactly 5 records)")),
+        ("--mock", dict(dest="labeler.mock", action="store_true", default=None,
+                        help="use the offline mock labeler")),
+        ("--endpoint-url", dict(dest="labeler.endpoint_url")),
+        ("--model-name", dict(dest="labeler.model_name"))]),
+    "train": Command(cmd_train, "distill labels into the quality classifier", [
+        SNIPPETS, (LABELS[0], dict(LABELS[1], required=True)),
+        ("--hash-bits", dict(dest="distiller.hash_bits"))]),
+    "score": Command(cmd_score, "score a whole corpus shard-parallel", [
+        INPUT, ("--model", dict(required=True, help="model file from `train`")),
+        ("--workers", dict(dest="selector.workers",
+                           help="override [selector] workers: forked scoring processes"))]),
+    "select": Command(cmd_select, "choose the cutoff for a target keep-ratio", [
+        SCORES,
+        ("--target-ratio", dict(dest="selector.target_ratio",
+                                help='keep ratio in (0,1], or "from-labels"')),
+        LABELS]),
+    "filter": Command(cmd_filter, "materialize the kept documents", [
+        INPUT, SCORES, ("--decision", dict(required=True, help="decision.json from `select`"))]),
+    "ablate": Command(cmd_ablate, "run a desk-scale sweep on synthetic data", [
+        ("--sweep", dict(required=True, choices=["ratio", "capacity", "prompt", "icl"]))]),
 }
-
-
-def _overrides(args) -> dict[tuple[str, str], str]:
-    """The flags given, as (section, key) -> value string for load_config."""
-    given = {key: getattr(args, arg, None) for arg, key in _OVERRIDES.items()}
-    return {key: str(value) for key, value in given.items() if value not in (None, "")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,78 +341,36 @@ def build_parser() -> argparse.ArgumentParser:
         "score and filter the corpus.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="INI config file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", help="override [run] seed")
-
-    p = sub.add_parser("sample", help="reservoir-sample documents and slice snippets")
-    common(p)
-    p.add_argument("--input", help="corpus directory of .jsonl[.gz] shards")
-    p.add_argument("--n", help="sample size")
-    p.set_defaults(handler=cmd_sample)
-
-    p = sub.add_parser("label", help="label snippets via endpoint or mock")
-    common(p)
-    p.add_argument("--snippets", required=True, help="snippets.jsonl from `sample`")
-    p.add_argument("--prompt-version",
-                   choices=[*(v.lower() for v in PROMPT_VERSIONS), *PROMPT_VERSIONS])
-    p.add_argument("--icl-demos", help="demonstrations file (exactly 5 records)")
-    p.add_argument("--mock", action="store_true", default=None,
-                   help="use the offline mock labeler")
-    p.add_argument("--endpoint-url")
-    p.add_argument("--model-name")
-    p.set_defaults(handler=cmd_label)
-
-    p = sub.add_parser("train", help="distill labels into the quality classifier")
-    common(p)
-    p.add_argument("--snippets", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--hash-bits")
-    p.set_defaults(handler=cmd_train)
-
-    p = sub.add_parser("score", help="score a whole corpus shard-parallel")
-    common(p)
-    p.add_argument("--input", help="corpus directory")
-    p.add_argument("--model", required=True, help="model file from `train`")
-    p.add_argument("--workers", help="override [selector] workers: forked scoring processes")
-    p.set_defaults(handler=cmd_score)
-
-    p = sub.add_parser("select", help="choose the cutoff for a target keep-ratio")
-    common(p)
-    p.add_argument("--scores", required=True, help="score-set directory from `score`")
-    p.add_argument("--target-ratio", help='keep ratio in (0,1], or "from-labels"')
-    p.add_argument("--labels", help="labels file (required for from-labels)")
-    p.set_defaults(handler=cmd_select)
-
-    p = sub.add_parser("filter", help="materialize the kept documents")
-    common(p)
-    p.add_argument("--input", help="corpus directory")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--decision", required=True, help="decision.json from `select`")
-    p.set_defaults(handler=cmd_filter)
-
-    p = sub.add_parser("ablate", help="run a desk-scale sweep on synthetic data")
-    common(p)
-    p.add_argument("--sweep", required=True, choices=["ratio", "capacity", "prompt", "icl"])
-    p.set_defaults(handler=cmd_ablate)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, keywords in [*COMMON, *command.flags]:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    values = vars(build_parser().parse_args(argv))
+    name, config_path, out = values.pop("command"), values.pop("config"), values.pop("out")
+    command = COMMANDS[name]
+    overrides = {tuple(dest.split(".")): str(value) for dest, value in values.items()
+                 if "." in dest and value not in (None, "")}
+    inputs = {dest: value for dest, value in values.items() if "." not in dest}
     try:
-        config = load_config(args.config, _overrides(args))
+        config = load_config(config_path, overrides)
         logging.basicConfig(
             level=config.run.log_level.upper(),
             format="%(levelname)s %(name)s: %(message)s",
         )
-        args.out = Path(args.out or Path(config.run.output_root) / args.command)
-        with staged_output(args.out) as out:  # published only if the handler returns
-            write_resolved_config(config, out / "resolved-config.ini")
-            return args.handler(config, args, out)
+        out = Path(out or Path(config.run.output_root) / name)
+        # Later stages would ingest outputs written into the corpus dir as its
+        # shards, and filter's kept shards would replace their inputs by name.
+        if INPUT in command.flags and out.resolve() == Path(config.corpus.input_dir).resolve():
+            raise CorpusError(f"{name} output dir {out} is the corpus dir; choose another")
+        if command.handler is cmd_ablate:  # its report names hold a timestamp: it logs them
+            inputs["published"] = out
+        with staged_output(out) as staged:  # published only if the handler returns
+            write_resolved_config(config, staged / "resolved-config.ini")
+            return command.handler(config, staged, **inputs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,6 +9,7 @@ single reduction over the completed score set.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import datetime
 import itertools
 import math
@@ -178,12 +179,15 @@ class ScoreSet:
         for n, (doc_id, score, _) in enumerate(self.iter_records(), 1):
             scores[doc_id] = score
             if len(scores) < n:
-                shards = [shard for i, _, shard in self.iter_records() if i == doc_id]
-                raise DuplicateIdError(
-                    f"document id {doc_id!r} is scored {len(shards)} times, in shards "
-                    f"{', '.join(shards)}; document ids must be unique across the corpus"
-                )
+                raise _repeated_id(doc_id, [s for i, _, s in self.iter_records() if i == doc_id])
         return scores
+
+
+def _repeated_id(doc_id: str, shards: list[str]) -> DuplicateIdError:
+    return DuplicateIdError(
+        f"document id {doc_id!r} is scored {len(shards)} times, in shards "
+        f"{', '.join(shards)}; document ids must be unique across the corpus"
+    )
 
 
 def score_documents(
@@ -241,13 +245,14 @@ def _call_shard(shard: Shard):
     return _shard_call(shard)
 
 
-def _map_shards(fn, shard_set: ShardSet, workers: int, strict: bool) -> list:
-    """fn(shard, its documents, its RunSummary) for every shard, in shard
-    order. Once `fn` has read every document, the summary counts the shard's
-    documents and skipped records; `strict` makes a malformed record a
-    CorpusError. With one worker or one shard the shards run in this
-    process; otherwise on min(workers, shards) forked processes, and fn's
-    results must pickle. Every worker has stopped before an error propagates."""
+def _map_shards(fn, shard_set: ShardSet, workers: int, strict: bool) -> Iterator:
+    """Yields fn(shard, its documents, its RunSummary) for every shard, in
+    shard order. Once `fn` has read every document, the summary counts the
+    shard's documents and skipped records; `strict` makes a malformed record a
+    CorpusError. One worker or one shard runs each shard in this process as its
+    result is taken; more run on min(workers, shards) forked processes, and fn's
+    results must pickle. An error, or closing the generator, cancels the shards
+    not started; every worker has stopped before an error propagates."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
@@ -258,17 +263,21 @@ def _map_shards(fn, shard_set: ShardSet, workers: int, strict: bool) -> list:
 
     shards = shard_set.shards
     if workers == 1 or len(shards) < 2:
-        return [one(shard) for shard in shards]
+        yield from map(one, shards)
+        return
     # Imported only where a pool forks: at module level these imports would
     # lengthen the start-up of every stage process.
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(
+    pool = ProcessPoolExecutor(
         min(workers, len(shards)), mp_context=multiprocessing.get_context("fork"),
         initializer=_set_shard_call, initargs=(one,),
-    ) as pool:
-        return list(pool.map(_call_shard, shards))
+    )
+    try:
+        yield from pool.map(_call_shard, shards)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def score_corpus(
@@ -288,7 +297,8 @@ def score_corpus(
     worker that dies raises; the score shards already written stay, and
     `docprune score` discards them with its staging dir. A doc id that occurs
     twice, explicit or synthesized ("<shard>#<index>"), raises
-    DuplicateIdError once every shard is written.
+    DuplicateIdError once the first shard that repeats it is scored; the
+    shards not yet started are cancelled.
     """
     names = score_shard_names(shard_set)
     out_dir = Path(out_dir)
@@ -300,32 +310,32 @@ def score_corpus(
         # process it leaves out numpy's idle BLAS threads, which process time counts.
         t0, cpu0 = time.monotonic(), time.thread_time()
         ids, scores = score_documents(docs, classifier)
-        path = out_dir / names[shard.path.name]
         header = ScoreHeader(classifier_id, SCORES_FORMAT_VERSION, shard.path.name, len(ids))
         rows = ({"doc_id": i, "score": s} for i, s in zip(ids, scores))
-        write_jsonl(path, itertools.chain([header], rows))
+        write_jsonl(out_dir / names[shard.path.name], itertools.chain([header], rows))
         stats = ShardScoreStats(
             shard.path.name, summary.input_documents, summary.empty_text, summary.malformed,
             time.monotonic() - t0, time.thread_time() - cpu0,
         )
-        return path, stats, ids
+        return stats, ids
 
     t0 = time.monotonic()
-    results = _map_shards(score_one, shard_set, workers, strict)
-    paths = [path for path, _, _ in results]
-    report = ScoringReport(per_shard=[stats for _, stats, _ in results])
+    report, shard_of = ScoringReport(), {}  # shard_of: doc id -> its shard
+    with contextlib.closing(_map_shards(score_one, shard_set, workers, strict)) as results:
+        for stats, ids in results:
+            for doc_id in ids:
+                if doc_id in shard_of:
+                    raise _repeated_id(doc_id, [shard_of[doc_id], stats.shard])
+                shard_of[doc_id] = stats.shard
+            report.per_shard.append(stats)
     report.input_documents = sum(stats.input_documents for stats in report.per_shard)
     report.empty_text = sum(stats.empty_text for stats in report.per_shard)
     report.malformed = sum(stats.malformed for stats in report.per_shard)
     report.total_cpu_seconds = sum(stats.cpu_seconds for stats in report.per_shard)
-    doc_ids = [doc_id for _, _, shard_ids in results for doc_id in shard_ids]
     report.seconds = time.monotonic() - t0
     report.docs_per_second = report.input_documents / report.seconds if report.seconds else 0.0
     sources = [stats.shard for stats in report.per_shard]
-    score_set = ScoreSet(out_dir, paths, classifier_id, sources, report)
-    if len(set(doc_ids)) < len(doc_ids):
-        score_set.load_scores()  # raises DuplicateIdError naming the id and its shards
-    return score_set
+    return ScoreSet(out_dir, [out_dir / names[s] for s in sources], classifier_id, sources, report)
 
 
 def select_cutoff(
@@ -432,7 +442,7 @@ def filter_corpus(
         }
         return out_shard, counts
 
-    results = _map_shards(filter_one, shard_set, 1, strict)
+    results = list(_map_shards(filter_one, shard_set, 1, strict))
     per_shard = [counts for _, counts in results]
     keys = ("input_documents", "output_documents", "empty_text", "malformed")
     total = {key: sum(c[key] for c in per_shard) for key in keys}

@@ -1,11 +1,14 @@
+import configparser
 import gzip
 import json
 import logging
 import os
+import re
 import shutil
 import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +17,7 @@ import pytest
 
 from docprune import selection
 from docprune.classifier import FeaturizerConfig, QualityClassifier, TrainConfig, save_model
-from docprune.cli import main
+from docprune.cli import COMMANDS, COMMON, main
 from docprune.config import ConfigError, load_config, write_resolved_config
 from docprune.labeling import LabelerConfig
 from docprune.corpus import Shard, ShardSet, Snippet, ingest_shards, read_json, read_records
@@ -108,6 +111,37 @@ class TestConfigFile:
     def test_bad_override_names_its_section(self, key, value, section):
         with pytest.raises(ConfigError, match=rf"\[{section}\]"):
             load_config(None, {key: value})
+
+
+def table_flags(command):
+    return [*COMMON, *COMMANDS[command].flags]
+
+
+class TestCommandTable:
+    """`cli.COMMANDS` declares each flag once; these checks run for every
+    flag of every command, not only when someone passes one."""
+
+    def test_override_dests_are_config_keys(self, tmp_path):
+        write_resolved_config(load_config(), tmp_path / "defaults.ini")
+        defaults = configparser.ConfigParser(interpolation=None)
+        defaults.read(tmp_path / "defaults.ini", encoding="utf-8")
+        dests = {keywords.get("dest", "") for command in COMMANDS
+                 for _, keywords in table_flags(command)}
+        overrides = sorted(dest for dest in dests if "." in dest)
+        assert len(overrides) == 11
+        for dest in overrides:
+            section, key = dest.split(".")
+            assert defaults.has_option(section, key), dest
+            load_config(None, {(section, key): defaults[section][key]})
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_lists_the_command_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        text = capsys.readouterr().out
+        for flag, _ in table_flags(command):
+            assert re.search(rf"^ +{flag}(?=[ ,\n])", text, re.M), flag
 
 
 class TestSectionsMatchLibrary:
@@ -675,6 +709,57 @@ class TestScoreTimeChecks:
         assert "'s0.jsonl#0' is scored 2 times, in shards s0.jsonl, s1.jsonl" in (
             capsys.readouterr().err
         )
+
+    @staticmethod
+    def first_two_shards_share_an_id(tmp_path, n_shards):
+        """A corpus of one-document shards, the first two sharing the id
+        `dup`, and a model to score it with."""
+        from conftest import corpus_dir
+
+        ids = ["dup", "dup", *(f"d{i}" for i in range(2, n_shards))]
+        corpus = corpus_dir(tmp_path, {
+            f"s{i:02d}.jsonl": [{"id": doc_id, "text": f"text {i}"}] for i, doc_id in enumerate(ids)
+        }).shards[0].path.parent
+        config = FeaturizerConfig(hash_bits=8)
+        save_model(QualityClassifier(config, np.zeros(config.dim), 0.0, {}),
+                   tmp_path / "model.bin")
+        return ["score", "--input", corpus, "--model", tmp_path / "model.bin",
+                "--out", tmp_path / "scores"]
+
+    def test_repeated_id_stops_score_at_the_first_shard_that_repeats_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        argv = self.first_two_shards_share_an_id(tmp_path, 4)
+        calls, real = [], selection.score_documents
+        monkeypatch.setattr(selection, "score_documents",
+                            lambda *args: calls.append(args) or real(*args))
+        assert run_cli(*argv, "--workers", 1) == 5
+        assert "'dup' is scored 2 times, in shards s00.jsonl, s01.jsonl" in (
+            capsys.readouterr().err
+        )
+        assert len(calls) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "model.bin"]
+
+    def test_repeated_id_stops_forked_workers_before_exit_5(self, tmp_path, capsys, monkeypatch):
+        """The workers still scoring when the repeat is found stop before the
+        staging dir is removed, and the shards not started are cancelled; the
+        patch is inherited through fork and logs each call to a file."""
+        argv = self.first_two_shards_share_an_id(tmp_path, 12)
+        calls, real = tmp_path / "calls.log", selection.score_documents
+
+        def slow(*args):
+            with open(calls, "a") as fh:
+                fh.write("call\n")
+            time.sleep(0.1)
+            return real(*args)
+
+        monkeypatch.setattr(selection, "score_documents", slow)
+        assert run_cli(*argv, "--workers", 2) == 5
+        assert "'dup' is scored 2 times, in shards s00.jsonl, s01.jsonl" in (
+            capsys.readouterr().err
+        )
+        assert len(calls.read_text().split()) < 12
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["calls.log", "corpus", "model.bin"]
 
     @pytest.mark.parametrize("yes, code", [(98, 5), (2, 5), (25, 0)])
     def test_from_labels_with_degenerate_yes_fraction_exits_5(self, tmp_path, capsys, recwarn,
@@ -1245,15 +1330,27 @@ class TestStagedOutputs:
                        "--out", tmp_path / "filter") == 0
         assert opened == sorted(p.name for p in small_run["score"][2].glob("*.jsonl"))
 
-    def test_filter_into_the_corpus_dir_exits_3(self, small_run, tmp_path, capsys):
-        """Kept shards reuse their input names, so filtering into the corpus
-        dir would replace the corpus."""
+    @pytest.mark.parametrize("command", ["sample", "score", "filter"])
+    def test_out_into_the_corpus_dir_exits_3(self, small_run, tmp_path, capsys, command):
+        """Later stages would ingest outputs written into the corpus dir as
+        corpus shards, and filter's kept shards would replace their inputs."""
         corpus = shutil.copytree(small_run["score"][2], tmp_path / "corpus")
         before = files(corpus)
-        argv = [corpus if a == small_run["score"][2] else a for a in small_run["filter"]]
+        argv = [corpus if a == small_run["score"][2] else a for a in small_run[command]]
         assert run_cli(*argv, "--out", corpus / ".." / "corpus") == 3
-        assert "is the corpus dir" in capsys.readouterr().err
+        assert f"{command} output dir {corpus / '..' / 'corpus'} is the corpus dir" in (
+            capsys.readouterr().err
+        )
         assert files(corpus) == before
+        assert not (corpus / "resolved-config.ini").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
+    def test_label_into_the_working_dir_exits_0(self, small_run, tmp_path, monkeypatch):
+        """`label` reads no corpus, so the default empty [corpus] input_dir,
+        which resolves to the working dir, does not stop `--out .`."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("label", "--mock", "--snippets", small_run["train"][2], "--out", ".") == 0
+        assert {"labels.jsonl", "label-stats.json", "resolved-config.ini"} <= set(files(tmp_path))
 
     def filter_by_hand(self, tmp_path, shards, scored, kept):
         """`filter` on a corpus of `shards` (name -> doc ids), a score set
