@@ -4,7 +4,7 @@ Run: python demos/02_labeling.py
 """
 
 from docprune.ablation import snippets_of
-from docprune.corpus import snippet_of
+from docprune.corpus import Document, extract_snippet
 from docprune.labeling import (
     IclDemonstration,
     LabelerConfig,
@@ -17,7 +17,7 @@ from docprune.synthetic import SyntheticCorpusSpec, generate_documents
 
 # Three fixed instruction variants, V1-V3; [labeler] prompt_version picks
 # one, and V1 is the default.
-prompt = build_prompt(snippet_of("I am a document."), "V1")
+prompt = build_prompt(extract_snippet(Document("", "I am a document.")), "V1")
 print("--- zero-shot prompt ---")
 print(prompt)
 print()
@@ -31,7 +31,7 @@ demos = [
     IclDemonstration("click here click here click here", "No", "strong"),
     IclDemonstration("A study guide for organic chemistry.", "Yes", "strong"),
 ]
-five_shot = build_prompt(snippet_of("I am a document."), "V1", demos)
+five_shot = build_prompt(extract_snippet(Document("", "I am a document.")), "V1", demos)
 print(f"five-shot prompt has {five_shot.count('[Document]')} document blocks")
 print()
 

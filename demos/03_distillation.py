@@ -17,7 +17,7 @@ from docprune.classifier import (
     split_train_val,
     train_classifier,
 )
-from docprune.corpus import snippet_of
+from docprune.corpus import Document, extract_snippet
 from docprune.labeling import LabelerConfig, label_documents
 from docprune.mocks import MockQualityTransport
 from docprune.synthetic import SyntheticCorpusSpec, generate_documents
@@ -44,8 +44,8 @@ with FeatureStore(featurizer) as store:
 print("training meta:", classifier.training_meta)
 
 # Scores are sigmoid outputs clamped into the open interval (0, 1).
-high = score(classifier, snippet_of("hqmark1 is present in this text"))
-low = score(classifier, snippet_of("lqmark4 is present in this text"))
+high = score(classifier, extract_snippet(Document("", "hqmark1 is present in this text")))
+low = score(classifier, extract_snippet(Document("", "lqmark4 is present in this text")))
 print(f"scores: planted-high {high:.4f}, planted-low {low:.4f}")
 
 # The model file is a one-line JSON header plus raw weights; save/load is
@@ -54,6 +54,7 @@ with tempfile.TemporaryDirectory(prefix="docprune-demo-") as workdir:
     model_path = Path(workdir) / "model.bin"
     save_model(classifier, model_path)
     reloaded = load_model(model_path)
-    assert score(reloaded, snippet_of("any text")) == score(classifier, snippet_of("any text"))
+    probe = extract_snippet(Document("probe", "any text"))
+    assert score(reloaded, probe) == score(classifier, probe)
     print(f"model file: {model_path.stat().st_size:,} bytes, "
           f"fingerprint {classifier.fingerprint()}")

@@ -14,24 +14,20 @@ from docprune.classifier import (
     split_train_val,
     train_classifier,
 )
-from docprune.corpus import ingest_shards
+from docprune.corpus import ingest_shards, write_shards
 from docprune.labeling import LabelerConfig, label_documents, yes_fraction
 from docprune.mocks import MockQualityTransport
 from docprune.selection import filter_corpus, score_corpus, select_cutoff
-from docprune.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus, stratum_of
+from docprune.synthetic import SyntheticCorpusSpec, generate_documents, stratum_of
 
 with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:
     workdir = Path(tmp)
 
     # A 5,000-document corpus with a hidden 25% high-quality stratum.
-    shard_set = generate_synthetic_corpus(
-        SyntheticCorpusSpec(n_docs=5000, high_quality_fraction=0.25, seed=4),
-        workdir / "corpus",
-        n_shards=4,
-    )
+    docs = generate_documents(SyntheticCorpusSpec(n_docs=5000, high_quality_fraction=0.25, seed=4))
+    shard_set = write_shards(docs, workdir / "corpus", records_per_shard=1250)
 
     # Train a classifier on mock labels for 1,000 sampled documents.
-    docs = list(ingest_shards(shard_set))
     snippets = snippets_of(docs[:1000])
     labels, stats = label_documents(
         snippets, LabelerConfig(model_name="mock"), transport=MockQualityTransport()

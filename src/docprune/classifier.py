@@ -65,9 +65,9 @@ class ModelFormatError(Exception):
 
 
 class DegenerateLabelsError(ValueError):
-    """Data too degenerate to use: training data of a single class, a
-    from-labels keep-ratio from a degenerate labeler, an empty score set, or
-    a corpus without a document to sample."""
+    """Data too degenerate to use: training data of a single class or too
+    small to validate, a from-labels keep-ratio from a degenerate labeler, an
+    empty score set, or a corpus without a document to sample."""
 
 
 @dataclass(frozen=True)
@@ -302,7 +302,7 @@ class FeatureStore:
 
     def add(self, labels: Iterable[QualityLabel], snippets: Iterable[Snippet]) -> "Examples":
         """Join labels to their snippets: one example per label, in label
-        order, with target 1 for Yes and 0 otherwise.
+        order, with target 1 for Yes and 0 for No.
 
         Only the labeled snippets are featurized and appended, as the
         snippets stream by; only the labels' ids and targets are held, never
@@ -535,8 +535,12 @@ def train_classifier(
         raise DegenerateLabelsError("degenerate label distribution: empty training set")
     if set(train.targets) != {0, 1}:
         raise DegenerateLabelsError("degenerate label distribution: one class only")
-    if not val:
-        raise ValueError("validation set is empty")
+    if not val:  # e.g. 5 Yes and 5 No: each class's 0.5 validation share rounds to 0
+        yes = sum(train.targets)
+        raise DegenerateLabelsError(
+            f"too few labels to validate: {yes} Yes and {len(train) - yes} No labels "
+            f"leave no validation example; label more documents"
+        )
     if {train.store.featurizer, val.store.featurizer} != {config.featurizer}:
         raise ValueError("examples were featurized with another featurizer than config's")
 
@@ -607,8 +611,6 @@ def score_batch(classifier: QualityClassifier, batch: FeatureBatch) -> np.ndarra
 
 def score(classifier: QualityClassifier, snippet: Snippet) -> float:
     """Score of one snippet: a one-row score_batch."""
-    if not snippet.text:
-        raise ValueError("empty snippet")
     batch = featurize_batch([snippet.text], classifier.featurizer)
     return float(score_batch(classifier, batch)[0])
 

@@ -362,10 +362,13 @@ def main(argv=None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
         )
         out = Path(out or Path(config.run.output_root) / name)
-        # Later stages would ingest outputs written into the corpus dir as its
-        # shards, and filter's kept shards would replace their inputs by name.
-        if INPUT in command.flags and out.resolve() == Path(config.corpus.input_dir).resolve():
-            raise CorpusError(f"{name} output dir {out} is the corpus dir; choose another")
+        if INPUT in command.flags:
+            if not config.corpus.input_dir:  # Path("") would read the working dir
+                raise ConfigError("pass --input or set [corpus] input_dir")
+            # Later stages would ingest outputs written into the corpus dir as its
+            # shards, and filter's kept shards would replace their inputs by name.
+            if out.resolve() == Path(config.corpus.input_dir).resolve():
+                raise CorpusError(f"{name} output dir {out} is the corpus dir; choose another")
         if command.handler is cmd_ablate:  # its report names hold a timestamp: it logs them
             inputs["published"] = out
         with staged_output(out) as staged:  # published only if the handler returns

@@ -98,6 +98,10 @@ class Snippet:
     char_end: int
     approx_token_budget: int
 
+    def __post_init__(self):
+        if not self.text:
+            raise ValueError(f"empty snippet: {self.doc_id!r}")
+
 
 def _open_shard(shard: Shard) -> IO[bytes]:
     if shard.compressed:
@@ -222,12 +226,6 @@ def extract_snippet(doc: Document) -> Snippet:
         char_end=end,
         approx_token_budget=SNIPPET_TOKENS,
     )
-
-
-def snippet_of(text: str, doc_id: str = "") -> Snippet:
-    """Wrap a full text as a Snippet covering all of it."""
-    return Snippet(doc_id=doc_id, text=text, char_start=0, char_end=len(text),
-                   approx_token_budget=0)
 
 
 @contextlib.contextmanager

@@ -145,6 +145,10 @@ class QualityLabel:
     raw_response: str
     icl_shots: int = 0
 
+    def __post_init__(self):
+        if self.label not in (YES, NO):
+            raise ValueError(f"label {self.label!r} of {self.doc_id!r} is not {YES!r} or {NO!r}")
+
 
 @dataclass
 class LabelRunStats:
@@ -173,8 +177,6 @@ def build_prompt(
     demos = list(demos)
     if len(demos) not in (0, ICL_SHOTS):
         raise ValueError(f"demonstrations must number 0 or {ICL_SHOTS}, got {len(demos)}")
-    if not snippet.text:
-        raise ValueError("empty snippet")
     closing = _DOC_CLOSE + INSTRUCTIONS[canonical_version(version)]
     blocks = [_DOC_OPEN + d.snippet_text + closing + "\n\n" + d.label for d in demos]
     blocks.append(_DOC_OPEN + snippet.text + closing)

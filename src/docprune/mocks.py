@@ -37,8 +37,6 @@ def lexical_richness(text: str) -> float:
 
 def mock_label(snippet: Snippet) -> str:
     """Deterministic Yes/No: planted-marker majority, else the lexical rule."""
-    if not snippet.text:
-        raise ValueError("empty snippet")
     return _label_text(snippet.text)
 
 
@@ -58,20 +56,6 @@ class MockQualityTransport:
 
     def complete(self, prompt: str) -> str:
         return _label_text(query_snippet(prompt))
-
-
-class DegenerateMockTransport:
-    """Answers Yes at a fixed rate (default 98%) regardless of content.
-
-    Simulates a labeler too weak to discriminate, for the degeneracy
-    diagnostic.
-    """
-
-    def __init__(self, yes_rate: float = 0.98):
-        self.yes_rate = yes_rate
-
-    def complete(self, prompt: str) -> str:
-        return YES if hash01(f"degenerate|{query_snippet(prompt)}") < self.yes_rate else NO
 
 
 class FidelityMockTransport:

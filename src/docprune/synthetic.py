@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
-from .corpus import Document, ShardSet, write_shards
+from .corpus import Document
 from .labeling import NO, YES
 
 HIGH_MARKERS = tuple(f"hqmark{i}" for i in range(8))
@@ -132,18 +131,6 @@ def generate_documents(spec: SyntheticCorpusSpec) -> list[Document]:
     """Deterministic corpus with hidden ground truth in meta["stratum"]."""
     flags = _strata(spec)
     return [_make_doc(spec, i, flag) for i, flag in enumerate(flags)]
-
-
-def generate_synthetic_corpus(
-    spec: SyntheticCorpusSpec,
-    out_dir: str | Path,
-    n_shards: int = 4,
-    compress: bool = False,
-) -> ShardSet:
-    """Generate and write the corpus as shards; returns the ShardSet."""
-    docs = generate_documents(spec)
-    records_per_shard = max(1, -(-len(docs) // n_shards))
-    return write_shards(docs, out_dir, records_per_shard, compress=compress)
 
 
 def stratum_of(doc: Document) -> bool:

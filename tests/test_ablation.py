@@ -21,7 +21,7 @@ from docprune.classifier import (
     split_train_val,
     train_classifier,
 )
-from docprune.corpus import DuplicateIdError, snippet_of
+from docprune.corpus import Document, DuplicateIdError, extract_snippet
 from docprune.labeling import (
     NO,
     YES,
@@ -178,7 +178,7 @@ class TestCapacitySweep:
 
     @staticmethod
     def labeled(n):
-        snips = [snippet_of(f"text {i}", doc_id=str(i)) for i in range(n)]
+        snips = [extract_snippet(Document(str(i), f"text {i}")) for i in range(n)]
         labels = [QualityLabel(str(i), YES if i % 2 else NO, "V1", "test", "") for i in range(n)]
         return labels, snips
 
@@ -188,7 +188,7 @@ class TestCapacitySweep:
 
     def test_repeated_snippet_id_rejected(self):
         labels, snips = self.labeled(1000)
-        snips.append(snippet_of("a second text for 7", doc_id="7"))
+        snips.append(extract_snippet(Document("7", "a second text for 7")))
         with pytest.raises(DuplicateIdError, match="'7' occurs more than once"):
             run_capacity_sweep(labels, snips, hash_bits_list=(10,), seeds=(0,))
 

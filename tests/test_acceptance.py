@@ -24,7 +24,7 @@ from docprune.classifier import (
     train_classifier,
 )
 from docprune.cli import main
-from docprune.corpus import ShardSet, ingest_shards, reservoir_sample, snippet_of
+from docprune.corpus import Document, ShardSet, extract_snippet, ingest_shards, reservoir_sample, write_shards
 from docprune.labeling import (
     INSTRUCTIONS,
     NO,
@@ -37,18 +37,29 @@ from docprune.labeling import (
     label_documents,
     yes_fraction,
 )
-from docprune.mocks import DegenerateMockTransport, FidelityMockTransport, MockQualityTransport
+from docprune.mocks import FidelityMockTransport, MockQualityTransport, hash01, query_snippet
 from docprune.selection import (
     filter_corpus,
     score_corpus,
     select_cutoff,
 )
-from docprune.synthetic import SyntheticCorpusSpec, generate_documents, generate_synthetic_corpus, stratum_of, truth_by_doc
+from docprune.synthetic import SyntheticCorpusSpec, generate_documents, stratum_of, truth_by_doc
 
 from test_classifier import check_gradient_against_finite_differences, feature_batch
 from test_labeling import FROZEN_INSTRUCTIONS, SAMPLE_PROMPT
 
 MOCK_CONFIG = LabelerConfig(model_name="mock", max_concurrent_requests=8)
+
+
+class DegenerateMockTransport:
+    """Answers Yes at a fixed rate regardless of content: a labeler too weak
+    to discriminate, for the degeneracy diagnostic."""
+
+    def __init__(self, yes_rate: float):
+        self.yes_rate = yes_rate
+
+    def complete(self, prompt: str) -> str:
+        return YES if hash01(f"degenerate|{query_snippet(prompt)}") < self.yes_rate else NO
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +69,7 @@ def planted_corpus_10k(tmp_path_factory):
     spec = SyntheticCorpusSpec(
         n_docs=10_000, high_quality_fraction=0.25, signal_strength=1.0, seed=42
     )
-    shard_set = generate_synthetic_corpus(spec, root / "corpus", n_shards=4)
+    shard_set = write_shards(generate_documents(spec), root / "corpus", 2_500)
     return root, shard_set
 
 
@@ -223,7 +234,7 @@ class TestCriterion5ClassifierCorrectness:
                 train, val = split_train_val(stored, 0.25, seed=seed)
                 clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
                 scored = [
-                    (score(clf, snippet_of(docs[r].text)), t) for r, t in zip(val.rows, val.targets)
+                    (score(clf, extract_snippet(Document("", docs[r].text))), t) for r, t in zip(val.rows, val.targets)
                 ]
                 scored.sort(key=lambda t: -t[0])
                 k = sum(t for _, t in scored)
@@ -236,7 +247,7 @@ class TestCriterion5ClassifierCorrectness:
 
 class TestCriterion6PromptFidelity:
     def test_v1_prompt_byte_equal_for_sample_snippet(self):
-        rendered = build_prompt(snippet_of("I am a document.", doc_id="sample"), "V1")
+        rendered = build_prompt(extract_snippet(Document("sample", "I am a document.")), "V1")
         assert rendered == SAMPLE_PROMPT
 
     @pytest.mark.parametrize("version", ["V1", "V2", "V3"])

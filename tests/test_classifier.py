@@ -27,7 +27,7 @@ from docprune.classifier import (
     split_train_val,
     train_classifier,
 )
-from docprune.corpus import CorpusError, DuplicateIdError, snippet_of
+from docprune.corpus import CorpusError, Document, DuplicateIdError, extract_snippet
 from docprune.labeling import NO, YES, QualityLabel
 
 from conftest import traced_peak
@@ -170,7 +170,7 @@ def _label(doc_id, label):
 class TestFeatureStoreAdd:
     """`FeatureStore.add` is the one join of labels with their snippets."""
 
-    SNIPPETS = [snippet_of(f"text {i} of d{i}", doc_id=f"d{i}") for i in range(6)]
+    SNIPPETS = [extract_snippet(Document(f"d{i}", f"text {i} of d{i}")) for i in range(6)]
 
     def test_examples_in_label_order_with_their_rows(self):
         labels = [_label("d4", YES), _label("d1", NO), _label("d2", YES)]
@@ -197,7 +197,7 @@ class TestFeatureStoreAdd:
         assert stored.targets == [1, 0, 1]
 
     def test_repeated_snippet_id_raises(self):
-        snippets = self.SNIPPETS + [snippet_of("another text", doc_id="d2")]
+        snippets = self.SNIPPETS + [extract_snippet(Document("d2", "another text"))]
         with FeatureStore(FeaturizerConfig(hash_bits=10)) as store:
             with pytest.raises(DuplicateIdError, match="'d2' occurs more than once"):
                 store.add([_label("d0", YES)], snippets)
@@ -413,7 +413,7 @@ class TestTraining:
         rng.shuffle(targets)
         clf = _fit((texts, targets), config, val_fraction=0.25)
         _, val = _split((texts, targets), config, 0.25, seed=0)
-        val_scores = np.array([score(clf, snippet_of(texts[i])) for i in val])
+        val_scores = np.array([score(clf, extract_snippet(Document("", texts[i]))) for i in val])
         gold = [targets[i] for i in val]
         k = sum(gold)
         preds = [0] * len(gold)
@@ -426,15 +426,15 @@ class TestScore:
     def test_zero_model_scores_half(self):
         config = FeaturizerConfig(hash_bits=10)
         clf = QualityClassifier(config, np.zeros(config.dim), 0.0, {})
-        assert score(clf, snippet_of("anything at all")) == 0.5
+        assert score(clf, extract_snippet(Document("", "anything at all"))) == 0.5
 
     def test_scores_clamped_and_finite(self):
         config = FeaturizerConfig(ngram_orders=(1,), hash_bits=8)
         clf = QualityClassifier(config, np.full(config.dim, 1e9), 1e9, {})
-        s = score(clf, snippet_of("huge logit"))
+        s = score(clf, extract_snippet(Document("", "huge logit")))
         assert s == 1 - 1e-7
         clf_neg = QualityClassifier(config, np.full(config.dim, -1e9), -1e9, {})
-        assert score(clf_neg, snippet_of("huge negative")) == 1e-7
+        assert score(clf_neg, extract_snippet(Document("", "huge negative"))) == 1e-7
 
     def test_positive_scaling_preserves_decision(self):
         rng = np.random.default_rng(0)
@@ -444,15 +444,15 @@ class TestScore:
             a = QualityClassifier(config, weights, 0.0, {})
             b = QualityClassifier(config, c * weights, 0.0, {})
             for text in ("alpha beta", "gamma delta epsilon", "zeta"):
-                sa = score(a, snippet_of(text)) - 0.5
-                sb = score(b, snippet_of(text)) - 0.5
+                sa = score(a, extract_snippet(Document("", text))) - 0.5
+                sb = score(b, extract_snippet(Document("", text))) - 0.5
                 assert (sa >= 0) == (sb >= 0)
 
     def test_empty_snippet_rejected(self):
         config = FeaturizerConfig(hash_bits=8)
         clf = QualityClassifier(config, np.zeros(config.dim), 0.0, {})
         with pytest.raises(ValueError):
-            score(clf, snippet_of(""))
+            score(clf, extract_snippet(Document("", "")))
 
 
 class TestModelIO:
@@ -468,7 +468,7 @@ class TestModelIO:
         rng = random.Random(1)
         for _ in range(100):
             text = " ".join(f"w{rng.randrange(60)}" for _ in range(12))
-            assert score(loaded, snippet_of(text)) == score(clf, snippet_of(text))
+            assert score(loaded, extract_snippet(Document("", text))) == score(clf, extract_snippet(Document("", text)))
 
     def test_save_is_byte_stable(self, tmp_path):
         clf = self.make_classifier()

@@ -20,10 +20,12 @@ from docprune.classifier import FeaturizerConfig, QualityClassifier, TrainConfig
 from docprune.cli import COMMANDS, COMMON, main
 from docprune.config import ConfigError, load_config, write_resolved_config
 from docprune.labeling import LabelerConfig
-from docprune.corpus import Shard, ShardSet, Snippet, ingest_shards, read_json, read_records
+from docprune.corpus import (
+    Shard, ShardSet, Snippet, ingest_shards, read_json, read_records, write_shards,
+)
 from docprune.labeling import DegenerateLabelerWarning, QualityLabel
 from docprune.selection import Manifest, ScoreSet, SelectionDecision
-from docprune.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus, stratum_of
+from docprune.synthetic import SyntheticCorpusSpec, generate_documents, stratum_of
 
 
 class TestConfigFile:
@@ -173,10 +175,10 @@ def pipeline_world(tmp_path_factory):
     """A synthetic corpus on disk plus a config file pointing at it."""
     tmp = tmp_path_factory.mktemp("cli")
     corpus = tmp / "corpus"
-    generate_synthetic_corpus(
-        SyntheticCorpusSpec(n_docs=1000, high_quality_fraction=0.25, seed=31),
+    write_shards(
+        generate_documents(SyntheticCorpusSpec(n_docs=1000, high_quality_fraction=0.25, seed=31)),
         corpus,
-        n_shards=4,
+        250,
     )
     cfg = tmp / "run.ini"
     cfg.write_text(
@@ -383,8 +385,10 @@ class TestCliPipeline:
 
     def test_empty_text_document_is_dropped_by_filter(self, tmp_path):
         corpus = tmp_path / "corpus"
-        generate_synthetic_corpus(
-            SyntheticCorpusSpec(n_docs=400, high_quality_fraction=0.25, seed=5), corpus
+        write_shards(
+            generate_documents(SyntheticCorpusSpec(n_docs=400, high_quality_fraction=0.25, seed=5)),
+            corpus,
+            100,
         )
         with open(corpus / "shard-00000.jsonl", "a") as fh:
             fh.write(json.dumps({"id": "empty-1", "text": ""}) + "\n")
@@ -602,6 +606,40 @@ class TestMalformedStageFiles:
         self.assert_exit_3(capsys, ["train", "--snippets", snippets, "--labels", labels,
                                     "--out", tmp_path / "out"], f"{labels}:2")
 
+    @pytest.mark.parametrize("command", ["train", "select"])
+    @pytest.mark.parametrize("answers, line", [(["yes", "no"], 1), (["Yes", "no"], 2)],
+                             ids=["lower-case", "mixed-case"])
+    def test_label_other_than_yes_or_no(self, small_run, tmp_path, capsys, command, answers,
+                                        line):
+        """A label is "Yes" or "No"; any other value would read as No."""
+        snippets = small_run["train"][2]
+        ids = [s.doc_id for s in read_records(snippets, Snippet)][:40]
+        labels = jsonl(tmp_path / "labels.jsonl", [
+            {**LABEL, "doc_id": i, "label": answers[n % 2]} for n, i in enumerate(ids)
+        ])
+        argv = {"train": ["train", "--snippets", snippets, "--labels", labels],
+                "select": ["select", "--scores", small_run["select"][2], "--target-ratio",
+                           "from-labels", "--labels", labels]}[command]
+        self.assert_exit_3(capsys, [*argv, "--out", tmp_path / "out"], f"{labels}:{line}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["label", "train"])
+    def test_snippet_with_empty_text(self, tmp_path, capsys, command):
+        texts = [f"{'good' if i % 2 else 'bad'} text {i}" for i in range(12)]
+        texts.insert(1, "")
+        snippets = jsonl(tmp_path / "snippets.jsonl", [
+            {**SNIPPET, "doc_id": f"d{i}", "text": t, "char_end": len(t)}
+            for i, t in enumerate(texts)
+        ])
+        labels = jsonl(tmp_path / "labels.jsonl", [
+            {**LABEL, "doc_id": f"d{i}", "label": "Yes" if i % 2 else "No"}
+            for i in range(len(texts))
+        ])
+        argv = {"label": ["label", "--mock", "--snippets", snippets],
+                "train": ["train", "--snippets", snippets, "--labels", labels]}[command]
+        self.assert_exit_3(capsys, [*argv, "--out", tmp_path / "out"], f"{snippets}:2")
+        assert not (tmp_path / "out").exists()
+
     def test_label_missing_a_field(self, tmp_path, capsys):
         snippets = jsonl(tmp_path / "snippets.jsonl", [SNIPPET])
         label = {k: v for k, v in LABEL.items() if k != "label"}
@@ -813,7 +851,7 @@ def small_run(tmp_path_factory):
     """A 400-doc corpus in 4 shards and every stage file of one run over it."""
     tmp = tmp_path_factory.mktemp("small-run")
     corpus = tmp / "corpus"
-    generate_synthetic_corpus(SyntheticCorpusSpec(n_docs=400, seed=5), corpus)
+    write_shards(generate_documents(SyntheticCorpusSpec(n_docs=400, seed=5)), corpus, 100)
     snippets, labels = tmp / "sample" / "snippets.jsonl", tmp / "label" / "labels.jsonl"
     model, scores = tmp / "train" / "model.bin", tmp / "score"
     assert run_cli("sample", "--input", corpus, "--out", tmp / "sample") == 0
@@ -929,6 +967,19 @@ class TestDegenerateLabelSets:
         assert run_cli("train", "--snippets", snippets, "--labels", labels,
                        "--out", tmp_path / "out") == 5
         assert "at least 10 examples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_ten_balanced_labels_exit_5(self, small_run, tmp_path, capsys):
+        """Each class's validation share, 0.5, rounds to 0 (half to even): no
+        validation example is left."""
+        snippets = small_run["train"][2]
+        ids = [s.doc_id for s in read_records(snippets, Snippet)][:10]
+        labels = jsonl(tmp_path / "labels.jsonl", [
+            {**LABEL, "doc_id": i, "label": "Yes" if n % 2 else "No"} for n, i in enumerate(ids)
+        ])
+        assert run_cli("train", "--snippets", snippets, "--labels", labels,
+                       "--out", tmp_path / "out") == 5
+        assert "5 Yes and 5 No labels leave no validation example" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_select_from_empty_labels_exits_5(self, small_run, tmp_path, capsys):
@@ -1351,6 +1402,19 @@ class TestStagedOutputs:
         monkeypatch.chdir(tmp_path)
         assert run_cli("label", "--mock", "--snippets", small_run["train"][2], "--out", ".") == 0
         assert {"labels.jsonl", "label-stats.json", "resolved-config.ini"} <= set(files(tmp_path))
+
+    @pytest.mark.parametrize("command", ["sample", "score", "filter"])
+    def test_empty_input_dir_exits_2(self, small_run, tmp_path, monkeypatch, capsys, command):
+        """Without --input or [corpus] input_dir, a command that reads a
+        corpus would read the working dir, here a snippets file whose records
+        hold a "text" field, as its corpus."""
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(small_run["train"][2], tmp_path / "snippets.jsonl")
+        before = files(tmp_path)
+        argv = [small_run[command][0], *small_run[command][3:]]  # without --input
+        assert run_cli(*argv, "--out", "out") == 2
+        assert "pass --input or set [corpus] input_dir" in capsys.readouterr().err
+        assert files(tmp_path) == before
 
     def filter_by_hand(self, tmp_path, shards, scored, kept):
         """`filter` on a corpus of `shards` (name -> doc ids), a score set

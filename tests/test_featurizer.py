@@ -29,7 +29,7 @@ from docprune.classifier import (
     score_batch,
 )
 from docprune.cli import main
-from docprune.corpus import Document, snippet_of
+from docprune.corpus import Document, extract_snippet
 from docprune.selection import score_corpus, score_documents
 
 # Words, no-word-token runs (punctuation, blanks) and a few repeats, so
@@ -300,7 +300,7 @@ class TestScoreBatch:
         texts = ["alpha beta gamma", "!!", "a", "the quick brown fox " * 20, "x y"]
         batch_scores = score_batch(clf, featurize_batch(texts, clf.featurizer))
         for text, s in zip(texts, batch_scores):
-            assert score(clf, snippet_of(text)) == s
+            assert score(clf, extract_snippet(Document("", text))) == s
 
     def test_scores_clamped_into_open_interval(self):
         config = FeaturizerConfig(ngram_orders=(3,), hash_bits=8)
@@ -323,7 +323,7 @@ class TestScoreBatch:
         ids_chunked, chunked = score_documents(docs, clf)
         assert ids == ids_chunked == [d.id for d in docs]
         assert all(type(s) is float for s in whole) and whole == chunked
-        assert whole == [score(clf, snippet_of(d.text)) for d in docs]
+        assert whole == [score(clf, extract_snippet(Document("", d.text))) for d in docs]
         # The corpus form: ingest skips and counts the empty texts.
         shard_set = corpus_dir(tmp_path, {"s.jsonl": [
             {"id": f"d{i}", "text": t} for i, t in enumerate(texts)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docprune import cli
-from docprune.corpus import read_records, snippet_of, write_jsonl
+from docprune.corpus import Document, extract_snippet, read_records, write_jsonl
 from docprune.labeling import (
     AMBIGUOUS,
     INSTRUCTIONS,
@@ -75,21 +75,21 @@ FROZEN_INSTRUCTIONS = {
 
 
 def snippets(n, text="some snippet text"):
-    return [snippet_of(f"{text} {i}", doc_id=f"s{i}") for i in range(n)]
+    return [extract_snippet(Document(f"s{i}", f"{text} {i}")) for i in range(n)]
 
 
 def mixed_snippets(n):
     """Snippets the mock labels Yes (even i) and No (odd i, no long word), so
     a run over them is not a degenerate labeler's."""
     return [
-        snippet_of(f"some snippet text {i}" if i % 2 == 0 else f"plain text {i}", doc_id=f"s{i}")
+        extract_snippet(Document(f"s{i}", f"some snippet text {i}" if i % 2 == 0 else f"plain text {i}"))
         for i in range(n)
     ]
 
 
 class TestPromptRendering:
     def test_v1_matches_canonical_sample_prompt(self):
-        snip = snippet_of("I am a document.", doc_id="sample")
+        snip = extract_snippet(Document("sample", "I am a document."))
         rendered = build_prompt(snip, "V1")
         assert rendered == SAMPLE_PROMPT
 
@@ -100,7 +100,7 @@ class TestPromptRendering:
     @pytest.mark.parametrize("version", ["V1", "V2", "V3"])
     def test_snippet_verbatim_exactly_once(self, version):
         text = 'odd {braces} and "quotes" 世界'
-        rendered = build_prompt(snippet_of(text), version)
+        rendered = build_prompt(extract_snippet(Document("", text)), version)
         assert rendered.count(text) == 1
         assert rendered.index("[Document]") < rendered.index(text) < rendered.index("[Instruction]")
         assert rendered.endswith(INSTRUCTIONS[version])
@@ -115,7 +115,7 @@ class TestPromptRendering:
             IclDemonstration(f"demo text {i}", YES if i % 2 == 0 else NO, "strong")
             for i in range(5)
         ]
-        rendered = build_prompt(snippet_of("the query"), "V1", demos)
+        rendered = build_prompt(extract_snippet(Document("", "the query")), "V1", demos)
         blocks = rendered.split("[Document]\n\n<")
         assert blocks[0] == ""
         assert len(blocks) == 7  # leading empty + 5 answered demos + 1 query
@@ -125,18 +125,18 @@ class TestPromptRendering:
         assert blocks[6].startswith("the query>")
         assert blocks[6].endswith(INSTRUCTIONS["V1"])
         # the query block is exactly the zero-shot rendering
-        zero_shot = build_prompt(snippet_of("the query"), "V1")
+        zero_shot = build_prompt(extract_snippet(Document("", "the query")), "V1")
         assert rendered.endswith(zero_shot)
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 6])
     def test_demo_count_must_be_zero_or_five(self, count):
         demos = [IclDemonstration("t", YES)] * count
         with pytest.raises(ValueError, match="0 or 5"):
-            build_prompt(snippet_of("q"), "V1", demos)
+            build_prompt(extract_snippet(Document("", "q")), "V1", demos)
 
     def test_empty_snippet_rejected(self):
         with pytest.raises(ValueError):
-            build_prompt(snippet_of(""), "V1")
+            build_prompt(extract_snippet(Document("", "")), "V1")
 
     def test_demo_label_validated(self):
         with pytest.raises(ValueError):
@@ -157,12 +157,12 @@ class TestParsePrompt:
            demo_texts=st.just([]) | st.lists(FRAMED_TEXT, min_size=5, max_size=5))
     def test_round_trips_build_prompt(self, version, query, demo_texts):
         demos = [IclDemonstration(t, YES if i % 2 else NO) for i, t in enumerate(demo_texts)]
-        prompt = build_prompt(snippet_of(query), version, demos)
+        prompt = build_prompt(extract_snippet(Document("", query)), version, demos)
         assert parse_prompt(prompt) == (version, len(demos), query)
 
     def test_query_holding_the_framing(self):
         text = "before [Document]\n\n< inner >\n\n[Instruction] after"
-        prompt = build_prompt(snippet_of(text), "V2")
+        prompt = build_prompt(extract_snippet(Document("", text)), "V2")
         assert parse_prompt(prompt) == ("V2", 0, text)
         assert query_snippet(prompt) == text
         # a 0-shot prompt is answered at 0-shot fidelity, not as a 1-shot one
@@ -625,14 +625,14 @@ class TestMockLexicalFallback:
     def test_unmarked_text_uses_lexical_rule(self):
         from docprune.mocks import mock_label
 
-        rich = snippet_of("theoretical frameworks underpinning quantitative analysis")
-        poor = snippet_of("it is a the and so on yes ok")
+        rich = extract_snippet(Document("", "theoretical frameworks underpinning quantitative analysis"))
+        poor = extract_snippet(Document("", "it is a the and so on yes ok"))
         assert mock_label(rich) == YES
         assert mock_label(poor) == NO
 
     def test_mock_label_deterministic(self):
         from docprune.mocks import mock_label
 
-        snip = snippet_of("hqmark1 filler words here")
+        snip = extract_snippet(Document("", "hqmark1 filler words here"))
         assert mock_label(snip) == mock_label(snip) == YES
-        assert mock_label(snippet_of("lqmark2 filler")) == NO
+        assert mock_label(extract_snippet(Document("", "lqmark2 filler"))) == NO

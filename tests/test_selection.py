@@ -19,7 +19,7 @@ from docprune.classifier import (
     split_train_val,
     train_classifier,
 )
-from docprune.corpus import CorpusError, DuplicateIdError, ingest_shards
+from docprune.corpus import CorpusError, DuplicateIdError, ingest_shards, write_shards
 from docprune import selection
 from docprune.labeling import NO, YES, DegenerateLabelerWarning, QualityLabel, yes_fraction
 from docprune.mocks import mock_label
@@ -32,7 +32,7 @@ from docprune.selection import (
     score_documents,
     select_cutoff,
 )
-from docprune.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus, stratum_of
+from docprune.synthetic import SyntheticCorpusSpec, generate_documents, stratum_of
 from docprune.corpus import extract_snippet
 
 
@@ -187,7 +187,7 @@ def small_world(tmp_path_factory):
     """A small planted corpus plus a classifier trained on mock labels."""
     tmp = tmp_path_factory.mktemp("world")
     spec = SyntheticCorpusSpec(n_docs=2000, high_quality_fraction=0.25, seed=13)
-    shard_set = generate_synthetic_corpus(spec, tmp / "corpus", n_shards=4)
+    shard_set = write_shards(generate_documents(spec), tmp / "corpus", 500)
     docs = list(ingest_shards(shard_set))
     config = FeaturizerConfig(hash_bits=14)
     snips = [extract_snippet(doc) for doc in docs[:800]]

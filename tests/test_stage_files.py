@@ -157,7 +157,7 @@ def roundtrip(records, cls):
 
 class TestRoundTrips:
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.builds(Snippet, texts, texts, ints, ints, ints), max_size=5))
+    @given(st.lists(st.builds(Snippet, texts, texts.filter(bool), ints, ints, ints), max_size=5))
     def test_snippets(self, snippets):
         assert roundtrip(snippets, Snippet) == snippets
 

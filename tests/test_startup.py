@@ -24,7 +24,8 @@ import pytest
 
 import docprune
 from docprune.cli import main
-from docprune.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus
+from docprune.corpus import write_shards
+from docprune.synthetic import SyntheticCorpusSpec, generate_documents
 
 SRC = Path(docprune.__file__).resolve().parent.parent
 POOL = ("multiprocessing", "concurrent.futures.process")
@@ -65,7 +66,7 @@ def numpy_loaded(cwd, module, *argv):
 def world(tmp_path_factory):
     """A 200-doc corpus and the stage files of one mock run over it."""
     tmp = tmp_path_factory.mktemp("startup")
-    generate_synthetic_corpus(SyntheticCorpusSpec(n_docs=200, seed=3), tmp / "corpus")
+    write_shards(generate_documents(SyntheticCorpusSpec(n_docs=200, seed=3)), tmp / "corpus", 50)
 
     def run(*argv):
         assert main([str(a) for a in argv]) == 0

@@ -1,7 +1,7 @@
 import pytest
 
 from docprune.classifier import FeaturizerConfig, featurize_text
-from docprune.corpus import extract_snippet, ingest_shards
+from docprune.corpus import extract_snippet, ingest_shards, write_shards
 from docprune.labeling import NO, YES
 from docprune.mocks import mock_label
 from docprune.synthetic import (
@@ -9,7 +9,6 @@ from docprune.synthetic import (
     LOW_PHRASES,
     SyntheticCorpusSpec,
     generate_documents,
-    generate_synthetic_corpus,
     marker_truth,
     stratum_of,
 )
@@ -94,7 +93,7 @@ class TestGeneration:
 
     def test_corpus_write_and_reingest(self, tmp_path):
         spec = SyntheticCorpusSpec(n_docs=250, seed=8)
-        shard_set = generate_synthetic_corpus(spec, tmp_path / "c", n_shards=3)
+        shard_set = write_shards(generate_documents(spec), tmp_path / "c", 84)
         docs = list(ingest_shards(shard_set))
         assert len(docs) == 250
         assert len(shard_set.shards) == 3
