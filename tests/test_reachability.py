@@ -2,15 +2,16 @@
 
 `probe` runs every docprune command, through `cli.main`, in one fresh
 interpreter on a small world: plain and gzip shards, one document with no
-planted marker, a loopback chat endpoint, an always-500 endpoint and a corpus
-that repeats an id. Its profiler is installed before `import docprune`, on
-this thread and on every thread started later, so import-time calls and the
-labeling threads count. A function of src/ (by `module:qualname`, from the
+planted marker, a corpus that repeats an id, and a loopback chat endpoint and
+an always-500 one, which the test serves. Its profiler is installed before
+`import docprune`, on this thread and on every thread started later, so
+import-time calls and the labeling threads count. A function of src/ (by `module:qualname`, from the
 source's syntax tree) that no run reaches fails the test, unless ALLOWLIST
 names it with the reason it stays.
 
-Run the probe alone with `python tests/test_reachability.py WORLD OUT` on a
-world that `make_world(WORLD)` wrote; it writes the reached names to OUT.
+Run the probe alone with `python tests/test_reachability.py WORLD OUT
+CHAT_URL FAILING_URL` on a world that `make_world(WORLD)` wrote; it writes
+the reached names to OUT.
 """
 
 import ast
@@ -134,12 +135,6 @@ class _Failing(_Chat):
     status = 500
 
 
-def _serve(handler) -> str:
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-
-
 # ------------------------------------------------------------------ the probe
 
 # (argv, expected exit code); paths are relative to the world, outputs land in it.
@@ -167,9 +162,10 @@ RUNS = [
 ]
 
 
-def probe(world: Path, out: Path) -> None:
-    """Run RUNS on `world` through `cli.main`; write the reached `src/`
-    functions and each run's exit code to `out` as JSON."""
+def probe(world: Path, out: Path, urls: dict[str, str]) -> None:
+    """Run RUNS on `world` through `cli.main`, with the endpoints `urls`;
+    write the reached `src/` functions and each run's exit code to `out` as
+    JSON."""
     reached = set()
 
     def profile(frame, event, arg):
@@ -181,7 +177,6 @@ def probe(world: Path, out: Path) -> None:
     from docprune import cli
 
     os.chdir(world)
-    urls = {"chat": _serve(_Chat), "failing": _serve(_Failing)}
     exits = [cli.main([a.format(**urls) for a in argv + ["--config", "probe.ini"]])
              for argv, _ in RUNS]
     sys.setprofile(None)
@@ -202,8 +197,19 @@ def test_every_src_function_is_reached_by_a_command(tmp_path):
     result_path = tmp_path / "reached.json"
     env = {k: v for k, v in os.environ.items() if k.lower() not in ("http_proxy", "https_proxy")}
     env["PYTHONPATH"] = str(ROOT / "src")
-    proc = subprocess.run([sys.executable, __file__, str(world), str(result_path)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    # Served from this process, so that the probe has no thread of its own
+    # alive when `score` forks its workers.
+    servers = [ThreadingHTTPServer(("127.0.0.1", 0), handler) for handler in (_Chat, _Failing)]
+    for server in servers:
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+    urls = [f"http://127.0.0.1:{s.server_address[1]}/v1/chat/completions" for s in servers]
+    try:
+        proc = subprocess.run([sys.executable, __file__, str(world), str(result_path), *urls],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    finally:
+        for server in servers:
+            server.shutdown()
+            server.server_close()
     assert proc.returncode == 0, proc.stderr[-3000:]
     result = json.loads(result_path.read_text())
     assert result["exits"] == [code for _, code in RUNS], proc.stderr[-3000:]
@@ -233,4 +239,5 @@ def test_allowlist_pins_name_what_the_benchmark_uses():
 
 
 if __name__ == "__main__":
-    probe(Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve())
+    probe(Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve(),
+          {"chat": sys.argv[3], "failing": sys.argv[4]})
