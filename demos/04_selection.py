@@ -14,7 +14,7 @@ from docprune.classifier import (
     split_train_val,
     train_classifier,
 )
-from docprune.corpus import ingest_shards, write_shards
+from docprune.corpus import ingest_shards, write_json, write_shards
 from docprune.labeling import LabelerConfig, label_documents, yes_fraction
 from docprune.mocks import MockQualityTransport
 from docprune.selection import filter_corpus, score_corpus, select_cutoff
@@ -60,5 +60,7 @@ with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:
     precision = sum(1 for d in kept if stratum_of(d)) / len(kept)
     print(f"filtered corpus: {manifest.output_documents}/{manifest.input_documents} kept, "
           f"precision vs planted truth {precision:.3f}")
+    # filter_corpus returns its manifest; `docprune filter` writes it beside the shards.
     manifest_path = workdir / "filtered" / "filter-manifest.json"
+    write_json(manifest_path, manifest)
     print(f"manifest: {manifest_path.name}, {manifest_path.stat().st_size:,} bytes")

@@ -15,9 +15,8 @@ import argparse
 import logging
 import sys
 from concurrent.futures import BrokenExecutor
-from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 # `featurize_text` is the one-text view of the batched featurizer that
 # training and scoring use; it stays importable here only because the
@@ -57,7 +56,6 @@ from .labeling import (
     YES_FRACTION_RANGE,
     HttpChatTransport,
     IclDemonstration,
-    LabelRunAborted,
     QualityLabel,
     TransportError,
     label_documents,
@@ -106,21 +104,17 @@ def cmd_label(config: RunConfig, out: Path, snippets: str) -> int:
         from .mocks import MockQualityTransport
 
         transport = MockQualityTransport()
-        labeler = replace(labeler, model_name=labeler.model_name or "mock-quality")
     else:
         transport = HttpChatTransport(labeler)  # checks endpoint_url
-    aborted = None
     try:
         labels, stats = label_documents(records, labeler, demos, transport=transport)
-    except LabelRunAborted as exc:  # its partial labels are written below
-        aborted, labels, stats = exc, exc.labels, exc.stats
     finally:
         if isinstance(transport, HttpChatTransport):
             transport.close()
     write_jsonl(out / "labels.jsonl", labels)
     write_json(out / "label-stats.json", stats)
-    if aborted:
-        log.error("labeling aborted: %s (partial labels preserved)", aborted)
+    if stats.aborted:  # its partial outputs are published with the exit code
+        log.error("labeling aborted: %s (partial labels preserved)", stats.aborted)
         return EXIT_ENDPOINT
     log.info(
         "labeled %d/%d snippets, yes-fraction %.3f",
@@ -131,33 +125,20 @@ def cmd_label(config: RunConfig, out: Path, snippets: str) -> int:
 
 def _train(
     config: RunConfig, labels: Iterable[QualityLabel], snippets: Iterable[Snippet]
-) -> tuple[QualityClassifier, Sequence[int]]:
+) -> QualityClassifier:
     """Join the labels to their snippets in a FeatureStore (`FeatureStore.add`),
-    split them and train with the [distiller] settings; returns the model and
-    its training targets."""
+    split them and train with the [distiller] settings."""
     with FeatureStore(config.distiller.featurizer) as store:
         examples = store.add(labels, snippets)
         train, val = split_train_val(examples, config.distiller.val_fraction, config.run.seed)
-        classifier = train_classifier(train, val, config.distiller, seed=config.run.seed)
-    return classifier, train.targets
+        return train_classifier(train, val, config.distiller, seed=config.run.seed)
 
 
 def cmd_train(config: RunConfig, out: Path, snippets: str, labels: str) -> int:
-    classifier, train_targets = _train(
-        config, read_records(labels, QualityLabel), read_records(snippets, Snippet)
-    )
+    classifier = _train(config, read_records(labels, QualityLabel), read_records(snippets, Snippet))
     save_model(classifier, out / "model.bin")
     meta = classifier.training_meta
-    write_json(
-        out / "training-report.json",
-        {
-            "train_size": meta["train_size"],
-            "val_size": meta["val_size"],
-            "val_f1": meta["val_f1"],
-            "epochs_run": meta["epochs"],
-            "yes_fraction_train": sum(train_targets) / len(train_targets),
-        },
-    )
+    write_json(out / "training-report.json", meta)
     if meta["val_f1"] == 0.0:
         log.warning(
             "the best epoch's val F1 is 0.0: the classifier marks no validation "
@@ -234,6 +215,7 @@ def cmd_filter(config: RunConfig, out: Path, scores: str, decision: str) -> int:
             f"classifier {score_set.classifier_id!r}; re-run `docprune select` on this score set"
         )
     _, manifest = filter_corpus(shard_set, score_map, selected, out, strict=config.corpus.strict)
+    write_json(out / "filter-manifest.json", manifest)
     log.info(
         "filtered corpus: kept %d of %d documents",
         manifest.output_documents, manifest.input_documents,
@@ -241,7 +223,7 @@ def cmd_filter(config: RunConfig, out: Path, scores: str, decision: str) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(config: RunConfig, out: Path, sweep: str, published: Path) -> int:
+def cmd_ablate(config: RunConfig, out: Path, sweep: str) -> int:
     # Imported here, so that no other stage loads the sweeps or the mocks.
     from . import ablation
     from .mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
@@ -256,7 +238,7 @@ def cmd_ablate(config: RunConfig, out: Path, sweep: str, published: Path) -> int
 
     if sweep == "ratio":
         snippets = ablation.snippets_of(sample)
-        classifier = _train(config, mock_labels(snippets), snippets)[0]
+        classifier = _train(config, mock_labels(snippets), snippets)
         report = ablation.run_ratio_sweep(docs, classifier, ab.ratios)
     elif sweep == "capacity":
         snippets = ablation.snippets_of(docs)
@@ -281,7 +263,7 @@ def cmd_ablate(config: RunConfig, out: Path, sweep: str, published: Path) -> int
         raise ConfigError(f"unknown sweep {sweep!r}")
 
     jsonl_path, text_path = report.save(out, seed=config.run.seed)
-    log.info("wrote %s and %s", published / jsonl_path.name, published / text_path.name)
+    log.info("wrote %s and %s", jsonl_path.name, text_path.name)
     print(report.render_text())
     return EXIT_OK
 
@@ -369,8 +351,6 @@ def main(argv=None) -> int:
             # shards, and filter's kept shards would replace their inputs by name.
             if out.resolve() == Path(config.corpus.input_dir).resolve():
                 raise CorpusError(f"{name} output dir {out} is the corpus dir; choose another")
-        if command.handler is cmd_ablate:  # its report names hold a timestamp: it logs them
-            inputs["published"] = out
         with staged_output(out) as staged:  # published only if the handler returns
             write_resolved_config(config, staged / "resolved-config.ini")
             return command.handler(config, staged, **inputs)
@@ -380,7 +360,7 @@ def main(argv=None) -> int:
     except (DegenerateLabelsError, DuplicateIdError) as exc:
         print(f"degenerate data: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (TransportError, LabelRunAborted) as exc:
+    except TransportError as exc:
         print(f"endpoint failure: {exc}", file=sys.stderr)
         return EXIT_ENDPOINT
     except (CorpusError, ModelFormatError, OSError) as exc:

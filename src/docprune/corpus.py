@@ -214,8 +214,6 @@ def extract_snippet(doc: Document) -> Snippet:
     window it was trained on. Python string indices are code points, so the
     slice can never land inside a character.
     """
-    if not doc.text:
-        raise ValueError(f"empty document: {doc.id!r}")
     window = min(len(doc.text), SNIPPET_CHARS)
     start = (len(doc.text) - window) // 2
     end = start + window

@@ -71,15 +71,6 @@ class DegenerateLabelerWarning(UserWarning):
     """The labeler assigns almost everything to one class."""
 
 
-class LabelRunAborted(Exception):
-    """Too many transport failures; carries the partial results."""
-
-    def __init__(self, message: str, labels: list["QualityLabel"], stats: "LabelRunStats"):
-        super().__init__(message)
-        self.labels = labels
-        self.stats = stats
-
-
 def canonical_version(version: str) -> str:
     """The name (V1-V3) of a prompt version given in any case."""
     v = version.strip().upper()
@@ -157,6 +148,7 @@ class LabelRunStats:
     ambiguous_dropped: int = 0
     transport_failures: int = 0
     yes_fraction: float = 0.0
+    aborted: str = ""  # why the run stopped early, or "" for a run that finished
 
 
 class Transport(Protocol):
@@ -381,8 +373,9 @@ def label_documents(
 
     At most config.max_concurrent_requests requests are in flight at any
     instant; results are assembled in input order regardless of completion
-    order. The run aborts (LabelRunAborted, carrying partial labels) as soon
-    as transport failures exceed failure_ceiling * total requested.
+    order. As soon as transport failures exceed failure_ceiling * total
+    requested, the run cancels the pending requests and returns the labels so
+    far, with `stats.aborted` saying why.
     """
     version = canonical_version(config.prompt_version)
     demos = list(demos)
@@ -414,14 +407,11 @@ def label_documents(
                 if stats.transport_failures > max_failures:
                     for f in futures:
                         f.cancel()
-                    stats.labeled = len(labels)
-                    stats.yes_fraction = yes_share(labels) if labels else 0.0
-                    raise LabelRunAborted(
+                    stats.aborted = (
                         f"{stats.transport_failures} transport failures exceeded "
-                        f"ceiling {config.failure_ceiling:.0%} of {stats.requested}",
-                        labels,
-                        stats,
+                        f"ceiling {config.failure_ceiling:.0%} of {stats.requested}"
                     )
+                    break
                 continue
             if verdict == AMBIGUOUS:
                 stats.ambiguous_dropped += 1
@@ -438,7 +428,7 @@ def label_documents(
             )
     stats.labeled = len(labels)
     if labels:
-        stats.yes_fraction = yes_fraction(labels)
+        stats.yes_fraction = yes_share(labels) if stats.aborted else yes_fraction(labels)
     return labels, stats
 
 

@@ -34,7 +34,6 @@ from .corpus import (
     extract_snippet,
     ingest_shards,
     read_records,
-    write_json,
     write_jsonl,
     write_shard_file,
 )
@@ -406,7 +405,9 @@ def filter_corpus(
     *,
     strict: bool = False,
 ) -> tuple[ShardSet, Manifest]:
-    """Materialize the kept documents, preserving shard boundaries and order.
+    """Materialize the kept documents, preserving shard boundaries and order;
+    returns the kept shards and the run's Manifest, which `docprune filter`
+    writes beside them.
 
     Every document ingest yields must have a score in the doc_id -> score
     map (fail-fast join), and ingest must yield as many documents as the map
@@ -468,5 +469,4 @@ def filter_corpus(
         started_at=started,
         finished_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
-    write_json(out_dir / "filter-manifest.json", manifest)
     return ShardSet(shards=out_shards), manifest

@@ -1,8 +1,21 @@
 import json
+import shutil
+import tempfile
 import tracemalloc
 from pathlib import Path
 
+from hypothesis.configuration import set_hypothesis_home_dir
+
 from docprune.corpus import Document, ShardSet
+
+# Hypothesis keeps its example database and caches in a temp dir, not in
+# `.hypothesis/` under the working dir; the session removes it at its end.
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="docprune-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(_HYPOTHESIS_HOME, ignore_errors=True)
 
 
 def write_jsonl_shard(path: Path, records: list) -> Path:

@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -16,7 +17,9 @@ import numpy as np
 import pytest
 
 from docprune import selection
-from docprune.classifier import FeaturizerConfig, QualityClassifier, TrainConfig, save_model
+from docprune.classifier import (
+    FeaturizerConfig, QualityClassifier, TrainConfig, load_model, save_model,
+)
 from docprune.cli import COMMANDS, COMMON, main
 from docprune.config import ConfigError, load_config, write_resolved_config
 from docprune.labeling import LabelerConfig
@@ -1454,3 +1457,45 @@ class TestStagedOutputs:
         assert self.filter_by_hand(tmp_path, {"s": ["a"]}, {"a": 0.9}, 0) == 3
         assert "decision/corpus mismatch" in capsys.readouterr().err
         assert not (tmp_path / "filter").exists()
+
+
+class TestStageRecords:
+    """Each stage's function returns its record, and its command writes it."""
+
+    def test_label_over_the_failure_ceiling_records_why_and_exits_4(self, small_run, tmp_path,
+                                                                      caplog):
+        snippets, labels = small_run["train"][2], small_run["train"][4]
+        assert json.loads((labels.parent / "label-stats.json").read_text())["aborted"] == ""
+        with socket.socket() as closed:  # bound but not listening: every connect is refused
+            closed.bind(("127.0.0.1", 0))
+            (tmp_path / "down.ini").write_text(
+                f"[labeler]\nendpoint_url = http://127.0.0.1:{closed.getsockname()[1]}\n"
+                "max_retries = 0\n"
+            )
+            out = tmp_path / "label"
+            assert run_cli("label", "--config", tmp_path / "down.ini", "--snippets", snippets,
+                           "--out", out) == 4
+        assert {"labels.jsonl", "label-stats.json", "resolved-config.ini"} == set(files(out))
+        stats = json.loads((out / "label-stats.json").read_text())
+        failures = int(0.05 * stats["requested"]) + 1
+        assert (stats["labeled"], stats["transport_failures"]) == (0, failures)
+        assert stats["aborted"] == (
+            f"{failures} transport failures exceeded ceiling 5% of {stats['requested']}"
+        )
+        assert (f"labeling aborted: {stats['aborted']} (partial labels preserved)"
+                in caplog.text)
+
+    def test_training_report_is_the_models_training_meta(self, small_run):
+        model = small_run["score"][4]
+        report = json.loads((model.parent / "training-report.json").read_text())
+        assert report == load_model(model).training_meta
+
+    def test_filter_publishes_its_manifest_beside_the_kept_shards(self, small_run, tmp_path):
+        out = tmp_path / "filter"
+        assert run_cli(*small_run["filter"], "--out", out) == 0
+        shards = sorted(p.name for p in small_run["score"][2].glob("*.jsonl"))
+        assert sorted(files(out)) == sorted([*shards, "filter-manifest.json",
+                                             "resolved-config.ini"])
+        manifest = read_json(out / "filter-manifest.json", Manifest)
+        kept = sum(1 for _ in ingest_shards(ShardSet.from_dir(out)))
+        assert manifest.output_documents == kept

@@ -181,7 +181,7 @@ class TestExtractSnippet:
         for n in [0, 1, 5_999, 6_000, 6_001, 12_000] + [rng.randint(0, 12_000) for _ in range(50)]:
             doc = Document(id="d", text="".join(rng.choice("ab") for _ in range(n)))
             if n == 0:
-                with pytest.raises(ValueError, match="empty document"):
+                with pytest.raises(ValueError, match="empty snippet"):
                     extract_snippet(doc)
                 continue
             snip = extract_snippet(doc)
@@ -192,7 +192,7 @@ class TestExtractSnippet:
             assert snip.approx_token_budget == 1500
 
     def test_empty_document_rejected(self):
-        with pytest.raises(ValueError, match="empty document"):
+        with pytest.raises(ValueError, match="empty snippet"):
             extract_snippet(Document(id="d", text=""))
 
     def test_containment_on_unicode_texts(self):

@@ -20,7 +20,6 @@ from docprune.labeling import (
     DegenerateLabelerWarning,
     HttpChatTransport,
     IclDemonstration,
-    LabelRunAborted,
     LabelerConfig,
     QualityLabel,
     TransportError,
@@ -322,13 +321,12 @@ class TestLabelDocuments:
 
     def test_abort_when_failures_exceed_ceiling(self):
         snips = snippets(40)
-        with pytest.raises(LabelRunAborted) as excinfo:
-            label_documents(
-                snips, self.config(failure_ceiling=0.05), transport=FailingTransport()
-            )
-        stats = excinfo.value.stats
+        labels, stats = label_documents(
+            snips, self.config(failure_ceiling=0.05), transport=FailingTransport()
+        )
         assert stats.transport_failures == 3  # ceiling 5% of 40 = 2 -> abort at 3
-        assert excinfo.value.labels == []
+        assert stats.aborted == "3 transport failures exceeded ceiling 5% of 40"
+        assert labels == []
 
     def test_bounded_concurrency(self):
         class InstrumentedTransport:

@@ -369,7 +369,7 @@ class TestFilterCorpus:
 
     def test_manifest_roundtrip(self, tmp_path):
         from conftest import corpus_dir
-        from docprune.corpus import read_json
+        from docprune.corpus import read_json, write_json
         from docprune.selection import Manifest
 
         shard_set = corpus_dir(tmp_path, {"s.jsonl": [{"id": "a", "text": "x"}]})
@@ -377,8 +377,25 @@ class TestFilterCorpus:
             cutoff=0.1, target_ratio=1.0, achieved_ratio=1.0, kept=1, dropped=0
         )
         _, manifest = filter_corpus(shard_set, {"a": 0.9}, decision, tmp_path / "out")
-        loaded = read_json(tmp_path / "out" / "filter-manifest.json", Manifest)
+        write_json(tmp_path / "filter-manifest.json", manifest)
+        loaded = read_json(tmp_path / "filter-manifest.json", Manifest)
         assert loaded == manifest
+
+    def test_out_dir_holds_only_the_kept_shards(self, tmp_path):
+        """The manifest is returned, not written: `docprune filter` writes it."""
+        from conftest import corpus_dir
+
+        shard_set = corpus_dir(tmp_path, {
+            "a.jsonl": [{"id": "a1", "text": "x"}, {"id": "a2", "text": "y"}],
+            "b.jsonl": [{"id": "b1", "text": "z"}],
+        })
+        scores = {"a1": 0.9, "a2": 0.1, "b1": 0.2}
+        decision = SelectionDecision(0.5, 1 / 3, 1 / 3, kept=1, dropped=2)
+        out = tmp_path / "out"
+        out_set, manifest = filter_corpus(shard_set, scores, decision, out)
+        assert sorted(p.name for p in out.iterdir()) == ["a.jsonl", "b.jsonl"]
+        assert [s.path for s in out_set.shards] == [out / "a.jsonl", out / "b.jsonl"]
+        assert manifest.output_documents == 1
 
 
 # A shard is a list of document texts; "" is an empty-text document.
