@@ -12,18 +12,20 @@ import statistics
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .classifier import (
+    Examples,
     FeatureStore,
     QualityClassifier,
     TrainConfig,
     split_train_val,
     train_classifier,
 )
-from .config import AblationSection
-from .corpus import Document, Snippet, atomic_open, extract_snippet, write_jsonl
+from .config import SWEEPS, AblationSection, RunConfig
+from .corpus import Document, Snippet, atomic_open, extract_snippet, reservoir_sample, write_jsonl
 from .labeling import (
+    ICL_SHOTS,
     PROMPT_VERSIONS,
     IclDemonstration,
     LabelerConfig,
@@ -31,8 +33,9 @@ from .labeling import (
     Transport,
     label_documents,
 )
+from .mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
 from .selection import select_cutoff, score_documents
-from .synthetic import stratum_of
+from .synthetic import generate_documents, stratum_of, truth_by_doc
 
 PROXY_NOTE = (
     "Proxy metrics: downstream-model accuracy is replaced by label-level and "
@@ -133,6 +136,46 @@ def _mean_std(values: Sequence[float]) -> dict:
     return {"mean": _r(statistics.fmean(values)), "std": _r(statistics.pstdev(values))}
 
 
+def _agreement(a: Mapping[str, str], b: Mapping[str, str]) -> float:
+    """Share of the doc ids in both label maps that they label alike; 0.0 if none."""
+    common = a.keys() & b.keys()
+    return sum(a[d] == b[d] for d in common) / len(common) if common else 0.0
+
+
+def _fit(examples: Examples, config: TrainConfig, seed: int) -> QualityClassifier:
+    """A classifier trained with `config` on `examples`, split at `seed`."""
+    train, val = split_train_val(examples, config.val_fraction, seed=seed)
+    return train_classifier(train, val, config, seed=seed)
+
+
+def run_sweep(sweep: str, config: RunConfig) -> SweepReport:
+    """The `ablate` recipe: sweep `sweep` over the [ablation] corpus and a
+    reservoir sample of it at [run] seed, labeling with the [labeler] and
+    training with the [distiller] settings."""
+    if sweep not in SWEEPS:
+        raise ValueError(f"unknown sweep {sweep!r}; expected one of {', '.join(SWEEPS)}")
+    ab, seed = config.ablation, config.run.seed
+    docs = generate_documents(ab.corpus_spec(seed))
+    sample = reservoir_sample(docs, ab.sample_size, seed)
+    if sweep in ("ratio", "capacity"):  # train on mock labels
+        snippets = snippets_of(sample if sweep == "ratio" else docs)
+        labels = label_documents(snippets, config.labeler, transport=MockQualityTransport())[0]
+        if sweep == "capacity":
+            return run_capacity_sweep(labels, snippets, config.distiller, ab.hash_bits_list,
+                                      ab.seeds)
+        with FeatureStore(config.distiller.featurizer) as store:
+            classifier = _fit(store.add(labels, snippets), config.distiller, seed)
+        return run_ratio_sweep(docs, classifier, ab.ratios)
+    snippets = snippets_of(sample)
+    if sweep == "prompt":
+        return run_prompt_robustness(snippets, config.labeler, VersionFlipTransport())
+    strong_by_doc = truth_by_doc(sample)  # the ICL demonstrations carry the true labels
+    demos = [IclDemonstration(s.text, strong_by_doc[s.doc_id], "strong-reference")
+             for s in snippets[:ICL_SHOTS]]
+    return run_icl_comparison(snippets[ICL_SHOTS:], config.labeler, FidelityMockTransport(),
+                              demos, strong_by_doc)
+
+
 def run_ratio_sweep(
     docs: Sequence[Document],
     classifier: QualityClassifier,
@@ -142,9 +185,10 @@ def run_ratio_sweep(
     ids, scores = score_documents(docs, classifier)
     by_id = dict(zip(ids, scores))
     high_ids = {doc.id for doc in docs if stratum_of(doc)}
+    classifier_id = classifier.fingerprint()
     points = []
     for ratio in ratios:
-        decision = select_cutoff(by_id, ratio, classifier_id=classifier.fingerprint())
+        decision = select_cutoff(by_id, ratio, classifier_id=classifier_id)
         kept_ids = {i for i, s in by_id.items() if decision.keeps(s)}
         kept_high = len(kept_ids & high_ids)
         precision = kept_high / len(kept_ids) if kept_ids else 0.0
@@ -166,7 +210,7 @@ def run_ratio_sweep(
             "proxy_note": PROXY_NOTE,
             "context": RATIO_CONTEXT,
             "n_docs": len(by_id),
-            "classifier_id": classifier.fingerprint(),
+            "classifier_id": classifier_id,
         },
     )
 
@@ -196,9 +240,7 @@ def run_capacity_sweep(
         with FeatureStore(at_bits.featurizer) as store:
             stored = store.add(labels, snippets)
             for seed in seeds:
-                train, val = split_train_val(stored, config.val_fraction, seed=seed)
-                clf = train_classifier(train, val, at_bits, seed=seed)
-                f1_runs.append(clf.training_meta["val_f1"])
+                f1_runs.append(_fit(stored, at_bits, seed).training_meta["val_f1"])
         median = statistics.median(f1_runs)
         medians.append(median)
         point = {"hash_bits": bits, "median_f1": _r(median)}
@@ -249,11 +291,10 @@ def run_prompt_robustness(
                 "labeled": stats.labeled,
             }
         )
-    agreements = {}
-    for a, b in itertools.combinations(versions, 2):
-        common = labels_by_version[a].keys() & labels_by_version[b].keys()
-        same = sum(1 for d in common if labels_by_version[a][d] == labels_by_version[b][d])
-        agreements[f"{a}-{b}"] = _r(same / len(common)) if common else 0.0
+    agreements = {
+        f"{a}-{b}": _r(_agreement(labels_by_version[a], labels_by_version[b]))
+        for a, b in itertools.combinations(versions, 2)
+    }
     return SweepReport(
         axis="prompt",
         points=points,
@@ -291,15 +332,12 @@ def run_icl_comparison(
     points = []
     agreements = []
     for shots, (labels, stats) in ((0, zero_shot), (len(demos), few_shot)):
-        scored = [l for l in labels if l.doc_id in strong_by_doc]
-        same = sum(1 for l in scored if l.label == strong_by_doc[l.doc_id])
-        agreement = same / len(scored) if scored else 0.0
-        agreements.append(agreement)
+        agreements.append(_agreement({l.doc_id: l.label for l in labels}, strong_by_doc))
         points.append(
             {
                 "shots": shots,
                 "yes_fraction": _r(stats.yes_fraction),
-                "agreement_with_strong": _r(agreement),
+                "agreement_with_strong": _r(agreements[-1]),
                 "labeled": stats.labeled,
             }
         )

@@ -462,6 +462,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
+        if not 0 < self.val_fraction < 1:
+            raise ValueError("val_fraction must be in (0, 1)")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be > 0")
 
 
 @dataclass

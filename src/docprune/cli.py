@@ -16,7 +16,7 @@ import logging
 import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 # `featurize_text` is the one-text view of the batched featurizer that
 # training and scoring use; it stays importable here only because the
@@ -26,14 +26,13 @@ from .classifier import (  # noqa: F401
     DegenerateLabelsError,
     FeatureStore,
     ModelFormatError,
-    QualityClassifier,
     featurize_text,
     load_model,
     save_model,
     split_train_val,
     train_classifier,
 )
-from .config import ConfigError, RunConfig, load_config, write_resolved_config
+from .config import SWEEPS, ConfigError, RunConfig, load_config, write_resolved_config
 from .corpus import (
     CorpusError,
     DuplicateIdError,
@@ -51,11 +50,9 @@ from .corpus import (
     write_shard_file,
 )
 from .labeling import (
-    ICL_SHOTS,
     PROMPT_VERSIONS,
     YES_FRACTION_RANGE,
     HttpChatTransport,
-    IclDemonstration,
     QualityLabel,
     TransportError,
     label_documents,
@@ -123,19 +120,12 @@ def cmd_label(config: RunConfig, out: Path, snippets: str) -> int:
     return EXIT_OK
 
 
-def _train(
-    config: RunConfig, labels: Iterable[QualityLabel], snippets: Iterable[Snippet]
-) -> QualityClassifier:
-    """Join the labels to their snippets in a FeatureStore (`FeatureStore.add`),
-    split them and train with the [distiller] settings."""
-    with FeatureStore(config.distiller.featurizer) as store:
-        examples = store.add(labels, snippets)
-        train, val = split_train_val(examples, config.distiller.val_fraction, config.run.seed)
-        return train_classifier(train, val, config.distiller, seed=config.run.seed)
-
-
 def cmd_train(config: RunConfig, out: Path, snippets: str, labels: str) -> int:
-    classifier = _train(config, read_records(labels, QualityLabel), read_records(snippets, Snippet))
+    distiller, seed = config.distiller, config.run.seed
+    with FeatureStore(distiller.featurizer) as store:
+        examples = store.add(read_records(labels, QualityLabel), read_records(snippets, Snippet))
+        train, val = split_train_val(examples, distiller.val_fraction, seed)
+        classifier = train_classifier(train, val, distiller, seed=seed)
     save_model(classifier, out / "model.bin")
     meta = classifier.training_meta
     write_json(out / "training-report.json", meta)
@@ -224,44 +214,9 @@ def cmd_filter(config: RunConfig, out: Path, scores: str, decision: str) -> int:
 
 
 def cmd_ablate(config: RunConfig, out: Path, sweep: str) -> int:
-    # Imported here, so that no other stage loads the sweeps or the mocks.
-    from . import ablation
-    from .mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
-    from .synthetic import generate_documents, truth_by_doc
+    from .ablation import run_sweep  # here: no other command loads the sweeps or mocks
 
-    ab = config.ablation
-    docs = generate_documents(ab.corpus_spec(config.run.seed))
-    sample = reservoir_sample(iter(docs), min(ab.sample_size, len(docs)), config.run.seed)
-
-    def mock_labels(snippets):
-        return label_documents(snippets, config.labeler, transport=MockQualityTransport())[0]
-
-    if sweep == "ratio":
-        snippets = ablation.snippets_of(sample)
-        classifier = _train(config, mock_labels(snippets), snippets)
-        report = ablation.run_ratio_sweep(docs, classifier, ab.ratios)
-    elif sweep == "capacity":
-        snippets = ablation.snippets_of(docs)
-        report = ablation.run_capacity_sweep(
-            mock_labels(snippets), snippets, config.distiller, ab.hash_bits_list, ab.seeds
-        )
-    elif sweep == "prompt":
-        report = ablation.run_prompt_robustness(
-            ablation.snippets_of(sample), config.labeler, VersionFlipTransport()
-        )
-    elif sweep == "icl":
-        snippets = ablation.snippets_of(sample)
-        strong_by_doc = truth_by_doc(sample)
-        demos = [
-            IclDemonstration(s.text, strong_by_doc[s.doc_id], "strong-reference")
-            for s in snippets[:ICL_SHOTS]
-        ]
-        report = ablation.run_icl_comparison(
-            snippets[ICL_SHOTS:], config.labeler, FidelityMockTransport(), demos, strong_by_doc
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown sweep {sweep!r}")
-
+    report = run_sweep(sweep, config)
     jsonl_path, text_path = report.save(out, seed=config.run.seed)
     log.info("wrote %s and %s", jsonl_path.name, text_path.name)
     print(report.render_text())
@@ -312,7 +267,7 @@ COMMANDS = {
     "filter": Command(cmd_filter, "materialize the kept documents", [
         INPUT, SCORES, ("--decision", dict(required=True, help="decision.json from `select`"))]),
     "ablate": Command(cmd_ablate, "run a desk-scale sweep on synthetic data", [
-        ("--sweep", dict(required=True, choices=["ratio", "capacity", "prompt", "icl"]))]),
+        ("--sweep", dict(required=True, choices=SWEEPS))]),
 }
 
 

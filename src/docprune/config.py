@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .classifier import TrainConfig
+from .classifier import FeaturizerConfig, TrainConfig
 from .corpus import atomic_open
 from .labeling import LabelerConfig
 from .synthetic import SyntheticCorpusSpec
@@ -87,6 +87,10 @@ class SelectorSection:
         _at_least_1(workers=self.workers)
 
 
+# The `ablate --sweep` names; `ablation.run_sweep` runs each.
+SWEEPS = ("ratio", "capacity", "prompt", "icl")
+
+
 @dataclass
 class AblationSection:
     n_docs: int = 2000
@@ -98,6 +102,13 @@ class AblationSection:
     ratios: tuple[float, ...] = (0.20, 0.25, 0.30, 0.40, 0.50, 1.00)
 
     def __post_init__(self):
+        if not (self.seeds and self.hash_bits_list and self.ratios):
+            raise ValueError("seeds, hash_bits_list and ratios must each hold a value")
+        _at_least_1(sample_size=self.sample_size)
+        if not all(0 < ratio <= 1 for ratio in self.ratios):
+            raise ValueError("each of ratios must be in (0, 1]")
+        for bits in self.hash_bits_list:
+            FeaturizerConfig(hash_bits=bits)  # checks each capacity
         self.corpus_spec(seed=0)  # checks the corpus shape
 
     def corpus_spec(self, seed: int) -> SyntheticCorpusSpec:

@@ -122,6 +122,10 @@ class LabelerConfig:
             raise ValueError("backoff_base must be >= 0")
         if self.request_timeout <= 0:
             raise ValueError("request_timeout must be > 0")
+        if not 0 <= self.failure_ceiling <= 1:
+            raise ValueError("failure_ceiling must be in [0, 1]")
+        if self.max_output_tokens < 1:
+            raise ValueError("max_output_tokens must be >= 1")
         canonical_version(self.prompt_version)  # rejects an unknown version
 
 

@@ -10,6 +10,7 @@ from docprune.ablation import (
     run_icl_comparison,
     run_prompt_robustness,
     run_ratio_sweep,
+    run_sweep,
     snippets_of,
 )
 from docprune.classifier import (
@@ -21,6 +22,7 @@ from docprune.classifier import (
     split_train_val,
     train_classifier,
 )
+from docprune.config import RunConfig
 from docprune.corpus import Document, DuplicateIdError, extract_snippet
 from docprune.labeling import (
     NO,
@@ -276,6 +278,15 @@ class TestReportFiles:
         pb = b.save(tmp_path / "b", timestamp="t")[0]
         assert pa.read_bytes() == pb.read_bytes()
 
+    def test_ratio_sweep_fingerprints_the_classifier_once(self, planted_world, monkeypatch):
+        docs, clf = planted_world
+        fingerprint, calls = type(clf).fingerprint, []
+        monkeypatch.setattr(type(clf), "fingerprint",
+                            lambda self: calls.append(self) or fingerprint(self))
+        report = run_ratio_sweep(docs[:500], clf, ratios=(0.25, 0.5, 1.0))
+        assert calls == [clf]
+        assert report.metadata["classifier_id"] == fingerprint(clf)
+
     def test_header_record_first(self, tmp_path, planted_world):
         docs, clf = planted_world
         report = run_ratio_sweep(docs[:500], clf, ratios=(1.0,))
@@ -283,6 +294,14 @@ class TestReportFiles:
         first = json.loads(jsonl_path.read_text().splitlines()[0])
         assert first["record"] == "header"
         assert first["axis"] == "ratio"
+
+
+def test_run_sweep_rejects_an_unknown_sweep_before_any_work(monkeypatch):
+    import docprune.ablation
+
+    monkeypatch.setattr(docprune.ablation, "generate_documents", None)  # not reached
+    with pytest.raises(ValueError, match="unknown sweep 'size'; expected one of ratio, "):
+        run_sweep("size", RunConfig())
 
 
 class TestZeroStrengthChance:

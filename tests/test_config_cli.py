@@ -21,7 +21,7 @@ from docprune.classifier import (
     FeaturizerConfig, QualityClassifier, TrainConfig, load_model, save_model,
 )
 from docprune.cli import COMMANDS, COMMON, main
-from docprune.config import ConfigError, load_config, write_resolved_config
+from docprune.config import SWEEPS, ConfigError, load_config, write_resolved_config
 from docprune.labeling import LabelerConfig
 from docprune.corpus import (
     Shard, ShardSet, Snippet, ingest_shards, read_json, read_records, write_shards,
@@ -537,6 +537,22 @@ class TestCliAblate:
         assert header["agreement_gain"] > 0
 
 
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_rerun_writes_identical_reports(self, tmp_path, sweep):
+        """`ablate` is deterministic per seed: two runs write the same report
+        contents, under names that differ only in their timestamp."""
+        cfg = self.make_config(tmp_path, n_docs=1000, sample_size=300, hash_bits_list="10, 12",
+                               seeds="0, 1")
+        cfg.write_text("[run]\nseed = 4\n[distiller]\nhash_bits = 12\n" + cfg.read_text())
+        runs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert run_cli("ablate", "--config", cfg, "--sweep", sweep, "--out", out) == 0
+            runs.append({re.sub(r"-\d{8}T\d{6}\.", "-T.", p.name): p.read_bytes()
+                         for p in out.glob(f"{sweep}-*")})
+        assert sorted(runs[0]) == [f"{sweep}-seed4-T.jsonl", f"{sweep}-seed4-T.txt"]
+        assert runs[0] == runs[1]
+
+
 class TestCliIclDemos:
     def test_label_with_demonstrations_file(self, pipeline_world, tmp_path):
         from docprune.labeling import IclDemonstration, write_demonstrations
@@ -889,8 +905,21 @@ class TestLoadTimeChecks:
         ("ablate", [], "[ablation]\nn_docs = 50\n", "ablation"),
         ("train", [], "[distiller]\nepochs = 0\n", "distiller"),
         ("sample", [], "[run]\nlog_level = LOUD\n", "run"),
+        ("sample", [], "[distiller]\nval_fraction = 1.5\n", "distiller"),
+        ("sample", [], "[distiller]\nlearning_rate = 0\n", "distiller"),
+        ("sample", [], "[labeler]\nfailure_ceiling = -1\n", "labeler"),
+        ("sample", [], "[labeler]\nmax_output_tokens = 0\n", "labeler"),
+        ("sample", [], "[ablation]\nsample_size = 0\n", "ablation"),
+        ("sample", [], "[ablation]\nratios = 0, 2\n", "ablation"),
+        ("sample", [], "[ablation]\nhash_bits_list = 4\n", "ablation"),
+        ("sample", [], "[ablation]\nseeds =\n", "ablation"),
+        ("sample", [], "[ablation]\nratios =\n", "ablation"),
+        ("sample", [], "[ablation]\nhash_bits_list =\n", "ablation"),
     ], ids=["score-flag", "score-file", "filter-file", "sample-flag",
-            "sample_size", "token_budget", "n_docs", "epochs", "log_level"])
+            "sample_size", "token_budget", "n_docs", "epochs", "log_level",
+            "val_fraction", "learning_rate", "failure_ceiling", "max_output_tokens",
+            "ablation-sample_size", "ratios", "hash_bits_list", "empty-seeds",
+            "empty-ratios", "empty-hash_bits_list"])
     def test_bad_value_exits_2_without_output(self, small_run, tmp_path, capsys,
                                               command, flags, ini, section):
         argv = small_run[command] + flags + ["--out", tmp_path / "out"]
