@@ -14,7 +14,6 @@ from docprune.classifier import (
     load_model,
     save_model,
     score,
-    split_train_val,
     train_classifier,
 )
 from docprune.corpus import Document, extract_snippet
@@ -33,14 +32,16 @@ print(f"training pairs: {stats.labeled}, yes-fraction {stats.yes_fraction:.3f}")
 # Features are hashed bags of word 1/2/3-grams; 2**hash_bits is the capacity
 # knob of the cheap classifier. `add` joins the labels to their snippets and
 # featurizes the labeled texts into a feature store (an unnamed temp file) in
-# the same batches that scoring uses; training reads their rows back a block
-# at a time.
+# the same batches that scoring uses; training holds out a stratified
+# `val_fraction` of the examples for early stopping and reads their rows back
+# a block at a time.
 featurizer = FeaturizerConfig(ngram_orders=(1, 2, 3), hash_bits=16)
 
 with FeatureStore(featurizer) as store:
     examples = store.add(labels, snippets)
-    train, val = split_train_val(examples, val_fraction=0.1, seed=0)
-    classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer), seed=0)
+    classifier = train_classifier(
+        examples, TrainConfig(featurizer=featurizer, val_fraction=0.1), seed=0
+    )
 print("training meta:", classifier.training_meta)
 
 # Scores are sigmoid outputs clamped into the open interval (0, 1).

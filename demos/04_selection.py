@@ -7,17 +7,11 @@ import tempfile
 from pathlib import Path
 
 from docprune.ablation import snippets_of
-from docprune.classifier import (
-    FeatureStore,
-    FeaturizerConfig,
-    TrainConfig,
-    split_train_val,
-    train_classifier,
-)
+from docprune.classifier import FeatureStore, FeaturizerConfig, TrainConfig, train_classifier
 from docprune.corpus import ingest_shards, write_json, write_shards
 from docprune.labeling import LabelerConfig, label_documents, yes_fraction
 from docprune.mocks import MockQualityTransport
-from docprune.selection import filter_corpus, score_corpus, select_cutoff
+from docprune.selection import ScoreSet, filter_corpus, score_corpus, select_cutoff
 from docprune.synthetic import SyntheticCorpusSpec, generate_documents, stratum_of
 
 with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:
@@ -34,13 +28,15 @@ with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:
     )
     featurizer = FeaturizerConfig(hash_bits=16)
     with FeatureStore(featurizer) as store:
-        train, val = split_train_val(store.add(labels, snippets), 0.1, seed=0)
-        classifier = train_classifier(train, val, TrainConfig(featurizer=featurizer), seed=0)
+        config = TrainConfig(featurizer=featurizer, val_fraction=0.1)
+        classifier = train_classifier(store.add(labels, snippets), config, seed=0)
 
     # Shard-parallel scoring: output is byte-identical for any worker count.
-    score_set = score_corpus(shard_set, classifier, workers=4, out_dir=workdir / "scores")
-    print(f"scored {score_set.report.input_documents} docs "
-          f"at {score_set.report.docs_per_second:,.0f} docs/s")
+    # score_corpus writes the score set and returns its report; ScoreSet.open
+    # reads the set back, as `docprune select` and `filter` do.
+    report = score_corpus(shard_set, classifier, workers=4, out_dir=workdir / "scores")
+    print(f"scored {report.input_documents} docs at {report.docs_per_second:,.0f} docs/s")
+    score_set = ScoreSet.open(workdir / "scores")
 
     # The labeler's yes-fraction is the rule-of-thumb keep ratio.
     suggested = yes_fraction(labels)

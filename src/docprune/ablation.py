@@ -14,14 +14,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .classifier import (
-    Examples,
-    FeatureStore,
-    QualityClassifier,
-    TrainConfig,
-    split_train_val,
-    train_classifier,
-)
+from .classifier import FeatureStore, QualityClassifier, TrainConfig, train_classifier
 from .config import SWEEPS, AblationSection, RunConfig
 from .corpus import Document, Snippet, atomic_open, extract_snippet, reservoir_sample, write_jsonl
 from .labeling import (
@@ -142,12 +135,6 @@ def _agreement(a: Mapping[str, str], b: Mapping[str, str]) -> float:
     return sum(a[d] == b[d] for d in common) / len(common) if common else 0.0
 
 
-def _fit(examples: Examples, config: TrainConfig, seed: int) -> QualityClassifier:
-    """A classifier trained with `config` on `examples`, split at `seed`."""
-    train, val = split_train_val(examples, config.val_fraction, seed=seed)
-    return train_classifier(train, val, config, seed=seed)
-
-
 def run_sweep(sweep: str, config: RunConfig) -> SweepReport:
     """The `ablate` recipe: sweep `sweep` over the [ablation] corpus and a
     reservoir sample of it at [run] seed, labeling with the [labeler] and
@@ -164,11 +151,15 @@ def run_sweep(sweep: str, config: RunConfig) -> SweepReport:
             return run_capacity_sweep(labels, snippets, config.distiller, ab.hash_bits_list,
                                       ab.seeds)
         with FeatureStore(config.distiller.featurizer) as store:
-            classifier = _fit(store.add(labels, snippets), config.distiller, seed)
+            classifier = train_classifier(store.add(labels, snippets), config.distiller, seed)
         return run_ratio_sweep(docs, classifier, ab.ratios)
     snippets = snippets_of(sample)
     if sweep == "prompt":
         return run_prompt_robustness(snippets, config.labeler, VersionFlipTransport())
+    if len(snippets) <= ICL_SHOTS:  # the first ICL_SHOTS are the demonstrations
+        raise ValueError(f"the icl sweep needs more than {ICL_SHOTS} snippets, its demonstrations "
+                         f"and one to label; [ablation] sample_size = {ab.sample_size} gives "
+                         f"{len(snippets)}")
     strong_by_doc = truth_by_doc(sample)  # the ICL demonstrations carry the true labels
     demos = [IclDemonstration(s.text, strong_by_doc[s.doc_id], "strong-reference")
              for s in snippets[:ICL_SHOTS]]
@@ -240,7 +231,7 @@ def run_capacity_sweep(
         with FeatureStore(at_bits.featurizer) as store:
             stored = store.add(labels, snippets)
             for seed in seeds:
-                f1_runs.append(_fit(stored, at_bits, seed).training_meta["val_f1"])
+                f1_runs.append(train_classifier(stored, at_bits, seed).training_meta["val_f1"])
         median = statistics.median(f1_runs)
         medians.append(median)
         point = {"hash_bits": bits, "median_f1": _r(median)}

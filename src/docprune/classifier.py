@@ -395,8 +395,6 @@ def split_train_val(
 ) -> tuple[Examples, Examples]:
     """Disjoint, exhaustive, seed-deterministic stratified split, each part in
     the examples' order. It reads only the targets."""
-    if not 0 < val_fraction < 1:
-        raise ValueError("val_fraction must be in (0, 1)")
     if len(examples) < 10:
         raise DegenerateLabelsError(f"need at least 10 examples to split, got {len(examples)}")
     rng = random.Random(f"split:{seed}")
@@ -519,24 +517,25 @@ def loss_and_grad(
 
 
 def train_classifier(
-    train: Examples,
-    val: Examples,
+    examples: Examples,
     config: TrainConfig,
     seed: int = 0,
 ) -> QualityClassifier:
-    """Minimize logistic loss by seeded mini-batch SGD; early-stop on val F1.
+    """Split the examples at config.val_fraction and `seed` (`split_train_val`),
+    then minimize logistic loss by seeded mini-batch SGD; early-stop on val F1.
 
-    Each minibatch's rows, and the validation rows, are read from their
-    `FeatureStore` a block at a time. The weights of the best epoch so far
-    are kept in the training store's file, and read back into the one weight
+    Each minibatch's rows, and the validation rows, are read from the
+    examples' `FeatureStore` a block at a time. The weights of the best epoch
+    so far are kept in the store's file, and read back into the one weight
     vector at the end. Deterministic for a fixed seed (single worker). The
     returned model carries the best-epoch weights; F1 ties resolve toward the
     earlier epoch.
     """
     import numpy as np
 
-    if not train:
-        raise DegenerateLabelsError("degenerate label distribution: empty training set")
+    if examples.store.featurizer != config.featurizer:
+        raise ValueError("examples were featurized with another featurizer than config's")
+    train, val = split_train_val(examples, config.val_fraction, seed)
     if set(train.targets) != {0, 1}:
         raise DegenerateLabelsError("degenerate label distribution: one class only")
     if not val:  # e.g. 5 Yes and 5 No: each class's 0.5 validation share rounds to 0
@@ -545,8 +544,6 @@ def train_classifier(
             f"too few labels to validate: {yes} Yes and {len(train) - yes} No labels "
             f"leave no validation example; label more documents"
         )
-    if {train.store.featurizer, val.store.featurizer} != {config.featurizer}:
-        raise ValueError("examples were featurized with another featurizer than config's")
 
     cw = class_weight_map(train.targets)
     y = np.array(train.targets, dtype=np.float64)

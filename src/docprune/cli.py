@@ -29,7 +29,6 @@ from .classifier import (  # noqa: F401
     featurize_text,
     load_model,
     save_model,
-    split_train_val,
     train_classifier,
 )
 from .config import SWEEPS, ConfigError, RunConfig, load_config, write_resolved_config
@@ -121,11 +120,9 @@ def cmd_label(config: RunConfig, out: Path, snippets: str) -> int:
 
 
 def cmd_train(config: RunConfig, out: Path, snippets: str, labels: str) -> int:
-    distiller, seed = config.distiller, config.run.seed
-    with FeatureStore(distiller.featurizer) as store:
+    with FeatureStore(config.distiller.featurizer) as store:
         examples = store.add(read_records(labels, QualityLabel), read_records(snippets, Snippet))
-        train, val = split_train_val(examples, distiller.val_fraction, seed)
-        classifier = train_classifier(train, val, distiller, seed=seed)
+        classifier = train_classifier(examples, config.distiller, config.run.seed)
     save_model(classifier, out / "model.bin")
     meta = classifier.training_meta
     write_json(out / "training-report.json", meta)
@@ -141,19 +138,17 @@ def cmd_train(config: RunConfig, out: Path, snippets: str, labels: str) -> int:
 def cmd_score(config: RunConfig, out: Path, model: str) -> int:
     classifier = load_model(Path(model))
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
-    score_set = score_corpus(
+    report = score_corpus(
         shard_set,
         classifier,
         workers=config.selector.workers,
         out_dir=out,
         strict=config.corpus.strict,
     )
-    write_json(out / "scoring-report.json", score_set.report)
+    write_json(out / "scoring-report.json", report)
     log.info(
         "scored %d documents across %d shards (%.0f docs/s)",
-        score_set.report.input_documents,
-        len(score_set.shard_paths),
-        score_set.report.docs_per_second,
+        report.input_documents, len(report.per_shard), report.docs_per_second,
     )
     return EXIT_OK
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import logging
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Mapping
@@ -20,6 +21,7 @@ from typing import Mapping
 from .classifier import FeaturizerConfig, TrainConfig
 from .corpus import atomic_open
 from .labeling import LabelerConfig
+from .selection import check_keep_ratio
 from .synthetic import SyntheticCorpusSpec
 
 
@@ -44,8 +46,13 @@ def _parse(key: str, raw: str, default):
         return tuple(_parse(key, part, default[0]) for part in raw.split(",") if part.strip())
     if isinstance(default, bool):
         return _parse_bool(raw)
-    if isinstance(default, (int, float)):
-        return type(default)(raw)
+    if isinstance(default, float):
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {raw!r}")
+        return value
+    if isinstance(default, int):
+        return int(raw)
     return raw
 
 
@@ -82,8 +89,8 @@ class SelectorSection:
     workers: int = 1
 
     def __post_init__(self):
-        if self.target_ratio != "from-labels" and not 0 < self.target_ratio <= 1:
-            raise ValueError('target_ratio must be in (0, 1] or "from-labels"')
+        if self.target_ratio != "from-labels":
+            check_keep_ratio(self.target_ratio)
         _at_least_1(workers=self.workers)
 
 
@@ -105,8 +112,8 @@ class AblationSection:
         if not (self.seeds and self.hash_bits_list and self.ratios):
             raise ValueError("seeds, hash_bits_list and ratios must each hold a value")
         _at_least_1(sample_size=self.sample_size)
-        if not all(0 < ratio <= 1 for ratio in self.ratios):
-            raise ValueError("each of ratios must be in (0, 1]")
+        for ratio in self.ratios:
+            check_keep_ratio(ratio, "each of ratios")
         for bits in self.hash_bits_list:
             FeaturizerConfig(hash_bits=bits)  # checks each capacity
         self.corpus_spec(seed=0)  # checks the corpus shape

@@ -66,13 +66,8 @@ class ShardSet:
         root = Path(root)
         if not root.is_dir():
             raise CorpusError(f"corpus directory not found: {root}")
-        paths = sorted(root.glob("*.jsonl*"), key=str)
-        shards = [
-            Shard(path=p, compressed=p.suffix == ".gz")
-            for p in paths
-            if p.suffix in (".jsonl", ".gz")
-        ]
-        return cls(shards=shards)
+        paths = sorted([*root.glob("*.jsonl"), *root.glob("*.jsonl.gz")], key=str)
+        return cls(shards=[Shard(path=p, compressed=p.suffix == ".gz") for p in paths])
 
 
 @dataclass

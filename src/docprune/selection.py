@@ -135,11 +135,9 @@ class ScoreSet:
     order.
     """
 
-    directory: Path
     shard_paths: list[Path]
     classifier_id: str
     source_shards: list[str]
-    report: ScoringReport | None = None
 
     @classmethod
     def open(cls, directory: str | Path) -> "ScoreSet":
@@ -155,7 +153,7 @@ class ScoreSet:
             raise CorpusError(
                 f"score shards in {directory} mix classifier ids: {sorted(classifier_ids)}"
             )
-        return cls(directory, paths, classifier_ids.pop(), [h.source_shard for h in headers])
+        return cls(paths, classifier_ids.pop(), [h.source_shard for h in headers])
 
     def iter_records(self) -> Iterator[tuple[str, float, str]]:
         """(doc_id, score, source_shard) per row, in shard order. A shard
@@ -286,8 +284,9 @@ def score_corpus(
     *,
     out_dir: str | Path,
     strict: bool = False,
-) -> ScoreSet:
-    """Score every document, one output score shard per input shard.
+) -> ScoringReport:
+    """Score every document, one output score shard per input shard, into
+    `out_dir`, which `ScoreSet.open` reads; returns the run's ScoringReport.
 
     Shards run on `workers` forked processes (see `_map_shards`). Records
     that ingest skips (empty text, or malformed unless `strict`) are counted
@@ -333,8 +332,13 @@ def score_corpus(
     report.total_cpu_seconds = sum(stats.cpu_seconds for stats in report.per_shard)
     report.seconds = time.monotonic() - t0
     report.docs_per_second = report.input_documents / report.seconds if report.seconds else 0.0
-    sources = [stats.shard for stats in report.per_shard]
-    return ScoreSet(out_dir, [out_dir / names[s] for s in sources], classifier_id, sources, report)
+    return report
+
+
+def check_keep_ratio(ratio: float, name: str = "target_ratio") -> None:
+    """The keep-ratio rule: the share of the documents kept is in (0, 1]."""
+    if not 0 < ratio <= 1:
+        raise ValueError(f"{name} must be in (0, 1], not {ratio!r}")
 
 
 def select_cutoff(
@@ -349,8 +353,7 @@ def select_cutoff(
     """
     if not scores:  # e.g. every document had empty text
         raise DegenerateLabelsError("empty score set: no document was scored")
-    if not 0 < target_ratio <= 1:
-        raise ValueError("target_ratio must be in (0, 1]")
+    check_keep_ratio(target_ratio)
     n = len(scores)
     values = sorted(scores.values())
     keep_target = int(math.floor(target_ratio * n + 1e-9))

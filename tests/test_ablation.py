@@ -48,8 +48,8 @@ def _mock_labeled(docs):
 def _trained_classifier(docs, hash_bits=14, seed=0):
     config = FeaturizerConfig(hash_bits=hash_bits)
     with FeatureStore(config) as store:
-        train, val = split_train_val(store.add(*_mock_labeled(docs)), 0.1, seed=seed)
-        return train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
+        return train_classifier(store.add(*_mock_labeled(docs)), TrainConfig(featurizer=config),
+                                seed=seed)
 
 
 def _scores(clf, examples):
@@ -164,8 +164,10 @@ class TestCapacitySweep:
             with FeatureStore(config) as store:
                 stored = store.add(shuffled, snips)
                 for seed in (0, 1, 2):
-                    train, val = split_train_val(stored, 0.25, seed=seed)
-                    clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
+                    clf = train_classifier(
+                        stored, TrainConfig(featurizer=config, val_fraction=0.25), seed=seed
+                    )
+                    val = split_train_val(stored, 0.25, seed=seed)[1]  # the part clf held out
                     scored = list(zip(_scores(clf, val), val.targets))
                     scored.sort(key=lambda t: -t[0])
                     k = sum(t for _, t in scored)
@@ -325,8 +327,10 @@ class TestZeroStrengthChance:
             stored = store.add(labels, snips)
             doc_of_row = {r: label.doc_id for r, label in zip(stored.rows, labels)}
             for seed in (0, 1, 2):
-                train, val = split_train_val(stored, 0.25, seed=seed)
-                clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
+                clf = train_classifier(
+                    stored, TrainConfig(featurizer=config, val_fraction=0.25), seed=seed
+                )
+                val = split_train_val(stored, 0.25, seed=seed)[1]  # the part clf held out
                 scored = [
                     (s, stratum[doc_of_row[r]]) for s, r in zip(_scores(clf, val), val.rows)
                 ]

@@ -39,6 +39,7 @@ from docprune.labeling import (
 )
 from docprune.mocks import FidelityMockTransport, MockQualityTransport, hash01, query_snippet
 from docprune.selection import (
+    ScoreSet,
     filter_corpus,
     score_corpus,
     select_cutoff,
@@ -213,8 +214,7 @@ class TestCriterion5ClassifierCorrectness:
         targets = [1 if stratum_of(doc) else 0 for doc in docs]
         with FeatureStore(config) as store:
             examples = Examples(store, store.extend(d.text for d in docs), targets)
-            train, val = split_train_val(examples, 0.1, seed=0)
-            clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
+            clf = train_classifier(examples, TrainConfig(featurizer=config), seed=0)
         assert clf.training_meta["val_f1"] >= 0.95
 
     def test_shuffled_labels_fall_to_chance(self):
@@ -231,8 +231,10 @@ class TestCriterion5ClassifierCorrectness:
         with FeatureStore(config) as store:
             stored = Examples(store, store.extend(d.text for d in docs), targets)
             for seed in (0, 1, 2):
-                train, val = split_train_val(stored, 0.25, seed=seed)
-                clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
+                clf = train_classifier(
+                    stored, TrainConfig(featurizer=config, val_fraction=0.25), seed=seed
+                )
+                val = split_train_val(stored, 0.25, seed=seed)[1]  # the part clf held out
                 scored = [
                     (score(clf, extract_snippet(Document("", docs[r].text))), t) for r, t in zip(val.rows, val.targets)
                 ]
@@ -264,14 +266,12 @@ class TestCriterion7DeterminismAndParallelSafety:
         targets = [1 if stratum_of(d) else 0 for d in sample]
         with FeatureStore(config) as store:
             examples = Examples(store, store.extend(d.text for d in sample), targets)
-            train, val = split_train_val(examples, 0.1, seed=0)
-            clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
+            clf = train_classifier(examples, TrainConfig(featurizer=config), seed=0)
 
         sets = {}
         for workers in (1, 4):
-            sets[workers] = score_corpus(
-                shard_set, clf, workers=workers, out_dir=tmp_path / f"scores-w{workers}"
-            )
+            score_corpus(shard_set, clf, workers=workers, out_dir=tmp_path / f"scores-w{workers}")
+            sets[workers] = ScoreSet.open(tmp_path / f"scores-w{workers}")
         for p1, p4 in zip(sets[1].shard_paths, sets[4].shard_paths):
             assert p1.read_bytes() == p4.read_bytes()
 
@@ -301,9 +301,8 @@ class TestCriterion7DeterminismAndParallelSafety:
         targets = [1 if stratum_of(d) else 0 for d in a]
         with FeatureStore(config) as store:
             examples = Examples(store, store.extend(d.text for d in a), targets)
-            train, val = split_train_val(examples, 0.1, seed=1)
-            m1 = train_classifier(train, val, TrainConfig(featurizer=config), seed=1)
-            m2 = train_classifier(train, val, TrainConfig(featurizer=config), seed=1)
+            m1 = train_classifier(examples, TrainConfig(featurizer=config), seed=1)
+            m2 = train_classifier(examples, TrainConfig(featurizer=config), seed=1)
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
 

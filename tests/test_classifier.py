@@ -121,11 +121,11 @@ def _split(examples, config, val_fraction, seed):
     return tuple(list(part.rows) for part in parts)
 
 
-def _fit(examples, config, val_fraction=0.2, seed=0, split_seed=0):
+def _fit(examples, config, val_fraction=0.2, seed=0):
     """A classifier trained on the examples through a feature store."""
     with FeatureStore(config) as store:
-        train, val = split_train_val(_stored(store, examples), val_fraction, seed=split_seed)
-        return train_classifier(train, val, TrainConfig(featurizer=config), seed=seed)
+        train_config = TrainConfig(featurizer=config, val_fraction=val_fraction)
+        return train_classifier(_stored(store, examples), train_config, seed=seed)
 
 
 class TestSplitTrainVal:
@@ -154,13 +154,6 @@ class TestSplitTrainVal:
         examples, config = _examples(4, 5)
         with pytest.raises(ValueError):
             _split(examples, config, 0.1, seed=0)
-
-    def test_fraction_bounds(self):
-        examples, config = _examples(10, 10)
-        with pytest.raises(ValueError):
-            _split(examples, config, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            _split(examples, config, 1.0, seed=0)
 
 
 def _label(doc_id, label):
@@ -339,9 +332,9 @@ class TestTraining:
     def test_deterministic_weights(self):
         examples, config = _examples(100, 100, seed=4)
         with FeatureStore(config) as store:
-            train, val = split_train_val(_stored(store, examples), 0.2, seed=0)
-            a = train_classifier(train, val, TrainConfig(featurizer=config), seed=3)
-            b = train_classifier(train, val, TrainConfig(featurizer=config), seed=3)
+            stored = _stored(store, examples)
+            a = train_classifier(stored, TrainConfig(featurizer=config, val_fraction=0.2), seed=3)
+            b = train_classifier(stored, TrainConfig(featurizer=config, val_fraction=0.2), seed=3)
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
         assert a.training_meta == b.training_meta
@@ -380,19 +373,19 @@ class TestTraining:
         with FeatureStore(config) as store:
             stored = _stored(store, one_class)
             with pytest.raises(DegenerateLabelsError, match="degenerate label distribution"):
-                train_classifier(stored, stored.take(range(2)), TrainConfig(featurizer=config))
+                train_classifier(stored, TrainConfig(featurizer=config))
 
     def test_examples_of_another_featurizer_rejected(self):
         examples, config = _examples(20, 20)
         other = TrainConfig(featurizer=FeaturizerConfig(ngram_orders=(1,), hash_bits=11))
         with FeatureStore(config) as store:
-            train, val = split_train_val(_stored(store, examples), 0.2, seed=0)
+            stored = _stored(store, examples)
             with pytest.raises(ValueError, match="another featurizer"):
-                train_classifier(train, val, other)
+                train_classifier(stored, other)
 
     def test_training_meta_recorded(self):
         examples, config = _examples(80, 120, seed=6)
-        train, val = _split(examples, config, 0.1, seed=0)
+        train, val = _split(examples, config, 0.1, seed=1)
         clf = _fit(examples, config, val_fraction=0.1, seed=1)
         meta = clf.training_meta
         assert meta["train_size"] == len(train)
@@ -587,8 +580,7 @@ class TestMemory:
 
         def train():
             with FeatureStore(config.featurizer) as store:
-                train, val = split_train_val(_stored(store, examples), 0.1, seed=0)
-                train_classifier(train, val, config, seed=0)
+                train_classifier(_stored(store, examples), config, seed=0)
 
         list(featurize_chunks(examples[0], config.featurizer))  # warm token table
         return traced_peak(train)

@@ -906,7 +906,16 @@ class TestLoadTimeChecks:
         ("train", [], "[distiller]\nepochs = 0\n", "distiller"),
         ("sample", [], "[run]\nlog_level = LOUD\n", "run"),
         ("sample", [], "[distiller]\nval_fraction = 1.5\n", "distiller"),
+        ("sample", [], "[distiller]\nval_fraction = 0\n", "distiller"),
+        ("sample", [], "[distiller]\nval_fraction = 1\n", "distiller"),
         ("sample", [], "[distiller]\nlearning_rate = 0\n", "distiller"),
+        ("sample", [], "[distiller]\nlearning_rate = inf\n", "distiller"),
+        ("sample", [], "[labeler]\ntemperature = nan\n", "labeler"),
+        ("sample", [], "[labeler]\ntemperature = inf\n", "labeler"),
+        ("sample", [], "[labeler]\nbackoff_base = nan\n", "labeler"),
+        ("sample", [], "[labeler]\nbackoff_base = inf\n", "labeler"),
+        ("sample", [], "[labeler]\nrequest_timeout = nan\n", "labeler"),
+        ("sample", [], "[labeler]\nrequest_timeout = inf\n", "labeler"),
         ("sample", [], "[labeler]\nfailure_ceiling = -1\n", "labeler"),
         ("sample", [], "[labeler]\nmax_output_tokens = 0\n", "labeler"),
         ("sample", [], "[ablation]\nsample_size = 0\n", "ablation"),
@@ -917,7 +926,10 @@ class TestLoadTimeChecks:
         ("sample", [], "[ablation]\nhash_bits_list =\n", "ablation"),
     ], ids=["score-flag", "score-file", "filter-file", "sample-flag",
             "sample_size", "token_budget", "n_docs", "epochs", "log_level",
-            "val_fraction", "learning_rate", "failure_ceiling", "max_output_tokens",
+            "val_fraction", "val_fraction-0", "val_fraction-1", "learning_rate",
+            "learning_rate-inf", "temperature-nan", "temperature-inf", "backoff_base-nan",
+            "backoff_base-inf", "request_timeout-nan", "request_timeout-inf",
+            "failure_ceiling", "max_output_tokens",
             "ablation-sample_size", "ratios", "hash_bits_list", "empty-seeds",
             "empty-ratios", "empty-hash_bits_list"])
     def test_bad_value_exits_2_without_output(self, small_run, tmp_path, capsys,
@@ -937,6 +949,25 @@ class TestLoadTimeChecks:
                        "--out", tmp_path / "out") == 2
         assert "1,000 labeled examples" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def icl_sweep(tmp_path, sample_size):
+        """`ablate --sweep icl` on 500 docs at [ablation] sample_size; its exit code."""
+        (tmp_path / "run.ini").write_text(f"[ablation]\nn_docs = 500\nsample_size = {sample_size}\n")
+        return run_cli("ablate", "--sweep", "icl", "--config", tmp_path / "run.ini",
+                       "--out", tmp_path / "out")
+
+    @pytest.mark.parametrize("sample_size", [3, 5])
+    def test_icl_sweep_with_no_snippet_to_label_exits_2(self, tmp_path, capsys, sample_size):
+        """The sample's first 5 snippets are the demonstrations."""
+        assert self.icl_sweep(tmp_path, sample_size) == 2
+        assert "[ablation] sample_size" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_icl_sweep_with_one_snippet_to_label_runs(self, tmp_path):
+        with pytest.warns(DegenerateLabelerWarning):  # one label's yes-fraction is 0 or 1
+            assert self.icl_sweep(tmp_path, 6) == 0
+        assert (tmp_path / "out").is_dir()
 
 
 REMAINING_KEYS = {

@@ -120,6 +120,17 @@ class TestIngest:
         shard_set = ShardSet.from_dir(root)
         assert [s.path.name for s in shard_set.shards] == ["a.jsonl", "b.jsonl", "c.jsonl"]
 
+    def test_from_dir_takes_only_jsonl_and_jsonl_gz(self, tmp_path):
+        """A backup such as `a.jsonl.bak.gz` beside `a.jsonl` is not a second shard."""
+        root = tmp_path / "corpus"
+        root.mkdir()
+        for name in ("a.jsonl", "b.jsonl.gz", "a.jsonl.bak.gz", "a.jsonl.orig", "notes.txt"):
+            (root / name).write_bytes(b"")
+        shards = ShardSet.from_dir(root).shards
+        assert [(s.path.name, s.compressed) for s in shards] == [
+            ("a.jsonl", False), ("b.jsonl.gz", True)
+        ]
+
 
 class TestReservoirSample:
     def test_sample_larger_than_stream(self):

@@ -30,7 +30,7 @@ from docprune.classifier import (
 )
 from docprune.cli import main
 from docprune.corpus import Document, extract_snippet
-from docprune.selection import score_corpus, score_documents
+from docprune.selection import ScoreSet, score_corpus, score_documents
 
 # Words, no-word-token runs (punctuation, blanks) and a few repeats, so
 # texts are often empty of tokens or shorter than the largest n-gram order.
@@ -328,9 +328,9 @@ class TestScoreBatch:
         shard_set = corpus_dir(tmp_path, {"s.jsonl": [
             {"id": f"d{i}", "text": t} for i, t in enumerate(texts)
         ]})
-        score_set = score_corpus(shard_set, clf, out_dir=tmp_path / "scores")
-        assert score_set.report.empty_text == 6
-        assert score_set.load_scores() == dict(zip(ids, whole))
+        report = score_corpus(shard_set, clf, out_dir=tmp_path / "scores")
+        assert report.empty_text == 6
+        assert ScoreSet.open(tmp_path / "scores").load_scores() == dict(zip(ids, whole))
 
 
 def _model_file(path, edit):

@@ -16,7 +16,6 @@ from docprune.classifier import (
     FeatureStore,
     FeaturizerConfig,
     TrainConfig,
-    split_train_val,
     train_classifier,
 )
 from docprune.corpus import CorpusError, DuplicateIdError, ingest_shards, write_shards
@@ -194,31 +193,32 @@ def small_world(tmp_path_factory):
     targets = [1 if mock_label(snip) == YES else 0 for snip in snips]
     with FeatureStore(config) as store:
         examples = Examples(store, store.extend(s.text for s in snips), targets)
-        train, val = split_train_val(examples, 0.1, seed=0)
-        clf = train_classifier(train, val, TrainConfig(featurizer=config), seed=0)
+        clf = train_classifier(examples, TrainConfig(featurizer=config), seed=0)
     return tmp, shard_set, docs, clf
 
 
 class TestScoreCorpus:
     def test_one_record_per_document(self, small_world):
         tmp, shard_set, docs, clf = small_world
-        score_set = score_corpus(shard_set, clf, workers=1, out_dir=tmp / "scores1")
-        scores = score_set.load_scores()
+        score_corpus(shard_set, clf, workers=1, out_dir=tmp / "scores1")
+        scores = ScoreSet.open(tmp / "scores1").load_scores()
         assert len(scores) == len(docs)
         assert set(scores) == {d.id for d in docs}
         assert all(0 < s < 1 for s in scores.values())
 
     def test_worker_count_does_not_change_bytes(self, small_world):
         tmp, shard_set, docs, clf = small_world
-        a = score_corpus(shard_set, clf, workers=1, out_dir=tmp / "scores_w1")
-        b = score_corpus(shard_set, clf, workers=4, out_dir=tmp / "scores_w4")
+        score_corpus(shard_set, clf, workers=1, out_dir=tmp / "scores_w1")
+        score_corpus(shard_set, clf, workers=4, out_dir=tmp / "scores_w4")
+        a, b = ScoreSet.open(tmp / "scores_w1"), ScoreSet.open(tmp / "scores_w4")
         for pa, pb in zip(a.shard_paths, b.shard_paths):
             assert pa.read_bytes() == pb.read_bytes()
 
     def test_rescoring_identical(self, small_world):
         tmp, shard_set, docs, clf = small_world
-        a = score_corpus(shard_set, clf, workers=2, out_dir=tmp / "scores_r1")
-        b = score_corpus(shard_set, clf, workers=2, out_dir=tmp / "scores_r2")
+        score_corpus(shard_set, clf, workers=2, out_dir=tmp / "scores_r1")
+        score_corpus(shard_set, clf, workers=2, out_dir=tmp / "scores_r2")
+        a, b = ScoreSet.open(tmp / "scores_r1"), ScoreSet.open(tmp / "scores_r2")
         for pa, pb in zip(a.shard_paths, b.shard_paths):
             assert pa.read_bytes() == pb.read_bytes()
 
@@ -238,18 +238,16 @@ class TestScoreCorpus:
             tmp_path,
             {"s.jsonl": [{"id": "a", "text": "alpha beta"}, {"id": "b", "text": ""}]},
         )
-        score_set = score_corpus(shard_set, clf, out_dir=tmp_path / "scores")
-        assert set(score_set.load_scores()) == {"a"}
-        assert score_set.report.empty_text == 1
+        report = score_corpus(shard_set, clf, out_dir=tmp_path / "scores")
+        assert set(ScoreSet.open(tmp_path / "scores").load_scores()) == {"a"}
+        assert report.empty_text == 1
 
     def test_report_carries_timing(self, small_world):
         tmp, shard_set, docs, clf = small_world
-        score_set = ScoreSet.open(tmp / "scores1")
-        # report only exists on freshly scored sets
-        fresh = score_corpus(shard_set, clf, workers=2, out_dir=tmp / "scores_t")
-        assert fresh.report.input_documents == len(docs)
-        assert len(fresh.report.per_shard) == len(shard_set.shards)
-        assert fresh.report.seconds > 0
+        report = score_corpus(shard_set, clf, workers=2, out_dir=tmp / "scores_t")
+        assert report.input_documents == len(docs)
+        assert len(report.per_shard) == len(shard_set.shards)
+        assert report.seconds > 0
 
     def test_mixed_classifier_ids_rejected(self, tmp_path, small_world):
         _, _, _, clf = small_world
@@ -284,8 +282,8 @@ class TestFilterCorpus:
     def test_identity_filter_at_ratio_one(self, tmp_path, small_world):
         _, shard_set, docs, clf = small_world
         score_dir = tmp_path / "scores"
-        score_set = score_corpus(shard_set, clf, out_dir=score_dir)
-        scores = score_set.load_scores()
+        score_corpus(shard_set, clf, out_dir=score_dir)
+        scores = ScoreSet.open(score_dir).load_scores()
         decision = select_cutoff(scores, 1.0)
         out_set, manifest = filter_corpus(shard_set, scores, decision, tmp_path / "out")
         out_docs = list(ingest_shards(out_set))
@@ -320,8 +318,8 @@ class TestFilterCorpus:
 
     def test_worker_independence(self, tmp_path, small_world):
         _, shard_set, docs, clf = small_world
-        score_set = score_corpus(shard_set, clf, out_dir=tmp_path / "scores")
-        scores = score_set.load_scores()
+        score_corpus(shard_set, clf, out_dir=tmp_path / "scores")
+        scores = ScoreSet.open(tmp_path / "scores").load_scores()
         decision = select_cutoff(scores, 0.25)
         out1, _ = filter_corpus(shard_set, scores, decision, tmp_path / "f1")
         out4, _ = filter_corpus(shard_set, scores, decision, tmp_path / "f4")
@@ -330,8 +328,8 @@ class TestFilterCorpus:
 
     def test_shard_boundaries_preserved(self, tmp_path, small_world):
         _, shard_set, docs, clf = small_world
-        score_set = score_corpus(shard_set, clf, out_dir=tmp_path / "scores")
-        scores = score_set.load_scores()
+        score_corpus(shard_set, clf, out_dir=tmp_path / "scores")
+        scores = ScoreSet.open(tmp_path / "scores").load_scores()
         decision = select_cutoff(scores, 0.25)
         out_set, manifest = filter_corpus(shard_set, scores, decision, tmp_path / "out")
         assert [s.path.name for s in out_set.shards] == [
@@ -341,8 +339,8 @@ class TestFilterCorpus:
 
     def test_planted_precision_after_training(self, tmp_path, small_world):
         _, shard_set, docs, clf = small_world
-        score_set = score_corpus(shard_set, clf, out_dir=tmp_path / "scores")
-        scores = score_set.load_scores()
+        score_corpus(shard_set, clf, out_dir=tmp_path / "scores")
+        scores = ScoreSet.open(tmp_path / "scores").load_scores()
         decision = select_cutoff(scores, 0.25)
         out_set, _ = filter_corpus(shard_set, scores, decision, tmp_path / "out")
         kept_docs = list(ingest_shards(out_set))
@@ -423,14 +421,15 @@ class TestScoringProcesses:
                 f"s{i}.jsonl": [{"id": f"s{i}-{j}", "text": t} for j, t in enumerate(texts)]
                 for i, texts in enumerate(shards)
             })
-            one = score_corpus(shard_set, clf, workers=1, out_dir=tmp / "w1")
-            many = score_corpus(shard_set, clf, workers=workers, out_dir=tmp / "wn")
+            score_corpus(shard_set, clf, workers=1, out_dir=tmp / "w1")
+            report = score_corpus(shard_set, clf, workers=workers, out_dir=tmp / "wn")
+            one, many = ScoreSet.open(tmp / "w1"), ScoreSet.open(tmp / "wn")
             assert [p.name for p in one.shard_paths] == [p.name for p in many.shard_paths]
             for p1, pn in zip(one.shard_paths, many.shard_paths):
                 assert p1.read_bytes() == pn.read_bytes()
-            assert many.report.empty_text == sum(t == "" for ts in shards for t in ts)
-            assert len(many.report.per_shard) == len(shards)
-            assert all(s.cpu_seconds >= 0 for s in many.report.per_shard)
+            assert report.empty_text == sum(t == "" for ts in shards for t in ts)
+            assert len(report.per_shard) == len(shards)
+            assert all(s.cpu_seconds >= 0 for s in report.per_shard)
 
             scores = one.load_scores()
             if not scores:
@@ -448,7 +447,7 @@ class TestScoringProcesses:
 
     def test_two_workers_report_their_cpu_time(self, tmp_path, small_world):
         _, shard_set, _, clf = small_world
-        report = score_corpus(shard_set, clf, workers=2, out_dir=tmp_path / "scores").report
+        report = score_corpus(shard_set, clf, workers=2, out_dir=tmp_path / "scores")
         assert all(s.cpu_seconds > 0 for s in report.per_shard)
         assert report.total_cpu_seconds == pytest.approx(
             sum(s.cpu_seconds for s in report.per_shard))
