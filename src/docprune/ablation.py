@@ -26,7 +26,7 @@ from .labeling import (
     Transport,
     label_documents,
 )
-from .mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
+from .mocks import MockQualityTransport
 from .selection import select_cutoff, score_documents
 from .synthetic import generate_documents, stratum_of, truth_by_doc
 
@@ -54,6 +54,9 @@ ICL_CONTEXT = (
     "demonstrations from the strongest labeler, still below that labeler's "
     "51.41."
 )
+
+WEAK_FIDELITY_BY_SHOTS = {0: 0.60, ICL_SHOTS: 0.75}
+PROMPT_FLIP_RATE = 0.05
 
 def _r(x: float) -> float:
     """One rounding for both the structured and the text rendering."""
@@ -155,7 +158,8 @@ def run_sweep(sweep: str, config: RunConfig) -> SweepReport:
         return run_ratio_sweep(docs, classifier, ab.ratios)
     snippets = snippets_of(sample)
     if sweep == "prompt":
-        return run_prompt_robustness(snippets, config.labeler, VersionFlipTransport())
+        return run_prompt_robustness(snippets, config.labeler,
+                                     MockQualityTransport(flip_rate=PROMPT_FLIP_RATE))
     if len(snippets) <= ICL_SHOTS:  # the first ICL_SHOTS are the demonstrations
         raise ValueError(f"the icl sweep needs more than {ICL_SHOTS} snippets, its demonstrations "
                          f"and one to label; [ablation] sample_size = {ab.sample_size} gives "
@@ -163,8 +167,8 @@ def run_sweep(sweep: str, config: RunConfig) -> SweepReport:
     strong_by_doc = truth_by_doc(sample)  # the ICL demonstrations carry the true labels
     demos = [IclDemonstration(s.text, strong_by_doc[s.doc_id], "strong-reference")
              for s in snippets[:ICL_SHOTS]]
-    return run_icl_comparison(snippets[ICL_SHOTS:], config.labeler, FidelityMockTransport(),
-                              demos, strong_by_doc)
+    weak = MockQualityTransport(WEAK_FIDELITY_BY_SHOTS)
+    return run_icl_comparison(snippets[ICL_SHOTS:], config.labeler, weak, demos, strong_by_doc)
 
 
 def run_ratio_sweep(
@@ -258,7 +262,6 @@ def run_prompt_robustness(
     snippets: Sequence[Snippet],
     config: LabelerConfig,
     transport: Transport,
-    versions: Sequence[str] = PROMPT_VERSIONS,
 ) -> SweepReport:
     """Per-version yes-fractions and pairwise label agreement, Avg. (Std) layout;
     `transport` labels every version.
@@ -269,7 +272,7 @@ def run_prompt_robustness(
     labels_by_version: dict[str, dict[str, str]] = {}
     yes_fracs: dict[str, float] = {}
     points = []
-    for version in versions:
+    for version in PROMPT_VERSIONS:
         labels, stats = label_documents(
             snippets, replace(config, prompt_version=version), transport=transport
         )
@@ -284,13 +287,13 @@ def run_prompt_robustness(
         )
     agreements = {
         f"{a}-{b}": _r(_agreement(labels_by_version[a], labels_by_version[b]))
-        for a, b in itertools.combinations(versions, 2)
+        for a, b in itertools.combinations(PROMPT_VERSIONS, 2)
     }
     return SweepReport(
         axis="prompt",
         points=points,
         aggregate={
-            "yes_fraction": _mean_std([yes_fracs[v] for v in versions]),
+            "yes_fraction": _mean_std(list(yes_fracs.values())),
             "agreement": _mean_std(list(agreements.values())),
         },
         metadata={

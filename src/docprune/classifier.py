@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .corpus import CorpusError, DuplicateIdError, Snippet, atomic_open
+from .corpus import CorpusError, Snippet, atomic_open, unique_snippets
 from .labeling import YES, QualityLabel
 
 if TYPE_CHECKING:
@@ -316,16 +316,9 @@ class FeatureStore:
             targets.append(1 if label.label == YES else 0)
         row_of: dict[str, int | None] = dict.fromkeys(ids)
         rows = itertools.count(len(self))
-        seen: set[str] = set()
 
         def texts() -> Iterator[str]:
-            for snippet in snippets:
-                if snippet.doc_id in seen:
-                    raise DuplicateIdError(
-                        f"snippet id {snippet.doc_id!r} occurs more than once; "
-                        f"document ids must be unique in the snippets file"
-                    )
-                seen.add(snippet.doc_id)
+            for snippet in unique_snippets(snippets):
                 if snippet.doc_id in row_of:
                     row_of[snippet.doc_id] = next(rows)
                     yield snippet.text

@@ -44,6 +44,7 @@ from .corpus import (
     read_records,
     reservoir_sample,
     staged_output,
+    unique_snippets,
     write_json,
     write_jsonl,
     write_shard_file,
@@ -93,7 +94,7 @@ def cmd_sample(config: RunConfig, out: Path) -> int:
 
 
 def cmd_label(config: RunConfig, out: Path, snippets: str) -> int:
-    records = list(read_records(snippets, Snippet))
+    records = list(unique_snippets(read_records(snippets, Snippet)))
     labeler = config.labeler
     demos = read_demonstrations(labeler.icl_demos) if labeler.icl_demos else []
     if labeler.mock:

@@ -67,6 +67,8 @@ class ShardSet:
         if not root.is_dir():
             raise CorpusError(f"corpus directory not found: {root}")
         paths = sorted([*root.glob("*.jsonl"), *root.glob("*.jsonl.gz")], key=str)
+        if not paths:
+            raise CorpusError(f"no corpus shards (*.jsonl or *.jsonl.gz) in {root}")
         return cls(shards=[Shard(path=p, compressed=p.suffix == ".gz") for p in paths])
 
 
@@ -96,6 +98,19 @@ class Snippet:
     def __post_init__(self):
         if not self.text:
             raise ValueError(f"empty snippet: {self.doc_id!r}")
+
+
+def unique_snippets(snippets: Iterable[Snippet]) -> Iterator[Snippet]:
+    """The snippets, in order; a doc id that occurs twice raises DuplicateIdError."""
+    seen: set[str] = set()
+    for snippet in snippets:
+        if snippet.doc_id in seen:
+            raise DuplicateIdError(
+                f"snippet id {snippet.doc_id!r} occurs more than once; "
+                f"document ids must be unique in the snippets file"
+            )
+        seen.add(snippet.doc_id)
+        yield snippet
 
 
 def _open_shard(shard: Shard) -> IO[bytes]:

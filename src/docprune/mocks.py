@@ -1,6 +1,6 @@
-"""Deterministic offline labelers with the endpoint transport's surface.
+"""Deterministic offline labeler with the endpoint transport's surface.
 
-Every mock answers by parsing the rendered prompt itself with
+The mock answers by parsing the rendered prompt itself with
 `labeling.parse_prompt` (query snippet, shot count, instruction version), so
 the offline path exercises the same prompt-build/response-parse loop as a
 hosted model. All randomness is content hashing: identical input always
@@ -10,9 +10,11 @@ yields the identical answer, across processes.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
+from typing import Mapping
 
 from .corpus import Snippet
-from .labeling import ICL_SHOTS, NO, YES, parse_prompt
+from .labeling import NO, YES, parse_prompt
 from .synthetic import marker_truth
 
 
@@ -47,49 +49,24 @@ def _label_text(text: str) -> str:
     return YES if lexical_richness(text) >= 0.2 else NO
 
 
-def _flip(label: str) -> str:
-    return NO if label == YES else YES
-
-
+@dataclass(frozen=True)
 class MockQualityTransport:
-    """Offline stand-in for the hosted labeler: marker/lexical verdicts."""
+    """Offline stand-in for the hosted labeler: the marker/lexical verdict,
+    kept with probability fidelity_by_shots[shots] at the prompt's shot count
+    when that dial is given (a shot count it lacks raises ValueError), then
+    flipped at `flip_rate` for prompt versions other than V1."""
+
+    fidelity_by_shots: Mapping[int, float] | None = None
+    flip_rate: float = 0.0
 
     def complete(self, prompt: str) -> str:
-        return _label_text(query_snippet(prompt))
-
-
-class FidelityMockTransport:
-    """Agreement with ground truth is a dial, and rises with demonstration shots.
-
-    The truth is the planted-marker rule with the lexical fallback; the
-    answer agrees with it with probability fidelity_by_shots[shots].
-    """
-
-    def __init__(self, fidelity_by_shots: dict[int, float] | None = None):
-        self.fidelity_by_shots = fidelity_by_shots or {0: 0.60, ICL_SHOTS: 0.75}
-
-    def complete(self, prompt: str) -> str:
-        _, shots, text = parse_prompt(prompt)
-        if shots not in self.fidelity_by_shots:
-            raise ValueError(f"no fidelity configured for {shots}-shot prompts")
-        truth = _label_text(text)
-        agree = hash01(f"fidelity|{shots}|{text}") < self.fidelity_by_shots[shots]
-        return truth if agree else _flip(truth)
-
-
-class VersionFlipTransport:
-    """Flips the base verdict at a fixed rate for prompt versions other than V1.
-
-    Models a labeler whose judgments drift between semantically equivalent
-    instructions; flip_rate 0 makes it version-independent.
-    """
-
-    def __init__(self, flip_rate: float = 0.05):
-        self.flip_rate = flip_rate
-
-    def complete(self, prompt: str) -> str:
-        version, _, text = parse_prompt(prompt)
+        version, shots, text = parse_prompt(prompt)
+        agree = True
+        if self.fidelity_by_shots is not None:
+            if shots not in self.fidelity_by_shots:
+                raise ValueError(f"no fidelity configured for {shots}-shot prompts")
+            agree = hash01(f"fidelity|{shots}|{text}") < self.fidelity_by_shots[shots]
+        if self.flip_rate > 0 and version != "V1":
+            agree ^= hash01(f"prompt-flip|{version}|{text}") < self.flip_rate
         verdict = _label_text(text)
-        if version != "V1" and hash01(f"prompt-flip|{version}|{text}") < self.flip_rate:
-            verdict = _flip(verdict)
-        return verdict
+        return verdict if agree else (NO if verdict == YES else YES)

@@ -32,7 +32,7 @@ from docprune.labeling import (
     QualityLabel,
     label_documents,
 )
-from docprune.mocks import FidelityMockTransport, MockQualityTransport, VersionFlipTransport
+from docprune.mocks import MockQualityTransport
 from docprune.synthetic import SyntheticCorpusSpec, generate_documents, truth_by_doc
 
 CONFIG = LabelerConfig(model_name="mock", max_concurrent_requests=8)
@@ -206,7 +206,7 @@ class TestPromptRobustness:
     def test_flip_rate_agreement_binomial_oracle(self, prompt_sample):
         # V2/V3 each flip 5% of V1's labels independently, so
         # agreement(V1,Vk) ~= 0.95 and agreement(V2,V3) ~= 0.95^2 + 0.05^2.
-        transport = VersionFlipTransport(flip_rate=0.05)
+        transport = MockQualityTransport(flip_rate=0.05)
         report = run_prompt_robustness(prompt_sample, CONFIG, transport)
         agreement = report.metadata["pairwise_agreement"]
         n = len(prompt_sample)
@@ -218,7 +218,7 @@ class TestPromptRobustness:
         assert abs(agreement["V2-V3"] - expected_cross) <= max(tol_cross, 0.01)
 
     def test_avg_std_aggregate_shape(self, prompt_sample):
-        report = run_prompt_robustness(prompt_sample[:1000], CONFIG, VersionFlipTransport(0.05))
+        report = run_prompt_robustness(prompt_sample[:1000], CONFIG, MockQualityTransport(flip_rate=0.05))
         assert len(report.points) == 3
         assert set(report.aggregate["yes_fraction"]) == {"mean", "std"}
         rendered = report.render_text()
@@ -228,7 +228,7 @@ class TestPromptRobustness:
 class TestIclComparison:
     def test_fidelity_dial_measured(self, icl_world):
         snips, strong, demos = icl_world
-        weak = FidelityMockTransport({0: 0.60, 5: 0.75})
+        weak = MockQualityTransport({0: 0.60, 5: 0.75})
         report = run_icl_comparison(snips, CONFIG, weak, demos, strong)
         zero, five = report.points
         n = len(snips)

@@ -37,7 +37,7 @@ from docprune.labeling import (
     label_documents,
     yes_fraction,
 )
-from docprune.mocks import FidelityMockTransport, MockQualityTransport, hash01, query_snippet
+from docprune.mocks import MockQualityTransport, hash01, query_snippet
 from docprune.selection import (
     ScoreSet,
     filter_corpus,
@@ -338,7 +338,7 @@ def test_criterion_9_icl_proxy():
         IclDemonstration(s.text, strong[s.doc_id], "strong-reference")
         for s in snips[:5]
     ]
-    weak = FidelityMockTransport({0: 0.60, 5: 0.75})
+    weak = MockQualityTransport({0: 0.60, 5: 0.75})
     report = run_icl_comparison(snips[5:], MOCK_CONFIG, weak, demos, strong)
     zero, five = report.points
     assert abs(zero["agreement_with_strong"] - 0.60) <= 0.02

@@ -1130,6 +1130,16 @@ class TestCorpusAndScoreSetChecks:
         with open(corpus / "shard-00001.jsonl", "a", encoding="utf-8") as fh:
             fh.write("{not json\n[1, 2]\n")
 
+    @pytest.mark.parametrize("command", ["sample", "score", "filter"])
+    def test_corpus_dir_without_a_shard_exits_3(self, small_run, tmp_path, capsys, command):
+        """Not a 0-document run: `score` would publish a score dir that
+        `select` refuses."""
+        empty = tmp_path / "corpus"
+        empty.mkdir()
+        assert self.run_with(small_run, command, tmp_path, empty) == 3
+        assert f"no corpus shards (*.jsonl or *.jsonl.gz) in {empty}" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_strict_score_exits_3_and_leaves_no_score_shards(self, small_run, tmp_path,
                                                              capsys, workers):
@@ -1336,6 +1346,22 @@ class TestTrainInputs:
         assert self.train(snippets, unmatched, tmp_path / "unmatched") == 3
         assert list(tmpdir.iterdir()) == []
         assert not (tmp_path / "single").exists() and not (tmp_path / "unmatched").exists()
+
+
+def test_label_refuses_a_repeated_snippet_id_before_any_request(tmp_path, capsys, monkeypatch):
+    """Each repeat would be a request whose label `train` refuses."""
+    from docprune.mocks import MockQualityTransport
+
+    prompts = []
+    monkeypatch.setattr(MockQualityTransport, "complete", lambda self, p: prompts.append(p))
+    texts = [(f"d{i}", f"text of d{i}") for i in range(13)] + [("d3", "another text for d3")]
+    snippets = jsonl(tmp_path / "snippets.jsonl", [
+        {**SNIPPET, "doc_id": doc_id, "text": text, "char_end": len(text)} for doc_id, text in texts
+    ])
+    assert run_cli("label", "--mock", "--snippets", snippets, "--out", tmp_path / "label") == 5
+    assert "snippet id 'd3' occurs more than once" in capsys.readouterr().err
+    assert prompts == []
+    assert not (tmp_path / "label").exists()
 
 
 def test_sample_of_a_corpus_without_documents_exits_5(tmp_path, capsys):

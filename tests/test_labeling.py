@@ -30,7 +30,7 @@ from docprune.labeling import (
     parse_prompt,
     yes_fraction,
 )
-from docprune.mocks import FidelityMockTransport, MockQualityTransport, query_snippet
+from docprune.mocks import MockQualityTransport, query_snippet
 
 # The canonical rendered prompt for the documented sample snippet. The three
 # instruction texts below are frozen copies; the package constants must match
@@ -165,7 +165,7 @@ class TestParsePrompt:
         assert parse_prompt(prompt) == ("V2", 0, text)
         assert query_snippet(prompt) == text
         # a 0-shot prompt is answered at 0-shot fidelity, not as a 1-shot one
-        assert FidelityMockTransport({0: 1.0}).complete(prompt) in (YES, NO)
+        assert MockQualityTransport({0: 1.0}).complete(prompt) in (YES, NO)
 
     def test_unknown_instruction_rejected(self):
         with pytest.raises(ValueError, match="instruction"):
@@ -634,3 +634,45 @@ class TestMockLexicalFallback:
         snip = extract_snippet(Document("", "hqmark1 filler words here"))
         assert mock_label(snip) == mock_label(snip) == YES
         assert mock_label(extract_snippet(Document("", "lqmark2 filler"))) == NO
+
+
+class TestMockDials:
+    """MockQualityTransport keeps the verdict at the fidelity of the prompt's
+    shot count, then flips it at flip_rate for V2 and V3."""
+
+    def answers(self, transport, version):
+        from docprune.mocks import mock_label
+
+        snips = mixed_snippets(40)
+        truth = [mock_label(s) for s in snips]
+        return [transport.complete(build_prompt(s, version)) for s in snips], truth
+
+    @pytest.mark.parametrize("version", ["V1", "V2", "V3"])
+    def test_full_fidelity_then_flip_changes_only_v2_and_v3(self, version):
+        answers, truth = self.answers(MockQualityTransport({0: 1.0}, flip_rate=1.0), version)
+        flipped = [NO if t == YES else YES for t in truth]
+        assert answers == (truth if version == "V1" else flipped)
+
+    @pytest.mark.parametrize("version", ["V1", "V2", "V3"])
+    def test_zero_fidelity_alone_flips_every_answer(self, version):
+        answers, truth = self.answers(MockQualityTransport({0: 0.0}), version)
+        assert answers == [NO if t == YES else YES for t in truth]
+
+    @pytest.mark.parametrize("version", ["V1", "V2", "V3"])
+    def test_zero_fidelity_and_flip_undo_each_other_past_v1(self, version):
+        answers, truth = self.answers(MockQualityTransport({0: 0.0}, flip_rate=1.0), version)
+        flipped = [NO if t == YES else YES for t in truth]
+        assert answers == (flipped if version == "V1" else truth)
+
+    def test_shot_count_without_a_fidelity_is_rejected(self):
+        demos = [IclDemonstration(f"demo {i}", YES, "strong") for i in range(5)]
+        prompt = build_prompt(snippets(1)[0], "V1", demos)
+        with pytest.raises(ValueError, match="no fidelity configured for 5-shot prompts"):
+            MockQualityTransport({0: 1.0}).complete(prompt)
+
+    def test_dials_off_draw_no_hash(self, monkeypatch):
+        import docprune.mocks
+
+        monkeypatch.setattr(docprune.mocks, "hash01", lambda key: pytest.fail(key))
+        answers, truth = self.answers(MockQualityTransport(), "V2")
+        assert answers == truth

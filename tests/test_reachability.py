@@ -46,6 +46,8 @@ ALLOWLIST = {
     "corpus:write_shards": ("run.py", "import write_shards"),
     "labeling:write_demonstrations": ("run.py", "write_demonstrations"),
     "mocks:mock_label": ("run.py", "import mock_label"),
+    # perfbench/stub.py keys its injected faults by a prompt's query text.
+    "mocks:query_snippet": ("stub.py", "query_snippet"),
     # Run only inside `score`'s forked workers, whose calls this process's
     # profiler cannot see.
     "selection:_set_shard_call": "forked-worker initializer",
