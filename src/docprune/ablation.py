@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .classifier import FeatureStore, QualityClassifier, TrainConfig, train_classifier
-from .config import SWEEPS, AblationSection, RunConfig
+from .config import SWEEPS, RunConfig
 from .corpus import Document, Snippet, atomic_open, extract_snippet, reservoir_sample, write_jsonl
 from .labeling import (
     ICL_SHOTS,
@@ -28,7 +28,7 @@ from .labeling import (
 )
 from .mocks import MockQualityTransport
 from .selection import select_cutoff, score_documents
-from .synthetic import generate_documents, stratum_of, truth_by_doc
+from .synthetic import SyntheticCorpusSpec, generate_documents, stratum_of, truth_by_doc
 
 PROXY_NOTE = (
     "Proxy metrics: downstream-model accuracy is replaced by label-level and "
@@ -55,8 +55,18 @@ ICL_CONTEXT = (
     "51.41."
 )
 
+# The mock labelers' dials; the world every sweep runs on (N_DOCS planted docs at
+# [run] seed, a sample of SAMPLE_SIZE); the ratio and capacity sweeps' axes.
 WEAK_FIDELITY_BY_SHOTS = {0: 0.60, ICL_SHOTS: 0.75}
 PROMPT_FLIP_RATE = 0.05
+N_DOCS = 2000
+HIGH_QUALITY_FRACTION = 0.25
+MARKER_STYLE = "few"
+SAMPLE_SIZE = 1000
+RATIOS = (0.20, 0.25, 0.30, 0.40, 0.50, 1.00)
+HASH_BITS_LIST = (10, 14, 18)
+SEEDS = (0, 1, 2)
+
 
 def _r(x: float) -> float:
     """One rounding for both the structured and the text rendering."""
@@ -139,31 +149,27 @@ def _agreement(a: Mapping[str, str], b: Mapping[str, str]) -> float:
 
 
 def run_sweep(sweep: str, config: RunConfig) -> SweepReport:
-    """The `ablate` recipe: sweep `sweep` over the [ablation] corpus and a
-    reservoir sample of it at [run] seed, labeling with the [labeler] and
-    training with the [distiller] settings."""
+    """The `ablate` recipe: sweep `sweep` over the N_DOCS corpus and a
+    reservoir sample of SAMPLE_SIZE of it at [run] seed, labeling with the
+    [labeler] and training with the [distiller] settings."""
     if sweep not in SWEEPS:
         raise ValueError(f"unknown sweep {sweep!r}; expected one of {', '.join(SWEEPS)}")
-    ab, seed = config.ablation, config.run.seed
-    docs = generate_documents(ab.corpus_spec(seed))
-    sample = reservoir_sample(docs, ab.sample_size, seed)
+    seed = config.run.seed
+    docs = generate_documents(SyntheticCorpusSpec(
+        N_DOCS, HIGH_QUALITY_FRACTION, seed=seed, marker_style=MARKER_STYLE))
+    sample = reservoir_sample(docs, SAMPLE_SIZE, seed)
     if sweep in ("ratio", "capacity"):  # train on mock labels
         snippets = snippets_of(sample if sweep == "ratio" else docs)
         labels = label_documents(snippets, config.labeler, transport=MockQualityTransport())[0]
         if sweep == "capacity":
-            return run_capacity_sweep(labels, snippets, config.distiller, ab.hash_bits_list,
-                                      ab.seeds)
+            return run_capacity_sweep(labels, snippets, config.distiller, HASH_BITS_LIST, SEEDS)
         with FeatureStore(config.distiller.featurizer) as store:
             classifier = train_classifier(store.add(labels, snippets), config.distiller, seed)
-        return run_ratio_sweep(docs, classifier, ab.ratios)
+        return run_ratio_sweep(docs, classifier, RATIOS)
     snippets = snippets_of(sample)
     if sweep == "prompt":
         return run_prompt_robustness(snippets, config.labeler,
                                      MockQualityTransport(flip_rate=PROMPT_FLIP_RATE))
-    if len(snippets) <= ICL_SHOTS:  # the first ICL_SHOTS are the demonstrations
-        raise ValueError(f"the icl sweep needs more than {ICL_SHOTS} snippets, its demonstrations "
-                         f"and one to label; [ablation] sample_size = {ab.sample_size} gives "
-                         f"{len(snippets)}")
     strong_by_doc = truth_by_doc(sample)  # the ICL demonstrations carry the true labels
     demos = [IclDemonstration(s.text, strong_by_doc[s.doc_id], "strong-reference")
              for s in snippets[:ICL_SHOTS]]
@@ -174,7 +180,7 @@ def run_sweep(sweep: str, config: RunConfig) -> SweepReport:
 def run_ratio_sweep(
     docs: Sequence[Document],
     classifier: QualityClassifier,
-    ratios: Sequence[float] = AblationSection.ratios,
+    ratios: Sequence[float] = RATIOS,
 ) -> SweepReport:
     """Kept-set precision/recall against planted truth across keep ratios."""
     ids, scores = score_documents(docs, classifier)
@@ -214,8 +220,8 @@ def run_capacity_sweep(
     labels: Sequence[QualityLabel],
     snippets: Sequence[Snippet],
     config: TrainConfig | None = None,
-    hash_bits_list: Sequence[int] = AblationSection.hash_bits_list,
-    seeds: Sequence[int] = AblationSection.seeds,
+    hash_bits_list: Sequence[int] = HASH_BITS_LIST,
+    seeds: Sequence[int] = SEEDS,
 ) -> SweepReport:
     """Validation F1 per hashed capacity, median over seeds: `config` (default
     TrainConfig()) with each hash_bits, split and trained at each seed. The

@@ -95,6 +95,8 @@ def cmd_sample(config: RunConfig, out: Path) -> int:
 
 def cmd_label(config: RunConfig, out: Path, snippets: str) -> int:
     records = list(unique_snippets(read_records(snippets, Snippet)))
+    if not records:
+        raise DegenerateLabelsError(f"{snippets} holds no snippets: nothing to label")
     labeler = config.labeler
     demos = read_demonstrations(labeler.icl_demos) if labeler.icl_demos else []
     if labeler.mock:

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .classifier import FeaturizerConfig, TrainConfig
+from .classifier import TrainConfig
 from .corpus import atomic_open
 from .labeling import LabelerConfig
 from .selection import check_keep_ratio
-from .synthetic import SyntheticCorpusSpec
 
 
 class ConfigError(Exception):
@@ -56,12 +55,6 @@ def _parse(key: str, raw: str, default):
     return raw
 
 
-def _at_least_1(**values: int) -> None:
-    for name, value in values.items():
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1")
-
-
 @dataclass
 class RunSection:
     seed: int = 0
@@ -80,7 +73,8 @@ class CorpusSection:
     strict: bool = False
 
     def __post_init__(self):
-        _at_least_1(sample_size=self.sample_size)
+        if self.sample_size < 1:
+            raise ValueError("sample_size must be at least 1")
 
 
 @dataclass
@@ -91,40 +85,12 @@ class SelectorSection:
     def __post_init__(self):
         if self.target_ratio != "from-labels":
             check_keep_ratio(self.target_ratio)
-        _at_least_1(workers=self.workers)
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
 
-# The `ablate --sweep` names; `ablation.run_sweep` runs each.
+# The `ablate --sweep` names, kept here so that `cli` lists them without loading `ablation`.
 SWEEPS = ("ratio", "capacity", "prompt", "icl")
-
-
-@dataclass
-class AblationSection:
-    n_docs: int = 2000
-    high_quality_fraction: float = 0.25
-    marker_style: str = "few"
-    sample_size: int = 1000
-    seeds: tuple[int, ...] = (0, 1, 2)
-    hash_bits_list: tuple[int, ...] = (10, 14, 18)
-    ratios: tuple[float, ...] = (0.20, 0.25, 0.30, 0.40, 0.50, 1.00)
-
-    def __post_init__(self):
-        if not (self.seeds and self.hash_bits_list and self.ratios):
-            raise ValueError("seeds, hash_bits_list and ratios must each hold a value")
-        _at_least_1(sample_size=self.sample_size)
-        for ratio in self.ratios:
-            check_keep_ratio(ratio, "each of ratios")
-        for bits in self.hash_bits_list:
-            FeaturizerConfig(hash_bits=bits)  # checks each capacity
-        self.corpus_spec(seed=0)  # checks the corpus shape
-
-    def corpus_spec(self, seed: int) -> SyntheticCorpusSpec:
-        return SyntheticCorpusSpec(
-            n_docs=self.n_docs,
-            high_quality_fraction=self.high_quality_fraction,
-            seed=seed,
-            marker_style=self.marker_style,
-        )
 
 
 @dataclass
@@ -134,7 +100,6 @@ class RunConfig:
     labeler: LabelerConfig = field(default_factory=LabelerConfig)
     distiller: TrainConfig = field(default_factory=TrainConfig)
     selector: SelectorSection = field(default_factory=SelectorSection)
-    ablation: AblationSection = field(default_factory=AblationSection)
 
 
 _SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}

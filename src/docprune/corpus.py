@@ -269,7 +269,9 @@ def staged_output(out: str | Path) -> Iterator[Path]:
     finishes, each staged file is renamed into `out`; when it raises, the dir
     is removed and `out` is as it was. A killed run leaves only the dir."""
     out = Path(out)
-    home = next(p for p in (out, *out.parents) if p.is_dir())
+    home = next(p for p in (out, *out.parents) if p.exists())
+    if not home.is_dir():  # `out` is or lies under a file: refuse before the block runs
+        raise CorpusError(f"output dir {out} cannot be created: {home} is not a directory")
     stage = home / f".{out.name}.{os.urandom(4).hex()}.tmp"
     stage.mkdir()
     try:

@@ -335,10 +335,10 @@ def score_corpus(
     return report
 
 
-def check_keep_ratio(ratio: float, name: str = "target_ratio") -> None:
+def check_keep_ratio(ratio: float) -> None:
     """The keep-ratio rule: the share of the documents kept is in (0, 1]."""
     if not 0 < ratio <= 1:
-        raise ValueError(f"{name} must be in (0, 1], not {ratio!r}")
+        raise ValueError(f"target_ratio must be in (0, 1], not {ratio!r}")
 
 
 def select_cutoff(

@@ -37,7 +37,7 @@ class TestConfigFile:
         assert config.run.seed == 0
         assert config.labeler.temperature == 0.2
         assert config.distiller.featurizer.ngram_orders == (1, 2, 3)
-        assert config.ablation.ratios == (0.20, 0.25, 0.30, 0.40, 0.50, 1.00)
+        assert config.selector.target_ratio == 0.25
 
     def test_file_values_parsed(self, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -463,18 +463,24 @@ class TestCliPipeline:
         assert (t1 / "model.bin").read_bytes() == (t2 / "model.bin").read_bytes()
 
 
-class TestCliAblate:
-    def make_config(self, tmp_path, **ablation_keys):
-        cfg = tmp_path / "ablate.ini"
-        lines = ["[ablation]"]
-        lines += [f"{k} = {v}" for k, v in ablation_keys.items()]
-        cfg.write_text("\n".join(lines) + "\n")
-        return cfg
+@pytest.fixture
+def sweep_world(monkeypatch):
+    """Sets `ablation`'s world and axis constants (N_DOCS, SAMPLE_SIZE, ...)
+    for one test; `ablate` reads them when it runs."""
+    from docprune import ablation
 
-    def test_ratio_sweep_files(self, tmp_path):
-        cfg = self.make_config(tmp_path, n_docs=600, sample_size=300)
+    def set_constants(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(ablation, name, value)
+
+    return set_constants
+
+
+class TestCliAblate:
+    def test_ratio_sweep_files(self, tmp_path, sweep_world):
+        sweep_world(N_DOCS=600, SAMPLE_SIZE=300)
         out = tmp_path / "out"
-        assert run_cli("ablate", "--config", cfg, "--sweep", "ratio", "--out", out) == 0
+        assert run_cli("ablate", "--sweep", "ratio", "--out", out) == 0
         jsonls = list(out.glob("ratio-*.jsonl"))
         texts = list(out.glob("ratio-*.txt"))
         assert len(jsonls) == 1 and len(texts) == 1
@@ -482,13 +488,11 @@ class TestCliAblate:
         points = [r for r in records if r["record"] == "point"]
         assert [p["ratio"] for p in points] == [0.2, 0.25, 0.3, 0.4, 0.5, 1.0]
 
-    def test_capacity_sweep_files(self, tmp_path):
-        cfg = self.make_config(
-            tmp_path, n_docs=1200, high_quality_fraction=0.5, marker_style="many",
-            hash_bits_list="10, 14",
-        )
+    def test_capacity_sweep_files(self, tmp_path, sweep_world):
+        sweep_world(N_DOCS=1200, HIGH_QUALITY_FRACTION=0.5, MARKER_STYLE="many",
+                    HASH_BITS_LIST=(10, 14))
         out = tmp_path / "out"
-        assert run_cli("ablate", "--config", cfg, "--sweep", "capacity", "--out", out) == 0
+        assert run_cli("ablate", "--sweep", "capacity", "--out", out) == 0
         records = [
             json.loads(l)
             for l in next(iter(out.glob("capacity-*.jsonl"))).read_text().splitlines()
@@ -497,24 +501,23 @@ class TestCliAblate:
         assert "monotone_nondecreasing" in header
         assert len([r for r in records if r["record"] == "point"]) == 2
 
-    def test_capacity_sweep_trains_with_the_distiller_section(self, tmp_path):
+    def test_capacity_sweep_trains_with_the_distiller_section(self, tmp_path, sweep_world):
+        sweep_world(N_DOCS=1200, HIGH_QUALITY_FRACTION=0.5, MARKER_STYLE="many",
+                    HASH_BITS_LIST=(10, 14), SEEDS=(0,))
         medians = []
         for distiller in ("", "[distiller]\nngram_orders = 1\n"):
-            cfg = self.make_config(
-                tmp_path, n_docs=1200, high_quality_fraction=0.5, marker_style="many",
-                hash_bits_list="10, 14", seeds=0,
-            )
-            cfg.write_text("[run]\nseed = 3\n\n" + cfg.read_text() + distiller)
+            cfg = tmp_path / "ablate.ini"
+            cfg.write_text("[run]\nseed = 3\n\n" + distiller)
             out = tmp_path / f"out{len(medians)}"
             assert run_cli("ablate", "--config", cfg, "--sweep", "capacity", "--out", out) == 0
             records = map(json.loads, next(out.glob("capacity-*.jsonl")).read_text().splitlines())
             medians.append([r["median_f1"] for r in records if r["record"] == "point"])
         assert len(medians[0]) == 2 and medians[1] != medians[0]
 
-    def test_prompt_sweep_has_aggregate(self, tmp_path):
-        cfg = self.make_config(tmp_path, n_docs=500, sample_size=400)
+    def test_prompt_sweep_has_aggregate(self, tmp_path, sweep_world):
+        sweep_world(N_DOCS=500, SAMPLE_SIZE=400)
         out = tmp_path / "out"
-        assert run_cli("ablate", "--config", cfg, "--sweep", "prompt", "--out", out) == 0
+        assert run_cli("ablate", "--sweep", "prompt", "--out", out) == 0
         records = [
             json.loads(l)
             for l in next(iter(out.glob("prompt-*.jsonl"))).read_text().splitlines()
@@ -525,10 +528,10 @@ class TestCliAblate:
         text = next(iter(out.glob("prompt-*.txt"))).read_text()
         assert "Avg. (Std)" in text
 
-    def test_icl_sweep_improves(self, tmp_path):
-        cfg = self.make_config(tmp_path, n_docs=800, sample_size=600)
+    def test_icl_sweep_improves(self, tmp_path, sweep_world):
+        sweep_world(N_DOCS=800, SAMPLE_SIZE=600)
         out = tmp_path / "out"
-        assert run_cli("ablate", "--config", cfg, "--sweep", "icl", "--out", out) == 0
+        assert run_cli("ablate", "--sweep", "icl", "--out", out) == 0
         records = [
             json.loads(l)
             for l in next(iter(out.glob("icl-*.jsonl"))).read_text().splitlines()
@@ -538,12 +541,12 @@ class TestCliAblate:
 
 
     @pytest.mark.parametrize("sweep", SWEEPS)
-    def test_rerun_writes_identical_reports(self, tmp_path, sweep):
+    def test_rerun_writes_identical_reports(self, tmp_path, sweep_world, sweep):
         """`ablate` is deterministic per seed: two runs write the same report
         contents, under names that differ only in their timestamp."""
-        cfg = self.make_config(tmp_path, n_docs=1000, sample_size=300, hash_bits_list="10, 12",
-                               seeds="0, 1")
-        cfg.write_text("[run]\nseed = 4\n[distiller]\nhash_bits = 12\n" + cfg.read_text())
+        sweep_world(N_DOCS=1000, SAMPLE_SIZE=300, HASH_BITS_LIST=(10, 12), SEEDS=(0, 1))
+        cfg = tmp_path / "ablate.ini"
+        cfg.write_text("[run]\nseed = 4\n[distiller]\nhash_bits = 12\n")
         runs = []
         for out in (tmp_path / "a", tmp_path / "b"):
             assert run_cli("ablate", "--config", cfg, "--sweep", sweep, "--out", out) == 0
@@ -902,7 +905,6 @@ class TestLoadTimeChecks:
         ("sample", ["--n", 0], "", "corpus"),
         ("sample", [], "[corpus]\nsample_size = 0\n", "corpus"),
         ("sample", [], "[corpus]\ntoken_budget = 0\n", "corpus"),
-        ("ablate", [], "[ablation]\nn_docs = 50\n", "ablation"),
         ("train", [], "[distiller]\nepochs = 0\n", "distiller"),
         ("sample", [], "[run]\nlog_level = LOUD\n", "run"),
         ("sample", [], "[distiller]\nval_fraction = 1.5\n", "distiller"),
@@ -918,20 +920,12 @@ class TestLoadTimeChecks:
         ("sample", [], "[labeler]\nrequest_timeout = inf\n", "labeler"),
         ("sample", [], "[labeler]\nfailure_ceiling = -1\n", "labeler"),
         ("sample", [], "[labeler]\nmax_output_tokens = 0\n", "labeler"),
-        ("sample", [], "[ablation]\nsample_size = 0\n", "ablation"),
-        ("sample", [], "[ablation]\nratios = 0, 2\n", "ablation"),
-        ("sample", [], "[ablation]\nhash_bits_list = 4\n", "ablation"),
-        ("sample", [], "[ablation]\nseeds =\n", "ablation"),
-        ("sample", [], "[ablation]\nratios =\n", "ablation"),
-        ("sample", [], "[ablation]\nhash_bits_list =\n", "ablation"),
     ], ids=["score-flag", "score-file", "filter-file", "sample-flag",
-            "sample_size", "token_budget", "n_docs", "epochs", "log_level",
+            "sample_size", "token_budget", "epochs", "log_level",
             "val_fraction", "val_fraction-0", "val_fraction-1", "learning_rate",
             "learning_rate-inf", "temperature-nan", "temperature-inf", "backoff_base-nan",
             "backoff_base-inf", "request_timeout-nan", "request_timeout-inf",
-            "failure_ceiling", "max_output_tokens",
-            "ablation-sample_size", "ratios", "hash_bits_list", "empty-seeds",
-            "empty-ratios", "empty-hash_bits_list"])
+            "failure_ceiling", "max_output_tokens"])
     def test_bad_value_exits_2_without_output(self, small_run, tmp_path, capsys,
                                               command, flags, ini, section):
         argv = small_run[command] + flags + ["--out", tmp_path / "out"]
@@ -943,30 +937,17 @@ class TestLoadTimeChecks:
         assert not (tmp_path / "out").exists()
 
 
-    def test_failed_sweep_writes_no_output_dir(self, tmp_path, capsys):
-        (tmp_path / "run.ini").write_text("[ablation]\nn_docs = 500\n")
-        assert run_cli("ablate", "--sweep", "capacity", "--config", tmp_path / "run.ini",
-                       "--out", tmp_path / "out") == 2
+    def test_failed_sweep_writes_no_output_dir(self, tmp_path, capsys, sweep_world):
+        sweep_world(N_DOCS=500)  # the capacity sweep needs 1,000 labels
+        assert run_cli("ablate", "--sweep", "capacity", "--out", tmp_path / "out") == 2
         assert "1,000 labeled examples" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @staticmethod
-    def icl_sweep(tmp_path, sample_size):
-        """`ablate --sweep icl` on 500 docs at [ablation] sample_size; its exit code."""
-        (tmp_path / "run.ini").write_text(f"[ablation]\nn_docs = 500\nsample_size = {sample_size}\n")
-        return run_cli("ablate", "--sweep", "icl", "--config", tmp_path / "run.ini",
-                       "--out", tmp_path / "out")
-
-    @pytest.mark.parametrize("sample_size", [3, 5])
-    def test_icl_sweep_with_no_snippet_to_label_exits_2(self, tmp_path, capsys, sample_size):
+    def test_icl_sweep_with_one_snippet_to_label_runs(self, tmp_path, sweep_world):
         """The sample's first 5 snippets are the demonstrations."""
-        assert self.icl_sweep(tmp_path, sample_size) == 2
-        assert "[ablation] sample_size" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_icl_sweep_with_one_snippet_to_label_runs(self, tmp_path):
+        sweep_world(N_DOCS=500, SAMPLE_SIZE=6)
         with pytest.warns(DegenerateLabelerWarning):  # one label's yes-fraction is 0 or 1
-            assert self.icl_sweep(tmp_path, 6) == 0
+            assert run_cli("ablate", "--sweep", "icl", "--out", tmp_path / "out") == 0
         assert (tmp_path / "out").is_dir()
 
 
@@ -979,14 +960,13 @@ REMAINING_KEYS = {
     "distiller": {"ngram_orders", "hash_bits", "val_fraction", "epochs", "learning_rate",
                   "batch_size", "patience"},
     "selector": {"target_ratio", "workers"},
-    "ablation": {"n_docs", "high_quality_fraction", "marker_style", "sample_size", "seeds",
-                 "hash_bits_list", "ratios"},
 }
 
 
 class TestRemovedKeys:
     """Keys that only ever held their default are constants now: a config
-    that sets one, even to that default, exits 2 before any output dir."""
+    that sets one, even to that default, exits 2 before any output dir. So is
+    each key of [ablation], whose section is gone with them."""
 
     @pytest.mark.parametrize("section, key, value", [
         ("corpus", "token_budget", "1500"),
@@ -1004,7 +984,21 @@ class TestRemovedKeys:
         (tmp_path / "run.ini").write_text(f"[{section}]\n{key} = {value}\n")
         assert run_cli(*small_run["sample"], "--config", tmp_path / "run.ini",
                        "--out", tmp_path / "out") == 2
-        assert f"unknown key {key!r} in section [{section}]" in capsys.readouterr().err
+        expected = (f"unknown config section [{section}]" if section == "ablation"
+                    else f"unknown key {key!r} in section [{section}]")
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_section_exits_2_without_output(self, small_run, tmp_path, capsys):
+        """[ablation]'s corpus shape and axes are `ablation`'s constants now."""
+        (tmp_path / "run.ini").write_text(
+            "[ablation]\nn_docs = 2000\nhigh_quality_fraction = 0.25\nmarker_style = few\n"
+            "sample_size = 1000\nseeds = 0, 1, 2\nhash_bits_list = 10, 14, 18\n"
+            "ratios = 0.2, 0.25, 0.3, 0.4, 0.5, 1.0\n"
+        )
+        assert run_cli(*small_run["ablate"], "--config", tmp_path / "run.ini",
+                       "--out", tmp_path / "out") == 2
+        assert "unknown config section [ablation]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_resolved_config_lists_the_remaining_keys(self, small_run):
@@ -1013,12 +1007,19 @@ class TestRemovedKeys:
         parser = configparser.ConfigParser(interpolation=None)
         parser.read(small_run["train"][2].parent / "resolved-config.ini")
         assert {name: set(parser[name]) for name in parser.sections()} == REMAINING_KEYS
-        assert sum(map(len, REMAINING_KEYS.values())) == 35
+        assert sum(map(len, REMAINING_KEYS.values())) == 28
 
 
 class TestDegenerateLabelSets:
-    """Label sets too small to train on or to take a keep-ratio from, and a
-    score set with no rows to select from, exit 5."""
+    """Label sets too small to train on or to take a keep-ratio from, a
+    snippets file with nothing to label, and a score set with no rows to
+    select from, exit 5."""
+
+    def test_label_on_empty_snippets_exits_5(self, tmp_path, capsys):
+        snippets = jsonl(tmp_path / "snippets.jsonl", [])
+        assert run_cli("label", "--mock", "--snippets", snippets, "--out", tmp_path / "out") == 5
+        assert f"{snippets} holds no snippets: nothing to label" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n_labels", [0, 5])
     def test_train_on_too_few_labels_exits_5(self, small_run, tmp_path, capsys, n_labels):
@@ -1484,6 +1485,18 @@ class TestStagedOutputs:
         assert files(corpus) == before
         assert not (corpus / "resolved-config.ini").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_under_a_file_exits_3_before_the_run(self, small_run, tmp_path, monkeypatch,
+                                                     capsys, out):
+        """Found before `sample` reads its corpus, not when it publishes."""
+        (tmp_path / "file").write_text("kept\n")
+        monkeypatch.setattr("docprune.cli.ingest_shards", None)  # not reached
+        assert run_cli(*small_run["sample"], "--out", tmp_path / out) == 3
+        assert (f"output dir {tmp_path / out} cannot be created: {tmp_path / 'file'} is not a "
+                "directory") in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_label_into_the_working_dir_exits_0(self, small_run, tmp_path, monkeypatch):
         """`label` reads no corpus, so the default empty [corpus] input_dir,

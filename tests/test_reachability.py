@@ -108,7 +108,6 @@ def make_world(world: Path) -> None:
         "[corpus]\nstrict = true\n"
         "[labeler]\nmax_retries = 0\n"
         "[distiller]\nhash_bits = 12\n"
-        "[ablation]\nn_docs = 1000\nsample_size = 100\nseeds = 0\nhash_bits_list = 8, 10\n"
     )
 
 
@@ -176,8 +175,12 @@ def probe(world: Path, out: Path, urls: dict[str, str]) -> None:
 
     threading.setprofile(profile)
     sys.setprofile(profile)
-    from docprune import cli
+    from docprune import ablation, cli
 
+    # The sweeps' world, shrunk: the probe needs their code paths, not their sizes.
+    sizes = {"N_DOCS": 1000, "SAMPLE_SIZE": 100, "SEEDS": (0,), "HASH_BITS_LIST": (8, 10)}
+    for name, value in sizes.items():
+        setattr(ablation, name, value)
     os.chdir(world)
     exits = [cli.main([a.format(**urls) for a in argv + ["--config", "probe.ini"]])
              for argv, _ in RUNS]

@@ -7,8 +7,9 @@ featurize, train, score or save and load a model. Only `score` with more
 than one worker and more than one shard imports `multiprocessing`. The
 endpoint labeler speaks HTTP through the standard library. `import docprune`
 loads no submodule, `docprune.ablation` is loaded only by `ablate`, and
-`docprune.mocks` only by `ablate` and `label --mock`. Each case runs in a fresh
-interpreter, since this test process has these modules loaded already.
+`docprune.mocks` and the planted-corpus generator `docprune.synthetic` only by
+`ablate` and `label --mock`. Each case runs in a fresh interpreter, since this
+test process has these modules loaded already.
 """
 
 import itertools
@@ -30,7 +31,8 @@ from docprune.synthetic import SyntheticCorpusSpec, generate_documents
 SRC = Path(docprune.__file__).resolve().parent.parent
 POOL = ("multiprocessing", "concurrent.futures.process")
 HTTP_LIBRARIES = ("requests", "urllib3")
-SWEEPS_AND_MOCKS = {"docprune.ablation", "docprune.mocks"}
+# The sweeps, the mock labelers, and the planted-corpus generator that both import.
+SWEEPS_AND_MOCKS = {"docprune.ablation", "docprune.mocks", "docprune.synthetic"}
 
 # Imports the module named first, runs `main` on any further arguments, then
 # prints which of numpy, the process pool's modules and the third-party HTTP
@@ -149,7 +151,8 @@ def test_mock_label_loads_the_mocks_but_not_the_sweeps(world, tmp_path):
     """The positive control: the probe sees a docprune module a stage loads."""
     argv = stage_argv(world, "label")
     names = loaded(tmp_path, "docprune.cli", *argv, "--out", tmp_path / "out")
-    assert "docprune.mocks" in names and "docprune.ablation" not in names
+    assert {"docprune.mocks", "docprune.synthetic"} <= names
+    assert "docprune.ablation" not in names
 
 
 def test_score_loads_numpy(world, tmp_path):
@@ -187,9 +190,11 @@ def chat_endpoint():
 
 
 def test_endpoint_label_leaves_requests_unloaded(world, tmp_path, chat_endpoint):
+    """It leaves the sweeps and the mocks unloaded too."""
     argv = ["label", "--snippets", world / "sample" / "snippets.jsonl",
             "--endpoint-url", chat_endpoint, "--model-name", "chat"]
-    assert not loaded(tmp_path, "docprune.cli", *argv, "--out", tmp_path / "out") & set(
-        HTTP_LIBRARIES)
+    names = loaded(tmp_path, "docprune.cli", *argv, "--out", tmp_path / "out")
+    assert not names & set(HTTP_LIBRARIES)
+    assert not names & SWEEPS_AND_MOCKS
     stats = json.loads((tmp_path / "out" / "label-stats.json").read_text())
     assert stats["labeled"] == stats["requested"] > 0  # every snippet went over HTTP
