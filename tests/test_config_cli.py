@@ -920,12 +920,22 @@ class TestLoadTimeChecks:
         ("sample", [], "[labeler]\nrequest_timeout = inf\n", "labeler"),
         ("sample", [], "[labeler]\nfailure_ceiling = -1\n", "labeler"),
         ("sample", [], "[labeler]\nmax_output_tokens = 0\n", "labeler"),
+        # [ablation] is gone: any value in it, bad or not, exits 2 as an unknown section
+        ("ablate", [], "[ablation]\nn_docs = 50\n", "ablation"),
+        ("sample", [], "[ablation]\nsample_size = 0\n", "ablation"),
+        ("sample", [], "[ablation]\nratios = 0, 2\n", "ablation"),
+        ("sample", [], "[ablation]\nhash_bits_list = 4\n", "ablation"),
+        ("sample", [], "[ablation]\nseeds =\n", "ablation"),
+        ("sample", [], "[ablation]\nratios =\n", "ablation"),
+        ("sample", [], "[ablation]\nhash_bits_list =\n", "ablation"),
     ], ids=["score-flag", "score-file", "filter-file", "sample-flag",
             "sample_size", "token_budget", "epochs", "log_level",
             "val_fraction", "val_fraction-0", "val_fraction-1", "learning_rate",
             "learning_rate-inf", "temperature-nan", "temperature-inf", "backoff_base-nan",
             "backoff_base-inf", "request_timeout-nan", "request_timeout-inf",
-            "failure_ceiling", "max_output_tokens"])
+            "failure_ceiling", "max_output_tokens",
+            "n_docs", "ablation-sample_size", "ratios", "hash_bits_list", "empty-seeds",
+            "empty-ratios", "empty-hash_bits_list"])
     def test_bad_value_exits_2_without_output(self, small_run, tmp_path, capsys,
                                               command, flags, ini, section):
         argv = small_run[command] + flags + ["--out", tmp_path / "out"]
