@@ -33,8 +33,9 @@ with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:
     shard_set = write_shards(docs, workdir / "corpus", records_per_shard=10)
     print("shards written:", [s.path.name for s in shard_set.shards])
 
-    # Ingestion streams documents in shard order, then record order, and fills a
-    # run summary as a side channel.
+    # Ingestion streams documents in shard order, then record order, and counts
+    # what it yields and skips into a RunSummary: the one record that `sample`,
+    # `score` and `filter` each write of their pass over the shards.
     summary = RunSummary()
     round_tripped = list(ingest_shards(shard_set, summary=summary))
     print(f"read back {summary.input_documents} documents from {summary.shards} shards "

@@ -4,6 +4,7 @@ Run: python demos/04_selection.py
 """
 
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 from docprune.ablation import snippets_of
@@ -32,10 +33,13 @@ with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:
         classifier = train_classifier(store.add(labels, snippets), config, seed=0)
 
     # Shard-parallel scoring: output is byte-identical for any worker count.
-    # score_corpus writes the score set and returns its report; ScoreSet.open
-    # reads the set back, as `docprune select` and `filter` do.
-    report = score_corpus(shard_set, classifier, workers=4, out_dir=workdir / "scores")
-    print(f"scored {report.input_documents} docs at {report.docs_per_second:,.0f} docs/s")
+    # score_corpus writes the score set and returns its RunSummary; ScoreSet.open
+    # reads the set back, as `docprune select` and `filter` do. The summary's
+    # cpu_seconds sums its shards', so cpu_seconds / seconds is the parallelism.
+    summary = score_corpus(shard_set, classifier, workers=4, out_dir=workdir / "scores")
+    print(f"scored {summary.input_documents} docs in {summary.shards} shards at "
+          f"{summary.input_documents / summary.seconds:,.0f} docs/s, "
+          f"parallelism {summary.cpu_seconds / summary.seconds:.2f}")
     score_set = ScoreSet.open(workdir / "scores")
 
     # The labeler's yes-fraction is the rule-of-thumb keep ratio.
@@ -51,12 +55,13 @@ with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:
               f"keeps {decision.kept} (achieved {decision.achieved_ratio:.3f})")
 
     decision = select_cutoff(scores, suggested, score_set.classifier_id)
-    filtered_set, manifest = filter_corpus(shard_set, scores, decision, workdir / "filtered")
+    filtered_set, summary = filter_corpus(shard_set, scores, decision, workdir / "filtered")
     kept = list(ingest_shards(filtered_set))
     precision = sum(1 for d in kept if stratum_of(d)) / len(kept)
-    print(f"filtered corpus: {manifest.output_documents}/{manifest.input_documents} kept, "
+    print(f"filtered corpus: {summary.output_documents}/{summary.input_documents} kept, "
           f"precision vs planted truth {precision:.3f}")
-    # filter_corpus returns its manifest; `docprune filter` writes it beside the shards.
+    # filter_corpus returns its RunSummary; `docprune filter` writes it beside the
+    # shards as the manifest, with the decision it applied.
     manifest_path = workdir / "filtered" / "filter-manifest.json"
-    write_json(manifest_path, manifest)
+    write_json(manifest_path, {**asdict(summary), "decision": asdict(decision)})
     print(f"manifest: {manifest_path.name}, {manifest_path.stat().st_size:,} bytes")

@@ -82,6 +82,8 @@ class FeaturizerConfig:
             raise ValueError("hash_bits must be in [8, 26]")
         if not self.ngram_orders or any(type(n) is not int or n < 1 for n in self.ngram_orders):
             raise ValueError("ngram_orders must be positive integers")
+        if len(set(self.ngram_orders)) < len(self.ngram_orders):
+            raise ValueError(f"ngram_orders repeats an order: {list(self.ngram_orders)}")
         object.__setattr__(self, "ngram_orders", tuple(self.ngram_orders))
 
     @property

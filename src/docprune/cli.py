@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import time
 from concurrent.futures import BrokenExecutor
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -79,14 +81,16 @@ EXIT_DEGENERATE = 5
 def cmd_sample(config: RunConfig, out: Path) -> int:
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
     summary = RunSummary()
+    t0, cpu0 = time.monotonic(), time.thread_time()
     docs = ingest_shards(shard_set, strict=config.corpus.strict, summary=summary)
     sample = reservoir_sample(docs, config.corpus.sample_size, config.run.seed)
+    summary.seconds, summary.cpu_seconds = time.monotonic() - t0, time.thread_time() - cpu0
     if not sample:
         raise DegenerateLabelsError(
             f"no document with text in {config.corpus.input_dir} ({summary.empty_text} "
             f"empty-text and {summary.malformed} malformed records): nothing to sample"
         )
-    write_shard_file(sample, out / "sampled-docs.jsonl")
+    summary.output_documents = write_shard_file(sample, out / "sampled-docs.jsonl").record_count
     write_jsonl(out / "snippets.jsonl", (extract_snippet(doc) for doc in sample))
     write_json(out / "run-summary.json", summary)
     log.info("sampled %d of %d documents", len(sample), summary.input_documents)
@@ -141,17 +145,13 @@ def cmd_train(config: RunConfig, out: Path, snippets: str, labels: str) -> int:
 def cmd_score(config: RunConfig, out: Path, model: str) -> int:
     classifier = load_model(Path(model))
     shard_set = ShardSet.from_dir(config.corpus.input_dir)
-    report = score_corpus(
-        shard_set,
-        classifier,
-        workers=config.selector.workers,
-        out_dir=out,
-        strict=config.corpus.strict,
+    summary = score_corpus(
+        shard_set, classifier, config.selector.workers, out_dir=out, strict=config.corpus.strict
     )
-    write_json(out / "scoring-report.json", report)
+    write_json(out / "scoring-report.json", summary)
     log.info(
-        "scored %d documents across %d shards (%.0f docs/s)",
-        report.input_documents, len(report.per_shard), report.docs_per_second,
+        "scored %d documents across %d shards (%.0f docs/s)", summary.input_documents,
+        summary.shards, summary.input_documents / max(summary.seconds, 1e-9),
     )
     return EXIT_OK
 
@@ -202,11 +202,11 @@ def cmd_filter(config: RunConfig, out: Path, scores: str, decision: str) -> int:
             f"{selected_on[0]!r}, but score set {scores} holds {len(score_map)} scores of "
             f"classifier {score_set.classifier_id!r}; re-run `docprune select` on this score set"
         )
-    _, manifest = filter_corpus(shard_set, score_map, selected, out, strict=config.corpus.strict)
-    write_json(out / "filter-manifest.json", manifest)
+    _, summary = filter_corpus(shard_set, score_map, selected, out, strict=config.corpus.strict)
+    write_json(out / "filter-manifest.json", {**asdict(summary), "decision": asdict(selected)})
     log.info(
         "filtered corpus: kept %d of %d documents",
-        manifest.output_documents, manifest.input_documents,
+        summary.output_documents, summary.input_documents,
     )
     return EXIT_OK
 

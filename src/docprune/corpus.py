@@ -19,7 +19,6 @@ import json
 import os
 import random
 import shutil
-import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, TypeVar
@@ -74,15 +73,31 @@ class ShardSet:
 
 @dataclass
 class RunSummary:
-    """Ingestion report: the documents yielded, the records skipped, how long
-    it took. `run-summary.json`, `scoring-report.json` and
-    `filter-manifest.json` give these counts under these names."""
+    """The record of one pass over corpus shards, which `sample`, `score` and
+    `filter` write: the documents ingest yielded, the records it skipped, the
+    documents the stage wrote, and its wall and CPU seconds. A stage total
+    lists each shard's own record in `per_shard` (see `add`), and its
+    `cpu_seconds` is their sum, so `cpu_seconds / seconds` is its parallelism."""
 
     input_documents: int = 0
     empty_text: int = 0  # well-formed records whose text is ""
     malformed: int = 0
+    output_documents: int = 0
     shards: int = 0
-    duration: float = 0.0
+    seconds: float = 0.0
+    cpu_seconds: float = 0.0
+    per_shard: list[dict] = field(default_factory=list)
+
+    def add(self, shard: str, part: "RunSummary") -> None:
+        """Sum the record of one shard, named `shard`, into this total and list
+        it in `per_shard`; the total's `seconds` stays the stage's own."""
+        entry = {"shard": shard, "seconds": part.seconds}
+        for name in ("input_documents", "empty_text", "malformed", "output_documents",
+                     "cpu_seconds"):
+            entry[name] = getattr(part, name)
+            setattr(self, name, getattr(self, name) + entry[name])
+        self.shards += 1
+        self.per_shard.append(entry)
 
 
 @dataclass(frozen=True)
@@ -155,41 +170,37 @@ def ingest_shards(
     if summary is None:
         summary = RunSummary()
     summary.shards = len(shard_set.shards)
-    t0 = time.monotonic()
-    try:
-        for shard in shard_set.shards:
-            name = shard.path.name
-            try:
-                fh = _open_shard(shard)
-            except OSError as exc:
-                raise CorpusError(f"unreadable shard {shard.path}: {exc}") from exc
-            with fh:
-                index = 0
-                while True:
-                    try:
-                        raw = fh.readline()
-                    except (OSError, EOFError) as exc:
-                        raise CorpusError(f"unreadable shard {shard.path}: {exc}") from exc
-                    if not raw:
-                        break
-                    if not raw.strip():
-                        continue
-                    try:
-                        doc = _parse_record(raw, name, index)
-                    except (UnicodeDecodeError, ValueError) as exc:
-                        summary.malformed += 1
-                        if strict:
-                            raise CorpusError(f"malformed record {name}#{index}: {exc}") from exc
-                        index += 1
-                        continue
+    for shard in shard_set.shards:
+        name = shard.path.name
+        try:
+            fh = _open_shard(shard)
+        except OSError as exc:
+            raise CorpusError(f"unreadable shard {shard.path}: {exc}") from exc
+        with fh:
+            index = 0
+            while True:
+                try:
+                    raw = fh.readline()
+                except (OSError, EOFError) as exc:
+                    raise CorpusError(f"unreadable shard {shard.path}: {exc}") from exc
+                if not raw:
+                    break
+                if not raw.strip():
+                    continue
+                try:
+                    doc = _parse_record(raw, name, index)
+                except (UnicodeDecodeError, ValueError) as exc:
+                    summary.malformed += 1
+                    if strict:
+                        raise CorpusError(f"malformed record {name}#{index}: {exc}") from exc
                     index += 1
-                    if not doc.text:
-                        summary.empty_text += 1
-                        continue
-                    summary.input_documents += 1
-                    yield doc
-    finally:
-        summary.duration = time.monotonic() - t0
+                    continue
+                index += 1
+                if not doc.text:
+                    summary.empty_text += 1
+                    continue
+                summary.input_documents += 1
+                yield doc
 
 
 def reservoir_sample(docs: Iterable[Document], n: int, seed: int) -> list[Document]:

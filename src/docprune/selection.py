@@ -1,4 +1,4 @@
-"""Corpus-scale scoring, cutoff selection, and filtering with a manifest.
+"""Corpus-scale scoring, cutoff selection, and filtering.
 
 Scoring runs one shard per forked worker process; its output is
 byte-identical for any worker count because each shard's output depends only
@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import datetime
 import itertools
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -61,32 +60,6 @@ class SelectionDecision:
     def keeps(self, score: float) -> bool:
         """Whether a document with this score is kept: the one keep rule."""
         return score > self.cutoff
-
-
-@dataclass
-class ShardScoreStats:
-    """One shard's scoring; its counts are those of the shard's ingest."""
-
-    shard: str
-    input_documents: int
-    empty_text: int
-    malformed: int
-    seconds: float
-    cpu_seconds: float  # CPU time of the thread that scored the shard
-
-
-@dataclass
-class ScoringReport:
-    """Per-shard and total counts and times of one `score_corpus` run;
-    total_cpu_seconds / seconds is the run's parallelism."""
-
-    per_shard: list[ShardScoreStats] = field(default_factory=list)
-    input_documents: int = 0
-    empty_text: int = 0
-    malformed: int = 0
-    total_cpu_seconds: float = 0.0
-    seconds: float = 0.0
-    docs_per_second: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -243,20 +216,27 @@ def _call_shard(shard: Shard):
 
 
 def _map_shards(fn, shard_set: ShardSet, workers: int, strict: bool) -> Iterator:
-    """Yields fn(shard, its documents, its RunSummary) for every shard, in
-    shard order. Once `fn` has read every document, the summary counts the
-    shard's documents and skipped records; `strict` makes a malformed record a
-    CorpusError. One worker or one shard runs each shard in this process as its
-    result is taken; more run on min(workers, shards) forked processes, and fn's
-    results must pickle. An error, or closing the generator, cancels the shards
-    not started; every worker has stopped before an error propagates."""
+    """Yields (fn(shard, its documents, its RunSummary), that RunSummary) for
+    every shard, in shard order. Once `fn` has read every document, the summary
+    counts the shard's documents and skipped records, and `fn` sets its
+    `output_documents`; the call's wall and CPU seconds are timed here. `strict`
+    makes a malformed record a CorpusError. One worker or one shard runs each
+    shard in this process as its result is taken; more run on min(workers,
+    shards) forked processes, and fn's results must pickle. An error, or closing
+    the generator, cancels the shards not started; every worker has stopped
+    before an error propagates."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
     def one(shard: Shard):
         summary = RunSummary()
-        return fn(shard, ingest_shards(ShardSet(shards=[shard]), strict=strict, summary=summary),
-                  summary)
+        docs = ingest_shards(ShardSet(shards=[shard]), strict=strict, summary=summary)
+        # Thread CPU time: in a forked worker that is the whole process; in this
+        # process it leaves out numpy's idle BLAS threads, which process time counts.
+        t0, cpu0 = time.monotonic(), time.thread_time()
+        result = fn(shard, docs, summary)
+        summary.seconds, summary.cpu_seconds = time.monotonic() - t0, time.thread_time() - cpu0
+        return result, summary
 
     shards = shard_set.shards
     if workers == 1 or len(shards) < 2:
@@ -284,13 +264,14 @@ def score_corpus(
     *,
     out_dir: str | Path,
     strict: bool = False,
-) -> ScoringReport:
+) -> RunSummary:
     """Score every document, one output score shard per input shard, into
-    `out_dir`, which `ScoreSet.open` reads; returns the run's ScoringReport.
+    `out_dir`, which `ScoreSet.open` reads; returns the run's RunSummary, whose
+    `output_documents` are the rows written.
 
     Shards run on `workers` forked processes (see `_map_shards`). Records
     that ingest skips (empty text, or malformed unless `strict`) are counted
-    in the report. The written score set is identical for any worker count. A
+    in the summary. The written score set is identical for any worker count. A
     shard that fails (unreadable, or a malformed record under `strict`) or a
     worker that dies raises; the score shards already written stay, and
     `docprune score` discards them with its staging dir. A doc id that occurs
@@ -304,35 +285,24 @@ def score_corpus(
     classifier_id = classifier.fingerprint()
 
     def score_one(shard: Shard, docs: Iterator[Document], summary: RunSummary):
-        # Thread CPU time: in a forked worker that is the whole process; in this
-        # process it leaves out numpy's idle BLAS threads, which process time counts.
-        t0, cpu0 = time.monotonic(), time.thread_time()
         ids, scores = score_documents(docs, classifier)
         header = ScoreHeader(classifier_id, SCORES_FORMAT_VERSION, shard.path.name, len(ids))
         rows = ({"doc_id": i, "score": s} for i, s in zip(ids, scores))
         write_jsonl(out_dir / names[shard.path.name], itertools.chain([header], rows))
-        stats = ShardScoreStats(
-            shard.path.name, summary.input_documents, summary.empty_text, summary.malformed,
-            time.monotonic() - t0, time.thread_time() - cpu0,
-        )
-        return stats, ids
+        summary.output_documents = len(ids)
+        return shard.path.name, ids
 
     t0 = time.monotonic()
-    report, shard_of = ScoringReport(), {}  # shard_of: doc id -> its shard
+    total, shard_of = RunSummary(), {}  # shard_of: doc id -> its shard
     with contextlib.closing(_map_shards(score_one, shard_set, workers, strict)) as results:
-        for stats, ids in results:
+        for (name, ids), part in results:
             for doc_id in ids:
                 if doc_id in shard_of:
-                    raise _repeated_id(doc_id, [shard_of[doc_id], stats.shard])
-                shard_of[doc_id] = stats.shard
-            report.per_shard.append(stats)
-    report.input_documents = sum(stats.input_documents for stats in report.per_shard)
-    report.empty_text = sum(stats.empty_text for stats in report.per_shard)
-    report.malformed = sum(stats.malformed for stats in report.per_shard)
-    report.total_cpu_seconds = sum(stats.cpu_seconds for stats in report.per_shard)
-    report.seconds = time.monotonic() - t0
-    report.docs_per_second = report.input_documents / report.seconds if report.seconds else 0.0
-    return report
+                    raise _repeated_id(doc_id, [shard_of[doc_id], name])
+                shard_of[doc_id] = name
+            total.add(name, part)
+    total.seconds = time.monotonic() - t0
+    return total
 
 
 def check_keep_ratio(ratio: float) -> None:
@@ -381,25 +351,6 @@ def select_cutoff(
     )
 
 
-@dataclass
-class Manifest:
-    """Audit record of one filtering run: the decision it applied, and per
-    shard and in total the ingest counts and the documents written
-    (`output_documents`)."""
-
-    cutoff: float
-    target_ratio: float
-    achieved_ratio: float
-    classifier_id: str
-    per_shard: list[dict]
-    input_documents: int
-    output_documents: int
-    empty_text: int
-    malformed: int
-    started_at: str
-    finished_at: str
-
-
 def filter_corpus(
     shard_set: ShardSet,
     scores: Mapping[str, float],
@@ -407,10 +358,10 @@ def filter_corpus(
     out_dir: str | Path,
     *,
     strict: bool = False,
-) -> tuple[ShardSet, Manifest]:
+) -> tuple[ShardSet, RunSummary]:
     """Materialize the kept documents, preserving shard boundaries and order;
-    returns the kept shards and the run's Manifest, which `docprune filter`
-    writes beside them.
+    returns the kept shards and the run's RunSummary, which `docprune filter`
+    writes beside them with the decision it applied.
 
     Every document ingest yields must have a score in the doc_id -> score
     map (fail-fast join), and ingest must yield as many documents as the map
@@ -424,7 +375,6 @@ def filter_corpus(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     def filter_one(shard: Shard, docs: Iterator[Document], summary: RunSummary):
         def kept() -> Iterator[Document]:
@@ -437,39 +387,24 @@ def filter_corpus(
                     yield doc
 
         out_shard = write_shard_file(kept(), out_dir / shard.path.name, compress=shard.compressed)
-        counts = {
-            "shard": shard.path.name,
-            "input_documents": summary.input_documents,
-            "output_documents": out_shard.record_count,
-            "empty_text": summary.empty_text,
-            "malformed": summary.malformed,
-        }
-        return out_shard, counts
+        summary.output_documents = out_shard.record_count
+        return out_shard
 
-    results = list(_map_shards(filter_one, shard_set, 1, strict))
-    per_shard = [counts for _, counts in results]
-    keys = ("input_documents", "output_documents", "empty_text", "malformed")
-    total = {key: sum(c[key] for c in per_shard) for key in keys}
-    if total["input_documents"] != len(scores):
+    t0 = time.monotonic()
+    total, out_shards = RunSummary(), []
+    for out_shard, part in _map_shards(filter_one, shard_set, 1, strict):
+        total.add(out_shard.path.name, part)
+        out_shards.append(out_shard)
+    total.seconds = time.monotonic() - t0
+    if total.input_documents != len(scores):
         raise CorpusError(
-            f"score set/corpus mismatch: the corpus holds {total['input_documents']} "
+            f"score set/corpus mismatch: the corpus holds {total.input_documents} "
             f"documents, the score set {len(scores)} scores (a document was removed, "
             f"blanked or repeated after scoring?); re-run `docprune score` on this corpus"
         )
-    if total["output_documents"] != decision.kept:
+    if total.output_documents != decision.kept:
         raise CorpusError(
             f"decision/corpus mismatch: decision says keep {decision.kept}, filter kept "
-            f"{total['output_documents']} (was the decision computed on this score set?)"
+            f"{total.output_documents} (was the decision computed on this score set?)"
         )
-    out_shards = [out_shard for out_shard, _ in results]
-    manifest = Manifest(
-        cutoff=decision.cutoff,
-        target_ratio=decision.target_ratio,
-        achieved_ratio=decision.achieved_ratio,
-        classifier_id=decision.classifier_id,
-        per_shard=per_shard,
-        **total,
-        started_at=started,
-        finished_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    )
-    return ShardSet(shards=out_shards), manifest
+    return ShardSet(shards=out_shards), total

@@ -10,7 +10,7 @@ import socket
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +24,10 @@ from docprune.cli import COMMANDS, COMMON, main
 from docprune.config import SWEEPS, ConfigError, load_config, write_resolved_config
 from docprune.labeling import LabelerConfig
 from docprune.corpus import (
-    Shard, ShardSet, Snippet, ingest_shards, read_json, read_records, write_shards,
+    RunSummary, Shard, ShardSet, Snippet, ingest_shards, read_json, read_records, write_shards,
 )
 from docprune.labeling import DegenerateLabelerWarning, QualityLabel
-from docprune.selection import Manifest, ScoreSet, SelectionDecision
+from docprune.selection import ScoreSet, SelectionDecision
 from docprune.synthetic import SyntheticCorpusSpec, generate_documents, stratum_of
 
 
@@ -197,6 +197,13 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def read_manifest(path: Path) -> RunSummary:
+    """The RunSummary of a filter-manifest.json, whose decision must read as one."""
+    record = json.loads(path.read_text())
+    SelectionDecision(**record.pop("decision"))
+    return RunSummary(**record)
+
+
 class TestCliPipeline:
     def test_full_pipeline(self, pipeline_world):
         tmp, corpus, cfg = pipeline_world
@@ -251,7 +258,7 @@ class TestCliPipeline:
             "filter", "--config", cfg, "--scores", score_dir,
             "--decision", select_dir / "decision.json", "--out", filter_dir,
         ) == 0
-        manifest = read_json(filter_dir / "filter-manifest.json", Manifest)
+        manifest = read_manifest(filter_dir / "filter-manifest.json")
         kept_docs = list(ingest_shards(ShardSet.from_dir(filter_dir)))
         assert len(kept_docs) == manifest.output_documents == decision["kept"]
         precision = sum(1 for d in kept_docs if stratum_of(d)) / len(kept_docs)
@@ -291,7 +298,7 @@ class TestCliPipeline:
         snippets_file = sample_dir / "snippets.jsonl"
         labels_file = tmp_path / "labels.jsonl"
         with open(labels_file, "w") as fh:
-            for line in open(snippets_file):
+            for line in snippets_file.read_text().splitlines():
                 doc_id = json.loads(line)["doc_id"]
                 fh.write(json.dumps({
                     "doc_id": doc_id, "label": "Yes", "prompt_version": "V1",
@@ -413,7 +420,7 @@ class TestCliPipeline:
                        "--out", out / "filter") == 0
         kept = {d.id for d in ingest_shards(ShardSet.from_dir(out / "filter"))}
         assert kept and "empty-1" not in kept
-        manifest = read_json(out / "filter" / "filter-manifest.json", Manifest)
+        manifest = read_manifest(out / "filter" / "filter-manifest.json")
         assert (manifest.input_documents, manifest.empty_text) == (400, 1)
         first = manifest.per_shard[0]
         assert (first["input_documents"], first["empty_text"]) == (100, 1)
@@ -749,7 +756,7 @@ class TestScoreSetCoverage:
         corpus, scores, decision = self.world(tmp_path, True)
         assert run_cli("filter", "--input", corpus, "--scores", scores,
                        "--decision", decision, "--out", tmp_path / "filter") == 0
-        manifest = read_json(tmp_path / "filter" / "filter-manifest.json", Manifest)
+        manifest = read_manifest(tmp_path / "filter" / "filter-manifest.json")
         assert (manifest.output_documents, manifest.input_documents) == (100, 400)
 
 
@@ -912,6 +919,7 @@ class TestLoadTimeChecks:
         ("sample", [], "[distiller]\nval_fraction = 1\n", "distiller"),
         ("sample", [], "[distiller]\nlearning_rate = 0\n", "distiller"),
         ("sample", [], "[distiller]\nlearning_rate = inf\n", "distiller"),
+        ("train", [], "[distiller]\nngram_orders = 1, 2, 2\n", "distiller"),
         ("sample", [], "[labeler]\ntemperature = nan\n", "labeler"),
         ("sample", [], "[labeler]\ntemperature = inf\n", "labeler"),
         ("sample", [], "[labeler]\nbackoff_base = nan\n", "labeler"),
@@ -931,8 +939,8 @@ class TestLoadTimeChecks:
     ], ids=["score-flag", "score-file", "filter-file", "sample-flag",
             "sample_size", "token_budget", "epochs", "log_level",
             "val_fraction", "val_fraction-0", "val_fraction-1", "learning_rate",
-            "learning_rate-inf", "temperature-nan", "temperature-inf", "backoff_base-nan",
-            "backoff_base-inf", "request_timeout-nan", "request_timeout-inf",
+            "learning_rate-inf", "repeated-ngram_orders", "temperature-nan", "temperature-inf",
+            "backoff_base-nan", "backoff_base-inf", "request_timeout-nan", "request_timeout-inf",
             "failure_ceiling", "max_output_tokens",
             "n_docs", "ablation-sample_size", "ratios", "hash_bits_list", "empty-seeds",
             "empty-ratios", "empty-hash_bits_list"])
@@ -1188,7 +1196,7 @@ class TestCorpusAndScoreSetChecks:
         assert report["malformed"] == 2
         assert [s["malformed"] for s in report["per_shard"]] == [0, 2, 0, 0]
         assert self.run_with(small_run, "filter", tmp_path, corpus) == 0
-        manifest = read_json(tmp_path / "filter" / "filter-manifest.json", Manifest)
+        manifest = read_manifest(tmp_path / "filter" / "filter-manifest.json")
         assert manifest.malformed == 2
         assert [s["malformed"] for s in manifest.per_shard] == [0, 2, 0, 0]
         assert manifest.input_documents == 400
@@ -1203,12 +1211,24 @@ class TestCorpusAndScoreSetChecks:
         summary = json.loads((tmp_path / "sample" / "run-summary.json").read_text())
         report = json.loads((tmp_path / "score" / "scoring-report.json").read_text())
         manifest = json.loads((tmp_path / "filter" / "filter-manifest.json").read_text())
+        keys = {f.name for f in fields(RunSummary)}
+        assert summary.keys() == report.keys() == keys
+        assert manifest.keys() == keys | {"decision"}
+        assert manifest["decision"] == json.loads(small_run["filter"][-1].read_text())
+        sampled = (tmp_path / "sample" / "sampled-docs.jsonl").read_text().splitlines()
+        assert summary["output_documents"] == len(sampled)
         total = {"input_documents": 400, "empty_text": 1, "malformed": 1}
         shard = {"input_documents": 100, "empty_text": 1, "malformed": 1}
         for record in (summary, report, manifest):
             assert {key: record[key] for key in total} == total
         for record in (report, manifest):
-            assert {key: record["per_shard"][1][key] for key in shard} == shard
+            per_shard = record["per_shard"]
+            assert {key: per_shard[1][key] for key in shard} == shard
+            assert record["shards"] == len(per_shard)
+            for key in ("input_documents", "empty_text", "malformed", "output_documents",
+                        "cpu_seconds"):
+                assert record[key] == sum(s[key] for s in per_shard), key
+        assert all(s["seconds"] > 0 for s in manifest["per_shard"])
 
     def test_cut_gzip_shard_exits_3_and_leaves_no_score_shards(self, small_run, tmp_path,
                                                               capsys):
@@ -1605,6 +1625,6 @@ class TestStageRecords:
         shards = sorted(p.name for p in small_run["score"][2].glob("*.jsonl"))
         assert sorted(files(out)) == sorted([*shards, "filter-manifest.json",
                                              "resolved-config.ini"])
-        manifest = read_json(out / "filter-manifest.json", Manifest)
+        manifest = read_manifest(out / "filter-manifest.json")
         kept = sum(1 for _ in ingest_shards(ShardSet.from_dir(out)))
         assert manifest.output_documents == kept

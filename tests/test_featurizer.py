@@ -401,8 +401,9 @@ class TestMalformedModelHeader:
         lambda h: h["featurizer"].update(hash_bits=40),
         lambda h: h["featurizer"].update(hash_bits=12),  # 2**10 weights follow
         lambda h: h["featurizer"].update(ngram_orders=[1.5]),
+        lambda h: h["featurizer"].update(ngram_orders=[1, 2, 2]),
     ], ids=["no-weights_len", "unknown-featurizer-key", "null-featurizer", "hash_bits-40",
-            "hash_bits-not-weights_len", "fractional-ngram-order"])
+            "hash_bits-not-weights_len", "fractional-ngram-order", "repeated-ngram-order"])
     def test_score_exits_3(self, tmp_path, capsys, edit):
         code, out = _score(tmp_path, _model_file(tmp_path / "model.bin", edit))
         assert code == 3

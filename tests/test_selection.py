@@ -367,8 +367,7 @@ class TestFilterCorpus:
 
     def test_manifest_roundtrip(self, tmp_path):
         from conftest import corpus_dir
-        from docprune.corpus import read_json, write_json
-        from docprune.selection import Manifest
+        from docprune.corpus import RunSummary, read_json, write_json
 
         shard_set = corpus_dir(tmp_path, {"s.jsonl": [{"id": "a", "text": "x"}]})
         decision = SelectionDecision(
@@ -376,7 +375,7 @@ class TestFilterCorpus:
         )
         _, manifest = filter_corpus(shard_set, {"a": 0.9}, decision, tmp_path / "out")
         write_json(tmp_path / "filter-manifest.json", manifest)
-        loaded = read_json(tmp_path / "filter-manifest.json", Manifest)
+        loaded = read_json(tmp_path / "filter-manifest.json", RunSummary)
         assert loaded == manifest
 
     def test_out_dir_holds_only_the_kept_shards(self, tmp_path):
@@ -429,7 +428,7 @@ class TestScoringProcesses:
                 assert p1.read_bytes() == pn.read_bytes()
             assert report.empty_text == sum(t == "" for ts in shards for t in ts)
             assert len(report.per_shard) == len(shards)
-            assert all(s.cpu_seconds >= 0 for s in report.per_shard)
+            assert all(s["cpu_seconds"] >= 0 for s in report.per_shard)
 
             scores = one.load_scores()
             if not scores:
@@ -441,16 +440,17 @@ class TestScoringProcesses:
                 filter_corpus(shard_set, score_set.load_scores(), decision, tmp / name)
                 for score_set, name in ((one, "f1"), (many, "fn"))
             ]
-            assert outs[0][1].per_shard == outs[1][1].per_shard
+            counts = ("shard", "input_documents", "empty_text", "malformed", "output_documents")
+            assert [[s[key] for key in counts] for s in outs[0][1].per_shard] == [
+                [s[key] for key in counts] for s in outs[1][1].per_shard]
             for s1, sn in zip(outs[0][0].shards, outs[1][0].shards):
                 assert s1.path.read_bytes() == sn.path.read_bytes()
 
     def test_two_workers_report_their_cpu_time(self, tmp_path, small_world):
         _, shard_set, _, clf = small_world
         report = score_corpus(shard_set, clf, workers=2, out_dir=tmp_path / "scores")
-        assert all(s.cpu_seconds > 0 for s in report.per_shard)
-        assert report.total_cpu_seconds == pytest.approx(
-            sum(s.cpu_seconds for s in report.per_shard))
+        assert all(s["cpu_seconds"] > 0 for s in report.per_shard)
+        assert report.cpu_seconds == pytest.approx(sum(s["cpu_seconds"] for s in report.per_shard))
 
     def test_dead_worker_raises_broken_process_pool(self, tmp_path, small_world, monkeypatch):
         """Each worker writes its first shard and exits in its second; the
