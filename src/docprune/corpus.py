@@ -172,35 +172,23 @@ def ingest_shards(
     summary.shards = len(shard_set.shards)
     for shard in shard_set.shards:
         name = shard.path.name
-        try:
-            fh = _open_shard(shard)
-        except OSError as exc:
+        try:  # a failed open or read, or a cut gzip stream
+            with _open_shard(shard) as fh:
+                for index, raw in enumerate(raw for raw in fh if raw.strip()):
+                    try:
+                        doc = _parse_record(raw, name, index)
+                    except (UnicodeDecodeError, ValueError) as exc:
+                        summary.malformed += 1
+                        if strict:
+                            raise CorpusError(f"malformed record {name}#{index}: {exc}") from exc
+                        continue
+                    if not doc.text:
+                        summary.empty_text += 1
+                        continue
+                    summary.input_documents += 1
+                    yield doc
+        except (OSError, EOFError) as exc:
             raise CorpusError(f"unreadable shard {shard.path}: {exc}") from exc
-        with fh:
-            index = 0
-            while True:
-                try:
-                    raw = fh.readline()
-                except (OSError, EOFError) as exc:
-                    raise CorpusError(f"unreadable shard {shard.path}: {exc}") from exc
-                if not raw:
-                    break
-                if not raw.strip():
-                    continue
-                try:
-                    doc = _parse_record(raw, name, index)
-                except (UnicodeDecodeError, ValueError) as exc:
-                    summary.malformed += 1
-                    if strict:
-                        raise CorpusError(f"malformed record {name}#{index}: {exc}") from exc
-                    index += 1
-                    continue
-                index += 1
-                if not doc.text:
-                    summary.empty_text += 1
-                    continue
-                summary.input_documents += 1
-                yield doc
 
 
 def reservoir_sample(docs: Iterable[Document], n: int, seed: int) -> list[Document]:

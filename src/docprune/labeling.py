@@ -357,7 +357,10 @@ class HttpChatTransport:
             if status != 200:
                 raise TransportError(f"HTTP {status}: {data.decode('utf-8', 'replace')[:200]}")
             try:
-                return json.loads(data)["choices"][0]["message"]["content"]
+                content = json.loads(data)["choices"][0]["message"]["content"]
+                if content is not None and not isinstance(content, str):
+                    raise TypeError(f"message content is a {type(content).__name__}")
+                return content
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise TransportError(f"malformed endpoint response: {exc}") from exc
         raise TransportError(
@@ -388,35 +391,35 @@ def label_documents(
     snippets = list(snippets)
     stats = LabelRunStats(requested=len(snippets))
 
-    def call(snippet: Snippet) -> tuple[str, str]:
+    def call(snippet: Snippet) -> tuple[str, str] | None:
         prompt = build_prompt(snippet, version, demos)
-        raw = transport.complete(prompt)
-        verdict = parse_label(raw)
-        if verdict == AMBIGUOUS:
-            raw = transport.complete(prompt)  # one retry with identical input
+        try:
+            raw = transport.complete(prompt)
             verdict = parse_label(raw)
+            if verdict == AMBIGUOUS:
+                raw = transport.complete(prompt)  # one retry with identical input
+                verdict = parse_label(raw)
+        except TransportError:
+            return None
         return verdict, raw
 
     from concurrent.futures import ThreadPoolExecutor  # only `label` and `ablate` label
 
     labels: list[QualityLabel] = []
     max_failures = config.failure_ceiling * stats.requested
-    with ThreadPoolExecutor(max_workers=config.max_concurrent_requests) as pool:
-        futures = [pool.submit(call, s) for s in snippets]
-        for snippet, future in zip(snippets, futures):
-            try:
-                verdict, raw = future.result()
-            except TransportError:
+    pool = ThreadPoolExecutor(max_workers=config.max_concurrent_requests)
+    try:  # any exit, an abort or an error, cancels the requests not yet sent
+        for snippet, answer in zip(snippets, pool.map(call, snippets)):
+            if answer is None:
                 stats.transport_failures += 1
                 if stats.transport_failures > max_failures:
-                    for f in futures:
-                        f.cancel()
                     stats.aborted = (
                         f"{stats.transport_failures} transport failures exceeded "
                         f"ceiling {config.failure_ceiling:.0%} of {stats.requested}"
                     )
                     break
                 continue
+            verdict, raw = answer
             if verdict == AMBIGUOUS:
                 stats.ambiguous_dropped += 1
                 continue
@@ -430,6 +433,8 @@ def label_documents(
                     icl_shots=shots,
                 )
             )
+    finally:
+        pool.shutdown(cancel_futures=True)
     stats.labeled = len(labels)
     if labels:
         stats.yes_fraction = yes_share(labels) if stats.aborted else yes_fraction(labels)

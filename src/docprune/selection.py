@@ -215,18 +215,20 @@ def _call_shard(shard: Shard):
     return _shard_call(shard)
 
 
-def _map_shards(fn, shard_set: ShardSet, workers: int, strict: bool) -> Iterator:
-    """Yields (fn(shard, its documents, its RunSummary), that RunSummary) for
-    every shard, in shard order. Once `fn` has read every document, the summary
-    counts the shard's documents and skipped records, and `fn` sets its
-    `output_documents`; the call's wall and CPU seconds are timed here. `strict`
-    makes a malformed record a CorpusError. One worker or one shard runs each
-    shard in this process as its result is taken; more run on min(workers,
-    shards) forked processes, and fn's results must pickle. An error, or closing
-    the generator, cancels the shards not started; every worker has stopped
-    before an error propagates."""
+def _map_shards(fn, shard_set: ShardSet, total: RunSummary, workers: int, strict: bool) -> Iterator:
+    """Yields fn(shard, its documents, its RunSummary) for every shard, in shard
+    order. Once `fn` has read every document, the shard's summary counts its
+    documents and skipped records, and `fn` sets its `output_documents`; the
+    call's wall and CPU seconds are timed here. As each result is yielded, its
+    shard's summary is added to `total`, whose `seconds` is the pass's wall time
+    once the last result is taken. `strict` makes a malformed record a
+    CorpusError. One worker or one shard runs each shard in this process as its
+    result is taken; more run on min(workers, shards) forked processes, and
+    fn's results must pickle. An error, or closing the generator, cancels the
+    shards not started; every worker has stopped before an error propagates."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    start = time.monotonic()
 
     def one(shard: Shard):
         summary = RunSummary()
@@ -238,23 +240,27 @@ def _map_shards(fn, shard_set: ShardSet, workers: int, strict: bool) -> Iterator
         summary.seconds, summary.cpu_seconds = time.monotonic() - t0, time.thread_time() - cpu0
         return result, summary
 
-    shards = shard_set.shards
-    if workers == 1 or len(shards) < 2:
-        yield from map(one, shards)
-        return
-    # Imported only where a pool forks: at module level these imports would
-    # lengthen the start-up of every stage process.
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(
-        min(workers, len(shards)), mp_context=multiprocessing.get_context("fork"),
-        initializer=_set_shard_call, initargs=(one,),
-    )
+    shards, pool = shard_set.shards, None
+    results = map(one, shards)
     try:
-        yield from pool.map(_call_shard, shards)
+        if workers > 1 and len(shards) > 1:
+            # Imported only where a pool forks: at module level these imports
+            # would lengthen the start-up of every stage process.
+            import multiprocessing
+            from concurrent.futures.process import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(
+                min(workers, len(shards)), mp_context=multiprocessing.get_context("fork"),
+                initializer=_set_shard_call, initargs=(one,),
+            )
+            results = pool.map(_call_shard, shards)
+        for shard, (result, summary) in zip(shards, results):
+            total.add(shard.path.name, summary)
+            yield result
+        total.seconds = time.monotonic() - start
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def score_corpus(
@@ -292,16 +298,13 @@ def score_corpus(
         summary.output_documents = len(ids)
         return shard.path.name, ids
 
-    t0 = time.monotonic()
     total, shard_of = RunSummary(), {}  # shard_of: doc id -> its shard
-    with contextlib.closing(_map_shards(score_one, shard_set, workers, strict)) as results:
-        for (name, ids), part in results:
+    with contextlib.closing(_map_shards(score_one, shard_set, total, workers, strict)) as results:
+        for name, ids in results:
             for doc_id in ids:
                 if doc_id in shard_of:
                     raise _repeated_id(doc_id, [shard_of[doc_id], name])
                 shard_of[doc_id] = name
-            total.add(name, part)
-    total.seconds = time.monotonic() - t0
     return total
 
 
@@ -390,12 +393,8 @@ def filter_corpus(
         summary.output_documents = out_shard.record_count
         return out_shard
 
-    t0 = time.monotonic()
-    total, out_shards = RunSummary(), []
-    for out_shard, part in _map_shards(filter_one, shard_set, 1, strict):
-        total.add(out_shard.path.name, part)
-        out_shards.append(out_shard)
-    total.seconds = time.monotonic() - t0
+    total = RunSummary()
+    out_shards = list(_map_shards(filter_one, shard_set, total, 1, strict))
     if total.input_documents != len(scores):
         raise CorpusError(
             f"score set/corpus mismatch: the corpus holds {total.input_documents} "

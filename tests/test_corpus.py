@@ -73,6 +73,22 @@ class TestIngest:
         ids = [d.id for d in ingest_shards(shard_set)]
         assert ids == ["web.jsonl#0", "web.jsonl#1"]
 
+    @pytest.mark.parametrize("name", ["s.jsonl", "s.jsonl.gz"])
+    def test_index_numbers_malformed_and_empty_records_not_blank_lines(self, tmp_path, name):
+        lines = [{"text": "first"}, "", "{nope", {"text": ""}, {"text": "last"}]
+        data = "".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in lines)
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / name).write_bytes(gzip.compress(data.encode()) if name.endswith(".gz")
+                                  else data.encode())
+        shard_set = ShardSet.from_dir(root)
+        summary = RunSummary()
+        assert [d.id for d in ingest_shards(shard_set, summary=summary)] == [
+            f"{name}#0", f"{name}#3"]
+        assert (summary.input_documents, summary.malformed, summary.empty_text) == (2, 1, 1)
+        with pytest.raises(CorpusError, match=f"^malformed record {name}#1: "):
+            list(ingest_shards(shard_set, strict=True))
+
     def test_gzip_autodetected(self, tmp_path):
         root = tmp_path / "corpus"
         root.mkdir()

@@ -247,19 +247,22 @@ class ScriptedTransport:
 
 
 class FailingTransport:
-    def __init__(self, fail_fragments=()):
+    def __init__(self, fail_fragments=(), delay=0.0, error=TransportError):
         self.fail_fragments = tuple(fail_fragments)
+        self.delay = delay  # seconds each call takes
+        self.error = error  # the exception type a failing call raises
         self.calls = 0
         self.lock = threading.Lock()
 
     def complete(self, prompt):
         with self.lock:
             self.calls += 1
+        time.sleep(self.delay)
         for fragment in self.fail_fragments:
             if fragment in prompt:
-                raise TransportError("endpoint down")
+                raise self.error("endpoint down")
         if not self.fail_fragments:
-            raise TransportError("endpoint down")
+            raise self.error("endpoint down")
         return MockQualityTransport().complete(prompt)
 
 
@@ -321,12 +324,23 @@ class TestLabelDocuments:
 
     def test_abort_when_failures_exceed_ceiling(self):
         snips = snippets(40)
+        transport = FailingTransport(delay=0.02)
         labels, stats = label_documents(
-            snips, self.config(failure_ceiling=0.05), transport=FailingTransport()
+            snips, self.config(failure_ceiling=0.05, max_concurrent_requests=2),
+            transport=transport,
         )
         assert stats.transport_failures == 3  # ceiling 5% of 40 = 2 -> abort at 3
         assert stats.aborted == "3 transport failures exceeded ceiling 5% of 40"
         assert labels == []
+        assert transport.calls < 10  # the requests not yet sent were cancelled
+
+    def test_an_error_stops_the_requests_not_yet_sent(self):
+        transport = FailingTransport(delay=0.02, error=RuntimeError)
+        with pytest.raises(RuntimeError, match="endpoint down"):
+            label_documents(
+                mixed_snippets(200), self.config(max_concurrent_requests=2), transport=transport
+            )
+        assert transport.calls < 20
 
     def test_bounded_concurrency(self):
         class InstrumentedTransport:
@@ -362,7 +376,9 @@ class TestLabelDocuments:
 class _Endpoint(BaseHTTPRequestHandler):
     server_version = "test"
     disable_nagle_algorithm = True  # no delayed-ACK stall between header and body
-    behaviors = None  # injected: list of (status | "ok" | "malformed" | "close", payload)
+    # injected: list of (status | "ok" | "malformed" | "close" | "content", payload);
+    # "content" answers 200 with the payload as the message content
+    behaviors = None
     requests_seen = None
     connections = None  # one entry per accepted socket
     delay = 0.0  # seconds each POST takes
@@ -382,8 +398,9 @@ class _Endpoint(BaseHTTPRequestHandler):
         behavior = (
             type(self).behaviors.pop(0) if type(self).behaviors else ("ok", None)
         )
-        if behavior[0] in ("ok", "close"):
-            payload = {"choices": [{"message": {"content": "Yes"}}]}
+        if behavior[0] in ("ok", "close", "content"):
+            content = behavior[1] if behavior[0] == "content" else "Yes"
+            payload = {"choices": [{"message": {"content": content}}]}
             data = json.dumps(payload).encode()
             self.send_response(200)
             # "close": drop the connection after answering, without saying so.
@@ -493,6 +510,24 @@ class TestHttpChatTransport:
         handler.behaviors.append(("malformed", None))
         with pytest.raises(TransportError, match="malformed"):
             HttpChatTransport(self.make_config(url)).complete("p")
+
+    @pytest.mark.parametrize(
+        "content", [5, ["Yes"], {"text": "Yes"}, True], ids=["int", "list", "object", "bool"]
+    )
+    def test_content_that_is_not_a_string_is_malformed(self, endpoint, content):
+        handler, url = endpoint
+        handler.behaviors.append(("content", content))
+        with pytest.raises(TransportError, match="malformed endpoint response"):
+            HttpChatTransport(self.make_config(url)).complete("p")
+        assert len(handler.requests_seen) == 1
+
+    def test_null_content_is_ambiguous_retried_once_then_dropped(self, endpoint):
+        handler, url = endpoint
+        handler.behaviors.extend([("content", None)] * 2)
+        transport = HttpChatTransport(self.make_config(url))
+        labels, stats = label_documents(snippets(1), transport.config, transport=transport)
+        assert (labels, stats.ambiguous_dropped, stats.transport_failures) == ([], 1, 0)
+        assert len(handler.requests_seen) == 2
 
     def test_sequential_calls_share_one_connection(self, serve):
         handler, url = serve("HTTP/1.1")
