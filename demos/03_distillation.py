@@ -10,7 +10,6 @@ from docprune.ablation import snippets_of
 from docprune.classifier import (
     FeatureStore,
     FeaturizerConfig,
-    TrainConfig,
     load_model,
     save_model,
     score,
@@ -33,15 +32,13 @@ print(f"training pairs: {stats.labeled}, yes-fraction {stats.yes_fraction:.3f}")
 # knob of the cheap classifier. `add` joins the labels to their snippets and
 # featurizes the labeled texts into a feature store (an unnamed temp file) in
 # the same batches that scoring uses; training holds out a stratified
-# `val_fraction` of the examples for early stopping and reads their rows back
+# `VAL_FRACTION` of the examples for early stopping and reads their rows back
 # a block at a time.
 featurizer = FeaturizerConfig(ngram_orders=(1, 2, 3), hash_bits=16)
 
 with FeatureStore(featurizer) as store:
     examples = store.add(labels, snippets)
-    classifier = train_classifier(
-        examples, TrainConfig(featurizer=featurizer, val_fraction=0.1), seed=0
-    )
+    classifier = train_classifier(examples, seed=0)
 print("training meta:", classifier.training_meta)
 
 # Scores are sigmoid outputs clamped into the open interval (0, 1).

@@ -8,7 +8,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from docprune.ablation import snippets_of
-from docprune.classifier import FeatureStore, FeaturizerConfig, TrainConfig, train_classifier
+from docprune.classifier import FeatureStore, FeaturizerConfig, train_classifier
 from docprune.corpus import ingest_shards, write_json, write_shards
 from docprune.labeling import LabelerConfig, label_documents, yes_fraction
 from docprune.mocks import MockQualityTransport
@@ -27,10 +27,8 @@ with tempfile.TemporaryDirectory(prefix="docprune-demo-") as tmp:
     labels, stats = label_documents(
         snippets, LabelerConfig(model_name="mock"), transport=MockQualityTransport()
     )
-    featurizer = FeaturizerConfig(hash_bits=16)
-    with FeatureStore(featurizer) as store:
-        config = TrainConfig(featurizer=featurizer, val_fraction=0.1)
-        classifier = train_classifier(store.add(labels, snippets), config, seed=0)
+    with FeatureStore(FeaturizerConfig(hash_bits=16)) as store:
+        classifier = train_classifier(store.add(labels, snippets), seed=0)
 
     # Shard-parallel scoring: output is byte-identical for any worker count.
     # score_corpus writes the score set and returns its RunSummary; ScoreSet.open

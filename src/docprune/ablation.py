@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .classifier import FeatureStore, QualityClassifier, TrainConfig, train_classifier
+from .classifier import FeatureStore, FeaturizerConfig, QualityClassifier, train_classifier
 from .config import SWEEPS, RunConfig
 from .corpus import Document, Snippet, atomic_open, extract_snippet, reservoir_sample, write_jsonl
 from .labeling import (
@@ -163,8 +163,8 @@ def run_sweep(sweep: str, config: RunConfig) -> SweepReport:
         labels = label_documents(snippets, config.labeler, transport=MockQualityTransport())[0]
         if sweep == "capacity":
             return run_capacity_sweep(labels, snippets, config.distiller, HASH_BITS_LIST, SEEDS)
-        with FeatureStore(config.distiller.featurizer) as store:
-            classifier = train_classifier(store.add(labels, snippets), config.distiller, seed)
+        with FeatureStore(config.distiller) as store:
+            classifier = train_classifier(store.add(labels, snippets), seed)
         return run_ratio_sweep(docs, classifier, RATIOS)
     snippets = snippets_of(sample)
     if sweep == "prompt":
@@ -219,29 +219,29 @@ def run_ratio_sweep(
 def run_capacity_sweep(
     labels: Sequence[QualityLabel],
     snippets: Sequence[Snippet],
-    config: TrainConfig | None = None,
+    featurizer: FeaturizerConfig | None = None,
     hash_bits_list: Sequence[int] = HASH_BITS_LIST,
     seeds: Sequence[int] = SEEDS,
 ) -> SweepReport:
-    """Validation F1 per hashed capacity, median over seeds: `config` (default
-    TrainConfig()) with each hash_bits, split and trained at each seed. The
-    labels are joined to their snippets (`FeatureStore.add`) once per capacity.
+    """Validation F1 per hashed capacity, median over seeds: `featurizer`
+    (default FeaturizerConfig()) with each hash_bits, split and trained at
+    each seed. The labels are joined to their snippets (`FeatureStore.add`)
+    once per capacity.
 
     Does not raise on a non-monotone ordering (chance-level inputs are a
     legitimate use); the report carries `monotone_nondecreasing` instead.
     """
     if len(labels) < 1000:
         raise ValueError("capacity sweep needs at least 1,000 labeled examples")
-    config = config or TrainConfig()
+    featurizer = featurizer or FeaturizerConfig()
     points = []
     medians = []
     for bits in hash_bits_list:
-        at_bits = replace(config, featurizer=replace(config.featurizer, hash_bits=bits))
         f1_runs = []
-        with FeatureStore(at_bits.featurizer) as store:
+        with FeatureStore(replace(featurizer, hash_bits=bits)) as store:
             stored = store.add(labels, snippets)
             for seed in seeds:
-                f1_runs.append(train_classifier(stored, at_bits, seed).training_meta["val_f1"])
+                f1_runs.append(train_classifier(stored, seed).training_meta["val_f1"])
         median = statistics.median(f1_runs)
         medians.append(median)
         point = {"hash_bits": bits, "median_f1": _r(median)}

@@ -9,7 +9,7 @@ and every sum stay float64; counts are small integers, exact in float32, so
 products and sums are the same bits as in float64. Each process hashes a
 token once while its vocabulary fits a bounded table. numpy is imported
 inside the functions that use it, so stages that never featurize (sample,
-label, select, filter) start without its ~0.18 s import.
+label, select, filter) start without its ~0.1 s import.
 
 Training reads its features from a `FeatureStore`, an unnamed file in the
 temp dir, one row block at a time, and keeps its best epoch's weights there
@@ -27,7 +27,7 @@ import random
 import re
 import struct
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -56,6 +56,15 @@ FEATURIZE_BATCH_CHARS = 1 << 16
 _TOKEN_HASH_CAP = 1 << 15
 # Rows per block in the forward pass and the SGD step, which bounds their temporaries.
 ROW_BLOCK = 16
+# The one distillation recipe (the paper varies the labeler and the
+# featurizer's capacity, not this): hold out a stratified VAL_FRACTION of the
+# examples, then run mini-batch SGD for at most EPOCHS epochs, stopping once
+# PATIENCE epochs pass without a better validation F1.
+VAL_FRACTION = 0.1
+EPOCHS = 20
+LEARNING_RATE = 0.5
+BATCH_SIZE = 64
+PATIENCE = 3
 _TOKEN_HASHES: dict[str, bytes] = {}
 _TOKEN_HASH_LOCK = threading.Lock()
 
@@ -385,7 +394,7 @@ class Examples:
 
 def split_train_val(
     examples: Examples,
-    val_fraction: float = 0.1,
+    val_fraction: float = VAL_FRACTION,
     seed: int = 0,
 ) -> tuple[Examples, Examples]:
     """Disjoint, exhaustive, seed-deterministic stratified split, each part in
@@ -441,27 +450,6 @@ def _forward(batch: FeatureBatch | Examples, w: np.ndarray, b: float) -> tuple[n
 
 
 @dataclass
-class TrainConfig:
-    """Featurizer, validation split and mini-batch SGD settings: the
-    [distiller] section. Single-worker by contract for determinism."""
-
-    featurizer: FeaturizerConfig = field(default_factory=FeaturizerConfig)
-    val_fraction: float = 0.1
-    epochs: int = 20
-    learning_rate: float = 0.5
-    batch_size: int = 64
-    patience: int = 3
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be at least 1")
-        if not 0 < self.val_fraction < 1:
-            raise ValueError("val_fraction must be in (0, 1)")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
-
-
-@dataclass
 class QualityClassifier:
     """Trained quality scorer: sigmoid(w . features + bias), clamped into (0, 1)."""
 
@@ -511,13 +499,10 @@ def loss_and_grad(
     return loss, g, float(g.sum())
 
 
-def train_classifier(
-    examples: Examples,
-    config: TrainConfig,
-    seed: int = 0,
-) -> QualityClassifier:
-    """Split the examples at config.val_fraction and `seed` (`split_train_val`),
-    then minimize logistic loss by seeded mini-batch SGD; early-stop on val F1.
+def train_classifier(examples: Examples, seed: int = 0) -> QualityClassifier:
+    """Split the examples at VAL_FRACTION and `seed` (`split_train_val`), then
+    minimize logistic loss by seeded mini-batch SGD; early-stop on val F1.
+    The model's featurizer is the one the examples' `FeatureStore` used.
 
     Each minibatch's rows, and the validation rows, are read from the
     examples' `FeatureStore` a block at a time. The weights of the best epoch
@@ -528,9 +513,7 @@ def train_classifier(
     """
     import numpy as np
 
-    if examples.store.featurizer != config.featurizer:
-        raise ValueError("examples were featurized with another featurizer than config's")
-    train, val = split_train_val(examples, config.val_fraction, seed)
+    train, val = split_train_val(examples, VAL_FRACTION, seed)
     if set(train.targets) != {0, 1}:
         raise DegenerateLabelsError("degenerate label distribution: one class only")
     if not val:  # e.g. 5 Yes and 5 No: each class's 0.5 validation share rounds to 0
@@ -545,31 +528,31 @@ def train_classifier(
     sample_weights = np.array([cw[t] for t in train.targets], dtype=np.float64)
     gold_val = list(val.targets)
 
-    w = np.zeros(config.featurizer.dim, dtype=np.float64)
+    featurizer = examples.store.featurizer
+    w = np.zeros(featurizer.dim, dtype=np.float64)
     b = 0.0
     rng = random.Random(f"train:{seed}")
     order = list(range(len(train)))
-    lr = config.learning_rate
 
     best_f1 = -1.0
     best_epoch = -1
     best_b = b
     epochs_run = 0
 
-    for epoch in range(config.epochs):
+    for epoch in range(EPOCHS):
         rng.shuffle(order)
-        for start in range(0, len(order), config.batch_size):
-            rows = order[start : start + config.batch_size]
+        for start in range(0, len(order), BATCH_SIZE):
+            rows = order[start : start + BATCH_SIZE]
             batch = train.take(rows)
             _, g, grad_b = loss_and_grad(batch, y[rows], sample_weights[rows], w, b)
             # w -= lr * g[i] * x_i once every logit is taken, in feature order
             for s, block in zip(itertools.count(0, ROW_BLOCK), batch.row_blocks()):
                 step = np.repeat(g[s : s + len(block)], block.lengths)
                 step *= block.values
-                step *= lr
+                step *= LEARNING_RATE
                 np.subtract.at(w, block.indices, step)
                 del block, step
-            b -= lr * grad_b
+            b -= LEARNING_RATE * grad_b
         epochs_run += 1
         preds = (_forward(val, w, b)[1] > 0.5).astype(int).tolist()
         val_f1 = f1(preds, gold_val)
@@ -578,7 +561,7 @@ def train_classifier(
             best_epoch = epoch
             train.store.put_weights(w)
             best_b = b
-        elif epoch - best_epoch >= config.patience:
+        elif epoch - best_epoch >= PATIENCE:
             break
     train.store.get_weights(w)
 
@@ -586,16 +569,14 @@ def train_classifier(
         "seed": seed,
         "epochs": epochs_run,
         "best_epoch": best_epoch + 1,
-        "learning_rate": config.learning_rate,
-        "batch_size": config.batch_size,
+        "learning_rate": LEARNING_RATE,
+        "batch_size": BATCH_SIZE,
         "class_weights": {"0": cw[0], "1": cw[1]},
         "train_size": len(train),
         "val_size": len(val),
         "val_f1": best_f1,
     }
-    return QualityClassifier(
-        featurizer=config.featurizer, weights=w, bias=best_b, training_meta=meta
-    )
+    return QualityClassifier(featurizer=featurizer, weights=w, bias=best_b, training_meta=meta)
 
 
 def score_batch(classifier: QualityClassifier, batch: FeatureBatch) -> np.ndarray:

@@ -127,9 +127,9 @@ def cmd_label(config: RunConfig, out: Path, snippets: str) -> int:
 
 
 def cmd_train(config: RunConfig, out: Path, snippets: str, labels: str) -> int:
-    with FeatureStore(config.distiller.featurizer) as store:
+    with FeatureStore(config.distiller) as store:
         examples = store.add(read_records(labels, QualityLabel), read_records(snippets, Snippet))
-        classifier = train_classifier(examples, config.distiller, config.run.seed)
+        classifier = train_classifier(examples, config.run.seed)
     save_model(classifier, out / "model.bin")
     meta = classifier.training_meta
     write_json(out / "training-report.json", meta)

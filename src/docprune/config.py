@@ -1,12 +1,13 @@
 """Run configuration: one INI file, one dataclass per section.
 
 Each section is the dataclass its stage consumes: [labeler] is
-`labeling.LabelerConfig` and [distiller] is `classifier.TrainConfig`, whose
-featurizer keys sit in the same section. `load_config` parses every value,
-from the file or from a command-line flag, and checks it by building those
-dataclasses, so a bad value fails before a command writes anything. Unknown
-sections or keys are rejected. Each CLI command writes its resolved
-configuration next to its outputs for auditability.
+`labeling.LabelerConfig` and [distiller] is `classifier.FeaturizerConfig`,
+the featurizer a trained model records (the SGD recipe is `classifier`'s
+constants). `load_config` parses every value, from the file or from a
+command-line flag, and checks it by building those dataclasses, so a bad
+value fails before a command writes anything. Unknown sections or keys are
+rejected. Each CLI command writes its resolved configuration next to its
+outputs for auditability.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from __future__ import annotations
 import configparser
 import logging
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
-from .classifier import TrainConfig
+from .classifier import FeaturizerConfig
 from .corpus import atomic_open
 from .labeling import LabelerConfig
 from .selection import check_keep_ratio
@@ -98,7 +99,7 @@ class RunConfig:
     run: RunSection = field(default_factory=RunSection)
     corpus: CorpusSection = field(default_factory=CorpusSection)
     labeler: LabelerConfig = field(default_factory=LabelerConfig)
-    distiller: TrainConfig = field(default_factory=TrainConfig)
+    distiller: FeaturizerConfig = field(default_factory=FeaturizerConfig)
     selector: SelectorSection = field(default_factory=SelectorSection)
 
 
@@ -106,25 +107,8 @@ _SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
 def _flat(section) -> dict:
-    """A section's INI keys and values; a field that holds a dataclass gives
-    its own fields in its place."""
-    values = {}
-    for f in fields(section):
-        value = getattr(section, f.name)
-        values.update(_flat(value) if is_dataclass(value) else {f.name: value})
-    return values
-
-
-def _construct(cls, values: dict):
-    """cls from flat values, as `_flat` lays them out; missing keys keep
-    their defaults."""
-    kwargs = {}
-    for f in fields(cls):
-        if is_dataclass(f.default_factory):
-            kwargs[f.name] = _construct(f.default_factory, values)
-        elif f.name in values:
-            kwargs[f.name] = values[f.name]
-    return cls(**kwargs)
+    """A section's INI keys and values."""
+    return {f.name: getattr(section, f.name) for f in fields(section)}
 
 
 def _build(name: str, raw: dict[str, str]):
@@ -140,7 +124,7 @@ def _build(name: str, raw: dict[str, str]):
         except ValueError as exc:
             raise ConfigError(f"bad value for [{name}] {key} = {text!r}: {exc}") from exc
     try:
-        return _construct(cls, values)
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"bad value in [{name}]: {exc}") from exc
 

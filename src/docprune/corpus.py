@@ -149,6 +149,9 @@ def _parse_record(raw: bytes, shard_name: str, index: int) -> Document:
     if not isinstance(meta, dict):
         raise ValueError('record "meta" is not an object')
     meta = {str(k): str(v) for k, v in meta.items()}
+    for value in (text, doc_id, *meta, *meta.values()):
+        if not value.isascii():  # a lone surrogate ("\ud800") could not be written back
+            value.encode("utf-8")
     return Document(id=doc_id, text=text, meta=meta)
 
 
@@ -162,7 +165,8 @@ def ingest_shards(
 
     This decides which records every stage sees as documents. Calling again
     on the same ShardSet yields an identical sequence. Records that fail
-    UTF-8 decoding or JSON parsing, or that lack a "text" string, are
+    UTF-8 decoding or JSON parsing, that lack a "text" string, or whose
+    text, id or meta holds a lone surrogate (not UTF-8 encodable), are
     skipped and counted in `summary` as malformed (promoted to CorpusError
     when strict=True); records whose text is empty are skipped and counted
     as empty_text. Missing ids are synthesized as "<shard-name>#<record-index>".
@@ -248,8 +252,8 @@ def atomic_open(path: str | Path, mode: str = "w", compress: bool = False) -> It
     text = "b" not in mode
     try:
         with open(tmp, "x" if text else "xb", encoding="utf-8" if text else None) as fh:
-            if compress:  # the gzip header names `path`, not the temp file
-                with gzip.GzipFile(filename=str(path), mode="wb", fileobj=fh) as gz:
+            if compress:  # the gzip header names `path`, not the temp file, and no time
+                with gzip.GzipFile(filename=str(path), mode="wb", fileobj=fh, mtime=0) as gz:
                     yield gz
             else:
                 yield fh

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import docprune.classifier as classifier
 from docprune.ablation import (
     run_capacity_sweep,
     run_icl_comparison,
@@ -16,7 +17,6 @@ from docprune.ablation import (
 from docprune.classifier import (
     FeatureStore,
     FeaturizerConfig,
-    TrainConfig,
     f1,
     score_batch,
     split_train_val,
@@ -48,8 +48,7 @@ def _mock_labeled(docs):
 def _trained_classifier(docs, hash_bits=14, seed=0):
     config = FeaturizerConfig(hash_bits=hash_bits)
     with FeatureStore(config) as store:
-        return train_classifier(store.add(*_mock_labeled(docs)), TrainConfig(featurizer=config),
-                                seed=seed)
+        return train_classifier(store.add(*_mock_labeled(docs)), seed=seed)
 
 
 def _scores(clf, examples):
@@ -141,12 +140,12 @@ class TestCapacitySweep:
             labels,
             snips,
             hash_bits_list=(10, 14, 18),
-            config=TrainConfig(featurizer=FeaturizerConfig(ngram_orders=(1,))),
+            featurizer=FeaturizerConfig(ngram_orders=(1,)),
         )
         assert all(p["median_f1"] >= 0.95 for p in report.points)
         assert report.metadata["saturated"] is True
 
-    def test_shuffled_labels_learn_nothing_at_any_capacity(self):
+    def test_shuffled_labels_learn_nothing_at_any_capacity(self, monkeypatch):
         # With shuffled balanced labels no capacity can beat chance: at the
         # prior-matched operating point (predict positive at the gold base
         # rate) chance F1 is 0.5, and the 3-seed median stays within +-0.05.
@@ -158,16 +157,16 @@ class TestCapacitySweep:
         answers = [l.label for l in labels]
         rng.shuffle(answers)
         shuffled = [replace(l, label=a) for l, a in zip(labels, answers)]
+        monkeypatch.setattr(classifier, "VAL_FRACTION", 0.25)
         for bits in (10, 14, 18):
             config = FeaturizerConfig(hash_bits=bits)
             chances = []
             with FeatureStore(config) as store:
                 stored = store.add(shuffled, snips)
                 for seed in (0, 1, 2):
-                    clf = train_classifier(
-                        stored, TrainConfig(featurizer=config, val_fraction=0.25), seed=seed
-                    )
-                    val = split_train_val(stored, 0.25, seed=seed)[1]  # the part clf held out
+                    clf = train_classifier(stored, seed=seed)
+                    # the part clf held out
+                    val = split_train_val(stored, classifier.VAL_FRACTION, seed=seed)[1]
                     scored = list(zip(_scores(clf, val), val.targets))
                     scored.sort(key=lambda t: -t[0])
                     k = sum(t for _, t in scored)
@@ -177,6 +176,7 @@ class TestCapacitySweep:
             median = sorted(chances)[1]
             assert abs(median - 0.5) <= 0.05, f"hash_bits={bits}: {median}"
         # the sweep itself also runs on shuffled input without raising
+        monkeypatch.undo()  # at the default VAL_FRACTION
         report = run_capacity_sweep(shuffled, snips, hash_bits_list=(10, 14))
         assert all(p["median_f1"] < 0.7 for p in report.points)
 
@@ -307,7 +307,7 @@ def test_run_sweep_rejects_an_unknown_sweep_before_any_work(monkeypatch):
 
 
 class TestZeroStrengthChance:
-    def test_indistinguishable_strata_give_chance_f1(self):
+    def test_indistinguishable_strata_give_chance_f1(self, monkeypatch):
         # At signal strength 0 the text carries no stratum information, so any
         # classifier's F1 against the hidden stratum sits at the closed-form
         # chance level (0.5 for balanced strata at the prior-matched operating
@@ -322,15 +322,15 @@ class TestZeroStrengthChance:
         labels, snips = _mock_labeled(docs)
         stratum = {d.id: 1 if stratum_of(d) else 0 for d in docs}
         config = FeaturizerConfig(hash_bits=14)
+        monkeypatch.setattr(classifier, "VAL_FRACTION", 0.25)
         chances = []
         with FeatureStore(config) as store:
             stored = store.add(labels, snips)
             doc_of_row = {r: label.doc_id for r, label in zip(stored.rows, labels)}
             for seed in (0, 1, 2):
-                clf = train_classifier(
-                    stored, TrainConfig(featurizer=config, val_fraction=0.25), seed=seed
-                )
-                val = split_train_val(stored, 0.25, seed=seed)[1]  # the part clf held out
+                clf = train_classifier(stored, seed=seed)
+                # the part clf held out
+                val = split_train_val(stored, classifier.VAL_FRACTION, seed=seed)[1]
                 scored = [
                     (s, stratum[doc_of_row[r]]) for s, r in zip(_scores(clf, val), val.rows)
                 ]

@@ -11,12 +11,12 @@ import time
 import numpy as np
 import pytest
 
+import docprune.classifier as classifier
 from docprune.ablation import run_capacity_sweep, run_icl_comparison, snippets_of
 from docprune.classifier import (
     Examples,
     FeatureStore,
     FeaturizerConfig,
-    TrainConfig,
     class_weight_map,
     f1,
     score,
@@ -214,12 +214,13 @@ class TestCriterion5ClassifierCorrectness:
         targets = [1 if stratum_of(doc) else 0 for doc in docs]
         with FeatureStore(config) as store:
             examples = Examples(store, store.extend(d.text for d in docs), targets)
-            clf = train_classifier(examples, TrainConfig(featurizer=config), seed=0)
+            clf = train_classifier(examples, seed=0)
         assert clf.training_meta["val_f1"] >= 0.95
 
-    def test_shuffled_labels_fall_to_chance(self):
+    def test_shuffled_labels_fall_to_chance(self, monkeypatch):
         # Balanced gold, so chance F1 at the prior-matched operating point is
         # 0.5; the 3-seed median must land within +-0.05.
+        monkeypatch.setattr(classifier, "VAL_FRACTION", 0.25)
         docs = generate_documents(
             SyntheticCorpusSpec(n_docs=4_000, high_quality_fraction=0.5, seed=7)
         )
@@ -231,10 +232,9 @@ class TestCriterion5ClassifierCorrectness:
         with FeatureStore(config) as store:
             stored = Examples(store, store.extend(d.text for d in docs), targets)
             for seed in (0, 1, 2):
-                clf = train_classifier(
-                    stored, TrainConfig(featurizer=config, val_fraction=0.25), seed=seed
-                )
-                val = split_train_val(stored, 0.25, seed=seed)[1]  # the part clf held out
+                clf = train_classifier(stored, seed=seed)
+                # the part clf held out
+                val = split_train_val(stored, classifier.VAL_FRACTION, seed=seed)[1]
                 scored = [
                     (score(clf, extract_snippet(Document("", docs[r].text))), t) for r, t in zip(val.rows, val.targets)
                 ]
@@ -266,7 +266,7 @@ class TestCriterion7DeterminismAndParallelSafety:
         targets = [1 if stratum_of(d) else 0 for d in sample]
         with FeatureStore(config) as store:
             examples = Examples(store, store.extend(d.text for d in sample), targets)
-            clf = train_classifier(examples, TrainConfig(featurizer=config), seed=0)
+            clf = train_classifier(examples, seed=0)
 
         sets = {}
         for workers in (1, 4):
@@ -301,8 +301,8 @@ class TestCriterion7DeterminismAndParallelSafety:
         targets = [1 if stratum_of(d) else 0 for d in a]
         with FeatureStore(config) as store:
             examples = Examples(store, store.extend(d.text for d in a), targets)
-            m1 = train_classifier(examples, TrainConfig(featurizer=config), seed=1)
-            m2 = train_classifier(examples, TrainConfig(featurizer=config), seed=1)
+            m1 = train_classifier(examples, seed=1)
+            m2 = train_classifier(examples, seed=1)
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
 

@@ -24,7 +24,7 @@ def test_benchmark_config_loads(workload, tmp_path, monkeypatch):
     run.write_config(path, wl, 1, tmp_path / "corpus", tmp_path, endpoint)
     config = load_config(path)
     assert config.selector.workers == 2
-    assert config.distiller.featurizer.hash_bits == 18
+    assert config.distiller.hash_bits == 18
     assert config.corpus.sample_size == wl.sample_size
     assert config.labeler.endpoint_url == (endpoint and endpoint + "/v1/chat/completions")
 

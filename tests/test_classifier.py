@@ -1,9 +1,11 @@
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import docprune.classifier as classifier
 from docprune.classifier import (
     DegenerateLabelsError,
     Examples,
@@ -12,7 +14,6 @@ from docprune.classifier import (
     FeaturizerConfig,
     ModelFormatError,
     QualityClassifier,
-    TrainConfig,
     _forward,
     class_weight_map,
     f1,
@@ -122,10 +123,11 @@ def _split(examples, config, val_fraction, seed):
 
 
 def _fit(examples, config, val_fraction=0.2, seed=0):
-    """A classifier trained on the examples through a feature store."""
+    """A classifier trained on the examples through a feature store, holding
+    out val_fraction of them."""
     with FeatureStore(config) as store:
-        train_config = TrainConfig(featurizer=config, val_fraction=val_fraction)
-        return train_classifier(_stored(store, examples), train_config, seed=seed)
+        with mock.patch.object(classifier, "VAL_FRACTION", val_fraction):
+            return train_classifier(_stored(store, examples), seed=seed)
 
 
 class TestSplitTrainVal:
@@ -329,19 +331,18 @@ class TestTraining:
         clf = _fit(examples, config)
         assert clf.training_meta["val_f1"] >= 0.95
 
-    def test_deterministic_weights(self):
+    def test_deterministic_weights(self, monkeypatch):
+        monkeypatch.setattr(classifier, "VAL_FRACTION", 0.2)
         examples, config = _examples(100, 100, seed=4)
         with FeatureStore(config) as store:
             stored = _stored(store, examples)
-            a = train_classifier(stored, TrainConfig(featurizer=config, val_fraction=0.2), seed=3)
-            b = train_classifier(stored, TrainConfig(featurizer=config, val_fraction=0.2), seed=3)
+            a = train_classifier(stored, seed=3)
+            b = train_classifier(stored, seed=3)
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
         assert a.training_meta == b.training_meta
 
     def test_featurize_batch_size_does_not_change_model(self, monkeypatch):
-        import docprune.classifier as classifier
-
         examples, config = _examples(60, 60, seed=5)
         whole = _fit(examples, config, seed=2)
         # ~45-character texts: batches of one or two texts each
@@ -353,8 +354,6 @@ class TestTraining:
 
     @pytest.mark.parametrize("row_block", [1, 3, 1000])
     def test_row_block_size_does_not_change_model_or_scores(self, monkeypatch, row_block):
-        import docprune.classifier as classifier
-
         (texts, targets), config = _examples(60, 60, seed=5)
         examples = (texts + ["!"] * 4, targets + [i % 2 for i in range(4)])  # "!": no features
         texts = examples[0]
@@ -373,15 +372,7 @@ class TestTraining:
         with FeatureStore(config) as store:
             stored = _stored(store, one_class)
             with pytest.raises(DegenerateLabelsError, match="degenerate label distribution"):
-                train_classifier(stored, TrainConfig(featurizer=config))
-
-    def test_examples_of_another_featurizer_rejected(self):
-        examples, config = _examples(20, 20)
-        other = TrainConfig(featurizer=FeaturizerConfig(ngram_orders=(1,), hash_bits=11))
-        with FeatureStore(config) as store:
-            stored = _stored(store, examples)
-            with pytest.raises(ValueError, match="another featurizer"):
-                train_classifier(stored, other)
+                train_classifier(stored)
 
     def test_training_meta_recorded(self):
         examples, config = _examples(80, 120, seed=6)
@@ -579,18 +570,18 @@ class TestMemory:
         """traced_peak of featurizing the examples into a store and training on them."""
 
         def train():
-            with FeatureStore(config.featurizer) as store:
-                train_classifier(_stored(store, examples), config, seed=0)
+            with FeatureStore(config) as store:
+                train_classifier(_stored(store, examples), seed=0)
 
-        list(featurize_chunks(examples[0], config.featurizer))  # warm token table
+        list(featurize_chunks(examples[0], config))  # warm token table
         return traced_peak(train)
 
     def test_training_holds_its_features_once(self):
         examples = self.paper_examples(400)
-        config = TrainConfig(featurizer=FeaturizerConfig(hash_bits=12))
+        config = FeaturizerConfig(hash_bits=12)
         stored = sum(
             b.indices.nbytes + b.values.nbytes + b.offsets.nbytes
-            for b in featurize_chunks(examples[0], config.featurizer)
+            for b in featurize_chunks(examples[0], config)
         )
         assert stored > 4_000_000  # paper-length snippets: ~1,500 tokens each
         assert self.train_peak(examples, config) < 1.6 * stored
@@ -599,6 +590,6 @@ class TestMemory:
         # The features are in the store's file, so 4x the labels holds no
         # more memory than featurizing one batch and training on one block.
         texts, targets = self.paper_examples(400)
-        config = TrainConfig(featurizer=FeaturizerConfig(hash_bits=12))
+        config = FeaturizerConfig(hash_bits=12)
         small = self.train_peak((texts[:100], targets[:100]), config)
         assert self.train_peak((texts, targets), config) <= 1.1 * small

@@ -18,7 +18,7 @@ import pytest
 
 from docprune import selection
 from docprune.classifier import (
-    FeaturizerConfig, QualityClassifier, TrainConfig, load_model, save_model,
+    FeaturizerConfig, QualityClassifier, load_model, save_model,
 )
 from docprune.cli import COMMANDS, COMMON, main
 from docprune.config import SWEEPS, ConfigError, load_config, write_resolved_config
@@ -36,7 +36,7 @@ class TestConfigFile:
         config = load_config(None)
         assert config.run.seed == 0
         assert config.labeler.temperature == 0.2
-        assert config.distiller.featurizer.ngram_orders == (1, 2, 3)
+        assert config.distiller.ngram_orders == (1, 2, 3)
         assert config.selector.target_ratio == 0.25
 
     def test_file_values_parsed(self, tmp_path):
@@ -51,8 +51,8 @@ class TestConfigFile:
         assert config.run.seed == 11
         assert config.labeler.temperature == 0.7
         assert config.labeler.mock is True
-        assert config.distiller.featurizer.hash_bits == 12
-        assert config.distiller.featurizer.ngram_orders == (1, 2)
+        assert config.distiller.hash_bits == 12
+        assert config.distiller.ngram_orders == (1, 2)
         assert config.selector.target_ratio == "from-labels"
 
     def test_readme_config_loads(self, tmp_path):
@@ -61,7 +61,7 @@ class TestConfigFile:
         (tmp_path / "run.ini").write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
         config = load_config(tmp_path / "run.ini")
         assert config.labeler.model_name == "my-chat-model"
-        assert config.distiller.featurizer.hash_bits == 18
+        assert config.distiller.hash_bits == 18
         assert (config.selector.target_ratio, config.selector.workers) == ("from-labels", 4)
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -89,7 +89,7 @@ class TestConfigFile:
     def test_resolved_snapshot_roundtrips(self, tmp_path):
         config = load_config(None)
         config.run.seed = 42
-        config.distiller.featurizer = replace(config.distiller.featurizer, ngram_orders=(1, 2))
+        config.distiller = replace(config.distiller, ngram_orders=(1, 2))
         out = tmp_path / "resolved.ini"
         write_resolved_config(config, out)
         back = load_config(out)
@@ -98,12 +98,10 @@ class TestConfigFile:
 
     def test_sections_are_the_stage_configs(self, tmp_path):
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[labeler]\nmodel_name = m\n\n[distiller]\nhash_bits = 12\nepochs = 4\n")
-        config = load_config(cfg, {("distiller", "val_fraction"): "0.2"})
+        cfg.write_text("[labeler]\nmodel_name = m\n\n[distiller]\nhash_bits = 10\n")
+        config = load_config(cfg, {("distiller", "hash_bits"): "12"})
         assert config.labeler == LabelerConfig(model_name="m")
-        assert config.distiller == TrainConfig(
-            featurizer=FeaturizerConfig(hash_bits=12), val_fraction=0.2, epochs=4
-        )
+        assert config.distiller == FeaturizerConfig(hash_bits=12)
 
     @pytest.mark.parametrize("key, value, section", [
         (("selector", "target_ratio"), "1.5", "selector"),
@@ -975,8 +973,7 @@ REMAINING_KEYS = {
     "labeler": {"endpoint_url", "model_name", "temperature", "max_output_tokens",
                 "max_concurrent_requests", "max_retries", "backoff_base", "request_timeout",
                 "failure_ceiling", "api_key_env", "prompt_version", "icl_demos", "mock"},
-    "distiller": {"ngram_orders", "hash_bits", "val_fraction", "epochs", "learning_rate",
-                  "batch_size", "patience"},
+    "distiller": {"ngram_orders", "hash_bits"},
     "selector": {"target_ratio", "workers"},
 }
 
@@ -992,6 +989,11 @@ class TestRemovedKeys:
         ("distiller", "class_weighting", "true"),
         ("distiller", "lowercase", "true"),
         ("distiller", "token_pattern", r"\w+"),
+        ("distiller", "val_fraction", "0.1"),
+        ("distiller", "epochs", "20"),
+        ("distiller", "learning_rate", "0.5"),
+        ("distiller", "batch_size", "64"),
+        ("distiller", "patience", "3"),
         ("ablation", "signal_strength", "1.0"),
         ("ablation", "flip_rate", "0.05"),
         ("ablation", "fidelity_0shot", "0.60"),
@@ -1025,7 +1027,12 @@ class TestRemovedKeys:
         parser = configparser.ConfigParser(interpolation=None)
         parser.read(small_run["train"][2].parent / "resolved-config.ini")
         assert {name: set(parser[name]) for name in parser.sections()} == REMAINING_KEYS
-        assert sum(map(len, REMAINING_KEYS.values())) == 28
+        assert sum(map(len, REMAINING_KEYS.values())) == 23
+
+    def test_resolved_distiller_section_is_the_model_featurizer(self, small_run):
+        model = small_run["score"][4]
+        resolved = load_config(model.parent / "resolved-config.ini")
+        assert resolved.distiller == load_model(model).featurizer
 
 
 class TestDegenerateLabelSets:
@@ -1201,6 +1208,32 @@ class TestCorpusAndScoreSetChecks:
         assert [s["malformed"] for s in manifest.per_shard] == [0, 2, 0, 0]
         assert manifest.input_documents == 400
 
+    def test_lone_surrogate_record_is_malformed_in_every_stage(self, small_run, tmp_path,
+                                                                capsys):
+        """The JSON escape "\\ud800" parses, but no stage could write it back as UTF-8."""
+        corpus = self.corpus_copy(small_run, tmp_path)
+        with open(corpus / "shard-00001.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"id": "lone", "text": "half a pair \\ud800 here"}\n')
+        scores, decision = tmp_path / "score", tmp_path / "select" / "decision.json"
+        assert self.run_with(small_run, "sample", tmp_path, corpus) == 0
+        assert self.run_with(small_run, "score", tmp_path, corpus) == 0
+        assert run_cli("select", "--scores", scores, "--target-ratio", 0.25,
+                       "--out", decision.parent) == 0
+        assert run_cli("filter", "--input", corpus, "--scores", scores, "--decision", decision,
+                       "--out", tmp_path / "filter") == 0
+        records = [json.loads((tmp_path / "sample" / "run-summary.json").read_text()),
+                   json.loads((scores / "scoring-report.json").read_text()),
+                   json.loads((tmp_path / "filter" / "filter-manifest.json").read_text())]
+        assert [(r["input_documents"], r["malformed"]) for r in records] == [(400, 1)] * 3
+        selected = json.loads(decision.read_text())
+        assert selected["kept"] + selected["dropped"] == 400
+        capsys.readouterr()
+        (tmp_path / "strict.ini").write_text(self.STRICT)
+        assert run_cli("sample", "--input", corpus, "--config", tmp_path / "strict.ini",
+                       "--out", tmp_path / "strict") == 3
+        assert "malformed record shard-00001.jsonl#100" in capsys.readouterr().err
+        assert not (tmp_path / "strict").exists()
+
     def test_stage_reports_give_ingest_counts_under_one_set_of_keys(self, small_run,
                                                                      tmp_path):
         corpus = self.corpus_copy(small_run, tmp_path)
@@ -1340,11 +1373,11 @@ class TestTrainInputs:
     def test_zero_val_f1_warns_and_exits_0(self, tmp_path, caplog):
         # Validation positives read like training negatives, so the best
         # epoch marks no validation positive.
-        from docprune.classifier import Examples, FeatureStore, split_train_val
+        from docprune.classifier import VAL_FRACTION, Examples, FeatureStore, split_train_val
 
         targets = [i % 2 for i in range(40)]
         with FeatureStore(FeaturizerConfig(hash_bits=10)) as store:
-            val = split_train_val(Examples(store, range(40), targets), 0.1, seed=0)[1]
+            val = split_train_val(Examples(store, range(40), targets), VAL_FRACTION, seed=0)[1]
         texts = [
             (f"d{i}", f"{'good' if t and i not in val.rows else 'bad'} words {i}")
             for i, t in enumerate(targets)

@@ -11,6 +11,7 @@ from docprune.corpus import (
     RunSummary,
     Shard,
     ShardSet,
+    atomic_open,
     extract_snippet,
     ingest_shards,
     reservoir_sample,
@@ -108,6 +109,23 @@ class TestIngest:
         docs = list(ingest_shards(ShardSet.from_dir(root), summary=summary))
         assert [d.id for d in docs] == ["good"]
         assert summary.malformed == 1
+
+    @pytest.mark.parametrize("record", [
+        '{"id": "a", "text": "half \\ud800 a pair"}',
+        '{"id": "\\udc00", "text": "x"}',
+        '{"id": "a", "text": "x", "meta": {"\\ud800": "v"}}',
+        '{"id": "a", "text": "x", "meta": {"k": "\\ud800"}}',
+    ], ids=["text", "id", "meta-key", "meta-value"])
+    def test_lone_surrogate_rejected(self, tmp_path, record):
+        """Valid JSON, but a lone surrogate could not be written back as UTF-8;
+        an escaped surrogate pair is one character and stays."""
+        shard_set = corpus_dir(tmp_path, {"s.jsonl": ['{"id": "ok", "text": "\\ud83d\\udc0d"}',
+                                                      record]})
+        summary = RunSummary()
+        assert [d.text for d in ingest_shards(shard_set, summary=summary)] == ["\U0001f40d"]
+        assert (summary.input_documents, summary.malformed) == (1, 1)
+        with pytest.raises(CorpusError, match="^malformed record s.jsonl#1: .*surrogates"):
+            list(ingest_shards(shard_set, strict=True))
 
     def test_unreadable_shard_is_fatal(self, tmp_path):
         shard_set = ShardSet(shards=[Shard(tmp_path / "missing.jsonl", False)])
@@ -263,6 +281,18 @@ class TestWriteShards:
         assert [(d.id, d.text, d.meta) for d in back] == [
             (d.id, d.text, d.meta) for d in docs
         ]
+
+    def test_gzip_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        import time
+
+        written = []
+        for now in (1e9, 2e9):
+            monkeypatch.setattr(time, "time", lambda: now)
+            path = tmp_path / str(int(now)) / "s.jsonl.gz"
+            with atomic_open(path, "wb", compress=True) as fh:
+                fh.write(b'{"id": "a", "text": "x"}\n')
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
 
     def test_records_per_shard_validated(self, tmp_path):
         with pytest.raises(ValueError):

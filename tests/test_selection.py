@@ -15,7 +15,6 @@ from docprune.classifier import (
     Examples,
     FeatureStore,
     FeaturizerConfig,
-    TrainConfig,
     train_classifier,
 )
 from docprune.corpus import CorpusError, DuplicateIdError, ingest_shards, write_shards
@@ -193,7 +192,7 @@ def small_world(tmp_path_factory):
     targets = [1 if mock_label(snip) == YES else 0 for snip in snips]
     with FeatureStore(config) as store:
         examples = Examples(store, store.extend(s.text for s in snips), targets)
-        clf = train_classifier(examples, TrainConfig(featurizer=config), seed=0)
+        clf = train_classifier(examples, seed=0)
     return tmp, shard_set, docs, clf
 
 
